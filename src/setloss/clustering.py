@@ -41,64 +41,132 @@ MAX_ALIGNMENT_SIZE = 8
 
 
 class MinimizeResult(NamedTuple):
+    """Where a descent stopped; per-row arrays when started from a batch."""
+
     x: np.ndarray
-    iterations: int
-    converged: bool
-    grad_norm: float
+    iterations: int | np.ndarray
+    converged: bool | np.ndarray
+    grad_norm: float | np.ndarray
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt((v * v).sum(axis=-1))
 
 
 def minimize_from(loss, start, gradient_tol: float = 1e-8, max_iterations: int = 500):
-    """Quasi-Newton descent with backtracking from a single start point.
+    """Quasi-Newton descent with backtracking from one start or a batch.
 
     ``loss`` is either an object exposing ``value_and_grad`` or a callable
-    returning ``(value, gradient)``.  Iterates until the gradient norm
-    drops below ``gradient_tol`` or the iteration budget runs out; the
-    last iterate is returned either way, with ``converged`` telling the
-    two cases apart.
+    returning ``(value, gradient)``.  A start of shape (d,) calls it with
+    (d,) vectors and returns scalars.  Starts of shape (N, d) run every row
+    in one loop: the loss is called with the (M, d) rows still descending
+    and must return (M,) values and (M, d) gradients, and the result holds
+    per-row arrays.  Each row keeps its own BFGS inverse Hessian and Armijo
+    step and iterates until its gradient norm drops below
+    ``gradient_tol``, its line search stalls, or the iteration budget runs
+    out; the last iterate is returned either way, with ``converged``
+    telling the cases apart.  A row's outcome does not depend on the other
+    rows of its batch, to the last bit when the loss rounds each row the
+    same way whatever the batch (the losses in ``loss_functions`` do).
     """
     fun = loss.value_and_grad if hasattr(loss, "value_and_grad") else loss
     x = np.array(start, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a start vector, got shape {x.shape}")
-    f, g = fun(x)
-    dim = x.size
-    h = np.eye(dim)
-    iterations = 0
-    for _ in range(max_iterations):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= gradient_tol:
-            return MinimizeResult(x, iterations, True, gnorm)
-        iterations += 1
-        d = -h @ g
-        slope = float(d @ g)
-        if slope >= 0.0:
+    single = x.ndim == 1
+    if single:
+        x = x[None, :]
+
+        def evaluate(pts):
+            value, grad = fun(pts[0])
+            return np.array([value], dtype=float), np.array(grad, dtype=float)[None, :]
+
+    elif x.ndim == 2:
+
+        def evaluate(pts):
+            values, grads = fun(pts)
+            return np.array(values, dtype=float), np.array(grads, dtype=float)
+
+    else:
+        raise ValueError(f"expected a start vector or a (N, d) batch, got shape {x.shape}")
+
+    count, dim = x.shape
+    out_x = x.copy()
+    iterations = np.full(count, max_iterations, dtype=np.int64)
+    converged = np.zeros(count, dtype=bool)
+    grad_norm = np.empty(count)
+    eye = np.eye(dim)
+
+    def finish(mask, done_iterations, ok, norms):
+        picked = rows[mask]
+        out_x[picked] = x[mask]
+        iterations[picked] = done_iterations
+        converged[picked] = ok
+        grad_norm[picked] = norms[mask]
+
+    # the state arrays hold only the rows still descending; rows maps them back
+    rows = np.arange(count)
+    f, g = evaluate(x)
+    h = np.tile(eye, (count, 1, 1))
+    for it in range(max_iterations):
+        gnorm = _norms(g)
+        done = gnorm <= gradient_tol
+        if done.any():
+            finish(done, it, True, gnorm)
+            keep = ~done
+            rows, x, f, g, h, gnorm = rows[keep], x[keep], f[keep], g[keep], h[keep], gnorm[keep]
+        if rows.size == 0:
+            break
+        d = -(h @ g[:, :, None])[:, :, 0]
+        slope = (d * g).sum(axis=-1)
+        restart = slope >= 0.0
+        if restart.any():
             # curvature model went bad; restart from steepest descent
-            h = np.eye(dim)
-            d = -g
-            slope = -float(g @ g)
+            h[restart] = eye
+            d[restart] = -g[restart]
+            slope[restart] = -(g[restart] * g[restart]).sum(axis=-1)
+        # Armijo backtracking: every row tries t = 1, 1/2, 1/4, ... and
+        # only the rows still short of a decrease are re-evaluated
+        x_new = x + d
+        f_new, g_new = evaluate(x_new)
+        pending = (~(f_new <= f + 1e-4 * slope)).nonzero()[0]
         t = 1.0
-        f_new = g_new = None
-        for _ in range(60):
-            cand = x + t * d
-            fc, gc = fun(cand)
-            if fc <= f + 1e-4 * t * slope:
-                f_new, g_new, x_new = fc, gc, cand
+        for _ in range(59):
+            if pending.size == 0:
                 break
             t *= 0.5
-        if f_new is None:
+            cand = x[pending] + t * d[pending]
+            fc, gc = evaluate(cand)
+            ok = fc <= f[pending] + 1e-4 * t * slope[pending]
+            took = pending[ok]
+            x_new[took], f_new[took], g_new[took] = cand[ok], fc[ok], gc[ok]
+            pending = pending[~ok]
+        if pending.size:
             # line search stalled; no usable decrease left
-            return MinimizeResult(x, iterations, False, gnorm)
+            stalled = np.zeros(rows.size, dtype=bool)
+            stalled[pending] = True
+            finish(stalled, it + 1, False, gnorm)
+            keep = ~stalled
+            rows, x, f, g, h = rows[keep], x[keep], f[keep], g[keep], h[keep]
+            x_new, f_new, g_new = x_new[keep], f_new[keep], g_new[keep]
         s = x_new - x
         y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            hy = h @ y
-            yhy = float(y @ hy)
-            h += ((sy + yhy) / sy**2) * np.outer(s, s)
-            h -= (np.outer(hy, s) + np.outer(s, hy)) / sy
+        sy = (s * y).sum(axis=-1)
+        update = sy > 1e-12 * _norms(s) * _norms(y)
+        # BFGS update where the curvature pair is usable; a full slice
+        # takes views, so h is then updated in place
+        sel = slice(None) if update.all() else update.nonzero()[0]
+        s, y, sy, hu = s[sel], y[sel], sy[sel, None, None], h[sel]
+        hy = (hu @ y[:, :, None])[:, :, 0]
+        yhy = (y * hy).sum(axis=-1)[:, None, None]
+        hu += ((sy + yhy) / sy**2) * (s[:, :, None] * s[:, None, :])
+        hu -= (hy[:, :, None] * s[:, None, :] + s[:, :, None] * hy[:, None, :]) / sy
+        h[sel] = hu
         x, f, g = x_new, f_new, g_new
-    gnorm = float(np.linalg.norm(g))
-    return MinimizeResult(x, iterations, gnorm <= gradient_tol, gnorm)
+    else:
+        gnorm = _norms(g)
+        finish(np.ones(rows.size, dtype=bool), max_iterations, gnorm <= gradient_tol, gnorm)
+    if single:
+        return MinimizeResult(out_x[0], int(iterations[0]), bool(converged[0]), float(grad_norm[0]))
+    return MinimizeResult(out_x, iterations, converged, grad_norm)
 
 
 @dataclass(frozen=True)
@@ -121,49 +189,34 @@ class ClusterAssignment:
         return self.labels.shape[0]
 
 
-def _label_from_coords(z: np.ndarray, k: int) -> int:
-    # vertex e_(i+1) carries label i, the origin carries label k-1 (the
-    # anchor point); ties resolve to the lowest label
-    dists = np.empty(k)
-    for i in range(k - 1):
-        e = np.zeros(k - 1)
-        e[i] = 1.0
-        dists[i] = float(np.linalg.norm(z - e))
-    dists[k - 1] = float(np.linalg.norm(z))
-    return int(np.argmin(dists))
-
-
 def assign_labels(loss, recovered: PointSet, samples: SampleSet) -> ClusterAssignment:
     """Cluster every sample by descending the loss it sits on.
 
-    With a ``TransformedLoss`` the converged point is mapped to simplex
-    coordinates and labeled by its nearest vertex; any other loss labels
-    by the nearest recovered point.  Descents that hit the iteration cap
-    still get a label from their last iterate, flagged not converged.
+    All samples descend together in one batched ``minimize_from`` call,
+    so the loss must accept a batch of points.  With a ``TransformedLoss``
+    the converged points are mapped to simplex coordinates and labeled by
+    their nearest vertex: vertex e_(i+1) carries label i, the origin
+    carries label k-1 (the anchor point).  Any other loss labels by the
+    nearest recovered point.  Ties resolve to the lowest label.  Descents
+    that hit the iteration cap still get a label from their last iterate,
+    flagged not converged.
     """
     if samples.n != recovered.n:
         raise ValueError(f"dimension mismatch: samples in R^{samples.n}, set in R^{recovered.n}")
     k = recovered.k
-    npts = samples.size
-    labels = np.empty(npts, dtype=np.int64)
-    converged = np.empty(npts, dtype=bool)
-    iterations = np.empty(npts, dtype=np.int64)
-    minimizers = np.empty((npts, samples.n))
-    use_simplex = isinstance(loss, TransformedLoss)
-    ref = np.asarray(recovered.points.real)
-    for j, v in enumerate(samples.samples):
-        res = minimize_from(loss, v)
-        converged[j] = res.converged
-        iterations[j] = res.iterations
-        minimizers[j] = res.x
-        if use_simplex and k > 1:
-            z = loss.simplex_coords(res.x)
-            labels[j] = _label_from_coords(z, k)
-        else:
-            d = np.linalg.norm(ref - res.x[None, :], axis=1)
-            labels[j] = int(np.argmin(d))
+    res = minimize_from(loss, samples.samples)
+    if isinstance(loss, TransformedLoss) and k > 1:
+        coords = loss.simplex_coords(res.x)
+        targets = np.vstack([np.eye(k - 1), np.zeros(k - 1)])
+    else:
+        coords = res.x
+        targets = np.asarray(recovered.points.real)
+    dists = np.linalg.norm(coords[:, None, :] - targets[None, :, :], axis=2)
     return ClusterAssignment(
-        labels=labels, converged=converged, iterations=iterations, minimizers=minimizers
+        labels=np.argmin(dists, axis=1),
+        converged=res.converged,
+        iterations=res.iterations,
+        minimizers=res.x,
     )
 
 

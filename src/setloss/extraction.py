@@ -18,10 +18,10 @@ import numpy as np
 
 from .errors import InvalidStateError, NumericalFailureError
 from .generating_system import (
-    DISTINCT_TOL,
     GeneratingMatrix,
     MultiplicationMatrices,
     PointSet,
+    coincident_pairs,
     commutator_residual,
     multiplication_matrices,
 )
@@ -196,13 +196,7 @@ def real_projection(zeros: ZeroSet) -> PointSet:
     returned set skips the distinctness check.
     """
     pts = zeros.real_points.copy()
-    k = pts.shape[0]
-    dup = False
-    for i in range(k):
-        for j in range(i + 1, k):
-            if np.max(np.abs(pts[i] - pts[j])) <= DISTINCT_TOL:
-                dup = True
-    if dup:
+    if len(coincident_pairs(pts)):
         _warnings.warn(
             "real projection produced coincident points (conjugate pair collapsed)",
             RuntimeWarning,

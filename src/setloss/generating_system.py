@@ -51,6 +51,12 @@ __all__ = [
 DISTINCT_TOL = 1e-12
 
 
+def coincident_pairs(points: np.ndarray) -> np.ndarray:
+    """Index pairs (i, j), i < j, of rows within DISTINCT_TOL, in (i, j) order."""
+    gaps = np.max(np.abs(points[:, None, :] - points[None, :, :]), axis=2)
+    return np.argwhere(np.triu(gaps <= DISTINCT_TOL, k=1))
+
+
 @dataclass(frozen=True)
 class PointSet:
     """An ordered set of k points in n dimensions.
@@ -77,11 +83,10 @@ class PointSet:
         if self.labels is not None and len(self.labels) != pts.shape[0]:
             raise ValueError("one label per point required")
         if self.check_distinct:
-            k = pts.shape[0]
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if np.max(np.abs(pts[i] - pts[j])) <= DISTINCT_TOL:
-                        raise ValueError(f"points {i} and {j} coincide")
+            pairs = coincident_pairs(pts)
+            if len(pairs):
+                i, j = pairs[0]
+                raise ValueError(f"points {i} and {j} coincide")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
@@ -201,13 +206,22 @@ def solve_generating_matrix(points: PointSet) -> GeneratingMatrix:
 
 
 def evaluate_generators(gm: GeneratingMatrix, x) -> np.ndarray:
-    """Evaluate all generating polynomials at x, in border order."""
-    return evaluate_monomials(x, gm.border) - gm.entries.T @ evaluate_monomials(x, gm.basis)
+    """Evaluate all generating polynomials at x, in border order.
+
+    x of shape (n,) gives shape (m,); a batch (N, n) gives (N, m).
+    """
+    monomials = monomial_matrix if np.ndim(x) == 2 else evaluate_monomials
+    rest = monomials(x, gm.basis)
+    # summed per row, so a row's rounding does not depend on its batch
+    return monomials(x, gm.border) - (rest[..., :, None] * gm.entries).sum(axis=-2)
 
 
 def generators_jacobian(gm: GeneratingMatrix, x) -> np.ndarray:
-    """Jacobian of the generator evaluation map, shape (m, n)."""
-    return basis_jacobian(x, gm.border) - gm.entries.T @ basis_jacobian(x, gm.basis)
+    """Jacobian of the generator evaluation map, shape (m, n) or (N, m, n)."""
+    rest = basis_jacobian(x, gm.basis)
+    return basis_jacobian(x, gm.border) - (
+        gm.entries[..., :, :, None] * rest[..., :, None, :]
+    ).sum(axis=-3)
 
 
 @dataclass(frozen=True)

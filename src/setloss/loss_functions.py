@@ -49,6 +49,18 @@ __all__ = [
 ]
 
 
+def _simplicial_value_and_grad(a, x):
+    # x is (n,) or (N, n); the cross term sum_{i<j} x_i^2 x_j^2 is
+    # (s^2 - sum x_i^4) / 2 with s = sum x_i^2
+    sq = x * x
+    s = sq.sum(axis=-1, keepdims=True)
+    value = (sq * (x - a) ** 2).sum(axis=-1) + 0.5 * (
+        s[..., 0] * s[..., 0] - (sq * sq).sum(axis=-1)
+    )
+    grad = 2.0 * x * (2.0 * sq - 3.0 * a * x + (s - sq + a * a))
+    return value, grad
+
+
 def simplicial_loss(a, x):
     """Value, gradient, and Hessian of the scaled-simplex loss.
 
@@ -64,14 +76,25 @@ def simplicial_loss(a, x):
         raise ValueError(f"shape mismatch: a {a.shape}, x {x.shape}")
     if np.any(np.abs(a) <= 1e-12):
         raise ValueError("all simplex scales a_i must be nonzero")
+    value, grad = _simplicial_value_and_grad(a, x)
     sq = x * x
-    s = float(sq.sum())
-    # cross term sum_{i<j} x_i^2 x_j^2 = (s^2 - sum x_i^4) / 2
-    value = float(np.dot(sq, (x - a) ** 2)) + 0.5 * (s * s - float(np.dot(sq, sq)))
-    grad = 2.0 * x * (2.0 * sq - 3.0 * a * x + (s - sq + a * a))
     hess = 4.0 * np.outer(x, x)
-    np.fill_diagonal(hess, 12.0 * sq - 12.0 * a * x + 2.0 * (s - sq + a * a))
-    return value, grad, hess
+    np.fill_diagonal(hess, 12.0 * sq - 12.0 * a * x + 2.0 * (float(sq.sum()) - sq + a * a))
+    return float(value), grad, hess
+
+
+def _matvec(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # mat @ v for v of shape (c,) or (N, c), one row at a time.  BLAS picks
+    # its kernel by batch size, which changes the rounding of a row with
+    # the batch it sits in; an elementwise product summed per row does not.
+    return (v[..., None, :] * mat).sum(axis=-1)
+
+
+def _check_points(x, n: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
+        raise ValueError(f"expected shape ({n},) or (N, {n}), got {x.shape}")
+    return x
 
 
 class SimplicialLoss:
@@ -91,8 +114,8 @@ class SimplicialLoss:
         return self.a.size
 
     def value_and_grad(self, x):
-        value, grad, _ = simplicial_loss(self.a, x)
-        return value, grad
+        """Value and gradient at x (n,), or per row of a batch (N, n)."""
+        return _simplicial_value_and_grad(self.a, _check_points(x, self.n))
 
     def value(self, x) -> float:
         return self.value_and_grad(x)[0]
@@ -110,14 +133,18 @@ class SimplicialLoss:
 
 
 def generating_loss(gm: GeneratingMatrix, x):
-    """Value and gradient of ||phi(x)||^2 for a generating system."""
+    """Value and gradient of ||phi(x)||^2 for a generating system.
+
+    x of shape (n,) gives a float and an (n,) gradient; a batch (N, n)
+    gives (N,) values and (N, n) gradients.
+    """
     phi = evaluate_generators(gm, x)
     jac = generators_jacobian(gm, x)
-    value = float(np.real(np.vdot(phi, phi)))
-    grad = 2.0 * jac.T @ phi
+    value = np.real((np.conj(phi) * phi).sum(axis=-1))
+    grad = 2.0 * (phi[..., :, None] * jac).sum(axis=-2)
     if not np.iscomplexobj(np.asarray(x)):
         grad = np.real(grad)
-    return value, grad
+    return (float(value) if np.ndim(x) == 1 else value), grad
 
 
 class GeneratingLoss:
@@ -157,11 +184,12 @@ class TransformedLoss:
             self.u_mat = data["u_mat"]
             self.u_pinv = data["u_pinv"]
             self.anchor = data["anchor"]
+            self._to_simplex, self._lift_anchor = self.u_pinv, self.anchor
         else:
             self.lift_basis: MonomialBasis = data["lift_basis"]
             self.l_mat = data["l_mat"]
             self.anchor_lift = data["anchor_lift"]
-            self._lu = scipy.linalg.lu_factor(self.l_mat)
+            self._to_simplex, self._lift_anchor = np.linalg.inv(self.l_mat), self.anchor_lift
 
     @property
     def n(self) -> int:
@@ -188,25 +216,24 @@ class TransformedLoss:
         return monomial_lift(np.asarray(x, dtype=float), self.lift_basis)
 
     def simplex_coords(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected a vector of shape ({self.n},), got {x.shape}")
-        if self.kind == "affine":
-            return self.u_pinv @ (x - self.anchor)
-        return scipy.linalg.lu_solve(self._lu, self.lift(x) - self.anchor_lift)
+        """Simplex coordinates of x (n,), or of each row of a batch (N, n)."""
+        x = _check_points(x, self.n)
+        return _matvec(self._to_simplex, self.lift(x) - self._lift_anchor)
 
     # -- evaluation ------------------------------------------------------
 
     def value_and_grad(self, x):
-        x = np.asarray(x, dtype=float)
-        z = self.simplex_coords(x)
+        """Value and gradient at x (n,), or per row of a batch (N, n)."""
+        x = _check_points(x, self.n)
         if self.inner is None:
-            return 0.0, np.zeros(self.n)
-        value, gz = self.inner.value_and_grad(z)
+            return np.zeros(x.shape[:-1])[()], np.zeros(x.shape)
+        z = _matvec(self._to_simplex, self.lift(x) - self._lift_anchor)
+        value, gz = _simplicial_value_and_grad(self.inner.a, z)
+        w = _matvec(self._to_simplex.T, gz)
         if self.kind == "affine":
-            return value, self.u_pinv.T @ gz
-        w = scipy.linalg.lu_solve(self._lu, gz, trans=1)
-        return value, basis_jacobian(x, self.lift_basis)[1:].T @ w
+            return value, w
+        jac = basis_jacobian(x, self.lift_basis)[..., 1:, :]
+        return value, (w[..., :, None] * jac).sum(axis=-2)
 
     def value(self, x) -> float:
         return self.value_and_grad(x)[0]
@@ -224,9 +251,9 @@ class TransformedLoss:
         zeta = np.asarray(zeta, dtype=float)
         if zeta.shape != (self.simplex_dim,):
             raise ValueError(f"expected shape ({self.simplex_dim},), got {zeta.shape}")
-        z = scipy.linalg.lu_solve(self._lu, zeta - self.anchor_lift)
-        value, gz = self.inner.value_and_grad(z)
-        return value, scipy.linalg.lu_solve(self._lu, gz, trans=1)
+        z = _matvec(self._to_simplex, zeta - self.anchor_lift)
+        value, gz = _simplicial_value_and_grad(self.inner.a, z)
+        return value, _matvec(self._to_simplex.T, gz)
 
     def null_directions(self) -> np.ndarray:
         """Orthonormal basis of directions the affine map ignores, (n, n-k+1).
@@ -300,7 +327,7 @@ class TransformedLoss:
         else:
             xs = sp.symbols(f"z1:{self.simplex_dim + 1}")
             vec = sp.Matrix(xs) - sp.Matrix(self.anchor_lift.tolist())
-            m = sp.Matrix(np.linalg.inv(self.l_mat).tolist())
+            m = sp.Matrix(self._to_simplex.tolist())
         m = m.applyfunc(lambda v: sp.nsimplify(v, rational=True, tolerance=1e-12))
         vec = vec.applyfunc(lambda v: sp.nsimplify(v, rational=True, tolerance=1e-12))
         zs = list(m @ vec)

@@ -143,6 +143,19 @@ class MonomialBasis:
         return arr
 
     @cached_property
+    def _lowered_powers(self) -> np.ndarray:
+        """Exponents after differentiating in each variable, shape (n, m, n).
+
+        Slice i holds the exponents with a_ji - 1 in column i, clamped at
+        zero so that 0 * x^(-1) cannot produce inf at x_i = 0.
+        """
+        arr = np.repeat(self.powers[None, :, :], self.n, axis=0)
+        for i in range(self.n):
+            arr[i, :, i] = np.maximum(arr[i, :, i] - 1, 0)
+        arr.flags.writeable = False
+        return arr
+
+    @cached_property
     def _positions(self) -> dict[tuple[int, ...], int]:
         return {m.exponents: i for i, m in enumerate(self.members)}
 
@@ -214,49 +227,42 @@ def border_monomials(basis: MonomialBasis) -> MonomialBasis:
     return MonomialBasis(n=basis.n, members=members)
 
 
+def _points(x, basis: MonomialBasis, batched: bool) -> np.ndarray:
+    # real input is computed in float, complex input stays complex
+    x = np.asarray(x)
+    if x.ndim != (2 if batched else 1) or x.shape[-1] != basis.n:
+        want = f"(N, {basis.n})" if batched else f"({basis.n},)"
+        raise ValueError(f"expected shape {want}, got {x.shape}")
+    return x if np.iscomplexobj(x) else x.astype(float, copy=False)
+
+
 def evaluate_monomials(x, basis: MonomialBasis) -> np.ndarray:
     """Vector (x^a for a in basis), in basis order.
 
     Accepts real or complex x of shape (n,).  The constant monomial
     evaluates to 1 everywhere, including at x = 0.
     """
-    x = np.asarray(x)
-    if x.shape != (basis.n,):
-        raise ValueError(f"expected a vector of shape ({basis.n},), got {x.shape}")
-    if not np.iscomplexobj(x):
-        x = x.astype(float, copy=False)
+    x = _points(x, basis, batched=False)
     return np.prod(x[None, :] ** basis.powers, axis=1)
 
 
 def monomial_matrix(points, basis: MonomialBasis) -> np.ndarray:
     """Rows of monomial evaluations for a batch of points, shape (N, m)."""
-    pts = np.asarray(points)
-    if pts.ndim != 2 or pts.shape[1] != basis.n:
-        raise ValueError(f"expected shape (N, {basis.n}), got {pts.shape}")
-    if not np.iscomplexobj(pts):
-        pts = pts.astype(float, copy=False)
+    pts = _points(points, basis, batched=True)
     return np.prod(pts[:, None, :] ** basis.powers[None, :, :], axis=2)
 
 
 def basis_jacobian(x, basis: MonomialBasis) -> np.ndarray:
-    """Jacobian of the monomial evaluation map, shape (m, n).
+    """Jacobian of the monomial evaluation map, shape (m, n) or (N, m, n).
 
     Entry (j, i) is d(x^a_j)/dx_i = a_ji * x^(a_j - e_i), with the usual
-    convention that the derivative is zero when a_ji = 0.
+    convention that the derivative is zero when a_ji = 0.  A batch of
+    points of shape (N, n) gives one Jacobian per row.
     """
-    x = np.asarray(x)
-    if x.shape != (basis.n,):
-        raise ValueError(f"expected a vector of shape ({basis.n},), got {x.shape}")
-    if not np.iscomplexobj(x):
-        x = x.astype(float, copy=False)
-    powers = basis.powers
-    jac = np.zeros((len(basis), basis.n), dtype=x.dtype)
-    for i in range(basis.n):
-        lowered = powers.copy()
-        # clamp to keep 0 * x^(-1) from producing inf at x_i = 0
-        lowered[:, i] = np.maximum(lowered[:, i] - 1, 0)
-        jac[:, i] = powers[:, i] * np.prod(x[None, :] ** lowered, axis=1)
-    return jac
+    x = _points(x, basis, batched=np.ndim(x) == 2)
+    # (..., n, m): the monomials lowered in x_i, differentiated in x_i
+    lowered = np.prod(x[..., None, None, :] ** basis._lowered_powers, axis=-1)
+    return np.swapaxes(basis.powers.T * lowered, -1, -2)
 
 
 def monomial_lift(x, basis: MonomialBasis) -> np.ndarray:
@@ -264,8 +270,10 @@ def monomial_lift(x, basis: MonomialBasis) -> np.ndarray:
 
     The basis must start with the constant monomial; the returned vector
     drops that leading 1, giving a polynomial embedding of x into
-    dimension m - 1.
+    dimension m - 1.  A batch of points (N, n) gives one lift per row.
     """
     if len(basis) == 0 or basis.members[0].degree != 0:
         raise InvalidStateError("basis must start with the constant monomial")
+    if np.ndim(x) == 2:
+        return monomial_matrix(x, basis)[:, 1:]
     return evaluate_monomials(x, basis)[1:]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setloss.clustering import (
     ClusterAssignment,
@@ -15,7 +17,12 @@ from setloss.clustering import (
 from setloss.errors import DegenerateConfigurationError
 from setloss.fitting import FitOptions, SampleSet
 from setloss.generating_system import PointSet
-from setloss.loss_functions import GeneratingLoss, SimplicialLoss, build_transformed_loss
+from setloss.loss_functions import (
+    GeneratingLoss,
+    SimplicialLoss,
+    TransformedLoss,
+    build_transformed_loss,
+)
 
 from helpers import match_as_multisets, random_points
 
@@ -74,6 +81,93 @@ def test_simplicial_descents_land_on_vertices():
         result = minimize_from(loss, start)
         assert result.converged
         assert min(np.linalg.norm(result.x - v) for v in vertices) < 1e-5
+
+
+def random_family_loss(family, seed):
+    """A simplicial, affine or lifted loss and one to six starts in [-3, 3]^n."""
+    rng = np.random.default_rng(seed)
+    if family == "simplicial":
+        n = int(rng.integers(1, 5))
+        a = rng.uniform(0.6, 2.5, size=n) * rng.choice([-1.0, 1.0], size=n)
+        loss = SimplicialLoss(a)
+    elif family == "affine":
+        n = int(rng.integers(2, 5))
+        k = int(rng.integers(2, n + 2))
+        loss = build_transformed_loss(PointSet(random_points(rng, k, n, min_gap=0.6)))
+    else:
+        n = int(rng.integers(1, 3))
+        k = int(rng.integers(n + 2, 6))
+        loss = build_transformed_loss(PointSet(random_points(rng, k, n, min_gap=0.6)))
+    starts = rng.uniform(-3.0, 3.0, size=(int(rng.integers(1, 7)), n))
+    return loss, starts
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["simplicial", "affine", "lifted"]), st.integers(0, 2**32 - 1))
+def test_batched_descent_matches_single_starts(family, seed):
+    loss, starts = random_family_loss(family, seed)
+    batch = minimize_from(loss, starts, max_iterations=200)
+    assert batch.x.shape == starts.shape
+    for i, start in enumerate(starts):
+        single = minimize_from(loss, start, max_iterations=200)
+        assert batch.iterations[i] == single.iterations
+        assert batch.converged[i] == single.converged
+        np.testing.assert_allclose(batch.x[i], single.x, rtol=0, atol=1e-10)
+        assert batch.grad_norm[i] == pytest.approx(single.grad_norm, rel=1e-6, abs=1e-12)
+
+
+def test_batched_descent_with_mixed_outcomes():
+    inner = SimplicialLoss(np.array([1.0, 2.0]))
+
+    def loss(x):
+        # the wrong-sign gradient beyond x1 = 10 leaves no descent direction
+        value, grad = inner.value_and_grad(x)
+        return value, np.where(x[:, :1] > 10.0, -grad, grad)
+
+    starts = np.array(
+        [
+            [0.0, 2.0],  # on a vertex
+            [0.7, 0.4],
+            [12.0, 1.0],  # line search stalls
+            [-1.5, 2.5],
+        ]
+    )
+    res = minimize_from(loss, starts, max_iterations=1)
+    np.testing.assert_array_equal(res.iterations, [0, 1, 1, 1])
+    np.testing.assert_array_equal(res.converged, [True, False, False, False])
+    np.testing.assert_array_equal(res.x[0], starts[0])
+    np.testing.assert_array_equal(res.x[2], starts[2])
+    assert res.grad_norm[2] == pytest.approx(np.linalg.norm(inner.value_and_grad(starts[2])[1]))
+    # the stalled row changes nothing for the others
+    rest = minimize_from(loss, starts[[0, 1, 3]], max_iterations=1)
+    for name in ("x", "iterations", "converged", "grad_norm"):
+        np.testing.assert_array_equal(getattr(res, name)[[0, 1, 3]], getattr(rest, name))
+    assert not np.allclose(res.x[[1, 3]], starts[[1, 3]])
+
+
+def test_minimize_from_rejects_bad_start_shape():
+    with pytest.raises(ValueError):
+        minimize_from(Quadratic([0.0]), np.zeros((2, 2, 1)))
+
+
+def test_assign_labels_descends_in_one_batch(monkeypatch):
+    rng = np.random.default_rng(19)
+    pts = PointSet(random_points(rng, 3, 2, min_gap=1.2))
+    samples, truth = bounded_noise_sample(pts, 0.05, 100, seed=20)
+    assert samples.size == 300
+    calls = []
+    original = TransformedLoss.value_and_grad
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return original(self, x)
+
+    monkeypatch.setattr(TransformedLoss, "value_and_grad", counted)
+    assignment = assign_labels(build_transformed_loss(pts), pts, samples)
+    np.testing.assert_array_equal(assignment.labels, truth)
+    # a per-sample descent would need at least one call per sample
+    assert len(calls) < samples.size
+    assert calls[0] == (300, 2)
 
 
 def test_assign_labels_on_exact_clusters():

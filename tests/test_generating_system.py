@@ -75,6 +75,16 @@ def test_point_set_validation():
     assert ps.k == 2 and ps.n == 2 and ps.is_real
 
 
+def test_point_set_names_first_coincident_pair():
+    pts = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0 + 1e-13], [0.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(ValueError, match="points 0 and 3 coincide"):
+        PointSet(pts)
+    with pytest.raises(ValueError, match="points 1 and 3 coincide"):
+        PointSet(pts[[4, 1, 0, 2, 3]])
+    # complex coordinates compare by the modulus of their difference
+    assert PointSet(np.array([[1.0 + 1e-6j], [1.0 - 1e-6j]])).k == 2
+
+
 def test_point_set_is_immutable():
     ps = PointSet(np.array([[1.0, 2.0], [3.0, 4.0]]))
     with pytest.raises(ValueError):

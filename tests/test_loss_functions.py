@@ -256,3 +256,30 @@ def test_describe_small_cases():
         PointSet(np.arange(10.0).reshape(5, 2) ** 2)
     ).describe()
     assert isinstance(big, str) and len(big) > 0
+
+
+def test_batched_losses_stack_per_row_results():
+    rng = np.random.default_rng(21)
+    pts = PointSet(random_points(rng, 5, 2, min_gap=0.6))
+    losses = [
+        SimplicialLoss(np.array([1.5, -2.0])),
+        build_transformed_loss(PointSet(random_points(rng, 3, 2, min_gap=0.6))),
+        build_transformed_loss(pts),
+        GeneratingLoss(solve_generating_matrix(pts)),
+    ]
+    xs = rng.uniform(-2.0, 2.0, size=(6, 2))
+    xs[2] = 0.0
+    xs[4, 1] = 0.0
+    for loss in losses:
+        values, grads = loss.value_and_grad(xs)
+        assert values.shape == (6,) and grads.shape == (6, 2)
+        for x, value, grad in zip(xs, values, grads):
+            one_value, one_grad = loss.value_and_grad(x)
+            assert value == one_value
+            np.testing.assert_array_equal(grad, one_grad)
+        with pytest.raises(ValueError):
+            loss.value_and_grad(np.zeros((2, 3)))
+    lifted = losses[2]
+    np.testing.assert_array_equal(
+        lifted.simplex_coords(xs), [lifted.simplex_coords(x) for x in xs]
+    )

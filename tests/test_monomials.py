@@ -204,6 +204,23 @@ def test_basis_jacobian_at_zero():
     np.testing.assert_allclose(jac, expected, atol=0)
 
 
+def test_batched_jacobian_and_lift_stack_per_row_results():
+    rng = np.random.default_rng(3)
+    for n, k in [(1, 4), (2, 6), (3, 9)]:
+        basis = standard_monomials(n, k)
+        pts = rng.uniform(-1.5, 1.5, size=(5, n))
+        pts[1] = 0.0
+        pts[3, 0] = 0.0
+        jac = basis_jacobian(pts, basis)
+        assert jac.shape == (5, k, n)
+        np.testing.assert_array_equal(jac, [basis_jacobian(p, basis) for p in pts])
+        np.testing.assert_array_equal(
+            monomial_lift(pts, basis), [monomial_lift(p, basis) for p in pts]
+        )
+    with pytest.raises(ValueError):
+        basis_jacobian(np.zeros((2, 2, 2)), standard_monomials(2, 3))
+
+
 def test_monomial_lift_drops_constant():
     basis = standard_monomials(2, 4)
     x = np.array([2.0, -1.0])
