@@ -43,6 +43,9 @@ COMMUTATOR_SOFT_LIMIT = 1e-8
 # eigenvalue spread guard for the random combination
 MIN_GAP_FACTOR = 1e-8
 MAX_COMBINATION_DRAWS = 10
+# real projection warns when it drops imaginary parts above this,
+# relative to 1 + the largest real part
+IMAG_DROP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -193,9 +196,18 @@ def real_projection(zeros: ZeroSet) -> PointSet:
 
     Complex zeros of real systems come in conjugate pairs, so projecting
     can make two rows collide; a warning is emitted in that case and the
-    returned set skips the distinctness check.
+    returned set skips the distinctness check.  Imaginary parts above
+    1e-6 * (1 + max |real part|) also warn, naming the largest one: the
+    projected points are then not zeros of the system.
     """
     pts = zeros.real_points.copy()
+    imag = zeros.max_imaginary()
+    if imag > IMAG_DROP_TOL * (1.0 + float(np.max(np.abs(pts), initial=0.0))):
+        _warnings.warn(
+            f"real projection dropped imaginary parts up to {imag:.3e}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     if len(coincident_pairs(pts)):
         _warnings.warn(
             "real projection produced coincident points (conjugate pair collapsed)",

@@ -30,8 +30,7 @@ import scipy.linalg
 from .errors import DegenerateConfigurationError
 from .generating_system import (
     GeneratingMatrix,
-    commutator_residual,
-    multiplication_matrices,
+    shift_table,
 )
 from .monomial_basis import (
     MonomialBasis,
@@ -225,75 +224,60 @@ class PenaltyModel:
         self.k = k
         self.m = len(self.b1)
         self.n = samples.n
-        # lift_col[i][q] = basis position of border[q] / x_i, or -1
-        lift_col = np.full((self.n, self.m), -1, dtype=np.int64)
-        for q, alpha in enumerate(self.b1):
-            for i in range(self.n):
-                if alpha[i] == 0:
-                    continue
-                lowered = list(alpha.exponents)
-                lowered[i] -= 1
-                key = tuple(lowered)
-                if key in self.b0:
-                    lift_col[i, q] = self.b0.position(key)
-        self.lift_col = lift_col
-        self.index_pairs = [
-            (i, j) for i in range(self.n) for j in range(i + 1, self.n)
-        ]
+        self.shifts = shift_table(self.b0, self.b1)
+        # the shift table read backwards: M_i = unit_i + g @ lift[i], with
+        # lift[i] the (m, k) one-hot map from g columns to M_i columns
+        self.lift = np.zeros((self.n, self.m, self.k))
+        self.lift[self.shifts.var, self.shifts.border, self.shifts.col] = 1.0
+        # the index pairs i < j in (0, 1), (0, 2), ..., (1, 2), ... order
+        self._first, self._second = np.triu_indices(self.n, k=1)
+        self._lift_first = np.nonzero(self.lift[self._first])
+        self._lift_second = np.nonzero(self.lift[self._second])
         self.ata = (self.a.T @ self.a) / samples.size
         self.atb = (self.a.T @ self.b) / samples.size
+        # Gram block of the data residuals, constant in g
+        self.data_gram = np.kron(np.eye(self.m), self.ata)
+        self._diag = np.arange(self.k)
 
     # -- assembly ---------------------------------------------------------
 
     def matrix(self, g: np.ndarray) -> GeneratingMatrix:
         return GeneratingMatrix(basis=self.b0, border=self.b1, entries=g)
 
-    def mult_mats(self, g: np.ndarray) -> list[np.ndarray]:
-        mats = []
-        for i in range(self.n):
-            mat = np.zeros((self.k, self.k))
-            for col, nu in enumerate(self.b0):
-                target = nu.shifted(i)
-                if target in self.b0:
-                    mat[self.b0.position(target), col] = 1.0
-                else:
-                    mat[:, col] = g[:, self.b1.position(target)]
-            mats.append(mat)
-        return mats
+    def mult_mats(self, g: np.ndarray) -> np.ndarray:
+        """The (n, k, k) stack of multiplication matrices of g."""
+        return self.shifts.matrices(g)
 
-    def commutator_vec(self, mats: list[np.ndarray]) -> np.ndarray:
-        if not self.index_pairs:
-            return np.zeros(0)
-        blocks = [
-            (mats[i] @ mats[j] - mats[j] @ mats[i]).reshape(-1)
-            for i, j in self.index_pairs
-        ]
-        return np.concatenate(blocks)
+    def commutator_vec(self, mats: np.ndarray) -> np.ndarray:
+        mi, mj = mats[self._first], mats[self._second]
+        return (mi @ mj - mj @ mi).reshape(-1)
 
-    def commutator_jacobian(self, mats: list[np.ndarray]) -> np.ndarray:
-        """d vec([M_i, M_j]) / d g, stacked over pairs; unscaled by rho."""
-        k, m = self.k, self.m
-        rows = len(self.index_pairs) * k * k
-        jac = np.zeros((rows, k * m))
-        for block, (i, j) in enumerate(self.index_pairs):
-            mi, mj = mats[i], mats[j]
-            base = block * k * k
-            for q in range(m):
-                ci = self.lift_col[i, q]
-                cj = self.lift_col[j, q]
-                if ci < 0 and cj < 0:
-                    continue
-                for p in range(k):
-                    d = np.zeros((k, k))
-                    if ci >= 0:
-                        # dM_i = e_p e_ci^T enters as dM_i M_j - M_j dM_i
-                        d[p, :] += mj[ci, :]
-                        d[:, ci] -= mj[:, p]
-                    if cj >= 0:
-                        d[:, cj] += mi[:, p]
-                        d[p, :] -= mi[cj, :]
-                    jac[base : base + k * k, q * k + p] = d.reshape(-1)
-        return jac
+    def commutator_jacobian(self, mats: np.ndarray) -> np.ndarray:
+        """d vec([M_i, M_j]) / d g, stacked over pairs; unscaled by rho.
+
+        With C_i = lift[i], so that dM_i = dG C_i, the entry at row
+        (a, b) of pair (i, j) and at the column of g[p, q] is
+
+            delta_ap (C_i M_j)[q, b] - M_j[a, p] C_i[q, b]
+                + M_i[a, p] C_j[q, b] - delta_ap (C_j M_i)[q, b],
+
+        summed in this order, the order of the entry-wise reference in the
+        tests, which this matches bit for bit.
+        """
+        mi, mj = mats[self._first], mats[self._second]
+        li, lj = self.lift[self._first], self.lift[self._second]
+        diag = self._diag
+        # axes (pair, a, b, q, p).  C_i is one-hot, so C_i M_j gathers rows
+        # of M_j, and M_j[a, p] C_i[q, b] is M_j placed at each (b, q) with
+        # C_i[q, b] = 1: (pair, q, b) runs over the nonzeros of C_i
+        jac = np.zeros((len(mi), self.k, self.k, self.m, self.k))
+        jac[:, diag, :, :, diag] = (li @ mj).transpose(0, 2, 1)
+        pair, q, b = self._lift_first
+        jac[pair, :, b, q, :] -= mj[pair]
+        pair, q, b = self._lift_second
+        jac[pair, :, b, q, :] += mi[pair]
+        jac[:, diag, :, :, diag] -= (lj @ mi).transpose(0, 2, 1)
+        return jac.reshape(-1, self.m * self.k)
 
     def theta(self, g: np.ndarray) -> float:
         r = self.b - self.a @ g
@@ -318,7 +302,7 @@ class PenaltyModel:
         mats = self.mult_mats(g)
         cvec = self.commutator_vec(mats)
         jc = self.commutator_jacobian(mats)
-        jtj = np.kron(np.eye(self.m), self.ata) + rho * (jc.T @ jc)
+        jtj = self.data_gram + rho * (jc.T @ jc)
         jtr = (self.ata @ g - self.atb).T.reshape(-1) + rho * (jc.T @ cvec)
         phi = self.theta(g) + rho * float(cvec @ cvec)
         return jtj, jtr, phi

@@ -36,11 +36,13 @@ __all__ = [
     "PointSet",
     "GeneratingMatrix",
     "MultiplicationMatrices",
+    "ShiftTable",
     "CommutatorResidual",
     "vandermonde",
     "solve_generating_matrix",
     "evaluate_generators",
     "generators_jacobian",
+    "shift_table",
     "multiplication_matrices",
     "commutator_residual",
     "generator_terms",
@@ -152,6 +154,11 @@ class GeneratingMatrix:
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.entries))
 
+    @cached_property
+    def shifts(self) -> "ShiftTable":
+        """The shift table of this basis and border, built on first use."""
+        return shift_table(self.basis, self.border)
+
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -249,6 +256,61 @@ class MultiplicationMatrices:
         return out
 
 
+class ShiftTable(NamedTuple):
+    """The constant structure of the multiplication matrices of a basis.
+
+    ``unit`` has shape (n, k, k): entry (i, r, c) is 1 when x_i times
+    basis monomial c is basis monomial r, and 0 otherwise.  The other
+    fields list the products that cross into the border, one entry per
+    product: x_i times basis monomial ``col[t]`` is border monomial
+    ``border[t]``, with i = ``var[t]``.
+    """
+
+    unit: np.ndarray
+    var: np.ndarray
+    col: np.ndarray
+    border: np.ndarray
+
+    def matrices(self, entries: np.ndarray) -> np.ndarray:
+        """The (n, k, k) stack of M_i for a (k, m) generating matrix."""
+        mats = self.unit.copy()
+        mats[self.var, :, self.col] = entries[:, self.border].T
+        return mats
+
+
+def shift_table(basis: MonomialBasis, border: MonomialBasis) -> ShiftTable:
+    """Where x_i * x^nu lands, for every variable i and basis monomial nu.
+
+    A product that is itself a basis monomial gives a unit column of
+    M_i; otherwise it must be a border monomial, whose generating-matrix
+    column becomes that column of M_i.  Raises ValueError when a product
+    is in neither.
+    """
+    n = basis.n
+    # shifted[i, c] = exponents of x_i * basis[c]
+    shifted = basis.powers[None, :, :] + np.eye(n, dtype=np.int64)[:, None, :]
+    # in_basis[i, r, c]: x_i * basis[c] == basis[r]; in_border[i, c, q] likewise.
+    # Compared one coordinate at a time: np.all over the short last axis
+    # is several times slower at k = 35.
+    in_basis = np.ones((n, len(basis), len(basis)), dtype=bool)
+    in_border = np.ones((n, len(basis), len(border)), dtype=bool)
+    for t in range(n):
+        in_basis &= shifted[:, None, :, t] == basis.powers[None, :, None, t]
+        in_border &= shifted[:, :, None, t] == border.powers[None, None, :, t]
+    stays = in_basis.any(axis=1)
+    missing = ~(stays | in_border.any(axis=2))
+    if missing.any():
+        i, c = np.argwhere(missing)[0]
+        key = tuple(int(e) for e in shifted[i, c])
+        raise ValueError(f"monomial {key} is not a member")
+    var, col, target = np.nonzero(in_border & ~stays[:, :, None])
+    table = ShiftTable(unit=in_basis.astype(float), var=var, col=col, border=target)
+    # a generating matrix caches its table, so no caller may change it
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
 def multiplication_matrices(gm: GeneratingMatrix) -> MultiplicationMatrices:
     """Assemble the multiplication-by-x_i matrices from a generating matrix.
 
@@ -257,18 +319,8 @@ def multiplication_matrices(gm: GeneratingMatrix) -> MultiplicationMatrices:
     the basis, the matching generating-matrix column when it crosses into
     the border.
     """
-    k = gm.k
-    mats = []
-    for i in range(gm.n):
-        mat = np.zeros((k, k))
-        for col, nu in enumerate(gm.basis):
-            target = nu.shifted(i)
-            if target in gm.basis:
-                mat[gm.basis.position(target), col] = 1.0
-            else:
-                mat[:, col] = gm.entries[:, gm.border.position(target)]
-        mat.flags.writeable = False
-        mats.append(mat)
+    mats = gm.shifts.matrices(gm.entries)
+    mats.flags.writeable = False
     return MultiplicationMatrices(basis=gm.basis, mats=tuple(mats))
 
 

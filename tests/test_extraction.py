@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from setloss.clustering import gmm_sample, random_gmm_spec, recover_point_set
 from setloss.errors import InvalidStateError
 from setloss.extraction import (
     ZeroSet,
@@ -8,6 +11,7 @@ from setloss.extraction import (
     real_projection,
     set_distance,
 )
+from setloss.fitting import FitOptions
 from setloss.generating_system import (
     GeneratingMatrix,
     PointSet,
@@ -116,6 +120,43 @@ def test_real_projection_warns_on_collapsed_pairs():
     with pytest.warns(RuntimeWarning):
         projected = real_projection(zs)
     assert projected.k == 3
+
+
+def test_real_projection_is_silent_on_real_zeros():
+    rng = np.random.default_rng(4)
+    zs = extract_zero_set(solve_generating_matrix(PointSet(random_points(rng, 6, 3))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        real_projection(zs)
+
+
+def test_real_projection_warns_on_dropped_imaginary_parts():
+    # a noisy (2, 4) fit whose zeros include a conjugate pair with imaginary
+    # parts near 0.3 and 0.8; the fit itself reports convergence
+    spec = random_gmm_spec(2, 4, seed=207)
+    samples, _ = gmm_sample(spec, 300, seed=257)
+    with pytest.warns(RuntimeWarning, match=r"imaginary parts up to 8\.\d+e-01"):
+        result = recover_point_set(samples, 4, FitOptions(seed=7))
+    assert result.fit.converged
+    # the points still come back, projected as before
+    np.testing.assert_array_equal(result.recovered.points, result.zero_set.points.real)
+
+
+def test_extraction_builds_one_shift_table(monkeypatch):
+    # the commutator gate and the Schur step share the matrix's table
+    import setloss.generating_system as gs
+
+    calls = []
+    build = gs.shift_table
+
+    def counting(basis, border):
+        calls.append(len(basis))
+        return build(basis, border)
+
+    monkeypatch.setattr(gs, "shift_table", counting)
+    payload = solve_generating_matrix(PointSet(BENCH_SET)).to_json()
+    extract_zero_set(GeneratingMatrix.from_json(payload))
+    assert calls == [6]
 
 
 def test_commuting_gate_rejects_garbage():

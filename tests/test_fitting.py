@@ -15,8 +15,10 @@ from setloss.fitting import (
 from setloss.generating_system import (
     PointSet,
     commutator_residual,
+    multiplication_matrices,
     solve_generating_matrix,
 )
+from setloss.monomial_basis import ExponentVector
 
 from helpers import fd_jacobian, match_as_multisets, random_points
 
@@ -91,35 +93,127 @@ def test_fit_rejects_fewer_samples_than_k():
 
 
 def test_penalty_residual_jacobian_matches_finite_differences():
+    # n = 2 has one commutator pair; n = 3 and n = 4 have three and six
     rng = np.random.default_rng(2)
-    pts = random_points(rng, 4, 2)
-    samples = noisy_samples(rng, pts, 0.1, 10)
-    model = PenaltyModel(samples, 4)
     rho = 3.0
-    for _ in range(5):
-        g = rng.standard_normal((model.k, model.m))
+    for n, k in ((2, 4), (3, 4), (3, 6), (4, 6)):
+        pts = random_points(rng, k, n)
+        samples = noisy_samples(rng, pts, 0.1, 10)
+        model = PenaltyModel(samples, k)
+        for _ in range(5):
+            g = rng.standard_normal((model.k, model.m))
 
-        def stacked(v):
-            return model.residuals(v.reshape(model.m, model.k).T, rho)
+            def stacked(v):
+                return model.residuals(v.reshape(model.m, model.k).T, rho)
 
-        jac = model.jacobian(g, rho)
-        ref = fd_jacobian(stacked, g.T.reshape(-1))
-        np.testing.assert_allclose(jac, ref, rtol=1e-5, atol=1e-7)
+            jac = model.jacobian(g, rho)
+            ref = fd_jacobian(stacked, g.T.reshape(-1))
+            np.testing.assert_allclose(jac, ref, rtol=1e-5, atol=1e-7)
 
 
 def test_penalty_gram_matches_dense_jacobian():
     rng = np.random.default_rng(3)
-    pts = random_points(rng, 5, 2)
-    samples = noisy_samples(rng, pts, 0.05, 8)
-    model = PenaltyModel(samples, 5)
     rho = 7.0
+    for n, k in ((2, 5), (3, 5), (4, 7)):
+        pts = random_points(rng, k, n)
+        samples = noisy_samples(rng, pts, 0.05, 8)
+        model = PenaltyModel(samples, k)
+        g = rng.standard_normal((model.k, model.m))
+        jac = model.jacobian(g, rho)
+        res = model.residuals(g, rho)
+        gram, grad, value = model.gram_and_gradient(g, rho)
+        np.testing.assert_allclose(gram, jac.T @ jac, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(grad, jac.T @ res, rtol=1e-10, atol=1e-12)
+        assert value == pytest.approx(float(res @ res), rel=1e-12)
+
+
+def _loop_commutator_jacobian(model, mats):
+    # entry-by-entry reference: dM_i = e_p e_c^T for the basis column c that
+    # x_i lifts border column q into
+    k, m = model.k, model.m
+    pairs = [(i, j) for i in range(model.n) for j in range(i + 1, model.n)]
+    jac = np.zeros((len(pairs) * k * k, k * m))
+    for block, (i, j) in enumerate(pairs):
+        mi, mj = mats[i], mats[j]
+        for q, alpha in enumerate(model.b1):
+            lifts = []
+            for var in (i, j):
+                lowered = list(alpha.exponents)
+                lowered[var] -= 1
+                inside = lowered[var] >= 0 and tuple(lowered) in model.b0
+                lifts.append(model.b0.position(tuple(lowered)) if inside else -1)
+            ci, cj = lifts
+            for p in range(k):
+                d = np.zeros((k, k))
+                if ci >= 0:
+                    d[p, :] += mj[ci, :]
+                    d[:, ci] -= mj[:, p]
+                if cj >= 0:
+                    d[:, cj] += mi[:, p]
+                    d[p, :] -= mi[cj, :]
+                jac[block * k * k : (block + 1) * k * k, q * k + p] = d.reshape(-1)
+    return jac
+
+
+def test_commutator_jacobian_matches_entrywise_loop():
+    # the closed form adds the same terms in the same order as the loop
+    rng = np.random.default_rng(11)
+    for n, k in ((2, 4), (2, 9), (3, 4), (3, 10), (4, 12)):
+        samples = SampleSet(rng.uniform(-2.0, 2.0, size=(k + 5, n)))
+        model = PenaltyModel(samples, k)
+        mats = model.mult_mats(rng.standard_normal((model.k, model.m)))
+        np.testing.assert_array_equal(
+            model.commutator_jacobian(mats), _loop_commutator_jacobian(model, mats)
+        )
+
+
+def test_penalty_model_mult_mats_share_the_extraction_table():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3, 4):
+        for k in range(1, 36):
+            samples = SampleSet(rng.uniform(-2.0, 2.0, size=(k + 3, n)))
+            model = PenaltyModel(samples, k)
+            g = rng.standard_normal((model.k, model.m))
+            np.testing.assert_array_equal(
+                model.mult_mats(g), np.stack(multiplication_matrices(model.matrix(g)).mats)
+            )
+
+
+def test_single_variable_fit_has_no_commutators():
+    rng = np.random.default_rng(13)
+    samples = noisy_samples(rng, random_points(rng, 4, 1), 0.05, 20)
+    model = PenaltyModel(samples, 4)
     g = rng.standard_normal((model.k, model.m))
-    jac = model.jacobian(g, rho)
-    res = model.residuals(g, rho)
-    gram, grad, value = model.gram_and_gradient(g, rho)
-    np.testing.assert_allclose(gram, jac.T @ jac, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(grad, jac.T @ res, rtol=1e-10, atol=1e-12)
-    assert value == pytest.approx(float(res @ res), rel=1e-12)
+    mats = model.mult_mats(g)
+    assert model.commutator_vec(mats).shape == (0,)
+    assert model.commutator_jacobian(mats).shape == (0, model.k * model.m)
+    gram, _, _ = model.gram_and_gradient(g, 5.0)
+    np.testing.assert_array_equal(gram, np.kron(np.eye(model.m), model.ata))
+    result = fit_generating_matrix(samples, 4)
+    assert result.converged
+    assert result.rounds == 0 and result.iterations == 0
+
+
+def test_fit_looks_up_monomials_only_while_setting_up(monkeypatch):
+    # every per-iteration piece reads the shift table built once per fit,
+    # so the number of monomial shifts does not grow with the iterations
+    calls = []
+    shifted = ExponentVector.shifted
+
+    def counting(self, i):
+        calls.append(i)
+        return shifted(self, i)
+
+    monkeypatch.setattr(ExponentVector, "shifted", counting)
+    rng = np.random.default_rng(14)
+    samples = noisy_samples(rng, random_points(rng, 4, 2, min_gap=0.8), 0.1, 30)
+    counts = []
+    for opts in (FitOptions(max_rounds=1, max_inner_iterations=1), FitOptions()):
+        calls.clear()
+        result = fit_generating_matrix(samples, 4, opts)
+        counts.append(len(calls))
+    assert result.converged and result.iterations > 5
+    assert counts[0] == counts[1]
 
 
 def test_theta_is_the_average_loss():

@@ -11,10 +11,16 @@ from setloss.generating_system import (
     generator_terms,
     generators_jacobian,
     multiplication_matrices,
+    shift_table,
     solve_generating_matrix,
     vandermonde,
 )
-from setloss.monomial_basis import evaluate_monomials, standard_monomials
+from setloss.monomial_basis import (
+    MonomialBasis,
+    border_monomials,
+    evaluate_monomials,
+    standard_monomials,
+)
 
 from helpers import fd_jacobian, product_loss, random_points
 
@@ -199,6 +205,48 @@ def test_multiplication_matrix_columns():
     np.testing.assert_allclose(m2[:, 1], gm.entries[:, 0], atol=0)
     np.testing.assert_allclose(m2[:, 2], gm.entries[:, 1], atol=0)
     np.testing.assert_allclose(m2[:, 3], gm.entries[:, 3], atol=0)
+
+
+def _loop_multiplication_matrices(gm):
+    # one monomial lookup per column, the reference for the shift table
+    mats = []
+    for i in range(gm.n):
+        mat = np.zeros((gm.k, gm.k))
+        for col, nu in enumerate(gm.basis):
+            target = nu.shifted(i)
+            if target in gm.basis:
+                mat[gm.basis.position(target), col] = 1.0
+            else:
+                mat[:, col] = gm.entries[:, gm.border.position(target)]
+        mats.append(mat)
+    return mats
+
+
+def test_multiplication_matrices_match_monomial_loop():
+    rng = np.random.default_rng(20)
+    for n in (1, 2, 3, 4):
+        for k in range(1, 36):
+            b0 = standard_monomials(n, k)
+            b1 = border_monomials(b0)
+            gm = GeneratingMatrix(b0, b1, rng.standard_normal((k, len(b1))))
+            mats = multiplication_matrices(gm).mats
+            assert not mats[0].flags.writeable
+            for got, want in zip(mats, _loop_multiplication_matrices(gm), strict=True):
+                np.testing.assert_array_equal(got, want)
+
+
+def test_shift_table_rejects_incomplete_border():
+    b0 = standard_monomials(2, 3)
+    border = border_monomials(b0)
+    short = MonomialBasis(n=2, members=border.members[:-1])
+    with pytest.raises(ValueError, match="not a member"):
+        shift_table(b0, short)
+    table = shift_table(b0, border)
+    assert table.unit.shape == (2, 3, 3)
+    # only the constant column stays inside the basis, for either variable
+    assert sorted(zip(table.var.tolist(), table.col.tolist())) == [
+        (0, 1), (0, 2), (1, 1), (1, 2)
+    ]
 
 
 def test_basis_vector_is_left_eigenvector():
