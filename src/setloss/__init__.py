@@ -51,10 +51,7 @@ from .loss_functions import (
     GeneratingLoss,
     SimplicialLoss,
     TransformedLoss,
-    build_affine_loss,
-    build_lifted_loss,
     build_transformed_loss,
-    eval_transformed,
     generating_loss,
     simplicial_loss,
 )
@@ -97,12 +94,9 @@ __all__ = [
     "average_loss",
     "border_monomials",
     "bounded_noise_sample",
-    "build_affine_loss",
-    "build_lifted_loss",
     "build_transformed_loss",
     "clustering_accuracy",
     "commutator_residual",
-    "eval_transformed",
     "evaluate_generators",
     "evaluate_monomials",
     "extract_zero_set",

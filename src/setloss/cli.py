@@ -344,61 +344,52 @@ def _layered_points(path: Path, layers: dict[str, np.ndarray]) -> None:
     _write_csv(path, header, rows)
 
 
-def _bench_recover(samples: SampleSet, k: int, seed: int, reference: np.ndarray):
-    opts = FitOptions(seed=seed)
-    result = recover_point_set(samples, k, opts, loss_kind="generating")
-    dist = float(
-        np.max(
-            [
-                np.min(np.linalg.norm(result.recovered.points.real - u, axis=1))
-                for u in reference
-            ]
-        )
-    )
-    max_loss = float(max(result.loss.value(u) for u in reference))
-    return result, dist, max_loss
+def _bench_trials(args, out_dir: Path, radii, counts, path: tuple, points_name: str):
+    """Sample, recover and score ``args.seeds`` trials of one noise setting.
+
+    Writes the layered points of trial 0 to ``points_name`` and returns
+    one [trial, set_distance, max_loss, converged] row per trial, the
+    median set distance, the median largest loss on the reference set and
+    whether every fit converged.
+    """
+    reference = PointSet(BENCH_SET)
+    rows, dists, losses, all_converged = [], [], [], True
+    for trial in range(args.seeds):
+        seed = _derived_seed(args.seed, *path, trial)
+        samples, _ = bounded_noise_sample(reference, radii, counts, seed, args.noise_model)
+        opts = FitOptions(seed=seed)
+        result = recover_point_set(samples, reference.k, opts, loss_kind="generating")
+        recovered = result.recovered.points.real
+        dist = float(np.max([np.min(np.linalg.norm(recovered - u, axis=1)) for u in BENCH_SET]))
+        max_loss = float(max(result.loss.value(u) for u in BENCH_SET))
+        all_converged &= result.fit.converged
+        rows.append([trial, dist, max_loss, int(result.fit.converged)])
+        dists.append(dist)
+        losses.append(max_loss)
+        if trial == 0:
+            layers = {"T": samples.samples, "S": BENCH_SET, "Sstar": recovered}
+            _layered_points(out_dir / points_name, layers)
+    return rows, float(np.median(dists)), float(np.median(losses)), all_converged
 
 
 def cmd_bench(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = list(range(args.seeds))
     all_converged = True
-    reference = PointSet(BENCH_SET)
+    rows = []
+    scores = ["set_distance", "max_loss", "converged"]
 
     if args.scenario == "table1":
-        rows = []
         medians = {}
+        counts = np.full(len(BENCH_SET), args.ni)
         for ei, eps in enumerate(BENCH_EPS_GRID):
-            dists, losses = [], []
-            for trial in seeds:
-                seed = _derived_seed(args.seed, ei, trial)
-                samples, _ = bounded_noise_sample(
-                    reference, eps, np.full(reference.k, args.ni), seed, args.noise_model
-                )
-                result, dist, max_loss = _bench_recover(samples, reference.k, seed, BENCH_SET)
-                all_converged &= result.fit.converged
-                rows.append([eps, trial, dist, max_loss, int(result.fit.converged)])
-                dists.append(dist)
-                losses.append(max_loss)
-                if trial == 0:
-                    _layered_points(
-                        out_dir / f"points_eps{eps}.csv",
-                        {
-                            "T": samples.samples,
-                            "S": BENCH_SET,
-                            "Sstar": result.recovered.points.real,
-                        },
-                    )
-            medians[str(eps)] = {
-                "set_distance": float(np.median(dists)),
-                "max_loss": float(np.median(losses)),
-            }
-        _write_csv(
-            out_dir / "results.csv",
-            ["eps", "seed", "set_distance", "max_loss", "converged"],
-            rows,
-        )
+            trials, dist, loss, converged = _bench_trials(
+                args, out_dir, eps, counts, (ei,), f"points_eps{eps}.csv"
+            )
+            rows += [[eps, *row] for row in trials]
+            all_converged &= converged
+            medians[str(eps)] = {"set_distance": dist, "max_loss": loss}
+        header = ["eps", "seed", *scores]
         summary = {
             "scenario": "table1",
             "ni": args.ni,
@@ -408,44 +399,21 @@ def cmd_bench(args) -> int:
         }
 
     elif args.scenario == "example62":
-        rows = []
-        dists, losses = [], []
-        for trial in seeds:
-            seed = _derived_seed(args.seed, trial)
-            samples, _ = bounded_noise_sample(
-                reference, UNEVEN_RADII, UNEVEN_COUNTS, seed, args.noise_model
-            )
-            result, dist, max_loss = _bench_recover(samples, reference.k, seed, BENCH_SET)
-            all_converged &= result.fit.converged
-            rows.append([trial, dist, max_loss, int(result.fit.converged)])
-            dists.append(dist)
-            losses.append(max_loss)
-            if trial == 0:
-                _layered_points(
-                    out_dir / "points.csv",
-                    {
-                        "T": samples.samples,
-                        "S": BENCH_SET,
-                        "Sstar": result.recovered.points.real,
-                    },
-                )
-        _write_csv(
-            out_dir / "results.csv",
-            ["seed", "set_distance", "max_loss", "converged"],
-            rows,
+        rows, dist, loss, all_converged = _bench_trials(
+            args, out_dir, UNEVEN_RADII, UNEVEN_COUNTS, (), "points.csv"
         )
+        header = ["seed", *scores]
         summary = {
             "scenario": "example62",
             "seeds": args.seeds,
             "noise_model": args.noise_model,
-            "median_set_distance": float(np.median(dists)),
-            "median_max_loss": float(np.median(losses)),
+            "median_set_distance": dist,
+            "median_max_loss": loss,
         }
 
     else:  # gmm
-        rows = []
         accs = []
-        for trial in seeds:
+        for trial in range(args.seeds):
             seed = _derived_seed(args.seed, trial)
             spec = random_gmm_spec(args.n, args.k, seed=seed, diagonal=args.diagonal)
             samples, truth = gmm_sample(spec, args.samples, seed=_derived_seed(seed, 1))
@@ -455,7 +423,7 @@ def cmd_bench(args) -> int:
             acc = clustering_accuracy(assignment, truth, result.recovered, spec.means)
             rows.append([trial, acc, int(result.fit.converged)])
             accs.append(acc)
-        _write_csv(out_dir / "results.csv", ["seed", "accuracy", "converged"], rows)
+        header = ["seed", "accuracy", "converged"]
         summary = {
             "scenario": "gmm",
             "n": args.n,
@@ -468,6 +436,7 @@ def cmd_bench(args) -> int:
             "max_accuracy": float(np.max(accs)),
         }
 
+    _write_csv(out_dir / "results.csv", header, rows)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))
     if not all_converged:
@@ -487,8 +456,7 @@ def _build_parser() -> _Parser:
     parser.add_argument(
         "--threads",
         type=int,
-        default=1,
-        help="cap BLAS threads (default 1 for reproducible runs)",
+        help="cap BLAS threads through threadpoolctl (default 1 for reproducible runs)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -568,13 +536,18 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     limiter = None
-    if args.threads >= 1:
+    threads = 1 if args.threads is None else args.threads
+    if threads >= 1:
         try:
             from threadpoolctl import threadpool_limits
 
-            limiter = threadpool_limits(limits=args.threads)
+            limiter = threadpool_limits(limits=threads)
         except ImportError:
-            pass
+            if args.threads is not None:
+                print(
+                    "warning: threadpoolctl is not installed; --threads applied no BLAS limit",
+                    file=sys.stderr,
+                )
     try:
         return args.func(args)
     except _UsageError as exc:

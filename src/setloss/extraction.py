@@ -19,7 +19,6 @@ import numpy as np
 from .errors import InvalidStateError, NumericalFailureError
 from .generating_system import (
     GeneratingMatrix,
-    MultiplicationMatrices,
     PointSet,
     coincident_pairs,
     commutator_residual,
@@ -29,7 +28,6 @@ from .numeric_kernels import complex_schur
 
 __all__ = [
     "ZeroSet",
-    "combine_multiplication_matrices",
     "extract_zero_set",
     "real_projection",
     "set_distance",
@@ -112,11 +110,6 @@ class ZeroSet:
             approximate=bool(payload["approximate"]),
             commutator_norm=float(payload["commutator_norm"]),
         )
-
-
-def combine_multiplication_matrices(mats: MultiplicationMatrices, weights) -> np.ndarray:
-    """Weighted combination sum_i weights_i M_i of the multiplication matrices."""
-    return mats.combine(weights)
 
 
 def _sort_order(points: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError
 from .monomial_basis import (
     MonomialBasis,
     basis_jacobian,
@@ -30,7 +29,7 @@ from .monomial_basis import (
     monomial_matrix,
     standard_monomials,
 )
-from .numeric_kernels import SINGULARITY_RTOL, solve_linear
+from .numeric_kernels import require_full_rank, solve_linear
 
 __all__ = [
     "PointSet",
@@ -195,12 +194,9 @@ def solve_generating_matrix(points: PointSet) -> GeneratingMatrix:
     b1 = border_monomials(b0)
     x0 = vandermonde(points, b0)
     x1 = vandermonde(points, b1)
-    s = np.linalg.svd(x0, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= SINGULARITY_RTOL * s[0]:
-        cond = float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
-        raise DegenerateConfigurationError(
-            "point set is degenerate for interpolation", condition=cond
-        )
+    require_full_rank(
+        np.linalg.svd(x0, compute_uv=False), "point set is degenerate for interpolation"
+    )
     g = solve_linear(x0.T, x1.T)
     if np.iscomplexobj(g):
         drift = float(np.max(np.abs(g.imag)))

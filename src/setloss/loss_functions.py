@@ -8,11 +8,10 @@ Three families live here.
 * ``simplicial_loss``: the standard loss for the scaled simplex
   {0, a_1 e_1, ..., a_n e_n}, built so that every local minimizer is a
   global one.
-* ``TransformedLoss``: the simplicial loss pulled back through a linear
-  or polynomial change of coordinates so that its zero set becomes an
-  arbitrary point set.  Sets with k <= n + 1 points use an affine map
-  ("affine" kind); larger sets are first embedded through the monomial
-  lift ("lifted" kind).
+* ``TransformedLoss``: the simplicial loss pulled back through the map
+  z = P (lift(x) - lift(anchor)) so that its zero set becomes an
+  arbitrary point set.  The lift is the identity for sets with
+  k <= n + 1 points and the monomial lift for larger sets.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateConfigurationError
 from .generating_system import (
     GeneratingMatrix,
     PointSet,
@@ -34,7 +32,7 @@ from .monomial_basis import (
     monomial_matrix,
     standard_monomials,
 )
-from .numeric_kernels import SINGULARITY_RTOL, pseudo_inverse
+from .numeric_kernels import pseudo_inverse, require_full_rank
 
 __all__ = [
     "simplicial_loss",
@@ -42,10 +40,7 @@ __all__ = [
     "generating_loss",
     "GeneratingLoss",
     "TransformedLoss",
-    "build_affine_loss",
-    "build_lifted_loss",
     "build_transformed_loss",
-    "eval_transformed",
 ]
 
 
@@ -165,31 +160,46 @@ class GeneratingLoss:
 
 
 class TransformedLoss:
-    """Simplicial loss composed with a coordinate change targeting a point set.
+    """Simplicial loss pulled back through one change of coordinates.
 
-    The last point of the set is the anchor mapped to the origin of the
-    simplex; point i (1-based) maps to the i-th unit vertex.  Use
-    ``simplex_coords`` to read off which vertex a given x sits near.
+    The map is z = P (lift(x) - lift(u_k)), where the lift is the
+    identity when ``lift_basis`` is None and the monomial lift through
+    its non-constant members otherwise, and P inverts the matrix of
+    lifted differences lift(u_i) - lift(u_k).  The last point of the set
+    is the anchor mapped to the origin of the simplex; point i (1-based)
+    maps to the i-th unit vertex.  Use ``simplex_coords`` to read off
+    which vertex a given x sits near.
     """
 
-    def __init__(self, kind: str, points: PointSet, **data):
-        if kind not in ("affine", "lifted"):
-            raise ValueError(f"unknown transform kind {kind!r}")
+    def __init__(self, points: PointSet, lift_basis: MonomialBasis | None = None):
         if not points.is_real:
             raise ValueError("transformed losses are defined for real point sets")
-        self.kind = kind
+        if lift_basis is not None and len(lift_basis) != points.k:
+            raise ValueError(
+                f"a lift basis for {points.k} points needs {points.k} members, "
+                f"got {len(lift_basis)}"
+            )
         self.points = points
-        self.inner = SimplicialLoss(np.ones(points.k - 1)) if points.k > 1 else None
-        if kind == "affine":
-            self.u_mat = data["u_mat"]
-            self.u_pinv = data["u_pinv"]
-            self.anchor = data["anchor"]
-            self._to_simplex, self._lift_anchor = self.u_pinv, self.anchor
+        self.lift_basis = lift_basis
+        if lift_basis is None:
+            lifts = points.points
         else:
-            self.lift_basis: MonomialBasis = data["lift_basis"]
-            self.l_mat = data["l_mat"]
-            self.anchor_lift = data["anchor_lift"]
-            self._to_simplex, self._lift_anchor = np.linalg.inv(self.l_mat), self.anchor_lift
+            lifts = monomial_matrix(points.points, lift_basis)[:, 1:]
+        self.anchor_lift = lifts[-1]
+        self.diff_mat = (lifts[:-1] - self.anchor_lift).T
+        if lift_basis is None:
+            self.to_simplex = pseudo_inverse(self.diff_mat)
+        else:
+            require_full_rank(
+                np.linalg.svd(self.diff_mat, compute_uv=False),
+                "lifted point differences are numerically dependent",
+            )
+            self.to_simplex = np.linalg.inv(self.diff_mat)
+
+    @property
+    def kind(self) -> str:
+        """"affine" for the identity lift, "lifted" for the monomial lift."""
+        return "affine" if self.lift_basis is None else "lifted"
 
     @property
     def n(self) -> int:
@@ -208,29 +218,23 @@ class TransformedLoss:
     def lift(self, x) -> np.ndarray:
         """The intermediate coordinates fed into the simplex map.
 
-        For the affine kind this is x itself; for the lifted kind it is
-        the monomial lift of x.
+        x itself for the identity lift, the monomial lift of x otherwise.
         """
-        if self.kind == "affine":
-            return np.asarray(x, dtype=float)
-        return monomial_lift(np.asarray(x, dtype=float), self.lift_basis)
+        x = np.asarray(x, dtype=float)
+        return x if self.lift_basis is None else monomial_lift(x, self.lift_basis)
 
     def simplex_coords(self, x) -> np.ndarray:
         """Simplex coordinates of x (n,), or of each row of a batch (N, n)."""
         x = _check_points(x, self.n)
-        return _matvec(self._to_simplex, self.lift(x) - self._lift_anchor)
+        return _matvec(self.to_simplex, self.lift(x) - self.anchor_lift)
 
     # -- evaluation ------------------------------------------------------
 
     def value_and_grad(self, x):
         """Value and gradient at x (n,), or per row of a batch (N, n)."""
         x = _check_points(x, self.n)
-        if self.inner is None:
-            return np.zeros(x.shape[:-1])[()], np.zeros(x.shape)
-        z = _matvec(self._to_simplex, self.lift(x) - self._lift_anchor)
-        value, gz = _simplicial_value_and_grad(self.inner.a, z)
-        w = _matvec(self._to_simplex.T, gz)
-        if self.kind == "affine":
+        value, w = self.lift_value_and_grad(self.lift(x))
+        if self.lift_basis is None:
             return value, w
         jac = basis_jacobian(x, self.lift_basis)[..., 1:, :]
         return value, (w[..., :, None] * jac).sum(axis=-2)
@@ -239,80 +243,64 @@ class TransformedLoss:
         return self.value_and_grad(x)[0]
 
     def lift_value_and_grad(self, zeta):
-        """The loss as a function of the lift coordinates.
+        """The loss as a function of the lift coordinates, (d,) or (N, d).
 
-        For the lifted kind this is the function on R^(k-1) whose local
-        minimizers are exactly the lifted points; its gradient is taken in
-        zeta.  For the affine kind the lift is the identity, so this is
-        just ``value_and_grad``.
+        Its local minimizers are exactly the lifted points, and its
+        gradient is taken in zeta.  For the identity lift this is
+        ``value_and_grad``.
         """
-        if self.kind == "affine":
-            return self.value_and_grad(zeta)
-        zeta = np.asarray(zeta, dtype=float)
-        if zeta.shape != (self.simplex_dim,):
-            raise ValueError(f"expected shape ({self.simplex_dim},), got {zeta.shape}")
-        z = _matvec(self._to_simplex, zeta - self.anchor_lift)
-        value, gz = _simplicial_value_and_grad(self.inner.a, z)
-        return value, _matvec(self._to_simplex.T, gz)
+        zeta = _check_points(zeta, self.anchor_lift.size)
+        z = _matvec(self.to_simplex, zeta - self.anchor_lift)
+        value, gz = _simplicial_value_and_grad(1.0, z)
+        return value, _matvec(self.to_simplex.T, gz)
 
     def null_directions(self) -> np.ndarray:
-        """Orthonormal basis of directions the affine map ignores, (n, n-k+1).
+        """Orthonormal basis of directions the map ignores, (n, n-k+1).
 
         Adding any combination of these to x leaves the loss unchanged;
         the zero set of the loss is the point set plus this subspace.
-        Only meaningful for the affine kind; the lifted map has no such
-        directions.
+        The monomial lift is injective, so it has no such directions.
         """
-        if self.kind != "affine":
+        if self.lift_basis is not None:
             return np.zeros((self.n, 0))
-        if self.u_pinv.shape[0] == 0:
+        if self.simplex_dim == 0:
             return np.eye(self.n)
-        return scipy.linalg.null_space(self.u_pinv)
+        return scipy.linalg.null_space(self.to_simplex)
 
     # -- serialization and rendering --------------------------------------
 
     def to_json(self) -> dict:
-        payload = {
-            "kind": self.kind,
-            "n": self.n,
-            "k": self.k,
-            "points": [[float(v) for v in row] for row in self.points.points],
-        }
-        if self.kind == "affine":
-            payload["u"] = [[float(v) for v in row] for row in self.u_mat]
-            payload["u_pinv"] = [[float(v) for v in row] for row in self.u_pinv]
-            payload["anchor"] = [float(v) for v in self.anchor]
+        def rows(mat):
+            return [[float(v) for v in row] for row in mat]
+
+        payload = {"kind": self.kind, "n": self.n, "k": self.k, "points": rows(self.points.points)}
+        anchor = [float(v) for v in self.anchor_lift]
+        if self.lift_basis is None:
+            payload.update(u=rows(self.diff_mat), u_pinv=rows(self.to_simplex), anchor=anchor)
         else:
-            payload["lift_basis"] = self.lift_basis.to_json()
-            payload["l"] = [[float(v) for v in row] for row in self.l_mat]
-            payload["anchor_lift"] = [float(v) for v in self.anchor_lift]
+            payload.update(
+                lift_basis=self.lift_basis.to_json(), l=rows(self.diff_mat), anchor_lift=anchor
+            )
         return payload
 
     @classmethod
     def from_json(cls, payload: dict) -> "TransformedLoss":
-        points = PointSet(np.array(payload["points"], dtype=float))
-        if payload["kind"] == "affine":
-            return cls(
-                "affine",
-                points,
-                u_mat=np.array(payload["u"], dtype=float),
-                u_pinv=np.array(payload["u_pinv"], dtype=float),
-                anchor=np.array(payload["anchor"], dtype=float),
-            )
-        return cls(
-            "lifted",
-            points,
-            lift_basis=MonomialBasis.from_json(payload["lift_basis"]),
-            l_mat=np.array(payload["l"], dtype=float),
-            anchor_lift=np.array(payload["anchor_lift"], dtype=float),
+        """Rebuild the loss from its points; the stored kind must match."""
+        basis = payload.get("lift_basis")
+        loss = cls(
+            PointSet(np.array(payload["points"], dtype=float)),
+            None if basis is None else MonomialBasis.from_json(basis),
         )
+        if payload["kind"] != loss.kind:
+            raise ValueError(f"payload of kind {payload['kind']!r} describes a {loss.kind} map")
+        return loss
 
     def describe(self) -> str:
         """Closed-form rendering for small cases, a summary otherwise.
 
         For n <= 3 and k <= 4 returns the loss as an explicit polynomial:
-        in the original variables for the affine kind, in the lift
-        variables z1..z_(k-1) for the lifted kind.
+        in the original variables x1..xn for the identity lift, in the
+        lift variables z1..z_(k-1) for the monomial lift.
         """
         if self.n > 3 or self.k > 4:
             return (
@@ -320,14 +308,10 @@ class TransformedLoss:
             )
         import sympy as sp
 
-        if self.kind == "affine":
-            xs = sp.symbols(f"x1:{self.n + 1}")
-            vec = sp.Matrix(xs) - sp.Matrix(self.anchor.tolist())
-            m = sp.Matrix(self.u_pinv.tolist())
-        else:
-            xs = sp.symbols(f"z1:{self.simplex_dim + 1}")
-            vec = sp.Matrix(xs) - sp.Matrix(self.anchor_lift.tolist())
-            m = sp.Matrix(self._to_simplex.tolist())
+        prefix = "x" if self.lift_basis is None else "z"
+        xs = sp.symbols(f"{prefix}1:{self.anchor_lift.size + 1}")
+        vec = sp.Matrix(xs) - sp.Matrix(self.anchor_lift.tolist())
+        m = sp.Matrix(self.to_simplex.tolist())
         m = m.applyfunc(lambda v: sp.nsimplify(v, rational=True, tolerance=1e-12))
         vec = vec.applyfunc(lambda v: sp.nsimplify(v, rational=True, tolerance=1e-12))
         zs = list(m @ vec)
@@ -339,66 +323,16 @@ class TransformedLoss:
         return str(sp.factor(total)) if len(zs) == 1 else str(total)
 
 
-def build_affine_loss(points: PointSet) -> TransformedLoss:
-    """Transformed loss through an affine map, for sets with k <= n + 1.
-
-    The map sends x to U^+ (x - u_k) where the columns of U are the
-    differences u_i - u_k.  Requires those differences to be linearly
-    independent; affinely dependent sets raise
-    DegenerateConfigurationError.
-    """
-    if not points.is_real:
-        raise ValueError("transformed losses are defined for real point sets")
-    k, n = points.k, points.n
-    if k > n + 1:
-        raise ValueError(f"affine transform needs k <= n + 1, got k={k}, n={n}")
-    anchor = points.points[-1]
-    u_mat = (points.points[:-1] - anchor).T
-    u_pinv = pseudo_inverse(u_mat)
-    return TransformedLoss("affine", points, u_mat=u_mat, u_pinv=u_pinv, anchor=anchor)
-
-
-def build_lifted_loss(points: PointSet) -> TransformedLoss:
-    """Transformed loss through the monomial lift, for sets with k > n + 1.
-
-    Points are first lifted through the non-constant members of the first
-    k graded-lexicographic monomials, which is injective and puts the k
-    lifted points in general position in R^(k-1) for generic sets.  The
-    loss is the simplicial loss of the lifted simplex pulled back through
-    the lift.  A singular lifted difference matrix raises
-    DegenerateConfigurationError.
-    """
-    if not points.is_real:
-        raise ValueError("transformed losses are defined for real point sets")
-    k, n = points.k, points.n
-    if k <= n + 1:
-        raise ValueError(f"lifted transform needs k > n + 1, got k={k}, n={n}")
-    lift_basis = standard_monomials(n, k)
-    lifts = monomial_matrix(points.points, lift_basis)[:, 1:]
-    anchor_lift = lifts[-1]
-    l_mat = (lifts[:-1] - anchor_lift).T
-    s = np.linalg.svd(l_mat, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= SINGULARITY_RTOL * s[0]:
-        cond = float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
-        raise DegenerateConfigurationError(
-            "lifted point differences are numerically dependent", condition=cond
-        )
-    return TransformedLoss(
-        "lifted",
-        points,
-        lift_basis=lift_basis,
-        l_mat=l_mat,
-        anchor_lift=anchor_lift,
-    )
-
-
 def build_transformed_loss(points: PointSet) -> TransformedLoss:
-    """Pick the affine or lifted construction based on the set size."""
+    """The transformed loss of a real point set.
+
+    Sets with k <= n + 1 points use the identity lift, an affine map
+    that needs the differences u_i - u_k linearly independent.  Larger
+    sets are lifted through the non-constant members of the first k
+    graded-lexicographic monomials, which is injective and puts the k
+    lifted points in general position in R^(k-1) for generic sets.
+    Dependent (lifted) differences raise DegenerateConfigurationError.
+    """
     if points.k <= points.n + 1:
-        return build_affine_loss(points)
-    return build_lifted_loss(points)
-
-
-def eval_transformed(loss: TransformedLoss, x):
-    """Functional form of ``TransformedLoss.value_and_grad``."""
-    return loss.value_and_grad(x)
+        return TransformedLoss(points)
+    return TransformedLoss(points, standard_monomials(points.n, points.k))

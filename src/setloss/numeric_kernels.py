@@ -18,6 +18,7 @@ __all__ = [
     "ComplexSchurDecomposition",
     "solve_linear",
     "pseudo_inverse",
+    "require_full_rank",
     "complex_schur",
     "min_eigenvalue_sym",
 ]
@@ -74,10 +75,20 @@ def pseudo_inverse(u) -> np.ndarray:
     if m == 0:
         return np.zeros((0, rows))
     w, s, vt = np.linalg.svd(u, full_matrices=False)
+    require_full_rank(s, "matrix is rank deficient")
+    return (vt.T / s) @ w.T
+
+
+def require_full_rank(s, message: str) -> None:
+    """Raise DegenerateConfigurationError(message) on a rank deficiency.
+
+    ``s`` holds singular values in descending order; the matrix counts as
+    rank deficient when the smallest is at most SINGULARITY_RTOL times the
+    largest.  The error carries the condition number s[0] / s[-1].
+    """
     if s[0] == 0.0 or s[-1] <= SINGULARITY_RTOL * s[0]:
         cond = float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
-        raise DegenerateConfigurationError("matrix is rank deficient", condition=cond)
-    return (vt.T / s) @ w.T
+        raise DegenerateConfigurationError(message, condition=cond)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -225,24 +226,34 @@ def test_fit_too_few_samples_exit_two(tmp_path, capsys):
 
 
 def test_bench_rerun_is_byte_identical(tmp_path, capsys):
-    first = tmp_path / "run1"
-    second = tmp_path / "run2"
-    for out_dir in (first, second):
-        code = main(
-            [
-                "bench",
-                "--scenario",
-                "example62",
-                "--seeds",
-                "2",
-                "--out-dir",
-                str(out_dir),
-            ]
-        )
-        assert code == 0
-        capsys.readouterr()
-    for name in ("results.csv", "summary.json", "points.csv"):
-        assert (first / name).read_bytes() == (second / name).read_bytes()
+    scenarios = (
+        (["example62", "--seeds", "2"], ["points.csv"]),
+        (
+            ["table1", "--seeds", "2", "--ni", "12"],
+            ["points_eps0.05.csv", "points_eps0.1.csv", "points_eps0.5.csv"],
+        ),
+    )
+    for args, point_files in scenarios:
+        first = tmp_path / args[0] / "run1"
+        second = tmp_path / args[0] / "run2"
+        for out_dir in (first, second):
+            code = main(["bench", "--scenario", *args, "--out-dir", str(out_dir)])
+            assert code == 0
+            capsys.readouterr()
+        for name in ("results.csv", "summary.json", *point_files):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_threads_without_threadpoolctl_says_so(tmp_path, capsys, monkeypatch):
+    # a None entry makes the import raise ImportError
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    inp = tmp_path / "pts.csv"
+    write_points(inp, THREE_POINTS)
+    assert main(["build", "--input", str(inp)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["--threads", "2", "build", "--input", str(inp)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "no BLAS limit" in err[0]
 
 
 def test_bench_gmm_summary(tmp_path, capsys):

@@ -6,10 +6,7 @@ from setloss.loss_functions import (
     GeneratingLoss,
     SimplicialLoss,
     TransformedLoss,
-    build_affine_loss,
-    build_lifted_loss,
     build_transformed_loss,
-    eval_transformed,
     generating_loss,
     simplicial_loss,
 )
@@ -22,6 +19,27 @@ L_EXPECTED = np.array([[4.0, 1.0, 3.0], [1.0, -4.0, -5.0], [0.0, -3.0, -3.0]])
 L_INV_18 = np.array([[3.0, 6.0, -7.0], [-3.0, 12.0, -23.0], [3.0, -12.0, 17.0]])
 
 SPURIOUS_SET = np.array([[5.0, -2.0], [4.0, 3.0]])
+
+# to_json output of CASE1_SET and CASE2_SET as earlier releases wrote it,
+# when each kind kept its own constructor arguments
+CASE1_PAYLOAD = {
+    "kind": "affine",
+    "n": 3,
+    "k": 2,
+    "points": [[4.0, -2.0, 1.0], [-1.0, 3.0, -5.0]],
+    "u": [[5.0], [-5.0], [6.0]],
+    "u_pinv": [[0.05813953488372092, -0.05813953488372092, 0.0697674418604651]],
+    "anchor": [-1.0, 3.0, -5.0],
+}
+CASE2_PAYLOAD = {
+    "kind": "lifted",
+    "n": 2,
+    "k": 4,
+    "points": [[2.0, 3.0], [-1.0, -2.0], [1.0, -3.0], [-2.0, 2.0]],
+    "lift_basis": {"n": 2, "members": [[0, 0], [1, 0], [0, 1], [2, 0]]},
+    "l": [[4.0, 1.0, 3.0], [1.0, -4.0, -5.0], [0.0, -3.0, -3.0]],
+    "anchor_lift": [-2.0, 2.0, 4.0],
+}
 
 
 def simplicial_reference(a, x):
@@ -131,16 +149,16 @@ def test_spurious_example_expanded_form():
 
 
 def test_affine_transform_golden_values():
-    loss = build_affine_loss(PointSet(CASE1_SET))
+    loss = build_transformed_loss(PointSet(CASE1_SET))
     assert loss.kind == "affine"
     np.testing.assert_allclose(
-        loss.u_pinv, np.array([[5.0, -5.0, 6.0]]) / 86.0, atol=1e-12
+        loss.to_simplex, np.array([[5.0, -5.0, 6.0]]) / 86.0, atol=1e-12
     )
-    np.testing.assert_allclose(loss.anchor, CASE1_SET[1], atol=0)
+    np.testing.assert_allclose(loss.anchor_lift, CASE1_SET[1], atol=0)
 
 
 def test_affine_loss_closed_form():
-    loss = build_affine_loss(PointSet(CASE1_SET))
+    loss = build_transformed_loss(PointSet(CASE1_SET))
     rng = np.random.default_rng(6)
     for _ in range(20):
         x = rng.uniform(-5, 5, size=3)
@@ -149,12 +167,10 @@ def test_affine_loss_closed_form():
 
 
 def test_lifted_transform_golden_values():
-    loss = build_lifted_loss(PointSet(CASE2_SET))
+    loss = build_transformed_loss(PointSet(CASE2_SET))
     assert loss.kind == "lifted"
-    np.testing.assert_allclose(loss.l_mat, L_EXPECTED, atol=1e-12)
-    np.testing.assert_allclose(
-        np.linalg.inv(loss.l_mat) * 18.0, L_INV_18, atol=1e-10
-    )
+    np.testing.assert_allclose(loss.diff_mat, L_EXPECTED, atol=1e-12)
+    np.testing.assert_allclose(loss.to_simplex * 18.0, L_INV_18, atol=1e-10)
     # lift coordinates are (x1, x2, x1^2)
     np.testing.assert_allclose(loss.lift(np.array([2.0, 3.0])), [2.0, 3.0, 4.0])
 
@@ -192,7 +208,7 @@ def test_transformed_gradients_match_finite_differences():
 
 
 def test_lift_space_gradient_matches_finite_differences():
-    loss = build_lifted_loss(PointSet(CASE2_SET))
+    loss = build_transformed_loss(PointSet(CASE2_SET))
     rng = np.random.default_rng(9)
     for _ in range(10):
         zeta = rng.uniform(-2, 2, size=loss.simplex_dim)
@@ -203,7 +219,7 @@ def test_lift_space_gradient_matches_finite_differences():
 
 
 def test_lift_space_zeros_are_the_lifted_points():
-    loss = build_lifted_loss(PointSet(CASE2_SET))
+    loss = build_transformed_loss(PointSet(CASE2_SET))
     for u in CASE2_SET:
         value, grad = loss.lift_value_and_grad(loss.lift(u))
         assert value == pytest.approx(0.0, abs=1e-13)
@@ -215,7 +231,7 @@ def test_null_directions_leave_loss_unchanged():
     for _ in range(10):
         n = int(rng.integers(2, 6))
         k = int(rng.integers(2, n + 1))
-        loss = build_affine_loss(PointSet(random_points(rng, k, n)))
+        loss = build_transformed_loss(PointSet(random_points(rng, k, n)))
         null = loss.null_directions()
         assert null.shape == (n, n - k + 1)
         for _ in range(5):
@@ -232,14 +248,6 @@ def test_single_point_loss_is_flat():
     np.testing.assert_allclose(grad, 0, atol=0)
 
 
-def test_eval_transformed_wrapper():
-    loss = build_affine_loss(PointSet(CASE1_SET))
-    x = np.array([0.5, 0.5, 0.5])
-    value, grad = eval_transformed(loss, x)
-    assert value == pytest.approx(loss.value(x))
-    np.testing.assert_allclose(grad, loss.value_and_grad(x)[1], atol=0)
-
-
 def test_json_roundtrip_both_kinds():
     for pts in (CASE1_SET, CASE2_SET):
         loss = build_transformed_loss(PointSet(pts))
@@ -249,8 +257,24 @@ def test_json_roundtrip_both_kinds():
         assert again.value(x) == pytest.approx(loss.value(x), rel=1e-12)
 
 
+def test_json_from_earlier_releases_loads_bit_equal():
+    rng = np.random.default_rng(22)
+    for pts, payload in ((CASE1_SET, CASE1_PAYLOAD), (CASE2_SET, CASE2_PAYLOAD)):
+        built = build_transformed_loss(PointSet(pts))
+        loaded = TransformedLoss.from_json(payload)
+        assert loaded.kind == payload["kind"]
+        assert built.to_json() == payload
+        np.testing.assert_array_equal(loaded.to_simplex, built.to_simplex)
+        xs = rng.uniform(-3.0, 3.0, size=(7, built.n))
+        for got, expected in zip(loaded.value_and_grad(xs), built.value_and_grad(xs)):
+            np.testing.assert_array_equal(got, expected)
+        with pytest.raises(ValueError, match="kind"):
+            other = "lifted" if payload["kind"] == "affine" else "affine"
+            TransformedLoss.from_json({**payload, "kind": other})
+
+
 def test_describe_small_cases():
-    text = build_affine_loss(PointSet(CASE1_SET)).describe()
+    text = build_transformed_loss(PointSet(CASE1_SET)).describe()
     assert isinstance(text, str) and len(text) > 0
     big = build_transformed_loss(
         PointSet(np.arange(10.0).reshape(5, 2) ** 2)
@@ -283,3 +307,12 @@ def test_batched_losses_stack_per_row_results():
     np.testing.assert_array_equal(
         lifted.simplex_coords(xs), [lifted.simplex_coords(x) for x in xs]
     )
+    zetas = lifted.lift(xs) + rng.uniform(-0.5, 0.5, size=(6, lifted.simplex_dim))
+    values, grads = lifted.lift_value_and_grad(zetas)
+    assert values.shape == (6,) and grads.shape == (6, lifted.simplex_dim)
+    for zeta, value, grad in zip(zetas, values, grads):
+        one_value, one_grad = lifted.lift_value_and_grad(zeta)
+        assert value == one_value
+        np.testing.assert_array_equal(grad, one_grad)
+    with pytest.raises(ValueError):
+        lifted.lift_value_and_grad(np.zeros((2, 2)))
