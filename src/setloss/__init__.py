@@ -31,8 +31,6 @@ from .fitting import (
     SampleSet,
     average_loss,
     fit_generating_matrix,
-    least_squares_init,
-    moment_matrix,
 )
 from .generating_system import (
     CommutatorResidual,
@@ -107,9 +105,7 @@ __all__ = [
     "gmm_sample",
     "grlex_compare",
     "grlex_key",
-    "least_squares_init",
     "minimize_from",
-    "moment_matrix",
     "monomial_lift",
     "monomial_matrix",
     "multiplication_matrices",

@@ -6,17 +6,27 @@ The sample objective is the averaged squared generator residual
 
 a convex quadratic in G because every generator is linear in G.  Its
 unconstrained minimizer is a column-wise linear least-squares problem on
-the sample moment matrix.  To force the fitted system to actually have k
-common zeros, theta is minimized subject to all multiplication-matrix
-commutators vanishing.  That constraint is handled by a quadratic penalty
-with geometrically growing weight, each round solved by a damped
-Gauss-Newton (Levenberg-Marquardt) loop on the stacked residuals
+the sample moment matrix, and the fit starts there.  To force the fitted
+system to actually have k common zeros, theta is minimized subject to all
+multiplication-matrix commutators vanishing.  That constraint is handled by
+a quadratic penalty with geometrically growing weight rho, each round
+solved by a damped Gauss-Newton (Levenberg-Marquardt) loop on the stacked
+residuals
 
     { phi_G(v_j) / sqrt(N) }  union  { sqrt(rho) * entries of [M_i, M_j] }.
 
+Rounds are warm-started and inexact (Nocedal and Wright, Numerical
+Optimization, Framework 17.1).  Each round after the first starts its
+damping at the smaller of the fresh value 1e-3 max diag(J^T J) and the
+previous round's final damping times the rho growth factor.  Each round
+stops on a relative decrease of decrease_tol * |c| / target, clipped to
+[decrease_tol, sqrt(decrease_tol)], so early rounds, far from the
+commutator target, stop early, and the last ones run to decrease_tol.
+
 The data block of the Jacobian is constant, so the normal equations are
 assembled from its precomputed Gram blocks; only the small commutator
-block is rebuilt per iteration.
+block is rebuilt per iteration, and an accepted step reuses the
+multiplication matrices, commutators and theta of its trial evaluation.
 """
 
 from __future__ import annotations
@@ -44,10 +54,9 @@ __all__ = [
     "SampleSet",
     "FitOptions",
     "FitResult",
+    "PenaltyRound",
     "PenaltyModel",
     "average_loss",
-    "moment_matrix",
-    "least_squares_init",
     "fit_generating_matrix",
 ]
 
@@ -86,7 +95,10 @@ class FitOptions:
     a factor of 10 for at most 8 rounds, with the inner Gauss-Newton loop
     capped at 200 iterations per round.  Feasibility is declared when the
     total commutator norm drops below
-    ``feasibility_factor * (1 + |G|_F)``.
+    ``feasibility_factor * (1 + |G|_F)``.  ``decrease_tol`` is the
+    tightest relative-decrease tolerance of a round, used once the
+    commutator norm is near that target; ``sqrt(decrease_tol)`` is the
+    loosest, used while it is far above.
     """
 
     rho0: float = 1.0
@@ -127,8 +139,26 @@ class FitOptions:
 
 
 @dataclass(frozen=True)
+class PenaltyRound:
+    """One penalty round of ``fit_generating_matrix``.
+
+    ``stop`` says why its Levenberg-Marquardt loop ended: "gradient",
+    "step", "decrease", "mu overflow" or "budget" (``max_inner_iterations``
+    spent).  ``commutator_norm`` is the norm after the round.
+    """
+
+    rho: float
+    decrease_tol: float
+    mu_start: float
+    mu_final: float
+    iterations: int
+    commutator_norm: float
+    stop: str
+
+
+@dataclass(frozen=True)
 class FitResult:
-    """Outcome of a constrained fit."""
+    """Outcome of a constrained fit; ``history`` holds one entry per round."""
 
     g_star: GeneratingMatrix
     objective: float
@@ -139,6 +169,7 @@ class FitResult:
     converged: bool
     theta_init: float
     warnings: tuple[str, ...] = ()
+    history: tuple[PenaltyRound, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -154,16 +185,6 @@ class FitResult:
         }
 
 
-def _design_matrices(samples: SampleSet, k: int):
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    b0 = standard_monomials(samples.n, k)
-    b1 = border_monomials(b0)
-    a = monomial_matrix(samples.samples, b0)
-    b = monomial_matrix(samples.samples, b1)
-    return b0, b1, a, b
-
-
 def average_loss(gm: GeneratingMatrix, samples: SampleSet) -> float:
     """theta(G): mean squared generator residual over the samples."""
     if samples.n != gm.n:
@@ -172,41 +193,6 @@ def average_loss(gm: GeneratingMatrix, samples: SampleSet) -> float:
     b = monomial_matrix(samples.samples, gm.border)
     r = b - a @ gm.entries
     return float(np.sum(r * r)) / samples.size
-
-
-def moment_matrix(samples: SampleSet, k: int):
-    """Scaled sample moment matrix H and its smallest eigenvalue.
-
-    H = (2/N) sum_j [v_j]_B0 [v_j]_B0^T.  A strictly positive smallest
-    eigenvalue certifies that the least-squares fit is strongly convex;
-    it degrades gracefully to 0 for deficient sample distributions (for
-    example N < k) and is reported rather than raised here.
-    """
-    _, _, a, _ = _design_matrices(samples, k)
-    h = (2.0 / samples.size) * (a.T @ a)
-    h = 0.5 * (h + h.T)
-    return h, min_eigenvalue_sym(h)
-
-
-def least_squares_init(samples: SampleSet, k: int) -> GeneratingMatrix:
-    """Unconstrained minimizer of theta, one least-squares solve per column.
-
-    Raises DegenerateConfigurationError when the sample monomials are
-    rank deficient (in particular whenever N < k), reporting the smallest
-    moment eigenvalue.
-    """
-    b0, b1, a, b = _design_matrices(samples, k)
-    sol, _, rank, _ = scipy.linalg.lstsq(a, b)
-    if rank < k:
-        h = (2.0 / samples.size) * (a.T @ a)
-        h = 0.5 * (h + h.T)
-        min_eig = min_eigenvalue_sym(h)
-        raise DegenerateConfigurationError(
-            f"sample moment matrix is rank deficient (rank {rank} < {k}, "
-            f"min eigenvalue {min_eig:.3e})",
-            condition=float("inf"),
-        )
-    return GeneratingMatrix(basis=b0, border=b1, entries=np.ascontiguousarray(sol))
 
 
 class PenaltyModel:
@@ -219,7 +205,12 @@ class PenaltyModel:
     """
 
     def __init__(self, samples: SampleSet, k: int):
-        self.b0, self.b1, self.a, self.b = _design_matrices(samples, k)
+        if k < 1:
+            raise ValueError(f"need k >= 1, got {k}")
+        self.b0 = standard_monomials(samples.n, k)
+        self.b1 = border_monomials(self.b0)
+        self.a = monomial_matrix(samples.samples, self.b0)
+        self.b = monomial_matrix(samples.samples, self.b1)
         self.size = samples.size
         self.k = k
         self.m = len(self.b1)
@@ -238,6 +229,7 @@ class PenaltyModel:
         # Gram block of the data residuals, constant in g
         self.data_gram = np.kron(np.eye(self.m), self.ata)
         self._diag = np.arange(self.k)
+        self._memo = None
 
     # -- assembly ---------------------------------------------------------
 
@@ -283,6 +275,22 @@ class PenaltyModel:
         r = self.b - self.a @ g
         return float(np.sum(r * r)) / self.size
 
+    def _at(self, g: np.ndarray):
+        """(mult_mats, commutator_vec, theta) at g.
+
+        One entry is kept, keyed on the dtype, shape and bytes of g, so an
+        accepted step reads what its trial computed and a g that differs in
+        any bit never reads stale pieces.  None of them depends on rho.
+        """
+        key = (g.dtype.str, g.shape, g.tobytes())
+        if self._memo is not None and self._memo[0] == key:
+            return self._memo[1:]
+        mats = self.mult_mats(g)
+        cvec = self.commutator_vec(mats)
+        theta = self.theta(g)
+        self._memo = (key, mats, cvec, theta)
+        return mats, cvec, theta
+
     def residuals(self, g: np.ndarray, rho: float) -> np.ndarray:
         """Full residual stack; squared norm = theta(g) + rho * |c(g)|^2."""
         data = (self.b - self.a @ g).T.reshape(-1) / np.sqrt(self.size)
@@ -299,42 +307,55 @@ class PenaltyModel:
 
     def gram_and_gradient(self, g: np.ndarray, rho: float):
         """(J^T J, J^T r, phi) without materializing the data block."""
-        mats = self.mult_mats(g)
-        cvec = self.commutator_vec(mats)
+        mats, cvec, theta = self._at(g)
         jc = self.commutator_jacobian(mats)
         jtj = self.data_gram + rho * (jc.T @ jc)
         jtr = (self.ata @ g - self.atb).T.reshape(-1) + rho * (jc.T @ cvec)
-        phi = self.theta(g) + rho * float(cvec @ cvec)
+        phi = theta + rho * float(cvec @ cvec)
         return jtj, jtr, phi
 
     def penalized_value(self, g: np.ndarray, rho: float) -> float:
-        cvec = self.commutator_vec(self.mult_mats(g))
-        return self.theta(g) + rho * float(cvec @ cvec)
+        _, cvec, theta = self._at(g)
+        return theta + rho * float(cvec @ cvec)
 
     def commutator_norm(self, g: np.ndarray) -> float:
-        return float(np.linalg.norm(self.commutator_vec(self.mult_mats(g))))
+        return float(np.linalg.norm(self._at(g)[1]))
 
 
-def _lm_round(model: PenaltyModel, g: np.ndarray, rho: float, opts: FitOptions):
-    """One Levenberg-Marquardt descent on the rho-penalized residuals."""
+def _lm_round(
+    model: PenaltyModel, g: np.ndarray, rho: float, tol: float, mu_cap: float, opts: FitOptions
+):
+    """One Levenberg-Marquardt descent on the rho-penalized residuals.
+
+    The damping starts at min(1e-3 max diag(J^T J), mu_cap), and the loop
+    stops once an accepted step lowers phi by at most tol * (|phi| + tol).
+    Returns the final g, the iterations, the starting and final damping
+    and the stop reason.
+    """
     k, m = model.k, model.m
-    g = g.copy()
     jtj, jtr, phi = model.gram_and_gradient(g, rho)
-    mu = 1e-3 * float(np.max(np.diag(jtj)))
+    mu = min(1e-3 * float(np.max(np.diag(jtj))), mu_cap)
+    mu_start = mu
     nu = 2.0
+    diag = np.diag_indices(k * m)
     iterations = 0
+    stop = "budget"
     for _ in range(opts.max_inner_iterations):
         if float(np.max(np.abs(jtr))) <= opts.gradient_tol:
+            stop = "gradient"
             break
         iterations += 1
+        damped = jtj.copy()
+        damped[diag] += mu
         try:
-            delta = np.linalg.solve(jtj + mu * np.eye(k * m), -jtr)
+            delta = np.linalg.solve(damped, -jtr)
         except np.linalg.LinAlgError:
             mu *= nu
             nu *= 2.0
             continue
         gnorm = float(np.linalg.norm(g))
         if float(np.linalg.norm(delta)) <= opts.step_tol * (gnorm + opts.step_tol):
+            stop = "step"
             break
         g_new = g + delta.reshape(m, k).T
         phi_new = model.penalized_value(g_new, rho)
@@ -344,6 +365,7 @@ def _lm_round(model: PenaltyModel, g: np.ndarray, rho: float, opts: FitOptions):
             mu *= nu
             nu *= 2.0
             if mu > 1e32:
+                stop = "mu overflow"
                 break
             continue
         gain = actual / predicted
@@ -352,9 +374,10 @@ def _lm_round(model: PenaltyModel, g: np.ndarray, rho: float, opts: FitOptions):
         jtj, jtr, _ = model.gram_and_gradient(g, rho)
         mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
         nu = 2.0
-        if actual <= opts.decrease_tol * (abs(phi) + opts.decrease_tol):
+        if actual <= tol * (abs(phi) + tol):
+            stop = "decrease"
             break
-    return g, iterations
+    return g, iterations, mu_start, mu, stop
 
 
 def fit_generating_matrix(
@@ -362,18 +385,21 @@ def fit_generating_matrix(
 ) -> FitResult:
     """Fit a k-zero generating system to noisy samples.
 
-    Starts from the unconstrained least-squares minimizer of theta and
-    drives the commutator norm below the feasibility target by penalized
-    Gauss-Newton rounds.  When the round budget runs out first, the best
-    iterate is returned with ``converged=False`` rather than raising.
+    Starts from the unconstrained least-squares minimizer of theta, one
+    solve per border column, and drives the commutator norm below the
+    feasibility target by penalized Gauss-Newton rounds.  When the round
+    budget runs out first, the best iterate is returned with
+    ``converged=False`` rather than raising.  Raises
+    DegenerateConfigurationError when the sample monomials are rank
+    deficient (in particular whenever N < k).
     """
     opts = opts or FitOptions()
     model = PenaltyModel(samples, k)
+    # H = (2/N) sum_j [v_j]_B0 [v_j]_B0^T: a strictly positive smallest
+    # eigenvalue certifies that the least-squares start is strongly convex
     h = 2.0 * model.ata
-    h = 0.5 * (h + h.T)
-    h_min_eig = min_eigenvalue_sym(h)
-
-    _, _, rank, _ = scipy.linalg.lstsq(model.a, model.b)
+    h_min_eig = min_eigenvalue_sym(0.5 * (h + h.T))
+    g, _, rank, _ = scipy.linalg.lstsq(model.a, model.b)
     if rank < k:
         raise DegenerateConfigurationError(
             f"sample moment matrix is rank deficient (rank {rank} < {k}, "
@@ -385,36 +411,32 @@ def fit_generating_matrix(
         warnings.append(
             f"moment matrix is barely positive (min eigenvalue {h_min_eig:.3e})"
         )
-
-    g = np.linalg.solve(model.ata, model.atb)
     theta_init = model.theta(g)
 
+    def target_of(g):
+        return opts.feasibility_factor * (1.0 + float(np.linalg.norm(g)))
+
     rho = opts.rho0
-    total_iterations = 0
-    rounds = 0
-    converged = False
-    for _ in range(opts.max_rounds):
-        com = model.commutator_norm(g)
-        target = opts.feasibility_factor * (1.0 + float(np.linalg.norm(g)))
-        if com <= target:
-            converged = True
-            break
-        rounds += 1
-        g, iters = _lm_round(model, g, rho, opts)
-        total_iterations += iters
+    com, target = model.commutator_norm(g), target_of(g)
+    # the commutator block of J^T J grows with rho, and so may the damping
+    mu_cap = float("inf")
+    history: list[PenaltyRound] = []
+    while len(history) < opts.max_rounds and com > target:
+        tol = min(max(opts.decrease_tol * com / target, opts.decrease_tol), opts.decrease_tol**0.5)
+        g, iterations, mu_start, mu, stop = _lm_round(model, g, rho, tol, mu_cap, opts)
+        com, target = model.commutator_norm(g), target_of(g)
+        history.append(PenaltyRound(rho, tol, mu_start, mu, iterations, com, stop))
+        mu_cap = mu * opts.rho_growth
         rho *= opts.rho_growth
-    com = model.commutator_norm(g)
-    if not converged:
-        converged = com <= opts.feasibility_factor * (1.0 + float(np.linalg.norm(g)))
-    gm = model.matrix(np.ascontiguousarray(g))
     return FitResult(
-        g_star=gm,
+        g_star=model.matrix(np.ascontiguousarray(g)),
         objective=model.theta(g),
         commutator_norm=com,
         h_min_eig=h_min_eig,
-        iterations=total_iterations,
-        rounds=rounds,
-        converged=converged,
+        iterations=sum(r.iterations for r in history),
+        rounds=len(history),
+        converged=com <= target,
         theta_init=theta_init,
         warnings=tuple(warnings),
+        history=tuple(history),
     )

@@ -1,6 +1,10 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from setloss.clustering import gmm_sample, random_gmm_spec
 from setloss.errors import DegenerateConfigurationError
 from setloss.extraction import extract_zero_set
 from setloss.fitting import (
@@ -9,8 +13,6 @@ from setloss.fitting import (
     SampleSet,
     average_loss,
     fit_generating_matrix,
-    least_squares_init,
-    moment_matrix,
 )
 from setloss.generating_system import (
     PointSet,
@@ -58,38 +60,32 @@ def test_average_loss_vanishes_on_exact_samples():
     assert average_loss(gm, exact) == pytest.approx(0.0, abs=1e-18)
 
 
-def test_moment_matrix_never_raises():
-    # fewer samples than k gives a singular moment matrix, reported not raised
-    s = SampleSet(np.array([[1.0, 2.0], [0.5, -1.0]]))
-    h, min_eig = moment_matrix(s, 4)
-    assert h.shape == (4, 4)
-    assert min_eig == pytest.approx(0.0, abs=1e-12)
-
-
-def test_least_squares_init_recovers_exact_system():
+def test_fit_start_recovers_exact_system():
+    # on exact samples the least-squares start is the interpolant, which
+    # already commutes, so the fit returns it after no penalty round
     rng = np.random.default_rng(1)
     for _ in range(10):
         k = int(rng.integers(2, 7))
         n = int(rng.integers(1, 4))
         pts = random_points(rng, k, n)
         exact = SampleSet(np.repeat(pts, 3, axis=0))
-        gm = least_squares_init(exact, k)
+        result = fit_generating_matrix(exact, k)
         ref = solve_generating_matrix(PointSet(pts))
+        assert result.converged and result.rounds == 0 and result.history == ()
+        assert result.theta_init == pytest.approx(0.0, abs=1e-18)
         np.testing.assert_allclose(
-            gm.entries, ref.entries, atol=1e-7 * (1 + ref.frobenius_norm())
+            result.g_star.entries, ref.entries, atol=1e-7 * (1 + ref.frobenius_norm())
         )
 
 
-def test_least_squares_init_rejects_deficient_samples():
-    s = SampleSet(np.array([[1.0, 2.0], [0.5, -1.0]]))
-    with pytest.raises(DegenerateConfigurationError):
-        least_squares_init(s, 4)
-
-
 def test_fit_rejects_fewer_samples_than_k():
-    s = SampleSet(np.array([[1.0, 2.0], [0.5, -1.0], [0.0, 1.0]]))
-    with pytest.raises(DegenerateConfigurationError):
-        fit_generating_matrix(s, 5)
+    # fewer samples than k give a singular moment matrix, whose smallest
+    # eigenvalue the error reports
+    for points, k in (([[1.0, 2.0], [0.5, -1.0]], 4), ([[1.0, 2.0], [0.5, -1.0], [0.0, 1.0]], 5)):
+        with pytest.raises(DegenerateConfigurationError, match=r"rank \d < \d") as info:
+            fit_generating_matrix(SampleSet(np.array(points)), k)
+        min_eig = re.search(r"min eigenvalue (\S+)\)", str(info.value)).group(1)
+        assert float(min_eig) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_penalty_residual_jacobian_matches_finite_differences():
@@ -299,3 +295,66 @@ def test_fit_result_json():
     assert payload["converged"] is True
     assert payload["g_star"]["k"] == 3
     assert isinstance(payload["objective"], float)
+
+
+def test_acceptance_first_trials_fit_within_iteration_budget():
+    # the first trial of each GMM acceptance cell; warm-started, inexact
+    # rounds take 95 LM iterations here, rounds that restart the damping
+    # and solve each subproblem to decrease_tol take 317
+    total = 0
+    for n, k, seed in ((2, 3, 100), (2, 4, 200), (3, 3, 300), (3, 4, 400)):
+        samples, _ = gmm_sample(random_gmm_spec(n, k, seed), 300, seed + 50)
+        result = fit_generating_matrix(samples, k, FitOptions(seed=0))
+        assert result.converged
+        total += result.iterations
+    assert total <= 150
+
+
+def test_history_records_warm_started_inexact_rounds():
+    rng = np.random.default_rng(15)
+    samples = noisy_samples(rng, random_points(rng, 5, 2, min_gap=0.8), 0.05, 40)
+    opts = FitOptions()
+    result = fit_generating_matrix(samples, 5, opts)
+    history = result.history
+    assert result.converged and len(history) == result.rounds >= 3
+    assert sum(r.iterations for r in history) == result.iterations
+    assert history[-1].commutator_norm == result.commutator_norm
+    for i, r in enumerate(history):
+        assert r.rho == opts.rho0 * opts.rho_growth**i
+        assert opts.decrease_tol <= r.decrease_tol <= opts.decrease_tol**0.5
+        assert r.stop in ("gradient", "step", "decrease", "mu overflow", "budget")
+    model = PenaltyModel(samples, 5)
+    carried = 0
+    for i in range(1, len(history)):
+        # the fit cut after i rounds ends where round i + 1 starts
+        g = fit_generating_matrix(samples, 5, replace(opts, max_rounds=i)).g_star.entries
+        fresh = 1e-3 * float(np.max(np.diag(model.gram_and_gradient(g, history[i].rho)[0])))
+        assert history[i].mu_start <= fresh
+        assert history[i].mu_start == min(fresh, history[i - 1].mu_final * opts.rho_growth)
+        carried += history[i].mu_start < fresh
+    assert carried > 0
+    # the first round, far from the target, stops at the loosest tolerance,
+    # and the tolerance tightens as the commutator nears the target
+    assert history[0].decrease_tol == opts.decrease_tol**0.5
+    assert history[0].stop == "decrease" and history[-1].decrease_tol < history[0].decrease_tol
+
+
+def test_accepted_steps_reuse_their_trial_evaluation(monkeypatch):
+    counts = {"mult_mats": 0, "penalized_value": 0, "gram_and_gradient": 0}
+    for name in counts:
+        original = getattr(PenaltyModel, name)
+
+        def counting(self, *args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(PenaltyModel, name, counting)
+    rng = np.random.default_rng(16)
+    samples = noisy_samples(rng, random_points(rng, 5, 2, min_gap=0.8), 0.05, 40)
+    result = fit_generating_matrix(samples, 5)
+    trials = counts["penalized_value"]
+    accepted = counts["gram_and_gradient"] - result.rounds
+    assert result.converged and accepted > result.rounds + 1
+    # once per trial step and at most once per round (a round whose last
+    # trial was rejected evaluates its final g again), plus the start
+    assert counts["mult_mats"] <= trials + result.rounds + 1
