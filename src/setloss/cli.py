@@ -7,9 +7,10 @@ Four commands cover the library surface:
 * ``cluster``  label samples by loss descent
 * ``bench``    rerun the bundled benchmark scenarios
 
-Exit codes: 0 success, 1 usage or parse failure, 2 degenerate input,
-3 best-effort output produced after an iteration cap.  For codes 2 and 3
-a machine-readable JSON object is written to stderr.
+Exit codes: 0 success, 1 usage or parse failure, 2 degenerate input or
+a refused recovery, 3 best-effort output produced after an iteration cap
+(``bench --scenario gmm`` also when a trial's recovery was refused).  For
+codes 2 and 3 a machine-readable JSON object is written to stderr.
 """
 
 from __future__ import annotations
@@ -417,11 +418,19 @@ def cmd_bench(args) -> int:
             seed = _derived_seed(args.seed, trial)
             spec = random_gmm_spec(args.n, args.k, seed=seed, diagonal=args.diagonal)
             samples, truth = gmm_sample(spec, args.samples, seed=_derived_seed(seed, 1))
-            result = recover_point_set(samples, args.k, FitOptions(seed=seed))
-            all_converged &= result.fit.converged
-            assignment = assign_labels(result.loss, result.recovered, samples)
-            acc = clustering_accuracy(assignment, truth, result.recovered, spec.means)
-            rows.append([trial, acc, int(result.fit.converged)])
+            try:
+                result = recover_point_set(samples, args.k, FitOptions(seed=seed))
+            except NumericalFailureError as exc:
+                if getattr(exc, "stage", None) != "extract":
+                    raise
+                # refused recovery: no labels, scored as a failed trial
+                acc, converged = 0.0, False
+            else:
+                assignment = assign_labels(result.loss, result.recovered, samples)
+                acc = clustering_accuracy(assignment, truth, result.recovered, spec.means)
+                converged = result.fit.converged
+            all_converged &= converged
+            rows.append([trial, acc, int(converged)])
             accs.append(acc)
         header = ["seed", "accuracy", "converged"]
         summary = {
@@ -442,7 +451,9 @@ def cmd_bench(args) -> int:
     if not all_converged:
         _emit_error(
             "non-convergence",
-            NumericalFailureError("some bench fits hit their round budget"),
+            NumericalFailureError(
+                "some bench fits hit their round budget or had their recovery refused"
+            ),
         )
         return 3
     return 0

@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import NumericalFailureError
 from .extraction import ZeroSet, extract_zero_set, real_projection
 from .fitting import FitOptions, FitResult, SampleSet, fit_generating_matrix
 from .generating_system import PointSet, solve_generating_matrix
@@ -38,6 +39,9 @@ __all__ = [
 
 # exhaustive permutation alignment is factorial; cap where it stays instant
 MAX_ALIGNMENT_SIZE = 8
+# assign_labels caps each descent step at this fraction of the smallest
+# gap between recovered points, so that no single step crosses that gap
+STEP_CAP_FRACTION = 0.1
 
 
 class MinimizeResult(NamedTuple):
@@ -53,7 +57,13 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v * v).sum(axis=-1))
 
 
-def minimize_from(loss, start, gradient_tol: float = 1e-8, max_iterations: int = 500):
+def minimize_from(
+    loss,
+    start,
+    gradient_tol: float = 1e-8,
+    max_iterations: int = 500,
+    max_step: float = np.inf,
+):
     """Quasi-Newton descent with backtracking from one start or a batch.
 
     ``loss`` is either an object exposing ``value_and_grad`` or a callable
@@ -65,9 +75,22 @@ def minimize_from(loss, start, gradient_tol: float = 1e-8, max_iterations: int =
     step and iterates until its gradient norm drops below
     ``gradient_tol``, its line search stalls, or the iteration budget runs
     out; the last iterate is returned either way, with ``converged``
-    telling the cases apart.  A row's outcome does not depend on the other
-    rows of its batch, to the last bit when the loss rounds each row the
-    same way whatever the batch (the losses in ``loss_functions`` do).
+    telling the cases apart.
+
+    ``max_step`` caps the length of every step: a longer search direction
+    is shortened to it before the line search.  A shorter full step that
+    passes the Armijo test, but after which the loss still falls along
+    the direction at least 0.9 times as steeply as before it, was too
+    short (the Wolfe curvature condition fails).  The row then also tries
+    the step of length ``max_step`` and takes it if that passes the test
+    and lowers the loss further.  On stretches of negative curvature,
+    where BFGS updates are skipped, this keeps a row from crawling at
+    the length of its gradient.  The default, no cap, leaves every step
+    as it is.
+
+    A row's outcome does not depend on the other rows of its batch, to
+    the last bit when the loss rounds each row the same way whatever the
+    batch (the losses in ``loss_functions`` do).
     """
     fun = loss.value_and_grad if hasattr(loss, "value_and_grad") else loss
     x = np.array(start, dtype=float)
@@ -123,11 +146,30 @@ def minimize_from(loss, start, gradient_tol: float = 1e-8, max_iterations: int =
             h[restart] = eye
             d[restart] = -g[restart]
             slope[restart] = -(g[restart] * g[restart]).sum(axis=-1)
+        length = _norms(d)
+        long = length > max_step
+        if long.any():
+            shrink = max_step / length[long]
+            d[long] *= shrink[:, None]
+            slope[long] *= shrink
         # Armijo backtracking: every row tries t = 1, 1/2, 1/4, ... and
         # only the rows still short of a decrease are re-evaluated
         x_new = x + d
         f_new, g_new = evaluate(x_new)
-        pending = (~(f_new <= f + 1e-4 * slope)).nonzero()[0]
+        passed = f_new <= f + 1e-4 * slope
+        if max_step < np.inf:
+            # a passing step the curvature condition calls too short also
+            # tries the full cap length
+            steep = (g_new * d).sum(axis=-1) < 0.9 * slope
+            grow = (passed & steep & (length < max_step)).nonzero()[0]
+            if grow.size:
+                t_cap = max_step / length[grow]
+                cand = x[grow] + t_cap[:, None] * d[grow]
+                fc, gc = evaluate(cand)
+                ok = (fc <= f[grow] + 1e-4 * t_cap * slope[grow]) & (fc < f_new[grow])
+                took = grow[ok]
+                x_new[took], f_new[took], g_new[took] = cand[ok], fc[ok], gc[ok]
+        pending = (~passed).nonzero()[0]
         t = 1.0
         for _ in range(59):
             if pending.size == 0:
@@ -199,12 +241,22 @@ def assign_labels(loss, recovered: PointSet, samples: SampleSet) -> ClusterAssig
     carries label k-1 (the anchor point).  Any other loss labels by the
     nearest recovered point.  Ties resolve to the lowest label.  Descents
     that hit the iteration cap still get a label from their last iterate,
-    flagged not converged.
+    flagged not converged.  No descent step is longer than
+    STEP_CAP_FRACTION times the smallest gap between recovered points
+    (uncapped for a single point): a long first step, taken before the
+    curvature model has learnt anything, could land in another point's
+    basin.  The same length is what a row on a flat stretch tries when
+    its quasi-Newton step is too short (see ``minimize_from``).
     """
     if samples.n != recovered.n:
         raise ValueError(f"dimension mismatch: samples in R^{samples.n}, set in R^{recovered.n}")
     k = recovered.k
-    res = minimize_from(loss, samples.samples)
+    max_step = np.inf
+    if k > 1:
+        pts = np.asarray(recovered.points.real)
+        gaps = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        max_step = STEP_CAP_FRACTION * float(gaps[np.triu_indices(k, 1)].min())
+    res = minimize_from(loss, samples.samples, max_step=max_step)
     if isinstance(loss, TransformedLoss) and k > 1:
         coords = loss.simplex_coords(res.x)
         targets = np.vstack([np.eye(k - 1), np.zeros(k - 1)])
@@ -293,10 +345,13 @@ def recover_point_set(
     appropriate coordinate change, "generating" interpolates a fresh
     generating system through the recovered points and squares it.  With
     ``want_real`` the recovered set is the real projection of the
-    extracted zeros; otherwise the complex zeros are kept (the loss is
-    still built on the projection, since the transforms are real).
-    Errors propagate from the failing stage, tagged with a ``stage``
-    attribute ("fit", "extract", or "loss").
+    extracted zeros, and zeros that are not real (``ZeroSet.is_real``)
+    raise NumericalFailureError naming the largest imaginary part: their
+    projection is not the zero set of the fit, and a conjugate pair
+    projects onto two nearly coincident points.  Otherwise the complex
+    zeros are kept (the loss is still built on the projection, since the
+    transforms are real).  Errors propagate from the failing stage,
+    tagged with a ``stage`` attribute ("fit", "extract", or "loss").
     """
     if loss_kind not in ("transformed", "generating"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
@@ -313,6 +368,11 @@ def recover_point_set(
     t0 = time.perf_counter()
     try:
         zeros = extract_zero_set(fit.g_star, seed=opts.seed)
+        if want_real and not zeros.is_real:
+            raise NumericalFailureError(
+                "extracted zeros are not real: imaginary parts up to "
+                f"{zeros.max_imaginary():.3e}"
+            )
     except Exception as exc:
         raise _tag_stage(exc, "extract")
     timings["extract"] = time.perf_counter() - t0

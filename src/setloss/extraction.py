@@ -41,8 +41,8 @@ COMMUTATOR_SOFT_LIMIT = 1e-8
 # eigenvalue spread guard for the random combination
 MIN_GAP_FACTOR = 1e-8
 MAX_COMBINATION_DRAWS = 10
-# real projection warns when it drops imaginary parts above this,
-# relative to 1 + the largest real part
+# zeros with imaginary parts above this, relative to 1 + the largest real
+# part, are not real: real projection warns and recovery refuses them
 IMAG_DROP_TOL = 1e-6
 
 
@@ -87,6 +87,12 @@ class ZeroSet:
 
     def max_imaginary(self) -> float:
         return float(np.max(np.abs(self.points.imag))) if self.points.size else 0.0
+
+    @property
+    def is_real(self) -> bool:
+        """Whether no imaginary part exceeds IMAG_DROP_TOL * (1 + max |real part|)."""
+        scale = 1.0 + float(np.max(np.abs(self.points.real), initial=0.0))
+        return self.max_imaginary() <= IMAG_DROP_TOL * scale
 
     def to_json(self) -> dict:
         return {
@@ -189,15 +195,14 @@ def real_projection(zeros: ZeroSet) -> PointSet:
 
     Complex zeros of real systems come in conjugate pairs, so projecting
     can make two rows collide; a warning is emitted in that case and the
-    returned set skips the distinctness check.  Imaginary parts above
-    1e-6 * (1 + max |real part|) also warn, naming the largest one: the
+    returned set skips the distinctness check.  A zero set that is not
+    ``is_real`` also warns, naming the largest imaginary part: the
     projected points are then not zeros of the system.
     """
     pts = zeros.real_points.copy()
-    imag = zeros.max_imaginary()
-    if imag > IMAG_DROP_TOL * (1.0 + float(np.max(np.abs(pts), initial=0.0))):
+    if not zeros.is_real:
         _warnings.warn(
-            f"real projection dropped imaginary parts up to {imag:.3e}",
+            f"real projection dropped imaginary parts up to {zeros.max_imaginary():.3e}",
             RuntimeWarning,
             stacklevel=2,
         )

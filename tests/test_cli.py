@@ -4,8 +4,10 @@ import sys
 import numpy as np
 import pytest
 
+import setloss.cli as cli
 from setloss.cli import main
-from setloss.clustering import bounded_noise_sample
+from setloss.clustering import bounded_noise_sample, gmm_sample, random_gmm_spec
+from setloss.errors import NumericalFailureError
 from setloss.generating_system import PointSet
 
 BENCH_SET = np.array(
@@ -225,6 +227,20 @@ def test_fit_too_few_samples_exit_two(tmp_path, capsys):
     assert err["stage"] == "fit"
 
 
+def test_cluster_refuses_non_real_zeros_exit_two(tmp_path, capsys):
+    # the fit converges, but two of its four zeros are a conjugate pair
+    spec = random_gmm_spec(2, 4, seed=207)
+    samples, _ = gmm_sample(spec, 300, seed=257)
+    inp = tmp_path / "samples.csv"
+    write_points(inp, samples.samples)
+    code = main(["cluster", "--input", str(inp), "--k", "4", "--seed", "7"])
+    assert code == 2
+    err = read_stderr_json(capsys)
+    assert err["error"] == "numerical-failure"
+    assert err["stage"] == "extract"
+    assert "imaginary parts up to 8." in err["message"]
+
+
 def test_bench_rerun_is_byte_identical(tmp_path, capsys):
     scenarios = (
         (["example62", "--seeds", "2"], ["points.csv"]),
@@ -281,3 +297,29 @@ def test_bench_gmm_summary(tmp_path, capsys):
     rows = (out_dir / "results.csv").read_text().strip().splitlines()
     assert rows[0] == "seed,accuracy,converged"
     assert len(rows) == 3
+
+
+def test_bench_gmm_scores_refused_recovery_as_failed(tmp_path, capsys, monkeypatch):
+    calls = []
+    recover = cli.recover_point_set
+
+    def refuse_second(*args, **kwargs):
+        calls.append(len(calls))
+        if len(calls) == 2:
+            exc = NumericalFailureError("extracted zeros are not real")
+            exc.stage = "extract"
+            raise exc
+        return recover(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "recover_point_set", refuse_second)
+    out_dir = tmp_path / "gmm"
+    args = ["bench", "--scenario", "gmm", "--seeds", "3", "--samples", "200"]
+    code = main([*args, "--out-dir", str(out_dir)])
+    assert code == 3
+    assert read_stderr_json(capsys)["error"] == "non-convergence"
+    rows = (out_dir / "results.csv").read_text().strip().splitlines()
+    assert rows[2] == "1,0.0,0"
+    assert [row.split(",")[2] for row in rows[1:]] == ["1", "0", "1"]
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["min_accuracy"] == 0.0
+    assert summary["median_accuracy"] >= 0.8

@@ -36,6 +36,13 @@ class Quadratic:
         return float(d @ d), 2 * d
 
 
+def rosenbrock(x):
+    a, b = x
+    value = (1 - a) ** 2 + 100 * (b - a * a) ** 2
+    grad = np.array([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)])
+    return value, grad
+
+
 def test_minimize_from_quadratic():
     result = minimize_from(Quadratic([1.0, -2.0, 0.5]), np.zeros(3))
     assert result.converged
@@ -59,14 +66,6 @@ def test_minimize_from_respects_iteration_cap():
 
 
 def test_minimize_from_descends_rosenbrock_valley():
-    def rosenbrock(x):
-        a, b = x
-        value = (1 - a) ** 2 + 100 * (b - a * a) ** 2
-        grad = np.array(
-            [-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)]
-        )
-        return value, grad
-
     result = minimize_from(rosenbrock, np.array([-1.2, 1.0]), max_iterations=2000)
     assert result.converged
     np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-5)
@@ -103,17 +102,71 @@ def random_family_loss(family, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["simplicial", "affine", "lifted"]), st.integers(0, 2**32 - 1))
-def test_batched_descent_matches_single_starts(family, seed):
+@given(
+    st.sampled_from(["simplicial", "affine", "lifted"]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.01, 3.0),
+)
+def test_batched_descent_matches_single_starts(family, seed, max_step):
     loss, starts = random_family_loss(family, seed)
-    batch = minimize_from(loss, starts, max_iterations=200)
-    assert batch.x.shape == starts.shape
-    for i, start in enumerate(starts):
-        single = minimize_from(loss, start, max_iterations=200)
-        assert batch.iterations[i] == single.iterations
-        assert batch.converged[i] == single.converged
-        np.testing.assert_allclose(batch.x[i], single.x, rtol=0, atol=1e-10)
-        assert batch.grad_norm[i] == pytest.approx(single.grad_norm, rel=1e-6, abs=1e-12)
+    for cap in (np.inf, max_step):
+        batch = minimize_from(loss, starts, max_iterations=200, max_step=cap)
+        assert batch.x.shape == starts.shape
+        for i, start in enumerate(starts):
+            single = minimize_from(loss, start, max_iterations=200, max_step=cap)
+            assert batch.iterations[i] == single.iterations
+            assert batch.converged[i] == single.converged
+            np.testing.assert_array_equal(batch.x[i], single.x)
+            assert batch.grad_norm[i] == single.grad_norm
+
+
+def test_capped_descent_never_steps_further_than_max_step():
+    def iterates(cap, count):
+        # cutting a descent after i iterations returns its i-th accepted iterate
+        return [start] + [
+            minimize_from(rosenbrock, start, max_iterations=i, max_step=cap).x
+            for i in range(1, count + 1)
+        ]
+
+    start, cap = np.array([-1.2, 1.0]), 0.1
+    uncapped = iterates(np.inf, minimize_from(rosenbrock, start).iterations)
+    assert max(np.linalg.norm(np.diff(uncapped, axis=0), axis=1)) > 5 * cap
+
+    seen = []
+
+    def recording(x):
+        seen.append(x.copy())
+        return rosenbrock(x)
+
+    result = minimize_from(recording, start, max_iterations=2000, max_step=cap)
+    assert result.converged
+    np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-5)
+    capped = iterates(cap, result.iterations)
+    for before, after in zip(capped, capped[1:]):
+        assert any(np.array_equal(after, p) for p in seen)
+        assert np.linalg.norm(after - before) <= cap * (1 + 1e-12)
+    # every point evaluated along the way lies within the cap of an iterate
+    reach = np.linalg.norm(
+        np.array(seen)[:, None, :] - np.array(capped)[None, :, :], axis=2
+    ).min(axis=1)
+    assert reach.max() <= cap * (1 + 1e-12)
+
+
+def test_capped_descent_crosses_flat_concave_stretches():
+    def well(x):
+        # a Gaussian well at 5: concave, and nearly flat, beyond one unit from it
+        e = np.exp(-0.5 * (x - 5.0) ** 2)
+        return -e.sum(axis=-1), (x - 5.0) * e
+
+    # the curvature pairs are negative, so BFGS never lengthens the
+    # gradient-sized steps and the uncapped descent crawls
+    crawl = minimize_from(well, np.array([0.0]))
+    assert not crawl.converged and abs(crawl.x[0]) < 0.1
+    starts = np.array([[0.0], [1.0], [2.5], [9.0]])
+    result = minimize_from(well, starts, max_step=0.5)
+    assert result.converged.all()
+    np.testing.assert_allclose(result.x, 5.0, atol=1e-6)
+    assert result.iterations.max() <= 15
 
 
 def test_batched_descent_with_mixed_outcomes():
@@ -168,6 +221,21 @@ def test_assign_labels_descends_in_one_batch(monkeypatch):
     # a per-sample descent would need at least one call per sample
     assert len(calls) < samples.size
     assert calls[0] == (300, 2)
+
+
+def test_assign_labels_keeps_lifted_descents_in_their_basin():
+    # uncapped, the first quasi-Newton step (unit inverse Hessian) sent 14
+    # of these samples onto a neighbouring point
+    rng = np.random.default_rng(19)
+    pts = PointSet(random_points(rng, 5, 2, min_gap=1.2))
+    samples, truth = bounded_noise_sample(pts, 0.05, 60, seed=20)
+    loss = build_transformed_loss(pts)
+    assert loss.kind == "lifted"
+    assignment = assign_labels(loss, pts, samples)
+    assert assignment.converged.all()
+    np.testing.assert_array_equal(assignment.labels, truth)
+    # the cap costs no extra iterations here (9.3 per sample uncapped)
+    assert assignment.iterations.mean() < 10.0
 
 
 def test_assign_labels_on_exact_clusters():

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from setloss.clustering import gmm_sample, random_gmm_spec, recover_point_set
-from setloss.errors import InvalidStateError
+from setloss.errors import InvalidStateError, NumericalFailureError
 from setloss.extraction import (
     ZeroSet,
     extract_zero_set,
     real_projection,
     set_distance,
 )
-from setloss.fitting import FitOptions
+from setloss.fitting import FitOptions, fit_generating_matrix
 from setloss.generating_system import (
     GeneratingMatrix,
     PointSet,
@@ -125,6 +125,7 @@ def test_real_projection_warns_on_collapsed_pairs():
 def test_real_projection_is_silent_on_real_zeros():
     rng = np.random.default_rng(4)
     zs = extract_zero_set(solve_generating_matrix(PointSet(random_points(rng, 6, 3))))
+    assert zs.is_real
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         real_projection(zs)
@@ -135,11 +136,17 @@ def test_real_projection_warns_on_dropped_imaginary_parts():
     # parts near 0.3 and 0.8; the fit itself reports convergence
     spec = random_gmm_spec(2, 4, seed=207)
     samples, _ = gmm_sample(spec, 300, seed=257)
+    fit = fit_generating_matrix(samples, 4, FitOptions(seed=7))
+    assert fit.converged
+    zeros = extract_zero_set(fit.g_star, seed=7)
+    assert not zeros.is_real
     with pytest.warns(RuntimeWarning, match=r"imaginary parts up to 8\.\d+e-01"):
-        result = recover_point_set(samples, 4, FitOptions(seed=7))
-    assert result.fit.converged
-    # the points still come back, projected as before
-    np.testing.assert_array_equal(result.recovered.points, result.zero_set.points.real)
+        projected = real_projection(zeros)
+    np.testing.assert_array_equal(projected.points, zeros.points.real)
+    # recovery refuses the same zeros instead of building a loss on them
+    with pytest.raises(NumericalFailureError, match=r"imaginary parts up to 8\.\d+e-01") as info:
+        recover_point_set(samples, 4, FitOptions(seed=7))
+    assert info.value.stage == "extract"
 
 
 def test_extraction_builds_one_shift_table(monkeypatch):
