@@ -7,9 +7,11 @@ Four commands cover the library surface:
 * ``cluster``  label samples by loss descent
 * ``bench``    rerun the bundled benchmark scenarios
 
-Exit codes: 0 success, 1 usage or parse failure, 2 degenerate input or
-a refused recovery, 3 best-effort output produced after an iteration cap
-(``bench --scenario gmm`` also when a trial's recovery was refused).  For
+Exit codes: 0 success, 1 usage or parse failure, 2 degenerate input,
+a numerical failure, or zeros refused as not real (by recovery or by
+``cluster --sstar``), 3 best-effort output produced after an iteration cap
+(``bench --scenario gmm`` also when a trial failed numerically at the
+extract stage, a refused recovery among them).  For
 codes 2 and 3 a machine-readable JSON object is written to stderr.
 """
 
@@ -36,6 +38,7 @@ from .errors import (
     InvalidStateError,
     NumericalFailureError,
 )
+from .extraction import zeros_are_real
 from .fitting import FitOptions, SampleSet
 from .generating_system import (
     PointSet,
@@ -261,7 +264,17 @@ def cmd_cluster(args) -> int:
             raise _UsageError(f"{args.sstar} carries no point set")
         pts = np.array(rows, dtype=float)
         if pts.ndim == 3:  # complex [re, im] pairs; cluster on the real parts
-            pts = pts[:, :, 0]
+            zeros = pts[:, :, 0] + 1j * pts[:, :, 1]
+            if not zeros_are_real(zeros):
+                # same refusal as recovery: the real parts of a conjugate
+                # pair nearly coincide and give no loss worth descending
+                exc = NumericalFailureError(
+                    f"{args.sstar} holds zeros that are not real: imaginary parts "
+                    f"up to {np.max(np.abs(zeros.imag)):.3e}"
+                )
+                exc.stage = "extract"
+                raise exc
+            pts = zeros.real
         try:
             recovered = PointSet(pts)
         except ValueError as exc:
@@ -423,7 +436,8 @@ def cmd_bench(args) -> int:
             except NumericalFailureError as exc:
                 if getattr(exc, "stage", None) != "extract":
                     raise
-                # refused recovery: no labels, scored as a failed trial
+                # extraction failed or refused the zeros: no labels, scored
+                # as a failed trial
                 acc, converged = 0.0, False
             else:
                 assignment = assign_labels(result.loss, result.recovered, samples)

@@ -31,6 +31,7 @@ __all__ = [
     "extract_zero_set",
     "real_projection",
     "set_distance",
+    "zeros_are_real",
 ]
 
 # commutator ceiling (relative to 1 + |G|_F) above which extraction refuses
@@ -91,8 +92,7 @@ class ZeroSet:
     @property
     def is_real(self) -> bool:
         """Whether no imaginary part exceeds IMAG_DROP_TOL * (1 + max |real part|)."""
-        scale = 1.0 + float(np.max(np.abs(self.points.real), initial=0.0))
-        return self.max_imaginary() <= IMAG_DROP_TOL * scale
+        return zeros_are_real(self.points)
 
     def to_json(self) -> dict:
         return {
@@ -116,6 +116,13 @@ class ZeroSet:
             approximate=bool(payload["approximate"]),
             commutator_norm=float(payload["commutator_norm"]),
         )
+
+
+def zeros_are_real(points: np.ndarray) -> bool:
+    """Whether no imaginary part exceeds IMAG_DROP_TOL * (1 + max |real part|)."""
+    pts = np.asarray(points)
+    scale = 1.0 + float(np.max(np.abs(pts.real), initial=0.0))
+    return float(np.max(np.abs(pts.imag), initial=0.0)) <= IMAG_DROP_TOL * scale
 
 
 def _sort_order(points: np.ndarray) -> np.ndarray:

@@ -241,6 +241,37 @@ def test_cluster_refuses_non_real_zeros_exit_two(tmp_path, capsys):
     assert "imaginary parts up to 8." in err["message"]
 
 
+def test_cluster_sstar_refuses_non_real_complex_zeros(tmp_path, capsys):
+    # the seed-207 conjugate pair, kept complex by fit --complex, is refused
+    # by cluster --sstar as by recovery, before any descent
+    spec = random_gmm_spec(2, 4, seed=207)
+    samples, _ = gmm_sample(spec, 300, seed=257)
+    inp = tmp_path / "samples.csv"
+    write_points(inp, samples.samples)
+    fit_out = tmp_path / "fit.json"
+    args = ["--input", str(inp), "--k", "4", "--seed", "7", "--complex"]
+    assert main(["fit", *args, "--output", str(fit_out)]) == 0
+    capsys.readouterr()
+    code = main(["cluster", "--input", str(inp), "--sstar", str(fit_out)])
+    assert code == 2
+    err = read_stderr_json(capsys)
+    assert err["error"] == "numerical-failure"
+    assert err["stage"] == "extract"
+    assert "imaginary parts up to 8." in err["message"]
+
+    # imaginary parts within the tolerance cluster on the real parts
+    near_real = tmp_path / "near_real.json"
+    rows = [[[float(v), 1e-9] for v in row] for row in THREE_POINTS]
+    near_real.write_text(json.dumps({"s_star": rows}))
+    near, _ = bounded_noise_sample(PointSet(THREE_POINTS), 0.1, 20, seed=3)
+    write_points(inp, near.samples)
+    out = tmp_path / "labels.csv"
+    code = main(["cluster", "--input", str(inp), "--sstar", str(near_real), "--output", str(out)])
+    assert code == 0
+    labels = [int(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+    assert len(labels) == 60 and sorted(set(labels)) == [0, 1, 2]
+
+
 def test_bench_rerun_is_byte_identical(tmp_path, capsys):
     scenarios = (
         (["example62", "--seeds", "2"], ["points.csv"]),
@@ -299,27 +330,46 @@ def test_bench_gmm_summary(tmp_path, capsys):
     assert len(rows) == 3
 
 
-def test_bench_gmm_scores_refused_recovery_as_failed(tmp_path, capsys, monkeypatch):
+def test_bench_gmm_scores_extract_failures_as_failed(tmp_path, capsys, monkeypatch):
+    # trial 1 has its zeros refused, trial 3 fails inside the extraction;
+    # both are extract-stage failures and score 0 without ending the run
+    failures = {
+        2: "extracted zeros are not real",
+        4: "eigenvalues of every random combination stayed clustered",
+    }
     calls = []
     recover = cli.recover_point_set
 
-    def refuse_second(*args, **kwargs):
+    def fail_some(*args, **kwargs):
         calls.append(len(calls))
-        if len(calls) == 2:
-            exc = NumericalFailureError("extracted zeros are not real")
+        if len(calls) in failures:
+            exc = NumericalFailureError(failures[len(calls)])
             exc.stage = "extract"
             raise exc
         return recover(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "recover_point_set", refuse_second)
+    monkeypatch.setattr(cli, "recover_point_set", fail_some)
     out_dir = tmp_path / "gmm"
-    args = ["bench", "--scenario", "gmm", "--seeds", "3", "--samples", "200"]
+    args = ["bench", "--scenario", "gmm", "--seeds", "4", "--samples", "200"]
     code = main([*args, "--out-dir", str(out_dir)])
     assert code == 3
     assert read_stderr_json(capsys)["error"] == "non-convergence"
-    rows = (out_dir / "results.csv").read_text().strip().splitlines()
-    assert rows[2] == "1,0.0,0"
-    assert [row.split(",")[2] for row in rows[1:]] == ["1", "0", "1"]
+    rows = [row.split(",") for row in (out_dir / "results.csv").read_text().strip().splitlines()]
+    assert rows[2] == ["1", "0.0", "0"] and rows[4] == ["3", "0.0", "0"]
+    assert [row[2] for row in rows[1:]] == ["1", "0", "1", "0"]
+    assert min(float(rows[1][1]), float(rows[3][1])) >= 0.8
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["min_accuracy"] == 0.0
-    assert summary["median_accuracy"] >= 0.8
+
+
+def test_bench_gmm_stops_on_other_numerical_failures(tmp_path, capsys, monkeypatch):
+    def fail_fit(*args, **kwargs):
+        exc = NumericalFailureError("fit lost all accuracy")
+        exc.stage = "fit"
+        raise exc
+
+    monkeypatch.setattr(cli, "recover_point_set", fail_fit)
+    args = ["bench", "--scenario", "gmm", "--seeds", "2", "--out-dir", str(tmp_path / "gmm")]
+    assert main(args) == 2
+    err = read_stderr_json(capsys)
+    assert err["error"] == "numerical-failure" and err["stage"] == "fit"
