@@ -10,7 +10,8 @@ Four commands cover the library surface:
 Exit codes: 0 success, 1 usage or parse failure, 2 degenerate input,
 a numerical failure, or zeros refused as not real (by recovery or by
 ``cluster --sstar``), 3 best-effort output produced after an iteration cap
-(``bench --scenario gmm`` also when a trial failed numerically at the
+(``fit --complex`` also when the zeros it wrote are not real, and
+``bench --scenario gmm`` when a trial failed numerically at the
 extract stage, a refused recovery among them).  For
 codes 2 and 3 a machine-readable JSON object is written to stderr.
 """
@@ -190,7 +191,7 @@ def cmd_build(args) -> int:
             for terms, text in zip(generator_terms(gm), generator_strings(gm))
         ],
         "loss": _loss_payload(loss),
-        "closed_form": loss.describe() if points.n <= 3 and points.k <= 4 else None,
+        "closed_form": loss.describe() if loss.has_closed_form else None,
     }
     _write_json(payload, args.output)
     return 0
@@ -229,6 +230,7 @@ def cmd_fit(args) -> int:
         "loss": _loss_payload(result.loss),
     }
     _write_json(payload, args.output)
+    code = 0
     if not result.fit.converged:
         _emit_error(
             "non-convergence",
@@ -237,8 +239,18 @@ def cmd_fit(args) -> int:
                 f"after {result.fit.rounds} penalty rounds; best effort written"
             ),
         )
-        return 3
-    return 0
+        code = 3
+    if not result.zero_set.is_real:
+        # only --complex gets here: recovery refuses such zeros otherwise
+        max_imag = result.zero_set.max_imaginary()
+        exc = NumericalFailureError(
+            f"extracted zeros are not real: imaginary parts up to {max_imag:.3e}; "
+            "complex zeros written"
+        )
+        exc.stage = "extract"
+        _emit_error("numerical-failure", exc, max_imag=max_imag)
+        code = 3
+    return code
 
 
 # -- cluster ---------------------------------------------------------------

@@ -32,7 +32,7 @@ multiplication matrices, commutators and theta of its trial evaluation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 import scipy.linalg
@@ -182,6 +182,7 @@ class FitResult:
             "converged": self.converged,
             "theta_init": self.theta_init,
             "warnings": list(self.warnings),
+            "history": [asdict(r) for r in self.history],
         }
 
 

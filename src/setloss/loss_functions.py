@@ -295,32 +295,64 @@ class TransformedLoss:
             raise ValueError(f"payload of kind {payload['kind']!r} describes a {loss.kind} map")
         return loss
 
+    @property
+    def has_closed_form(self) -> bool:
+        """Whether ``describe`` renders the loss as an explicit polynomial."""
+        return self.n <= 3 and self.k <= 4
+
     def describe(self) -> str:
         """Closed-form rendering for small cases, a summary otherwise.
 
-        For n <= 3 and k <= 4 returns the loss as an explicit polynomial:
-        in the original variables x1..xn for the identity lift, in the
-        lift variables z1..z_(k-1) for the monomial lift.
+        When ``has_closed_form`` (n <= 3 and k <= 4) returns the loss as
+        an explicit polynomial: in the original variables x1..xn for the
+        identity lift, in the lift variables z1..z_(k-1) for the monomial
+        lift.  Every entry of the map is read as the nearest rational
+        within 1e-12, and the polynomial is summed exactly in a sparse
+        polynomial ring over the rationals.  A single simplex coordinate
+        z gives z^2 (z - 1)^2, printed factored.
         """
-        if self.n > 3 or self.k > 4:
+        if not self.has_closed_form:
             return (
                 f"transformed simplicial loss ({self.kind}) for {self.k} points in R^{self.n}"
             )
         import sympy as sp
+        from sympy.polys.rings import ring
+
+        def rational(v):
+            return sp.nsimplify(v, rational=True, tolerance=1e-12)
 
         prefix = "x" if self.lift_basis is None else "z"
         xs = sp.symbols(f"{prefix}1:{self.anchor_lift.size + 1}")
-        vec = sp.Matrix(xs) - sp.Matrix(self.anchor_lift.tolist())
-        m = sp.Matrix(self.to_simplex.tolist())
-        m = m.applyfunc(lambda v: sp.nsimplify(v, rational=True, tolerance=1e-12))
-        vec = vec.applyfunc(lambda v: sp.nsimplify(v, rational=True, tolerance=1e-12))
-        zs = list(m @ vec)
+        poly_ring, *gens = ring(xs, sp.QQ)
+        qq = poly_ring.domain
+        # the constant of x_j - a_j is the float -a_j read as a rational,
+        # which need not be minus the rational read from a_j
+        shifted = [g + qq.from_sympy(rational(-a)) for g, a in zip(gens, self.anchor_lift.tolist())]
+        zs = [
+            sum((s * qq.from_sympy(rational(m)) for m, s in zip(row, shifted)), poly_ring.zero)
+            for row in self.to_simplex.tolist()
+        ]
         if not zs:
             return "0"
-        terms = [z**2 * (z - 1) ** 2 for z in zs]
-        terms += [zs[i] ** 2 * zs[j] ** 2 for i in range(len(zs)) for j in range(i + 1, len(zs))]
-        total = sp.Add(*[sp.expand(t) for t in terms])
-        return str(sp.factor(total)) if len(zs) == 1 else str(total)
+        if len(zs) == 1:
+            # z^2 (z - 1)^2 as factor() prints it: the rational content
+            # times squares of primitive integer factors, each with a
+            # positive leading coefficient
+            coeff, factors = sp.Integer(1), []
+            for lin in (zs[0], zs[0] - 1):
+                content = lin.content()
+                if lin.LC < 0:
+                    content = -content
+                coeff *= qq.to_sympy(content) ** 2
+                factors.append(lin.quo_ground(content).as_expr() ** 2)
+            return str(sp.Mul(coeff, *factors))
+        total = poly_ring.zero
+        for i, z in enumerate(zs):
+            sq = z**2
+            total += sq * (z - 1) ** 2
+            for w in zs[i + 1 :]:
+                total += sq * w**2
+        return str(total.as_expr())
 
 
 def build_transformed_loss(points: PointSet) -> TransformedLoss:

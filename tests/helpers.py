@@ -74,3 +74,27 @@ def product_loss(points, x):
     points = np.asarray(points)
     x = np.asarray(x)
     return float(np.prod(np.sum(np.abs(x - points) ** 2, axis=1)))
+
+
+def reference_describe(loss):
+    """The closed form of a transformed loss, rendered with sympy expressions.
+
+    Expands every term of the loss as an expression and, for a single
+    simplex coordinate, factors the sum: slow, but a direct reading of the
+    formula, which ``TransformedLoss.describe`` must reproduce byte for byte.
+    """
+    import sympy as sp
+
+    prefix = "x" if loss.lift_basis is None else "z"
+    xs = sp.symbols(f"{prefix}1:{loss.anchor_lift.size + 1}")
+    vec = sp.Matrix(xs) - sp.Matrix(loss.anchor_lift.tolist())
+    m = sp.Matrix(loss.to_simplex.tolist())
+    m = m.applyfunc(lambda v: sp.nsimplify(v, rational=True, tolerance=1e-12))
+    vec = vec.applyfunc(lambda v: sp.nsimplify(v, rational=True, tolerance=1e-12))
+    zs = list(m @ vec)
+    if not zs:
+        return "0"
+    terms = [z**2 * (z - 1) ** 2 for z in zs]
+    terms += [zs[i] ** 2 * zs[j] ** 2 for i in range(len(zs)) for j in range(i + 1, len(zs))]
+    total = sp.Add(*[sp.expand(t) for t in terms])
+    return str(sp.factor(total)) if len(zs) == 1 else str(total)

@@ -250,8 +250,14 @@ def test_cluster_sstar_refuses_non_real_complex_zeros(tmp_path, capsys):
     write_points(inp, samples.samples)
     fit_out = tmp_path / "fit.json"
     args = ["--input", str(inp), "--k", "4", "--seed", "7", "--complex"]
-    assert main(["fit", *args, "--output", str(fit_out)]) == 0
-    capsys.readouterr()
+    assert main(["fit", *args, "--output", str(fit_out)]) == 3
+    # fit --complex writes the zeros but says they are not real
+    err = read_stderr_json(capsys)
+    assert err["error"] == "numerical-failure"
+    assert err["stage"] == "extract"
+    assert 0.8 < err["max_imag"] < 0.9
+    assert "imaginary parts up to 8." in err["message"]
+    assert len(json.loads(fit_out.read_text())["s_star"]) == 4
     code = main(["cluster", "--input", str(inp), "--sstar", str(fit_out)])
     assert code == 2
     err = read_stderr_json(capsys)

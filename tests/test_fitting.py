@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import replace
 
@@ -295,6 +296,13 @@ def test_fit_result_json():
     assert payload["converged"] is True
     assert payload["g_star"]["k"] == 3
     assert isinstance(payload["objective"], float)
+    keys = {"rho", "decrease_tol", "mu_start", "mu_final", "iterations", "commutator_norm", "stop"}
+    history = json.loads(json.dumps(payload))["history"]
+    assert len(history) == payload["rounds"] == len(result.history) >= 1
+    for entry, r in zip(history, result.history):
+        assert set(entry) == keys
+        assert entry["iterations"] == r.iterations and entry["stop"] == r.stop
+        assert entry["commutator_norm"] == r.commutator_norm
 
 
 def test_acceptance_first_trials_fit_within_iteration_budget():

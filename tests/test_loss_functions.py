@@ -11,7 +11,7 @@ from setloss.loss_functions import (
     simplicial_loss,
 )
 
-from helpers import fd_gradient, fd_hessian, random_points
+from helpers import fd_gradient, fd_hessian, random_points, reference_describe
 
 CASE1_SET = np.array([[4.0, -2.0, 1.0], [-1.0, 3.0, -5.0]])
 CASE2_SET = np.array([[2.0, 3.0], [-1.0, -2.0], [1.0, -3.0], [-2.0, 2.0]])
@@ -274,12 +274,38 @@ def test_json_from_earlier_releases_loads_bit_equal():
 
 
 def test_describe_small_cases():
-    text = build_transformed_loss(PointSet(CASE1_SET)).describe()
-    assert isinstance(text, str) and len(text) > 0
-    big = build_transformed_loss(
-        PointSet(np.arange(10.0).reshape(5, 2) ** 2)
-    ).describe()
-    assert isinstance(big, str) and len(big) > 0
+    import sympy as sp
+
+    rng = np.random.default_rng(23)
+    for pts in (CASE1_SET, CASE2_SET):
+        loss = build_transformed_loss(PointSet(pts))
+        assert loss.has_closed_form
+        expr = sp.sympify(loss.describe())
+        # the affine form is in x1..xn, the lifted one in the lift coordinates
+        syms = sp.symbols(f"{'x' if loss.kind == 'affine' else 'z'}1:{loss.anchor_lift.size + 1}")
+        for x in rng.uniform(-3.0, 3.0, size=(10, loss.n)):
+            exact = expr.subs({s: sp.Rational(v) for s, v in zip(syms, loss.lift(x))})
+            assert float(exact) == pytest.approx(loss.value(x), rel=1e-9)
+    big = build_transformed_loss(PointSet(np.arange(10.0).reshape(5, 2) ** 2))
+    assert not big.has_closed_form
+    assert big.describe() == "transformed simplicial loss (lifted) for 5 points in R^2"
+
+
+def test_describe_matches_expression_rendering_byte_for_byte():
+    # one set per (n, k) cell, integer and float coordinates alternating
+    rng = np.random.default_rng(24)
+    sets = [CASE1_SET, CASE2_SET]
+    for idx, (n, k) in enumerate((n, k) for n in (1, 2, 3) for k in (2, 3, 4)):
+        if idx % 2:
+            sets.append(rng.choice(np.arange(-6.0, 7.0), size=(k, n), replace=False))
+        else:
+            sets.append(random_points(rng, k, n))
+    kinds = set()
+    for pts in sets:
+        loss = build_transformed_loss(PointSet(pts))
+        kinds.add(loss.kind)
+        assert loss.describe() == reference_describe(loss), pts
+    assert kinds == {"affine", "lifted"}
 
 
 def test_batched_losses_stack_per_row_results():
