@@ -33,9 +33,7 @@ from .fitting import (
     fit_generating_matrix,
 )
 from .generating_system import (
-    CommutatorResidual,
     GeneratingMatrix,
-    MultiplicationMatrices,
     PointSet,
     commutator_residual,
     evaluate_generators,
@@ -69,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClusterAssignment",
-    "CommutatorResidual",
     "DegenerateConfigurationError",
     "ExponentVector",
     "FitOptions",
@@ -80,7 +77,6 @@ __all__ = [
     "InvalidStateError",
     "MinimizeResult",
     "MonomialBasis",
-    "MultiplicationMatrices",
     "NumericalFailureError",
     "PointSet",
     "RecoveryResult",

@@ -39,7 +39,7 @@ from .errors import (
     InvalidStateError,
     NumericalFailureError,
 )
-from .extraction import zeros_are_real
+from .extraction import set_distance, zeros_are_real
 from .fitting import FitOptions, SampleSet
 from .generating_system import (
     PointSet,
@@ -309,6 +309,14 @@ def cmd_cluster(args) -> int:
     else:
         raise _UsageError("cluster needs either --k or --sstar")
 
+    if truth is not None:
+        # checked before any output, so a usage error leaves none behind
+        if truth.max() >= recovered.k:
+            raise _UsageError("truth labels exceed the recovered set size")
+        empty = np.setdiff1d(np.arange(recovered.k), truth)
+        if empty.size:
+            raise _UsageError(f"truth label {int(empty[0])} has no samples")
+
     assignment = assign_labels(loss, recovered, samples)
     header = ["label", "converged", "iterations"] + [
         f"x{i + 1}" for i in range(samples.n)
@@ -335,8 +343,6 @@ def cmd_cluster(args) -> int:
         "s_star": _points_rows(recovered.points.real),
     }
     if truth is not None:
-        if truth.max() >= recovered.k:
-            raise _UsageError("truth labels exceed the recovered set size")
         means = np.array(
             [samples.samples[truth == i].mean(axis=0) for i in range(recovered.k)]
         )
@@ -386,7 +392,7 @@ def _bench_trials(args, out_dir: Path, radii, counts, path: tuple, points_name: 
         opts = FitOptions(seed=seed)
         result = recover_point_set(samples, reference.k, opts, loss_kind="generating")
         recovered = result.recovered.points.real
-        dist = float(np.max([np.min(np.linalg.norm(recovered - u, axis=1)) for u in BENCH_SET]))
+        dist = set_distance(PointSet(recovered, check_distinct=False), reference)
         max_loss = float(max(result.loss.value(u) for u in BENCH_SET))
         all_converged &= result.fit.converged
         rows.append([trial, dist, max_loss, int(result.fit.converged)])

@@ -298,6 +298,8 @@ def clustering_accuracy(
         raise ValueError("one truth label per sample required")
     if truth.min() < 0 or truth.max() >= k:
         raise ValueError("truth labels must index the true means")
+    if not np.all(np.isfinite(means)):
+        raise ValueError("true means must be finite")
     pts = np.asarray(recovered.points.real)
     best_perm = None
     best_cost = np.inf

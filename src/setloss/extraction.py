@@ -54,9 +54,12 @@ class ZeroSet:
     ``points`` is a read-only (k, n) complex array in a deterministic
     order: sorted by the graded-lexicographic key of the real parts
     rounded to 1e-9, then by the rounded imaginary parts.  ``residuals``
-    holds one invariant-subspace residual per point (for the first point
-    this is the plain eigenvector residual).  ``approximate`` marks
-    systems whose commutator norm fell in the tolerated-but-nonzero band.
+    holds one residual per point: the norm, over all reduced matrices
+    Q^H M_i Q, of the strictly-lower part of the Schur column the point
+    was read from.  Only the point of the first Schur column has the plain
+    eigenvector residual, and after sorting it need not be the first
+    row.  ``approximate`` marks systems whose commutator norm fell in the
+    tolerated-but-nonzero band.
     """
 
     points: np.ndarray
@@ -138,62 +141,52 @@ def extract_zero_set(gm: GeneratingMatrix, seed: int = 0) -> ZeroSet:
 
     Requires the total commutator norm to be at most
     1e-6 * (1 + |G|_F); between 1e-8 and 1e-6 the result is flagged
-    approximate.  The random combination weights are drawn from ``seed``
-    and redrawn (at most 10 times) until the combined matrix has a
-    healthy eigenvalue spread; persistent clustering raises
-    NumericalFailureError.  Points come back with multiplicity when the
-    system has repeated zeros.
+    approximate.  Each draw of random combination weights (from ``seed``)
+    is Schur-factored once, and its sorted diagonal is the eigenvalue
+    spread test; a clustered spread redraws (at most 10 draws), and
+    persistent clustering raises NumericalFailureError.  The accepted
+    unitary factor reduces every multiplication matrix at once; the
+    diagonals are the points and the strictly-lower column norms their
+    residuals.  Points come back with multiplicity when the system has
+    repeated zeros.
     """
     com = commutator_residual(gm)
     scale = 1.0 + gm.frobenius_norm()
-    if com.total > COMMUTATOR_HARD_LIMIT * scale:
+    if com > COMMUTATOR_HARD_LIMIT * scale:
         raise InvalidStateError(
-            f"multiplication matrices do not commute (residual {com.total:.3e}, "
+            f"multiplication matrices do not commute (residual {com:.3e}, "
             f"limit {COMMUTATOR_HARD_LIMIT * scale:.3e})"
         )
-    approximate = com.total > COMMUTATOR_SOFT_LIMIT * scale
+    approximate = com > COMMUTATOR_SOFT_LIMIT * scale
 
     mats = multiplication_matrices(gm)
     k, n = gm.k, gm.n
     rng = np.random.default_rng(seed)
-    m1 = None
     for _ in range(MAX_COMBINATION_DRAWS):
         xi = rng.standard_normal(n)
         xi /= np.linalg.norm(xi)
-        candidate = mats.combine(xi)
-        if k < 2:
-            m1 = candidate
-            break
-        eigs = np.linalg.eigvals(candidate)
+        schur = complex_schur((xi[:, None, None] * mats).sum(axis=0))
+        eigs = schur.eigenvalues
         gaps = np.abs(eigs[:, None] - eigs[None, :])[np.triu_indices(k, 1)]
-        if gaps.min() >= MIN_GAP_FACTOR * gaps.max():
-            m1 = candidate
+        if k < 2 or gaps.min() >= MIN_GAP_FACTOR * gaps.max():
             break
-    if m1 is None:
+    else:
         raise NumericalFailureError(
             "eigenvalues of every random combination stayed clustered; "
             "the zero structure cannot be separated"
         )
 
-    schur = complex_schur(m1)
     q = schur.q
-    reduced = [q.conj().T @ mat @ q for mat in mats.mats]
-    points = np.empty((k, n), dtype=complex)
-    residuals = np.zeros(k)
-    for i in range(k):
-        points[i] = [t[i, i] for t in reduced]
-        low = 0.0
-        for t in reduced:
-            col = t[i + 1 :, i]
-            low += float(np.real(np.vdot(col, col)))
-        residuals[i] = np.sqrt(low)
+    reduced = q.conj().T @ mats @ q
+    points = np.diagonal(reduced, axis1=1, axis2=2).T
+    residuals = np.sqrt(np.sum(np.abs(np.tril(reduced, -1)) ** 2, axis=(0, 1)))
 
     order = _sort_order(points)
     return ZeroSet(
         points=points[order],
         residuals=residuals[order],
         approximate=approximate,
-        commutator_norm=com.total,
+        commutator_norm=com,
     )
 
 

@@ -38,10 +38,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateConfigurationError
-from .generating_system import (
-    GeneratingMatrix,
-    shift_table,
-)
+from .generating_system import GeneratingMatrix, commutators, shift_table
 from .monomial_basis import (
     MonomialBasis,
     border_monomials,
@@ -242,8 +239,7 @@ class PenaltyModel:
         return self.shifts.matrices(g)
 
     def commutator_vec(self, mats: np.ndarray) -> np.ndarray:
-        mi, mj = mats[self._first], mats[self._second]
-        return (mi @ mj - mj @ mi).reshape(-1)
+        return commutators(mats).reshape(-1)
 
     def commutator_jacobian(self, mats: np.ndarray) -> np.ndarray:
         """d vec([M_i, M_j]) / d g, stacked over pairs; unscaled by rho.

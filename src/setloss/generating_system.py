@@ -16,7 +16,7 @@ joint eigenvalues are the points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -34,15 +34,14 @@ from .numeric_kernels import require_full_rank, solve_linear
 __all__ = [
     "PointSet",
     "GeneratingMatrix",
-    "MultiplicationMatrices",
     "ShiftTable",
-    "CommutatorResidual",
     "vandermonde",
     "solve_generating_matrix",
     "evaluate_generators",
     "generators_jacobian",
     "shift_table",
     "multiplication_matrices",
+    "commutators",
     "commutator_residual",
     "generator_terms",
     "generator_strings",
@@ -227,31 +226,6 @@ def generators_jacobian(gm: GeneratingMatrix, x) -> np.ndarray:
     ).sum(axis=-3)
 
 
-@dataclass(frozen=True)
-class MultiplicationMatrices:
-    """The n matrices of multiplication by each variable on the quotient basis."""
-
-    basis: MonomialBasis
-    mats: tuple[np.ndarray, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.mats)
-
-    @property
-    def k(self) -> int:
-        return len(self.basis)
-
-    def combine(self, weights) -> np.ndarray:
-        w = np.asarray(weights)
-        if w.shape != (self.n,):
-            raise ValueError(f"expected {self.n} weights, got shape {w.shape}")
-        out = np.zeros((self.k, self.k), dtype=np.result_type(w.dtype, float))
-        for wi, mat in zip(w, self.mats):
-            out += wi * mat
-        return out
-
-
 class ShiftTable(NamedTuple):
     """The constant structure of the multiplication matrices of a basis.
 
@@ -307,8 +281,8 @@ def shift_table(basis: MonomialBasis, border: MonomialBasis) -> ShiftTable:
     return table
 
 
-def multiplication_matrices(gm: GeneratingMatrix) -> MultiplicationMatrices:
-    """Assemble the multiplication-by-x_i matrices from a generating matrix.
+def multiplication_matrices(gm: GeneratingMatrix) -> np.ndarray:
+    """The read-only (n, k, k) stack of multiplication-by-x_i matrices.
 
     Column nu of the i-th matrix holds the coefficients of x_i * x^nu on
     the quotient basis: a unit vector when the shifted monomial stays in
@@ -317,40 +291,34 @@ def multiplication_matrices(gm: GeneratingMatrix) -> MultiplicationMatrices:
     """
     mats = gm.shifts.matrices(gm.entries)
     mats.flags.writeable = False
-    return MultiplicationMatrices(basis=gm.basis, mats=tuple(mats))
+    return mats
 
 
-class CommutatorResidual(NamedTuple):
-    """Frobenius-norm summary of all pairwise commutators."""
+@lru_cache(maxsize=None)
+def _index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # np.triu_indices costs several times a small commutator stack, and
+    # the fit asks for one stack per trial step
+    pairs = np.triu_indices(n, k=1)
+    for arr in pairs:
+        arr.flags.writeable = False
+    return pairs
 
-    total: float
-    pairs: tuple[np.ndarray, ...]
-    index_pairs: tuple[tuple[int, int], ...]
+
+def commutators(mats: np.ndarray) -> np.ndarray:
+    """The (n(n-1)/2, k, k) stack of [M_i, M_j] over i < j, in np.triu_indices order."""
+    first, second = _index_pairs(len(mats))
+    mi, mj = mats[first], mats[second]
+    return mi @ mj - mj @ mi
 
 
-def commutator_residual(gm: GeneratingMatrix) -> CommutatorResidual:
-    """All pairwise commutators [M_i, M_j], i < j, and their total norm.
+def commutator_residual(gm: GeneratingMatrix) -> float:
+    """Total Frobenius norm of all pairwise commutators [M_i, M_j], i < j.
 
-    The total is the square root of the summed squared Frobenius norms.
     It vanishes (up to roundoff) exactly when the generators admit k
     common zeros counted with multiplicity; for n = 1 there are no pairs
     and the total is zero.
     """
-    mats = multiplication_matrices(gm).mats
-    pairs = []
-    index_pairs = []
-    total_sq = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            c = mats[i] @ mats[j] - mats[j] @ mats[i]
-            pairs.append(c)
-            index_pairs.append((i, j))
-            total_sq += float(np.sum(c * c))
-    return CommutatorResidual(
-        total=float(np.sqrt(total_sq)),
-        pairs=tuple(pairs),
-        index_pairs=tuple(index_pairs),
-    )
+    return float(np.linalg.norm(commutators(multiplication_matrices(gm))))
 
 
 def generator_terms(gm: GeneratingMatrix) -> list[dict[tuple[int, ...], float]]:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import ztrexc
 
 from .errors import DegenerateConfigurationError, NumericalFailureError
 
@@ -111,32 +112,16 @@ class ComplexSchurDecomposition:
         return np.diag(self.p)
 
 
-def _swap_schur_block(p: np.ndarray, q: np.ndarray, i: int) -> None:
-    # exchange the diagonal entries p[i,i] and p[i+1,i+1] by a unitary
-    # similarity confined to rows/columns i, i+1
-    a = p[i, i]
-    b = p[i, i + 1]
-    c = p[i + 1, i + 1]
-    v = np.array([b, c - a], dtype=complex)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return
-    v /= nv
-    g = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
-    p[i : i + 2, :] = g.conj().T @ p[i : i + 2, :]
-    p[:, i : i + 2] = p[:, i : i + 2] @ g
-    q[:, i : i + 2] = q[:, i : i + 2] @ g
-    p[i + 1, i] = 0.0
-
-
 def complex_schur(m) -> ComplexSchurDecomposition:
     """Sorted complex Schur decomposition of a square matrix.
 
     Delegates the factorization to LAPACK and then reorders the diagonal
-    into the (real, imaginary) ascending order with a bubble pass of
-    unitary 2x2 swaps.  Raises NumericalFailureError when the backend does
-    not converge or the reordered factors lose the decomposition
-    invariants.
+    into the (real, imaginary) ascending order with LAPACK's ``ztrexc``:
+    position by position, the remaining eigenvalue with the smallest
+    (real, imaginary) key is moved up to it by unitary swaps of adjacent
+    diagonal entries (Bai and Demmel, LAA 1993).  Raises NumericalFailureError when the backend does
+    not converge or reports a failed move, or when the reordered factors
+    lose the decomposition invariants.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -147,21 +132,15 @@ def complex_schur(m) -> ComplexSchurDecomposition:
         p, q = scipy.linalg.schur(np.asarray(m, dtype=complex), output="complex")
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare backend failure
         raise NumericalFailureError(f"Schur iteration failed: {exc}") from exc
-    p = np.array(p, dtype=complex)
-    q = np.array(q, dtype=complex)
     k = p.shape[0]
-
-    def key(i):
-        d = p[i, i]
-        return (d.real, d.imag)
-
-    swapped = True
-    while swapped:
-        swapped = False
-        for i in range(k - 1):
-            if key(i + 1) < key(i):
-                _swap_schur_block(p, q, i)
-                swapped = True
+    for i in range(k - 1):
+        d = np.diag(p)[i:]
+        # lexsort is stable: ties keep their current order
+        j = i + int(np.lexsort((d.imag, d.real))[0])
+        if j != i:
+            p, q, info = ztrexc(p, q, j + 1, i + 1, overwrite_a=1, overwrite_q=1)
+            if info != 0:
+                raise NumericalFailureError(f"Schur reordering failed (ztrexc info {info})")
 
     scale = np.linalg.norm(np.asarray(m, dtype=complex))
     unitary_defect = np.linalg.norm(q.conj().T @ q - np.eye(k))

@@ -263,7 +263,7 @@ def test_interpolation_extraction_roundtrip():
         zs = extract_zero_set(gm)
         worst_dist = max(worst_dist, match_as_multisets(zs.points.real, pts))
         worst_dist = max(worst_dist, float(np.abs(zs.points.imag).max()))
-        worst_comm = max(worst_comm, commutator_residual(gm).total)
+        worst_comm = max(worst_comm, commutator_residual(gm))
     elapsed = time.perf_counter() - t0
     ok = worst_dist <= 1e-8 and worst_comm <= 1e-10 and elapsed < 30.0
     report(

@@ -181,6 +181,20 @@ def test_cluster_needs_k_or_sstar(tmp_path, capsys, sample_csv):
     assert "either --k or --sstar" in capsys.readouterr().err
 
 
+def test_cluster_names_a_truth_label_with_no_samples(tmp_path, capsys):
+    # three clusters, but the truth column calls the middle one 2, so
+    # label 1 has no samples and no mean to align with
+    samples, truth = bounded_noise_sample(PointSet(THREE_POINTS), 0.1, 50, seed=3)
+    truth = np.where(truth == 1, 2, truth)
+    path = tmp_path / "skips_one.csv"
+    write_points(path, samples.samples, truth=truth)
+    assert main(["cluster", "--input", str(path), "--k", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "truth label 1 has no samples" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # no labels are written before the refusal
+
+
 def test_fit_best_effort_exit_three(tmp_path, capsys, sample_csv):
     samples_path, _ = sample_csv
     config = tmp_path / "tight.json"

@@ -301,6 +301,16 @@ def test_accuracy_rejects_oversized_alignment():
         clustering_accuracy(assignment, truth, pts, means)
 
 
+def test_accuracy_rejects_non_finite_means():
+    pts = PointSet(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]))
+    samples = SampleSet(pts.points.copy())
+    assignment = assign_labels(build_transformed_loss(pts), pts, samples)
+    means = pts.points.copy()
+    means[1] = np.nan  # the mean of a label with no samples
+    with pytest.raises(ValueError, match="finite"):
+        clustering_accuracy(assignment, np.array([0, 2, 2]), pts, means)
+
+
 def test_recover_point_set_end_to_end():
     rng = np.random.default_rng(8)
     pts = random_points(rng, 4, 2, min_gap=1.0)

@@ -6,6 +6,7 @@ from setloss.generating_system import (
     GeneratingMatrix,
     PointSet,
     commutator_residual,
+    commutators,
     evaluate_generators,
     generator_strings,
     generator_terms,
@@ -191,8 +192,7 @@ def test_unbalanced_complex_set_is_rejected():
 def test_multiplication_matrix_columns():
     # columns are unit vectors inside the basis and matrix columns outside
     gm = solve_generating_matrix(PointSet(SET_C))
-    mats = multiplication_matrices(gm)
-    m1, m2 = mats.mats
+    m1, m2 = multiplication_matrices(gm)
     # x1 * 1 = x1 and x1 * x1 = x1^2 stay inside the basis
     np.testing.assert_allclose(m1[:, 0], [0, 1, 0, 0], atol=0)
     np.testing.assert_allclose(m1[:, 1], [0, 0, 0, 1], atol=0)
@@ -229,8 +229,8 @@ def test_multiplication_matrices_match_monomial_loop():
             b0 = standard_monomials(n, k)
             b1 = border_monomials(b0)
             gm = GeneratingMatrix(b0, b1, rng.standard_normal((k, len(b1))))
-            mats = multiplication_matrices(gm).mats
-            assert not mats[0].flags.writeable
+            mats = multiplication_matrices(gm)
+            assert mats.shape == (n, k, k) and not mats.flags.writeable
             for got, want in zip(mats, _loop_multiplication_matrices(gm), strict=True):
                 np.testing.assert_array_equal(got, want)
 
@@ -257,7 +257,7 @@ def test_basis_vector_is_left_eigenvector():
         n = int(rng.integers(1, 4))
         pts = PointSet(random_points(rng, k, n))
         gm = solve_generating_matrix(pts)
-        mats = multiplication_matrices(gm).mats
+        mats = multiplication_matrices(gm)
         for u in pts.points:
             v = evaluate_monomials(u, gm.basis)
             for i in range(n):
@@ -272,18 +272,29 @@ def test_commutators_vanish_for_interpolated_sets():
         k = int(rng.integers(2, 8))
         n = int(rng.integers(2, 4))
         gm = solve_generating_matrix(PointSet(random_points(rng, k, n)))
-        res = commutator_residual(gm)
-        assert res.total <= 1e-9 * (1 + gm.frobenius_norm())
-        assert len(res.pairs) == n * (n - 1) // 2
+        assert commutator_residual(gm) <= 1e-9 * (1 + gm.frobenius_norm())
 
 
-def test_combine_weights():
-    gm = solve_generating_matrix(PointSet(SET_B))
-    mats = multiplication_matrices(gm)
-    w = np.array([0.3, -0.7])
-    np.testing.assert_allclose(
-        mats.combine(w), 0.3 * mats.mats[0] - 0.7 * mats.mats[1], atol=0
-    )
+def test_commutators_match_pairwise_products():
+    # one (i, j) pair at a time, i < j, the order the fit's residuals use
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3, 4):
+        k = 7
+        b0 = standard_monomials(n, k)
+        b1 = border_monomials(b0)
+        gm = GeneratingMatrix(b0, b1, rng.standard_normal((k, len(b1))))
+        mats = multiplication_matrices(gm)
+        got = commutators(mats)
+        want = [
+            mats[i] @ mats[j] - mats[j] @ mats[i]
+            for i in range(n)
+            for j in range(i + 1, n)
+        ]
+        assert got.shape == (n * (n - 1) // 2, k, k)
+        for c, w in zip(got, want, strict=True):
+            np.testing.assert_array_equal(c, w)
+        total = np.sqrt(sum(float(np.sum(w * w)) for w in want))
+        assert commutator_residual(gm) == pytest.approx(total, rel=1e-14)
 
 
 def test_strings_agree_with_term_maps():

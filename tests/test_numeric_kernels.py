@@ -128,19 +128,24 @@ def test_schur_factors_are_consistent():
 
 def test_schur_diagonal_sorted_by_real_then_imaginary():
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        n = int(rng.integers(2, 8))
+    sizes = [int(n) for n in rng.integers(2, 8, size=20)] + [12, 20, 28, 35]
+    for n in sizes:
         m = rng.standard_normal((n, n))
-        diag = np.diag(complex_schur(m).p)
-        keys = [(v.real, v.imag) for v in diag]
+        dec = complex_schur(m)
+        keys = [(v.real, v.imag) for v in dec.eigenvalues]
         assert keys == sorted(keys)
+        # the reordered factors are still a Schur form of m
+        np.testing.assert_allclose(dec.q.conj().T @ dec.q, np.eye(n), atol=1e-12)
+        np.testing.assert_array_equal(np.tril(dec.p, -1), 0)
+        np.testing.assert_allclose(dec.q @ dec.p @ dec.q.conj().T, m, atol=1e-12 * n)
+        assert eigenvalue_mismatch(dec.eigenvalues, np.linalg.eigvals(m)) < 1e-10 * n
 
 
 def test_schur_multiplication_matrix_spectrum():
     # eigenvalues of the first coordinate matrix are the first coordinates
     pts = PointSet(np.array([[2.0, 1.0], [-1.0, 0.5], [-2.0, 3.0]]))
     gm = solve_generating_matrix(pts)
-    m1 = multiplication_matrices(gm).mats[0]
+    m1 = multiplication_matrices(gm)[0]
     dec = complex_schur(m1)
     np.testing.assert_allclose(
         np.sort(dec.eigenvalues.real), [-2.0, -1.0, 2.0], atol=1e-10
