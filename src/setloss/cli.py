@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -153,7 +154,9 @@ def _load_fit_options(args) -> FitOptions:
 
 
 def _write_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    # one line: without ``indent`` json runs its C encoder, several times
+    # faster than the pure-Python one on a build payload
+    text = json.dumps(payload) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -256,6 +259,20 @@ def cmd_fit(args) -> int:
 # -- cluster ---------------------------------------------------------------
 
 
+def _check_truth(truth, k: int) -> None:
+    """Refuse a truth column that cannot be aligned with k recovered points.
+
+    Runs before any output, so a usage error leaves none behind.
+    """
+    if truth is None:
+        return
+    if truth.max() >= k:
+        raise _UsageError("truth labels exceed the recovered set size")
+    empty = np.setdiff1d(np.arange(k), truth)
+    if empty.size:
+        raise _UsageError(f"truth label {int(empty[0])} has no samples")
+
+
 def cmd_cluster(args) -> int:
     truth_mode = {None: "auto", True: "yes", False: "no"}[args.truth_column]
     coords, truth = _parse_points(args.input, allow_truth=True, truth_mode=truth_mode)
@@ -295,8 +312,11 @@ def cmd_cluster(args) -> int:
             loss = GeneratingLoss(solve_generating_matrix(recovered))
         else:
             loss = build_transformed_loss(recovered)
+        _check_truth(truth, recovered.k)
     elif args.k is not None:
         opts = _load_fit_options(args)
+        # --k fixes the set size, so a bad truth column costs no fit
+        _check_truth(truth, args.k)
         result = recover_point_set(
             samples,
             args.k,
@@ -308,14 +328,6 @@ def cmd_cluster(args) -> int:
         fit_converged = result.fit.converged
     else:
         raise _UsageError("cluster needs either --k or --sstar")
-
-    if truth is not None:
-        # checked before any output, so a usage error leaves none behind
-        if truth.max() >= recovered.k:
-            raise _UsageError("truth labels exceed the recovered set size")
-        empty = np.setdiff1d(np.arange(recovered.k), truth)
-        if empty.size:
-            raise _UsageError(f"truth label {int(empty[0])} has no samples")
 
     assignment = assign_labels(loss, recovered, samples)
     header = ["label", "converged", "iterations"] + [
@@ -494,7 +506,13 @@ def cmd_bench(args) -> int:
 # -- wiring ------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process.
+
+    Each ``parse_args`` call fills a fresh namespace, so reusing the
+    parser carries nothing from one ``main`` call to the next.
+    """
     parser = _Parser(prog="setloss", description=__doc__.splitlines()[0])
     parser.add_argument(
         "--threads",

@@ -20,6 +20,7 @@ from .errors import InvalidStateError, NumericalFailureError
 from .generating_system import (
     GeneratingMatrix,
     PointSet,
+    _index_pairs,
     coincident_pairs,
     commutator_residual,
     multiplication_matrices,
@@ -167,7 +168,8 @@ def extract_zero_set(gm: GeneratingMatrix, seed: int = 0) -> ZeroSet:
         xi /= np.linalg.norm(xi)
         schur = complex_schur((xi[:, None, None] * mats).sum(axis=0))
         eigs = schur.eigenvalues
-        gaps = np.abs(eigs[:, None] - eigs[None, :])[np.triu_indices(k, 1)]
+        first, second = _index_pairs(k)
+        gaps = np.abs(eigs[first] - eigs[second])
         if k < 2 or gaps.min() >= MIN_GAP_FACTOR * gaps.max():
             break
     else:

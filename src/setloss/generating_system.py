@@ -15,6 +15,7 @@ joint eigenvalues are the points.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -26,6 +27,7 @@ from .monomial_basis import (
     basis_jacobian,
     border_monomials,
     evaluate_monomials,
+    grlex_key,
     monomial_matrix,
     standard_monomials,
 )
@@ -144,10 +146,6 @@ class GeneratingMatrix:
     @property
     def k(self) -> int:
         return len(self.basis)
-
-    @property
-    def border_size(self) -> int:
-        return len(self.border)
 
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.entries))
@@ -296,8 +294,8 @@ def multiplication_matrices(gm: GeneratingMatrix) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # np.triu_indices costs several times a small commutator stack, and
-    # the fit asks for one stack per trial step
+    # np.triu_indices costs several times a small commutator stack; the
+    # fit asks for one stack per trial step, extraction one gap test per draw
     pairs = np.triu_indices(n, k=1)
     for arr in pairs:
         arr.flags.writeable = False
@@ -346,34 +344,46 @@ def _monomial_str(exps: tuple[int, ...]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _coeff_str(c: float) -> str:
-    return f"{c:.12g}"
+def _basis_terms(column, monos):
+    """(sign, body) of each nonzero term -g x^b of one generator, in order."""
+    for g, mono in zip(column, monos):
+        if g == 0.0:
+            continue
+        mag = abs(g)
+        if mono == "1":
+            body = f"{mag:.12g}"
+        elif mag == 1.0:
+            body = mono
+        else:
+            body = f"{mag:.12g}*{mono}"
+        yield ("-" if g > 0 else "+"), body
 
 
 def generator_strings(gm: GeneratingMatrix) -> list[str]:
-    """Human-readable rendering of each generator polynomial."""
-    from .monomial_basis import grlex_key
+    """Human-readable rendering of each generator polynomial.
 
+    Terms run in descending grlex order with zero coefficients left out;
+    magnitudes print to 12 significant digits, and a unit magnitude is
+    left out except on the constant monomial.  The basis is ordered and
+    its monomials formatted once per matrix; each generator then reads
+    its column of ``entries`` and places its border monomial by the same
+    grlex key.
+    """
+    keys = [grlex_key(b.exponents) for b in gm.basis]
+    order = sorted(range(gm.k), key=keys.__getitem__, reverse=True)
+    ascending = [keys[i] for i in reversed(order)]
+    monos = [_monomial_str(gm.basis[i].exponents) for i in order]
     out = []
-    for terms in generator_terms(gm):
-        ordered = sorted(
-            ((e, c) for e, c in terms.items() if c != 0.0),
-            key=lambda item: grlex_key(item[0]),
-            reverse=True,
+    for alpha, column in zip(gm.border, gm.entries[order].T.tolist()):
+        # the border term follows every basis term with a larger key
+        at = len(ascending) - bisect_right(ascending, grlex_key(alpha.exponents))
+        terms = [
+            *_basis_terms(column[:at], monos[:at]),
+            ("+", _monomial_str(alpha.exponents)),
+            *_basis_terms(column[at:], monos[at:]),
+        ]
+        (sign, body), rest = terms[0], terms[1:]
+        out.append(
+            (body if sign == "+" else f"-{body}") + "".join(f" {s} {b}" for s, b in rest)
         )
-        pieces = []
-        for e, c in ordered:
-            mono = _monomial_str(e)
-            mag = abs(c)
-            if mono == "1":
-                body = _coeff_str(mag)
-            elif mag == 1.0:
-                body = mono
-            else:
-                body = f"{_coeff_str(mag)}*{mono}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        out.append(" ".join(pieces) if pieces else "0")
     return out

@@ -104,10 +104,6 @@ class ComplexSchurDecomposition:
     p: np.ndarray
 
     @property
-    def dim(self) -> int:
-        return self.q.shape[0]
-
-    @property
     def eigenvalues(self) -> np.ndarray:
         return np.diag(self.p)
 

@@ -98,3 +98,44 @@ def reference_describe(loss):
     terms += [zs[i] ** 2 * zs[j] ** 2 for i in range(len(zs)) for j in range(i + 1, len(zs))]
     total = sp.Add(*[sp.expand(t) for t in terms])
     return str(sp.factor(total)) if len(zs) == 1 else str(total)
+
+
+def reference_generator_strings(gm):
+    """Generator text rendered term by term from ``generator_terms``.
+
+    Sorts the nonzero terms of every generator by descending grlex key and
+    formats each monomial afresh: slow, but a direct reading of the
+    format, which ``generator_strings`` must reproduce byte for byte.
+    """
+    from setloss.generating_system import generator_terms
+    from setloss.monomial_basis import grlex_key
+
+    def monomial(exps):
+        parts = [
+            f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(exps) if e != 0
+        ]
+        return "*".join(parts) if parts else "1"
+
+    out = []
+    for terms in generator_terms(gm):
+        ordered = sorted(
+            ((e, c) for e, c in terms.items() if c != 0.0),
+            key=lambda item: grlex_key(item[0]),
+            reverse=True,
+        )
+        pieces = []
+        for e, c in ordered:
+            mono = monomial(e)
+            mag = abs(c)
+            if mono == "1":
+                body = f"{mag:.12g}"
+            elif mag == 1.0:
+                body = mono
+            else:
+                body = f"{mag:.12g}*{mono}"
+            if not pieces:
+                pieces.append(body if c > 0 else f"-{body}")
+            else:
+                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+        out.append(" ".join(pieces) if pieces else "0")
+    return out

@@ -28,3 +28,28 @@ def test_every_traced_binding_resolves():
         if owner is None or not callable(getattr(owner, attr, None))
     ]
     assert missing == []
+
+
+def test_one_build_calls_every_traced_cli_binding(tmp_path, monkeypatch):
+    # a build that stopped calling a traced name would leave its layer
+    # reading 0 in every trace, so each must run exactly once per build
+    import setloss.cli as cli
+
+    names = sorted({attr for owner, attr, *_ in _load_layers().WRAPS if owner is cli})
+    assert "main" in names and len(names) > 1
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    inp = tmp_path / "points.csv"
+    inp.write_text("2.0,-1.0\n-1.0,3.0\n-2.0,-2.0\n0.5,0.25\n")
+    out = tmp_path / "system.json"
+    assert cli.main(["build", "--input", str(inp), "--output", str(out)]) == 0
+    assert calls == dict.fromkeys(names, 1)

@@ -10,6 +10,8 @@ from setloss.clustering import bounded_noise_sample, gmm_sample, random_gmm_spec
 from setloss.errors import NumericalFailureError
 from setloss.generating_system import PointSet
 
+from helpers import random_points
+
 BENCH_SET = np.array(
     [[1.0, 1.0], [3.0, 2.0], [1.5, 2.5], [2.5, 3.0], [2.0, 1.5], [3.0, 1.0]]
 )
@@ -77,6 +79,29 @@ def test_build_golden_output(tmp_path, capsys):
     assert len(payload["generators"]) == 3
     assert payload["closed_form"] is not None
     assert payload["loss"]["kind"] == "affine"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_build_writes_one_line_of_the_same_json(tmp_path, monkeypatch, n):
+    # compact output changes only whitespace: the file reads back to what
+    # the indented rendering of the same payload reads back to
+    written = []
+    write = cli._write_json
+
+    def keep(payload, path):
+        written.append(payload)
+        write(payload, path)
+
+    monkeypatch.setattr(cli, "_write_json", keep)
+    rng = np.random.default_rng(60 + n)
+    inp, out = tmp_path / "pts.csv", tmp_path / "build.json"
+    for k in range(2, 36):
+        write_points(inp, random_points(rng, k, n))
+        assert main(["build", "--input", str(inp), "--output", str(out)]) == 0
+        text = out.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1, (n, k)
+        indented = json.dumps(written[-1], indent=2) + "\n"
+        assert json.loads(text) == json.loads(indented), (n, k)
 
 
 def test_build_to_stdout(tmp_path, capsys):
@@ -193,6 +218,65 @@ def test_cluster_names_a_truth_label_with_no_samples(tmp_path, capsys):
     assert "truth label 1 has no samples" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""  # no labels are written before the refusal
+
+
+@pytest.mark.parametrize(
+    "relabel, message",
+    [(3, "truth labels exceed the recovered set size"), (2, "truth label 1 has no samples")],
+)
+def test_cluster_checks_truth_before_fitting(tmp_path, capsys, monkeypatch, relabel, message):
+    # with --k the truth column is checked against --k, before any fit
+    samples, truth = bounded_noise_sample(PointSet(THREE_POINTS), 0.1, 50, seed=3)
+    truth = np.where(truth == 1, relabel, truth)
+    path = tmp_path / "bad_truth.csv"
+    write_points(path, samples.samples, truth=truth)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("recover_point_set ran before the truth check")
+
+    monkeypatch.setattr(cli, "recover_point_set", no_fit)
+    assert main(["cluster", "--input", str(path), "--k", "3"]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_parser_is_reused_without_leaking_arguments(capsys, monkeypatch, sample_csv):
+    # the parser is built once per process; each call must still see only
+    # its own arguments
+    samples_path, truth_path = sample_csv
+    assert cli._build_parser() is cli._build_parser()
+    seen = []
+    parse = cli._parse_points
+
+    def spy_parse(path, allow_truth, truth_mode="auto"):
+        seen.append(truth_mode)
+        return parse(path, allow_truth, truth_mode)
+
+    def stop_before_fit(args):
+        seen.append((args.command, args.seed, args.config, getattr(args, "complex_points", None)))
+        raise cli._UsageError("stopped before the fit")
+
+    monkeypatch.setattr(cli, "_parse_points", spy_parse)
+    monkeypatch.setattr(cli, "_load_fit_options", stop_before_fit)
+    fit = ["fit", "--input", str(samples_path), "--k", "6"]
+    cluster = ["cluster", "--input", str(truth_path), "--k", "6"]
+    for argv in (
+        [*fit, "--seed", "3", "--complex", "--config", "c.json"],
+        fit,
+        [*cluster, "--no-truth-column", "--seed", "4"],
+        cluster,
+        [*cluster, "--truth-column"],
+    ):
+        assert main(argv) == 1
+    assert "stopped before the fit" in capsys.readouterr().err
+    assert seen == [
+        "auto", ("fit", 3, "c.json", True),
+        "auto", ("fit", None, None, False),
+        "no", ("cluster", 4, None, None),
+        "auto", ("cluster", None, None, None),
+        "yes", ("cluster", None, None, None),
+    ]
 
 
 def test_fit_best_effort_exit_three(tmp_path, capsys, sample_csv):

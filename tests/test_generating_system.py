@@ -23,7 +23,7 @@ from setloss.monomial_basis import (
     standard_monomials,
 )
 
-from helpers import fd_jacobian, product_loss, random_points
+from helpers import fd_jacobian, product_loss, random_points, reference_generator_strings
 
 # worked interpolation problems with exact rational solutions
 SET_A = np.array([[2.0, 1.0, 3.0], [-1.0, -2.0, 4.0]])
@@ -309,6 +309,45 @@ def test_strings_agree_with_term_maps():
         diff = sympy.expand(parsed - rebuilt)
         bound = max(abs(c) for c in diff.as_coefficients_dict().values())
         assert bound <= 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_strings_match_the_reference_renderer(n):
+    rng = np.random.default_rng(40 + n)
+    for k in range(2, 36):
+        gm = solve_generating_matrix(PointSet(random_points(rng, k, n)))
+        want = reference_generator_strings(gm)
+        assert generator_strings(gm) == want, (n, k)
+        # the same system with its basis rows in another order reads the same
+        perm = rng.permutation(k)
+        shuffled = GeneratingMatrix(
+            basis=MonomialBasis(n=n, members=tuple(gm.basis[i] for i in perm)),
+            border=gm.border,
+            entries=gm.entries[perm],
+        )
+        assert generator_strings(shuffled) == want, (n, k)
+
+
+def test_strings_place_every_term_by_its_key():
+    # a basis that skips x1*x2 and x1^2, and a border holding them and the
+    # constant: border terms land before, between and after basis terms,
+    # and the entries hit the zero, signed-zero and unit-magnitude cases
+    basis = MonomialBasis.from_json(
+        {"n": 2, "members": [[0, 1], [1, 0], [0, 2], [2, 1], [0, 3], [1, 2]]}
+    )
+    border = MonomialBasis.from_json({"n": 2, "members": [[1, 1], [0, 0], [2, 0], [3, 1]]})
+    rng = np.random.default_rng(8)
+    values = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -1e-13, 1 / 3, -7.0])
+    for _ in range(50):
+        entries = rng.choice(values, size=(len(basis), len(border)))
+        entries[:, rng.integers(len(border))] = 0.0  # a generator that is a bare monomial
+        for perm in (np.arange(len(basis)), rng.permutation(len(basis))):
+            gm = GeneratingMatrix(
+                basis=MonomialBasis(n=2, members=tuple(basis[i] for i in perm)),
+                border=border,
+                entries=entries[perm],
+            )
+            assert generator_strings(gm) == reference_generator_strings(gm)
 
 
 def test_json_roundtrip():
