@@ -52,11 +52,9 @@ from .loss_functions import (
     simplicial_loss,
 )
 from .monomial_basis import (
-    ExponentVector,
     MonomialBasis,
     border_monomials,
     evaluate_monomials,
-    grlex_compare,
     grlex_key,
     monomial_lift,
     monomial_matrix,
@@ -68,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClusterAssignment",
     "DegenerateConfigurationError",
-    "ExponentVector",
     "FitOptions",
     "FitResult",
     "GeneratingLoss",
@@ -99,7 +96,6 @@ __all__ = [
     "generator_strings",
     "generator_terms",
     "gmm_sample",
-    "grlex_compare",
     "grlex_key",
     "minimize_from",
     "monomial_lift",

@@ -27,6 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
+try:  # optional: without it --threads cannot cap the BLAS pools
+    from threadpoolctl import threadpool_limits
+except ImportError:
+    threadpool_limits = None
+
 from .clustering import (
     assign_labels,
     bounded_noise_sample,
@@ -598,17 +603,13 @@ def main(argv=None) -> int:
 
     limiter = None
     threads = 1 if args.threads is None else args.threads
-    if threads >= 1:
-        try:
-            from threadpoolctl import threadpool_limits
-
-            limiter = threadpool_limits(limits=threads)
-        except ImportError:
-            if args.threads is not None:
-                print(
-                    "warning: threadpoolctl is not installed; --threads applied no BLAS limit",
-                    file=sys.stderr,
-                )
+    if threads >= 1 and threadpool_limits is not None:
+        limiter = threadpool_limits(limits=threads)
+    elif threads >= 1 and args.threads is not None:
+        print(
+            "warning: threadpoolctl is not installed; --threads applied no BLAS limit",
+            file=sys.stderr,
+        )
     try:
         return args.func(args)
     except _UsageError as exc:

@@ -31,20 +31,14 @@ multiplication matrices, commutators and theta of its trial evaluation.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateConfigurationError
-from .generating_system import GeneratingMatrix, commutators, shift_table
-from .monomial_basis import (
-    MonomialBasis,
-    border_monomials,
-    monomial_matrix,
-    standard_monomials,
-)
+from .generating_system import GeneratingMatrix, _index_pairs, commutators, shift_table
+from .monomial_basis import border_monomials, monomial_matrix, standard_monomials
 from .numeric_kernels import min_eigenvalue_sym
 
 __all__ = [
@@ -218,8 +212,8 @@ class PenaltyModel:
         # lift[i] the (m, k) one-hot map from g columns to M_i columns
         self.lift = np.zeros((self.n, self.m, self.k))
         self.lift[self.shifts.var, self.shifts.border, self.shifts.col] = 1.0
-        # the index pairs i < j in (0, 1), (0, 2), ..., (1, 2), ... order
-        self._first, self._second = np.triu_indices(self.n, k=1)
+        # the index pairs i < j in the order of commutators()
+        self._first, self._second = _index_pairs(self.n)
         self._lift_first = np.nonzero(self.lift[self._first])
         self._lift_second = np.nonzero(self.lift[self._second])
         self.ata = (self.a.T @ self.a) / samples.size

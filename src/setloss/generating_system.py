@@ -159,8 +159,8 @@ class GeneratingMatrix:
         return {
             "n": self.n,
             "k": self.k,
-            "b0": [list(m.exponents) for m in self.basis],
-            "b1": [list(m.exponents) for m in self.border],
+            "b0": self.basis.powers.tolist(),
+            "b1": self.border.powers.tolist(),
             "g": [float(v) for v in self.entries.reshape(-1)],
         }
 
@@ -327,9 +327,9 @@ def generator_terms(gm: GeneratingMatrix) -> list[dict[tuple[int, ...], float]]:
     """
     out = []
     for j, alpha in enumerate(gm.border):
-        terms = {alpha.exponents: 1.0}
+        terms = {alpha: 1.0}
         for i, beta in enumerate(gm.basis):
-            terms[beta.exponents] = -float(gm.entries[i, j])
+            terms[beta] = -float(gm.entries[i, j])
         out.append(terms)
     return out
 
@@ -369,17 +369,17 @@ def generator_strings(gm: GeneratingMatrix) -> list[str]:
     its column of ``entries`` and places its border monomial by the same
     grlex key.
     """
-    keys = [grlex_key(b.exponents) for b in gm.basis]
+    keys = [grlex_key(b) for b in gm.basis]
     order = sorted(range(gm.k), key=keys.__getitem__, reverse=True)
     ascending = [keys[i] for i in reversed(order)]
-    monos = [_monomial_str(gm.basis[i].exponents) for i in order]
+    monos = [_monomial_str(gm.basis[i]) for i in order]
     out = []
     for alpha, column in zip(gm.border, gm.entries[order].T.tolist()):
         # the border term follows every basis term with a larger key
-        at = len(ascending) - bisect_right(ascending, grlex_key(alpha.exponents))
+        at = len(ascending) - bisect_right(ascending, grlex_key(alpha))
         terms = [
             *_basis_terms(column[:at], monos[:at]),
-            ("+", _monomial_str(alpha.exponents)),
+            ("+", _monomial_str(alpha)),
             *_basis_terms(column[at:], monos[at:]),
         ]
         (sign, body), rest = terms[0], terms[1:]

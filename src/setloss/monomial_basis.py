@@ -15,19 +15,16 @@ multiplication with a variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import InvalidStateError
 
 __all__ = [
-    "ExponentVector",
     "MonomialBasis",
     "grlex_key",
-    "grlex_compare",
     "standard_monomials",
     "border_monomials",
     "evaluate_monomials",
@@ -37,110 +34,52 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExponentVector:
-    """Exponent vector of a monomial in n variables."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
-        if any(e < 0 for e in exps):
-            raise ValueError(f"exponents must be nonnegative, got {exps}")
-        object.__setattr__(self, "exponents", exps)
-
-    @cached_property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    @property
-    def n(self) -> int:
-        return len(self.exponents)
-
-    def shifted(self, i: int) -> "ExponentVector":
-        """Exponent vector of x_i times this monomial (i is 0-based)."""
-        e = list(self.exponents)
-        e[i] += 1
-        return ExponentVector(tuple(e))
-
-    def __len__(self) -> int:
-        return len(self.exponents)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.exponents)
-
-    def __getitem__(self, i: int) -> int:
-        return self.exponents[i]
-
-    def __repr__(self) -> str:
-        return f"ExponentVector{self.exponents}"
-
-
-def _as_exponents(alpha) -> tuple[int, ...]:
-    if isinstance(alpha, ExponentVector):
-        return alpha.exponents
-    return tuple(int(e) for e in alpha)
-
-
 def grlex_key(alpha):
     """Sort key realizing the graded lexicographic enumeration order."""
-    exps = _as_exponents(alpha)
+    exps = tuple(int(e) for e in alpha)
     return (sum(exps), tuple(-e for e in exps))
 
 
-def grlex_compare(a, b) -> int:
-    """Three-way comparison; -1 means a is enumerated before b.
-
-    Raises ValueError when the two vectors live in different dimensions.
-    """
-    ea, eb = _as_exponents(a), _as_exponents(b)
-    if len(ea) != len(eb):
-        raise ValueError(f"dimension mismatch: {len(ea)} vs {len(eb)}")
-    ka, kb = grlex_key(ea), grlex_key(eb)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonomialBasis:
-    """An ordered list of distinct monomials in a fixed dimension."""
+    """An ordered list of distinct monomials in n variables.
+
+    The members are the rows of ``powers``, a read-only int64 array of
+    shape (m, n).  Iterating over a basis or indexing it yields plain
+    exponent tuples.
+    """
 
     n: int
-    members: tuple[ExponentVector, ...]
+    powers: np.ndarray
 
     def __post_init__(self):
-        members = tuple(
-            m if isinstance(m, ExponentVector) else ExponentVector(tuple(m))
-            for m in self.members
-        )
-        object.__setattr__(self, "members", members)
         if self.n < 1:
             raise ValueError(f"dimension must be positive, got {self.n}")
-        for m in members:
-            if m.n != self.n:
-                raise ValueError(f"member {m} does not live in {self.n} variables")
-        if len({m.exponents for m in members}) != len(members):
+        arr = np.array(self.powers, dtype=np.int64)
+        if arr.shape == (0,):
+            arr = arr.reshape(0, self.n)
+        if arr.ndim != 2 or arr.shape[1] != self.n:
+            raise ValueError(f"members must be exponent vectors in {self.n} variables")
+        if (arr < 0).any():
+            raise ValueError("exponents must be nonnegative")
+        arr.flags.writeable = False
+        object.__setattr__(self, "powers", arr)
+        if len(self._positions) != len(arr):
             raise ValueError("basis members must be distinct")
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MonomialBasis):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.powers, other.powers)
+
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.powers)
 
-    def __iter__(self) -> Iterator[ExponentVector]:
-        return iter(self.members)
+    def __iter__(self):
+        return iter(self._positions)
 
-    def __getitem__(self, i: int) -> ExponentVector:
-        return self.members[i]
-
-    @cached_property
-    def powers(self) -> np.ndarray:
-        """Member exponents stacked as an integer array of shape (m, n)."""
-        arr = np.array([m.exponents for m in self.members], dtype=np.int64)
-        arr = arr.reshape(len(self.members), self.n)
-        arr.flags.writeable = False
-        return arr
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        return tuple(self.powers[i].tolist())
 
     @cached_property
     def _lowered_powers(self) -> np.ndarray:
@@ -157,31 +96,28 @@ class MonomialBasis:
 
     @cached_property
     def _positions(self) -> dict[tuple[int, ...], int]:
-        return {m.exponents: i for i, m in enumerate(self.members)}
+        return {tuple(m): i for i, m in enumerate(self.powers.tolist())}
 
     def position(self, alpha) -> int:
         """Index of a monomial in this basis; ValueError when absent."""
-        key = _as_exponents(alpha)
+        key = tuple(int(e) for e in alpha)
         try:
             return self._positions[key]
         except KeyError:
             raise ValueError(f"monomial {key} is not a member") from None
 
     def __contains__(self, alpha) -> bool:
-        return _as_exponents(alpha) in self._positions
+        return tuple(int(e) for e in alpha) in self._positions
 
     def to_json(self) -> dict:
-        return {"n": self.n, "members": [list(m.exponents) for m in self.members]}
+        return {"n": self.n, "members": self.powers.tolist()}
 
     @classmethod
     def from_json(cls, payload: dict) -> "MonomialBasis":
-        return cls(
-            n=int(payload["n"]),
-            members=tuple(ExponentVector(tuple(m)) for m in payload["members"]),
-        )
+        return cls(n=int(payload["n"]), powers=payload["members"])
 
 
-def _degree_level(n: int, d: int) -> Iterator[tuple[int, ...]]:
+def _degree_level(n: int, d: int):
     # enumerate all exponent vectors of total degree d, first variable heaviest
     if n == 1:
         yield (d,)
@@ -191,24 +127,26 @@ def _degree_level(n: int, d: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
+@cache
 def standard_monomials(n: int, k: int) -> MonomialBasis:
     """First k monomials of NN^n in graded lexicographic order.
 
     The result is divisor closed: every divisor of a member is an earlier
     member, because a proper divisor has strictly smaller degree and all
-    complete degree levels below the last one are included.
+    complete degree levels below the last one are included.  Bases are
+    immutable, so one object per (n, k) serves every caller.
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    out: list[ExponentVector] = []
+    out: list[tuple[int, ...]] = []
     d = 0
     while len(out) < k:
         for exps in _degree_level(n, d):
-            out.append(ExponentVector(exps))
+            out.append(exps)
             if len(out) == k:
                 break
         d += 1
-    return MonomialBasis(n=n, members=tuple(out))
+    return MonomialBasis(n=n, powers=out)
 
 
 def border_monomials(basis: MonomialBasis) -> MonomialBasis:
@@ -217,14 +155,10 @@ def border_monomials(basis: MonomialBasis) -> MonomialBasis:
     Computes the union of x_i * basis over all variables, minus the basis
     itself, sorted in graded lexicographic order.
     """
-    inside = {m.exponents for m in basis.members}
-    out = {
-        m.shifted(i).exponents
-        for m in basis.members
-        for i in range(basis.n)
-    } - inside
-    members = tuple(ExponentVector(e) for e in sorted(out, key=grlex_key))
-    return MonomialBasis(n=basis.n, members=members)
+    shifted = basis.powers[:, None, :] + np.eye(basis.n, dtype=np.int64)
+    out = {tuple(e) for e in shifted.reshape(-1, basis.n).tolist()}
+    out.difference_update(basis._positions)
+    return MonomialBasis(n=basis.n, powers=sorted(out, key=grlex_key))
 
 
 def _points(x, basis: MonomialBasis, batched: bool) -> np.ndarray:
@@ -272,7 +206,7 @@ def monomial_lift(x, basis: MonomialBasis) -> np.ndarray:
     drops that leading 1, giving a polynomial embedding of x into
     dimension m - 1.  A batch of points (N, n) gives one lift per row.
     """
-    if len(basis) == 0 or basis.members[0].degree != 0:
+    if len(basis) == 0 or any(basis[0]):
         raise InvalidStateError("basis must start with the constant monomial")
     if np.ndim(x) == 2:
         return monomial_matrix(x, basis)[:, 1:]

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from setloss.errors import InvalidStateError
 from setloss.monomial_basis import (
-    ExponentVector,
     MonomialBasis,
     basis_jacobian,
     border_monomials,
     evaluate_monomials,
-    grlex_compare,
     grlex_key,
     monomial_lift,
     monomial_matrix,
@@ -32,52 +30,17 @@ def brute_order(n, max_degree):
     return sorted(alphas, key=grlex_key)
 
 
-def test_exponent_vector_basics():
-    a = ExponentVector((2, 0, 1))
-    assert a.degree == 3
-    assert a.n == 3
-    assert len(a) == 3
-    assert list(a) == [2, 0, 1]
-    assert a[0] == 2
-    assert a.shifted(1) == ExponentVector((2, 1, 1))
-
-
-def test_exponent_vector_rejects_negative():
-    with pytest.raises(ValueError):
-        ExponentVector((1, -1))
-
-
 def test_order_two_variables():
     # first variable outranks the second at equal degree
-    first_six = [m.exponents for m in standard_monomials(2, 6)]
+    first_six = list(standard_monomials(2, 6))
     assert first_six == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 
 def test_order_matches_brute_force():
     for n in (1, 2, 3, 4):
         expected = brute_order(n, 3)
-        got = [m.exponents for m in standard_monomials(n, len(expected))]
+        got = list(standard_monomials(n, len(expected)))
         assert got == expected
-
-
-def test_compare_is_sign_of_key_difference():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        n = rng.integers(1, 5)
-        a = tuple(int(v) for v in rng.integers(0, 4, size=n))
-        b = tuple(int(v) for v in rng.integers(0, 4, size=n))
-        c = grlex_compare(a, b)
-        if grlex_key(a) < grlex_key(b):
-            assert c == -1
-        elif grlex_key(a) > grlex_key(b):
-            assert c == 1
-        else:
-            assert c == 0
-
-
-def test_compare_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        grlex_compare((1, 0), (1, 0, 0))
 
 
 @given(
@@ -91,19 +54,24 @@ def test_compare_rejects_dimension_mismatch():
 )
 def test_order_is_total_and_transitive(triple):
     a, b, c = (tuple(v) for v in triple)
-    assert grlex_compare(a, b) == -grlex_compare(b, a)
-    if grlex_compare(a, b) <= 0 and grlex_compare(b, c) <= 0:
-        assert grlex_compare(a, c) <= 0
+    ka, kb, kc = grlex_key(a), grlex_key(b), grlex_key(c)
+    # total: equal keys only for equal vectors
+    assert (ka == kb) == (a == b)
+    if ka <= kb and kb <= kc:
+        assert ka <= kc
     # degree dominates everything else
     if sum(a) < sum(b):
-        assert grlex_compare(a, b) == -1
+        assert ka < kb
+    # at equal degree the heavier first variable comes first
+    if sum(a) == sum(b) and a[0] > b[0]:
+        assert ka < kb
 
 
 def test_standard_monomials_always_divisor_closed():
     for n in (1, 2, 3):
         for k in range(1, 16):
             basis = standard_monomials(n, k)
-            members = {m.exponents for m in basis}
+            members = set(basis)
             for alpha in members:
                 for i in range(n):
                     if alpha[i] > 0:
@@ -124,17 +92,27 @@ def test_basis_position_and_contains():
 
 def test_basis_rejects_duplicates_and_keeps_order():
     with pytest.raises(ValueError):
-        MonomialBasis(2, (ExponentVector((0, 0)), ExponentVector((0, 0))))
+        MonomialBasis(2, ((0, 0), (0, 0)))
     # member order is preserved as given, not re-sorted
-    basis = MonomialBasis(2, (ExponentVector((1, 0)), ExponentVector((0, 0))))
+    basis = MonomialBasis(2, ((1, 0), (0, 0)))
     assert basis.position((1, 0)) == 0
+    assert basis[1] == (0, 0)
+
+
+def test_basis_rejects_negative_and_wrong_width():
+    with pytest.raises(ValueError, match="nonnegative"):
+        MonomialBasis(2, ((0, 0), (1, -1)))
+    for members in (((0, 0, 0),), ((1,),), ((0, 0), (1, 0, 0)), (1, 0)):
+        with pytest.raises(ValueError):
+            MonomialBasis(2, members)
+    assert len(MonomialBasis(2, ())) == 0
 
 
 def test_border_of_simplex_basis():
     # border of {1, x1, ..., xn} is every degree-2 monomial
     basis = standard_monomials(3, 4)
     border = border_monomials(basis)
-    assert [m.exponents for m in border] == [
+    assert list(border) == [
         (2, 0, 0),
         (1, 1, 0),
         (1, 0, 1),
@@ -151,12 +129,12 @@ def test_border_disjoint_sorted_and_covering():
         k = int(rng.integers(1, 12))
         basis = standard_monomials(n, k)
         border = border_monomials(basis)
-        inside = {m.exponents for m in basis}
-        edge = [m.exponents for m in border]
+        inside = set(basis)
+        edge = list(border)
         assert edge == sorted(set(edge), key=grlex_key)
         assert not inside.intersection(edge)
         shifts = {
-            m.shifted(i).exponents for m in basis for i in range(n)
+            m[:i] + (m[i] + 1,) + m[i + 1 :] for m in basis for i in range(n)
         } - inside
         assert shifts == set(edge)
 
@@ -229,9 +207,7 @@ def test_monomial_lift_drops_constant():
 
 
 def test_monomial_lift_requires_leading_constant():
-    shifted = MonomialBasis(
-        2, (ExponentVector((1, 0)), ExponentVector((0, 1)))
-    )
+    shifted = MonomialBasis(2, ((1, 0), (0, 1)))
     with pytest.raises(InvalidStateError):
         monomial_lift(np.ones(2), shifted)
 
@@ -240,3 +216,19 @@ def test_json_roundtrip():
     basis = standard_monomials(3, 8)
     again = MonomialBasis.from_json(basis.to_json())
     assert again == basis
+
+
+def test_standard_bases_are_shared_and_read_only():
+    basis = standard_monomials(3, 8)
+    assert standard_monomials(3, 8) is basis
+    assert standard_monomials(3, 7) is not basis
+    with pytest.raises(ValueError):
+        basis.powers[0, 0] = 5
+    assert basis[0] == (0, 0, 0)
+    payload = basis.to_json()
+    assert payload == {"n": 3, "members": [list(m) for m in basis]}
+    again = MonomialBasis.from_json(payload)
+    assert again == basis and again is not basis
+    assert not again.powers.flags.writeable
+    assert again != standard_monomials(3, 7)
+    assert again != MonomialBasis(4, np.zeros((1, 4), dtype=int))
