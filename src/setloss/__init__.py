@@ -16,6 +16,7 @@ from .clustering import (
     clustering_accuracy,
     gmm_sample,
     minimize_from,
+    nearest_point_assignment,
     random_gmm_spec,
     recover_point_set,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "bounded_noise_sample",
     "build_transformed_loss",
     "clustering_accuracy",
+    "nearest_point_assignment",
     "commutator_residual",
     "evaluate_generators",
     "evaluate_monomials",

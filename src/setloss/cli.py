@@ -37,6 +37,7 @@ from .clustering import (
     bounded_noise_sample,
     clustering_accuracy,
     gmm_sample,
+    nearest_point_assignment,
     random_gmm_spec,
     recover_point_set,
 )
@@ -364,6 +365,9 @@ def cmd_cluster(args) -> int:
             [samples.samples[truth == i].mean(axis=0) for i in range(recovered.k)]
         )
         summary["accuracy"] = clustering_accuracy(assignment, truth, recovered, means)
+        summary["nearest_point_accuracy"] = clustering_accuracy(
+            nearest_point_assignment(recovered, samples), truth, recovered, means
+        )
     print(json.dumps(summary))
     if not fit_converged:
         _emit_error(
@@ -461,7 +465,7 @@ def cmd_bench(args) -> int:
         }
 
     else:  # gmm
-        accs = []
+        accs, nearest_accs = [], []
         for trial in range(args.seeds):
             seed = _derived_seed(args.seed, trial)
             spec = random_gmm_spec(args.n, args.k, seed=seed, diagonal=args.diagonal)
@@ -473,14 +477,17 @@ def cmd_bench(args) -> int:
                     raise
                 # extraction failed or refused the zeros: no labels, scored
                 # as a failed trial
-                acc, converged = 0.0, False
+                acc, nearest_acc, converged = 0.0, 0.0, False
             else:
                 assignment = assign_labels(result.loss, result.recovered, samples)
                 acc = clustering_accuracy(assignment, truth, result.recovered, spec.means)
+                nearest = nearest_point_assignment(result.recovered, samples)
+                nearest_acc = clustering_accuracy(nearest, truth, result.recovered, spec.means)
                 converged = result.fit.converged
             all_converged &= converged
             rows.append([trial, acc, int(converged)])
             accs.append(acc)
+            nearest_accs.append(nearest_acc)
         header = ["seed", "accuracy", "converged"]
         summary = {
             "scenario": "gmm",
@@ -492,6 +499,7 @@ def cmd_bench(args) -> int:
             "median_accuracy": float(np.median(accs)),
             "min_accuracy": float(np.min(accs)),
             "max_accuracy": float(np.max(accs)),
+            "median_nearest_point_accuracy": float(np.median(nearest_accs)),
         }
 
     _write_csv(out_dir / "results.csv", header, rows)

@@ -22,6 +22,7 @@ from .extraction import ZeroSet, extract_zero_set, real_projection
 from .fitting import FitOptions, FitResult, SampleSet, fit_generating_matrix
 from .generating_system import PointSet, solve_generating_matrix
 from .loss_functions import GeneratingLoss, TransformedLoss, build_transformed_loss
+from .numeric_kernels import row_sum
 
 __all__ = [
     "MinimizeResult",
@@ -30,6 +31,7 @@ __all__ = [
     "GmmSpec",
     "minimize_from",
     "assign_labels",
+    "nearest_point_assignment",
     "clustering_accuracy",
     "recover_point_set",
     "bounded_noise_sample",
@@ -54,7 +56,7 @@ class MinimizeResult(NamedTuple):
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
-    return np.sqrt((v * v).sum(axis=-1))
+    return np.sqrt(row_sum(v * v))
 
 
 def minimize_from(
@@ -90,7 +92,9 @@ def minimize_from(
 
     A row's outcome does not depend on the other rows of its batch, to
     the last bit when the loss rounds each row the same way whatever the
-    batch (the losses in ``loss_functions`` do).
+    batch (the losses in ``loss_functions`` do).  The arrays a batched
+    loss returns are updated in place, so it must return new ones on
+    every call, as those losses do.
     """
     fun = loss.value_and_grad if hasattr(loss, "value_and_grad") else loss
     x = np.array(start, dtype=float)
@@ -106,7 +110,7 @@ def minimize_from(
 
         def evaluate(pts):
             values, grads = fun(pts)
-            return np.array(values, dtype=float), np.array(grads, dtype=float)
+            return np.asarray(values, dtype=float), np.asarray(grads, dtype=float)
 
     else:
         raise ValueError(f"expected a start vector or a (N, d) batch, got shape {x.shape}")
@@ -117,41 +121,63 @@ def minimize_from(
     converged = np.zeros(count, dtype=bool)
     grad_norm = np.empty(count)
     eye = np.eye(dim)
+    # Each row's inverse Hessian h starts as the identity, and every BFGS
+    # update adds terms that are symmetric to the last bit (s_a s_b is
+    # s_b s_a, and hy_a s_b + s_a hy_b is the same sum in the other
+    # order), so h stays exactly symmetric.  The state keeps its upper
+    # triangle, one entry per row of hp, (T, N): updating it runs numpy's
+    # loops over the N rows rather than over d entries at a time.  The
+    # full (N, d, d) h is unpacked for the matmuls.
+    upper_a, upper_b = np.triu_indices(dim)
+    packed = np.empty((dim, dim), dtype=np.intp)
+    packed[upper_a, upper_b] = packed[upper_b, upper_a] = np.arange(len(upper_a))
+    unpack = packed.reshape(-1)
+    eye_packed = eye[upper_a, upper_b]
 
-    def finish(mask, done_iterations, ok, norms):
-        picked = rows[mask]
-        out_x[picked] = x[mask]
-        iterations[picked] = done_iterations
-        converged[picked] = ok
-        grad_norm[picked] = norms[mask]
+    def finish(picked, done_iterations, ok, norms):
+        # picked indexes the state arrays; ok is a bool or per picked row
+        out = rows[picked]
+        out_x[out] = x.take(picked, axis=0)
+        iterations[out] = done_iterations
+        converged[out] = ok
+        grad_norm[out] = norms[picked]
 
-    # the state arrays hold only the rows still descending; rows maps them back
+    # The state arrays hold only the rows still descending, and rows maps
+    # them back.  Rows are picked by index with take, several times
+    # cheaper on these small arrays than a boolean or fancy index, and a
+    # finished row leaves the state the iteration it finishes.
     rows = np.arange(count)
     f, g = evaluate(x)
-    h = np.tile(eye, (count, 1, 1))
+    hp = np.repeat(eye_packed[:, None], count, axis=1)
     for it in range(max_iterations):
         gnorm = _norms(g)
         done = gnorm <= gradient_tol
-        if done.any():
-            finish(done, it, True, gnorm)
-            keep = ~done
-            rows, x, f, g, h, gnorm = rows[keep], x[keep], f[keep], g[keep], h[keep], gnorm[keep]
+        picked = done.nonzero()[0]
+        if picked.size:
+            finish(picked, it, True, gnorm)
+            keep = (~done).nonzero()[0]
+            rows, f, gnorm, hp = rows[keep], f[keep], gnorm[keep], hp.take(keep, axis=1)
+            x, g = x.take(keep, axis=0), g.take(keep, axis=0)
         if rows.size == 0:
             break
+        h = np.ascontiguousarray(hp[unpack].T).reshape(-1, dim, dim)
         d = -(h @ g[:, :, None])[:, :, 0]
-        slope = (d * g).sum(axis=-1)
-        restart = slope >= 0.0
-        if restart.any():
+        slope = row_sum(d * g)
+        restart = (slope >= 0.0).nonzero()[0]
+        if restart.size:
             # curvature model went bad; restart from steepest descent
+            gr = g.take(restart, axis=0)
             h[restart] = eye
-            d[restart] = -g[restart]
-            slope[restart] = -(g[restart] * g[restart]).sum(axis=-1)
+            hp[:, restart] = eye_packed[:, None]
+            d[restart] = -gr
+            slope[restart] = -row_sum(gr * gr)
         length = _norms(d)
         long = length > max_step
         if long.any():
-            shrink = max_step / length[long]
-            d[long] *= shrink[:, None]
-            slope[long] *= shrink
+            # a short row is scaled by exactly 1
+            shrink = np.divide(max_step, length, out=np.ones(rows.size), where=long)
+            d *= shrink[:, None]
+            slope *= shrink
         # Armijo backtracking: every row tries t = 1, 1/2, 1/4, ... and
         # only the rows still short of a decrease are re-evaluated
         x_new = x + d
@@ -160,52 +186,68 @@ def minimize_from(
         if max_step < np.inf:
             # a passing step the curvature condition calls too short also
             # tries the full cap length
-            steep = (g_new * d).sum(axis=-1) < 0.9 * slope
+            steep = row_sum(g_new * d) < 0.9 * slope
             grow = (passed & steep & (length < max_step)).nonzero()[0]
             if grow.size:
                 t_cap = max_step / length[grow]
-                cand = x[grow] + t_cap[:, None] * d[grow]
+                cand = x.take(grow, axis=0) + t_cap[:, None] * d.take(grow, axis=0)
                 fc, gc = evaluate(cand)
                 ok = (fc <= f[grow] + 1e-4 * t_cap * slope[grow]) & (fc < f_new[grow])
+                ok = ok.nonzero()[0]
                 took = grow[ok]
-                x_new[took], f_new[took], g_new[took] = cand[ok], fc[ok], gc[ok]
+                x_new[took], f_new[took], g_new[took] = (
+                    cand.take(ok, axis=0), fc[ok], gc.take(ok, axis=0)
+                )
         pending = (~passed).nonzero()[0]
         t = 1.0
         for _ in range(59):
             if pending.size == 0:
                 break
             t *= 0.5
-            cand = x[pending] + t * d[pending]
+            cand = x.take(pending, axis=0) + t * d.take(pending, axis=0)
             fc, gc = evaluate(cand)
             ok = fc <= f[pending] + 1e-4 * t * slope[pending]
-            took = pending[ok]
-            x_new[took], f_new[took], g_new[took] = cand[ok], fc[ok], gc[ok]
+            picked = ok.nonzero()[0]
+            took = pending[picked]
+            x_new[took], f_new[took], g_new[took] = (
+                cand.take(picked, axis=0), fc[picked], gc.take(picked, axis=0)
+            )
             pending = pending[~ok]
         if pending.size:
             # line search stalled; no usable decrease left
+            finish(pending, it + 1, False, gnorm)
             stalled = np.zeros(rows.size, dtype=bool)
             stalled[pending] = True
-            finish(stalled, it + 1, False, gnorm)
-            keep = ~stalled
-            rows, x, f, g, h = rows[keep], x[keep], f[keep], g[keep], h[keep]
-            x_new, f_new, g_new = x_new[keep], f_new[keep], g_new[keep]
+            keep = (~stalled).nonzero()[0]
+            rows, f, f_new, hp = rows[keep], f[keep], f_new[keep], hp.take(keep, axis=1)
+            x, g, h = x.take(keep, axis=0), g.take(keep, axis=0), h.take(keep, axis=0)
+            x_new, g_new = x_new.take(keep, axis=0), g_new.take(keep, axis=0)
         s = x_new - x
         y = g_new - g
-        sy = (s * y).sum(axis=-1)
+        sy = row_sum(s * y)
         update = sy > 1e-12 * _norms(s) * _norms(y)
-        # BFGS update where the curvature pair is usable; a full slice
-        # takes views, so h is then updated in place
-        sel = slice(None) if update.all() else update.nonzero()[0]
-        s, y, sy, hu = s[sel], y[sel], sy[sel, None, None], h[sel]
-        hy = (hu @ y[:, :, None])[:, :, 0]
-        yhy = (y * hy).sum(axis=-1)[:, None, None]
-        hu += ((sy + yhy) / sy**2) * (s[:, :, None] * s[:, None, :])
-        hu -= (hy[:, :, None] * s[:, None, :] + s[:, :, None] * hy[:, None, :]) / sy
-        h[sel] = hu
+        # BFGS update where the curvature pair is usable, in place on hp
+        # when every row has one:
+        # h += (sy + y.hy) / sy^2 s s^T - (hy s^T + s hy^T) / sy
+        full = bool(update.all())
+        if not full:
+            sel = update.nonzero()[0]
+            s, y, sy = s.take(sel, axis=0), y.take(sel, axis=0), sy[sel]
+            h, hpu = h.take(sel, axis=0), hp.take(sel, axis=1)
+        else:
+            hpu = hp
+        hy = (h @ y[:, :, None])[:, :, 0]
+        s_a, s_b = s.T[upper_a], s.T[upper_b]
+        hpu += ((sy + row_sum(y * hy)) / sy**2) * (s_a * s_b)
+        cross = hy.T[upper_a] * s_b + s_a * hy.T[upper_b]
+        cross /= sy
+        hpu -= cross
+        if not full:
+            hp[:, sel] = hpu
         x, f, g = x_new, f_new, g_new
     else:
         gnorm = _norms(g)
-        finish(np.ones(rows.size, dtype=bool), max_iterations, gnorm <= gradient_tol, gnorm)
+        finish(np.arange(rows.size), max_iterations, gnorm <= gradient_tol, gnorm)
     if single:
         return MinimizeResult(out_x[0], int(iterations[0]), bool(converged[0]), float(grad_norm[0]))
     return MinimizeResult(out_x, iterations, converged, grad_norm)
@@ -263,12 +305,38 @@ def assign_labels(loss, recovered: PointSet, samples: SampleSet) -> ClusterAssig
     else:
         coords = res.x
         targets = np.asarray(recovered.points.real)
-    dists = np.linalg.norm(coords[:, None, :] - targets[None, :, :], axis=2)
     return ClusterAssignment(
-        labels=np.argmin(dists, axis=1),
+        labels=_nearest(coords, targets),
         converged=res.converged,
         iterations=res.iterations,
         minimizers=res.x,
+    )
+
+
+def _nearest(coords: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    # index of the nearest target to each row, ties to the lowest index
+    dists = np.linalg.norm(coords[:, None, :] - targets[None, :, :], axis=2)
+    return np.argmin(dists, axis=1)
+
+
+def nearest_point_assignment(recovered: PointSet, samples: SampleSet) -> ClusterAssignment:
+    """Label every sample by its nearest recovered point, without descent.
+
+    The baseline that descent labels are judged against: a Voronoi
+    partition by the real parts of the recovered points, ties to the
+    lowest label.  Each sample counts as converged in zero iterations,
+    with its nearest recovered point as its minimizer, so the result
+    scores through ``clustering_accuracy`` like ``assign_labels``.
+    """
+    if samples.n != recovered.n:
+        raise ValueError(f"dimension mismatch: samples in R^{samples.n}, set in R^{recovered.n}")
+    pts = np.asarray(recovered.points.real)
+    labels = _nearest(samples.samples, pts)
+    return ClusterAssignment(
+        labels=labels,
+        converged=np.ones(samples.size, dtype=bool),
+        iterations=np.zeros(samples.size, dtype=np.int64),
+        minimizers=pts[labels],
     )
 
 
@@ -308,7 +376,7 @@ def clustering_accuracy(
         if cost < best_cost:
             best_cost = cost
             best_perm = perm
-    mapped = np.array([best_perm[label] for label in assignment.labels])
+    mapped = np.asarray(best_perm)[assignment.labels]
     return float(np.mean(mapped == truth))
 
 

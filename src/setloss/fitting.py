@@ -31,7 +31,9 @@ multiplication matrices, commutators and theta of its trial evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
+from functools import cache
 
 import numpy as np
 import scipy.linalg
@@ -187,6 +189,51 @@ def average_loss(gm: GeneratingMatrix, samples: SampleSet) -> float:
     return float(np.sum(r * r)) / samples.size
 
 
+@cache
+def _commutator_jacobian_steps(n: int, k: int):
+    """Flat (jacobian, mats) index pairs of commutator_jacobian's steps.
+
+    The shift table read backwards gives C_i, the (m, k) one-hot map with
+    dM_i = dG C_i: border column q lifts to basis column c_i(q) when x_i
+    times basis monomial c_i(q) is border monomial q.  The steps depend
+    only on (n, k), so every fit of one shape shares them.
+    """
+    basis = standard_monomials(n, k)
+    border = border_monomials(basis)
+    shifts = shift_table(basis, border)
+    m = len(border)
+    lifted = np.full((n, m), -1)
+    lifted[shifts.var, shifts.border] = shifts.col
+    ks = np.arange(k)
+
+    def step(own, other, rows):
+        # pairs whose x_own lifts border column q; with rows, the entries
+        # (p, b, q, p) read M_other[c, b], else the entries (a, c, q, p)
+        # read M_other[a, p]
+        pair, q = np.nonzero(lifted[own] >= 0)
+        c = lifted[own][pair, q]
+        pair, q, c, var = (v[:, None, None] for v in (pair, q, c, other[pair]))
+        r, t = ks[None, :, None], ks[None, None, :]
+        if rows:
+            at = (((pair * k + r) * k + t) * m + q) * k + r
+            src = (var * k + c) * k + t
+        else:
+            at = (((pair * k + r) * k + c) * m + q) * k + t
+            src = (var * k + r) * k + t
+        out = tuple(v.reshape(-1) for v in np.broadcast_arrays(at, src))
+        for arr in out:
+            arr.flags.writeable = False
+        return out
+
+    first, second = _index_pairs(n)
+    return (
+        step(first, second, rows=True),
+        step(first, second, rows=False),
+        step(second, first, rows=False),
+        step(second, first, rows=True),
+    )
+
+
 class PenaltyModel:
     """Residual stack and Jacobian of the penalized fitting problem.
 
@@ -208,19 +255,13 @@ class PenaltyModel:
         self.m = len(self.b1)
         self.n = samples.n
         self.shifts = shift_table(self.b0, self.b1)
-        # the shift table read backwards: M_i = unit_i + g @ lift[i], with
-        # lift[i] the (m, k) one-hot map from g columns to M_i columns
-        self.lift = np.zeros((self.n, self.m, self.k))
-        self.lift[self.shifts.var, self.shifts.border, self.shifts.col] = 1.0
         # the index pairs i < j in the order of commutators()
         self._first, self._second = _index_pairs(self.n)
-        self._lift_first = np.nonzero(self.lift[self._first])
-        self._lift_second = np.nonzero(self.lift[self._second])
+        self._jacobian_steps = _commutator_jacobian_steps(self.n, k)
         self.ata = (self.a.T @ self.a) / samples.size
         self.atb = (self.a.T @ self.b) / samples.size
         # Gram block of the data residuals, constant in g
         self.data_gram = np.kron(np.eye(self.m), self.ata)
-        self._diag = np.arange(self.k)
         self._memo = None
 
     # -- assembly ---------------------------------------------------------
@@ -238,33 +279,29 @@ class PenaltyModel:
     def commutator_jacobian(self, mats: np.ndarray) -> np.ndarray:
         """d vec([M_i, M_j]) / d g, stacked over pairs; unscaled by rho.
 
-        With C_i = lift[i], so that dM_i = dG C_i, the entry at row
+        With C_i the one-hot map with dM_i = dG C_i, the entry at row
         (a, b) of pair (i, j) and at the column of g[p, q] is
 
             delta_ap (C_i M_j)[q, b] - M_j[a, p] C_i[q, b]
                 + M_i[a, p] C_j[q, b] - delta_ap (C_j M_i)[q, b],
 
         summed in this order, the order of the entry-wise reference in the
-        tests, which this matches bit for bit.
+        tests, which this matches bit for bit.  C_i is one-hot, so each
+        term gathers entries of M_i or M_j; the four steps gather and
+        scatter them through index plans made once per (n, k).
         """
-        mi, mj = mats[self._first], mats[self._second]
-        li, lj = self.lift[self._first], self.lift[self._second]
-        diag = self._diag
-        # axes (pair, a, b, q, p).  C_i is one-hot, so C_i M_j gathers rows
-        # of M_j, and M_j[a, p] C_i[q, b] is M_j placed at each (b, q) with
-        # C_i[q, b] = 1: (pair, q, b) runs over the nonzeros of C_i
-        jac = np.zeros((len(mi), self.k, self.k, self.m, self.k))
-        jac[:, diag, :, :, diag] = (li @ mj).transpose(0, 2, 1)
-        pair, q, b = self._lift_first
-        jac[pair, :, b, q, :] -= mj[pair]
-        pair, q, b = self._lift_second
-        jac[pair, :, b, q, :] += mi[pair]
-        jac[:, diag, :, :, diag] -= (lj @ mi).transpose(0, 2, 1)
+        flat = mats.reshape(-1)
+        jac = np.zeros(len(self._first) * self.k * self.k * self.m * self.k)
+        (at1, src1), (at2, src2), (at3, src3), (at4, src4) = self._jacobian_steps
+        jac[at1] = flat[src1]
+        jac[at2] -= flat[src2]
+        jac[at3] += flat[src3]
+        jac[at4] -= flat[src4]
         return jac.reshape(-1, self.m * self.k)
 
     def theta(self, g: np.ndarray) -> float:
         r = self.b - self.a @ g
-        return float(np.sum(r * r)) / self.size
+        return float((r * r).sum()) / self.size
 
     def _at(self, g: np.ndarray):
         """(mult_mats, commutator_vec, theta) at g.
@@ -313,6 +350,12 @@ class PenaltyModel:
         return float(np.linalg.norm(self._at(g)[1]))
 
 
+def _norm(v: np.ndarray) -> float:
+    # np.linalg.norm(v) for a real v, without its argument handling
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def _lm_round(
     model: PenaltyModel, g: np.ndarray, rho: float, tol: float, mu_cap: float, opts: FitOptions
 ):
@@ -328,24 +371,25 @@ def _lm_round(
     mu = min(1e-3 * float(np.max(np.diag(jtj))), mu_cap)
     mu_start = mu
     nu = 2.0
-    diag = np.diag_indices(k * m)
     iterations = 0
     stop = "budget"
+    # these change only with g, not on a rejected step
+    flat_gradient = float(np.abs(jtr).max()) <= opts.gradient_tol
+    step_floor = opts.step_tol * (_norm(g) + opts.step_tol)
     for _ in range(opts.max_inner_iterations):
-        if float(np.max(np.abs(jtr))) <= opts.gradient_tol:
+        if flat_gradient:
             stop = "gradient"
             break
         iterations += 1
         damped = jtj.copy()
-        damped[diag] += mu
+        damped.reshape(-1)[:: k * m + 1] += mu
         try:
             delta = np.linalg.solve(damped, -jtr)
         except np.linalg.LinAlgError:
             mu *= nu
             nu *= 2.0
             continue
-        gnorm = float(np.linalg.norm(g))
-        if float(np.linalg.norm(delta)) <= opts.step_tol * (gnorm + opts.step_tol):
+        if _norm(delta) <= step_floor:
             stop = "step"
             break
         g_new = g + delta.reshape(m, k).T
@@ -363,6 +407,8 @@ def _lm_round(
         g = g_new
         phi = phi_new
         jtj, jtr, _ = model.gram_and_gradient(g, rho)
+        flat_gradient = float(np.abs(jtr).max()) <= opts.gradient_tol
+        step_floor = opts.step_tol * (_norm(g) + opts.step_tol)
         mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
         nu = 2.0
         if actual <= tol * (abs(phi) + tol):

@@ -305,7 +305,7 @@ def _index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 def commutators(mats: np.ndarray) -> np.ndarray:
     """The (n(n-1)/2, k, k) stack of [M_i, M_j] over i < j, in np.triu_indices order."""
     first, second = _index_pairs(len(mats))
-    mi, mj = mats[first], mats[second]
+    mi, mj = mats.take(first, axis=0), mats.take(second, axis=0)
     return mi @ mj - mj @ mi
 
 

@@ -32,7 +32,7 @@ from .monomial_basis import (
     monomial_matrix,
     standard_monomials,
 )
-from .numeric_kernels import pseudo_inverse, require_full_rank
+from .numeric_kernels import UNROLLED_WIDTH, pseudo_inverse, require_full_rank, row_sum
 
 __all__ = [
     "simplicial_loss",
@@ -48,11 +48,9 @@ def _simplicial_value_and_grad(a, x):
     # x is (n,) or (N, n); the cross term sum_{i<j} x_i^2 x_j^2 is
     # (s^2 - sum x_i^4) / 2 with s = sum x_i^2
     sq = x * x
-    s = sq.sum(axis=-1, keepdims=True)
-    value = (sq * (x - a) ** 2).sum(axis=-1) + 0.5 * (
-        s[..., 0] * s[..., 0] - (sq * sq).sum(axis=-1)
-    )
-    grad = 2.0 * x * (2.0 * sq - 3.0 * a * x + (s - sq + a * a))
+    s = row_sum(sq)
+    value = row_sum(sq * (x - a) ** 2) + 0.5 * (s * s - row_sum(sq * sq))
+    grad = 2.0 * x * (2.0 * sq - 3.0 * a * x + (s[..., None] - sq + a * a))
     return value, grad
 
 
@@ -79,10 +77,20 @@ def simplicial_loss(a, x):
 
 
 def _matvec(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # mat @ v for v of shape (c,) or (N, c), one row at a time.  BLAS picks
-    # its kernel by batch size, which changes the rounding of a row with
-    # the batch it sits in; an elementwise product summed per row does not.
-    return (v[..., None, :] * mat).sum(axis=-1)
+    # mat @ v for each row of v (N, c): the products mat[:, t] v_t, summed
+    # per row by row_sum, left to right below width 8 as numpy's reduction
+    # does.  BLAS picks its kernel by batch size, which changes the
+    # rounding of a row with the batch it sits in; this does not.  The
+    # products are formed one coordinate per row, (r, c, N), so that
+    # numpy's loops run over the N points rather than over c entries at a
+    # time; the result is (N, r) in column-major order.  The descent's
+    # h @ g stays a matmul: no simple summation order reproduces numpy's
+    # batched matmul.
+    if not 0 < mat.shape[1] < UNROLLED_WIDTH:
+        # numpy's own sums, on the layout they had in the plain formula
+        return (np.ascontiguousarray(v)[:, None, :] * mat).sum(axis=-1)
+    prod = mat[:, :, None] * np.ascontiguousarray(v.T)[None, :, :]
+    return row_sum(prod.transpose(2, 0, 1))
 
 
 def _check_points(x, n: int) -> np.ndarray:
@@ -226,18 +234,28 @@ class TransformedLoss:
     def simplex_coords(self, x) -> np.ndarray:
         """Simplex coordinates of x (n,), or of each row of a batch (N, n)."""
         x = _check_points(x, self.n)
-        return _matvec(self.to_simplex, self.lift(x) - self.anchor_lift)
+        pts = x if x.ndim == 2 else x[None, :]
+        coords = _matvec(self.to_simplex, self.lift(pts) - self.anchor_lift)
+        return coords if x.ndim == 2 else coords[0]
 
     # -- evaluation ------------------------------------------------------
 
     def value_and_grad(self, x):
-        """Value and gradient at x (n,), or per row of a batch (N, n)."""
+        """Value and gradient at x (n,), or per row of a batch (N, n).
+
+        A single point is computed as a batch of one row.
+        """
         x = _check_points(x, self.n)
-        value, w = self.lift_value_and_grad(self.lift(x))
+        pts = x if x.ndim == 2 else x[None, :]
         if self.lift_basis is None:
-            return value, w
-        jac = basis_jacobian(x, self.lift_basis)[..., 1:, :]
-        return value, (w[..., :, None] * jac).sum(axis=-2)
+            value, grad = self._simplex_value_and_grad(pts)
+        else:
+            value, w = self._simplex_value_and_grad(monomial_lift(pts, self.lift_basis))
+            jac = basis_jacobian(pts, self.lift_basis)[:, 1:, :]
+            grad = row_sum(np.swapaxes(w[:, :, None] * jac, 1, 2))
+        # C order, as the gradient's consumers (the descent's matmul) expect
+        grad = np.ascontiguousarray(grad)
+        return (value, grad) if x.ndim == 2 else (value[0], grad[0])
 
     def value(self, x) -> float:
         return self.value_and_grad(x)[0]
@@ -250,6 +268,13 @@ class TransformedLoss:
         ``value_and_grad``.
         """
         zeta = _check_points(zeta, self.anchor_lift.size)
+        if zeta.ndim == 2:
+            return self._simplex_value_and_grad(zeta)
+        value, grad = self._simplex_value_and_grad(zeta[None, :])
+        return value[0], grad[0]
+
+    def _simplex_value_and_grad(self, zeta):
+        # zeta is (N, d), already checked
         z = _matvec(self.to_simplex, zeta - self.anchor_lift)
         value, gz = _simplicial_value_and_grad(1.0, z)
         return value, _matvec(self.to_simplex.T, gz)

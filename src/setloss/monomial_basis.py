@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,17 +83,24 @@ class MonomialBasis:
         return tuple(self.powers[i].tolist())
 
     @cached_property
-    def _lowered_powers(self) -> np.ndarray:
-        """Exponents after differentiating in each variable, shape (n, m, n).
+    def _value_plan(self) -> "_ProductPlan":
+        return _product_plan(self.powers, len(self))
 
-        Slice i holds the exponents with a_ji - 1 in column i, clamped at
-        zero so that 0 * x^(-1) cannot produce inf at x_i = 0.
-        """
-        arr = np.repeat(self.powers[None, :, :], self.n, axis=0)
-        for i in range(self.n):
-            arr[i, :, i] = np.maximum(arr[i, :, i] - 1, 0)
-        arr.flags.writeable = False
-        return arr
+    @cached_property
+    def _jacobian_plan(self) -> "_ProductPlan":
+        # entry (i, j) is a_ji x^(a_j - e_i), in the (n, m) layout of the
+        # broadcast formula; a zero exponent gives a zero entry
+        lowered = self.powers[None, :, :] - np.eye(self.n, dtype=np.int64)[:, None, :]
+        scale = self.powers.T.astype(float)
+        rows = np.where((scale > 0)[:, :, None], lowered, -1)
+        return _product_plan(rows.reshape(-1, self.n), len(self), scale.reshape(-1))
+
+    @cached_property
+    def _border(self) -> "MonomialBasis":
+        shifted = self.powers[:, None, :] + np.eye(self.n, dtype=np.int64)
+        out = {tuple(e) for e in shifted.reshape(-1, self.n).tolist()}
+        out.difference_update(self._positions)
+        return MonomialBasis(n=self.n, powers=sorted(out, key=grlex_key))
 
     @cached_property
     def _positions(self) -> dict[tuple[int, ...], int]:
@@ -153,12 +161,84 @@ def border_monomials(basis: MonomialBasis) -> MonomialBasis:
     """Monomials one variable-multiplication away from ``basis``.
 
     Computes the union of x_i * basis over all variables, minus the basis
-    itself, sorted in graded lexicographic order.
+    itself, sorted in graded lexicographic order.  Bases are immutable, so
+    the border is built once per basis object and shared, along with the
+    evaluation plans it caches.
     """
-    shifted = basis.powers[:, None, :] + np.eye(basis.n, dtype=np.int64)
-    out = {tuple(e) for e in shifted.reshape(-1, basis.n).tolist()}
-    out.difference_update(basis._positions)
-    return MonomialBasis(n=basis.n, powers=sorted(out, key=grlex_key))
+    return basis._border
+
+
+class _ProductPlan(NamedTuple):
+    """How to multiply out a list of exponent rows in a few numpy calls.
+
+    Entry r is the product, left to right over the variables, of x_i for
+    an exponent of 1 and of x_i ** a for an exponent a >= 2, times
+    ``scale[r]`` when a scale is given; a row of -1 stands for a zero
+    entry, whose scale is 0.  An exponent of 0 contributes no factor:
+    x ** 0 is exactly 1 and y * 1 exactly y, so the result is the
+    broadcast formula ``prod(x ** rows)`` to the last bit.  Only the
+    power needs care, as numpy's power loop rounds differently from
+    x * x, and differently again when its exponent operand is a single
+    value: ``pow_rows`` packs the distinct exponents of 2 or more of each
+    variable into the rows of a (q, n) array, raised in the broadcast
+    shape of the full formula, so the same loop runs on fewer elements.
+    ``factors`` (r, L) indexes each entry's factors in the source columns
+    [x_1 .. x_n, 1, x ** pow_rows], padded with the 1.
+    """
+
+    pow_rows: np.ndarray
+    factors: np.ndarray
+    scale: np.ndarray | None
+
+
+def _product_plan(rows: np.ndarray, members: int, scale=None) -> _ProductPlan:
+    n = rows.shape[1]
+    high = [sorted(set(rows[rows[:, i] >= 2, i].tolist())) for i in range(n)]
+    q = max(map(len, high), default=0)
+    if n == 1 and q == 1 and members > 1:
+        # the full formula broadcasts one exponent per member here; a
+        # single one would take numpy's scalar-exponent path
+        q = 2
+    pow_rows = np.zeros((q, n), dtype=np.int64)
+    column = {}
+    for i, exps in enumerate(high):
+        for t, e in enumerate(exps):
+            pow_rows[t, i] = e
+            column[i, e] = n + 1 + t * n + i
+    factors = []
+    for row in rows.tolist():
+        if min(row) < 0:
+            factors.append([])
+        else:
+            factors.append([i if e == 1 else column[i, e] for i, e in enumerate(row) if e])
+    # column n holds the 1
+    table = np.full((len(factors), max([1, *map(len, factors)])), n, dtype=np.intp)
+    for r, cols in enumerate(factors):
+        table[r, : len(cols)] = cols
+    for arr in (pow_rows, table, scale):
+        if arr is not None:
+            arr.flags.writeable = False
+    return _ProductPlan(pow_rows, table, scale)
+
+
+def _multiply_out(x: np.ndarray, plan: _ProductPlan) -> np.ndarray:
+    # x is (N, n); returns (N, r), C-ordered like the broadcast formula's
+    count, n = x.shape
+    src = np.empty((count, n + 1 + plan.pow_rows.size), dtype=x.dtype)
+    src[:, :n] = x
+    src[:, n] = 1
+    if len(plan.pow_rows):
+        src[:, n + 1 :] = (x[:, None, :] ** plan.pow_rows).reshape(count, -1)
+    factors = src.take(plan.factors, axis=1)
+    if np.iscomplexobj(x):
+        # numpy multiplies complex arrays elementwise with fused
+        # multiply-adds, but reduces them without: keep the reduction
+        out = np.prod(factors, axis=-1)
+    else:
+        out = factors[..., 0]
+        for t in range(1, plan.factors.shape[1]):
+            out = out * factors[..., t]
+    return out if plan.scale is None else out * plan.scale
 
 
 def _points(x, basis: MonomialBasis, batched: bool) -> np.ndarray:
@@ -177,13 +257,12 @@ def evaluate_monomials(x, basis: MonomialBasis) -> np.ndarray:
     evaluates to 1 everywhere, including at x = 0.
     """
     x = _points(x, basis, batched=False)
-    return np.prod(x[None, :] ** basis.powers, axis=1)
+    return _multiply_out(x[None, :], basis._value_plan)[0]
 
 
 def monomial_matrix(points, basis: MonomialBasis) -> np.ndarray:
     """Rows of monomial evaluations for a batch of points, shape (N, m)."""
-    pts = _points(points, basis, batched=True)
-    return np.prod(pts[:, None, :] ** basis.powers[None, :, :], axis=2)
+    return _multiply_out(_points(points, basis, batched=True), basis._value_plan)
 
 
 def basis_jacobian(x, basis: MonomialBasis) -> np.ndarray:
@@ -193,10 +272,12 @@ def basis_jacobian(x, basis: MonomialBasis) -> np.ndarray:
     convention that the derivative is zero when a_ji = 0.  A batch of
     points of shape (N, n) gives one Jacobian per row.
     """
-    x = _points(x, basis, batched=np.ndim(x) == 2)
-    # (..., n, m): the monomials lowered in x_i, differentiated in x_i
-    lowered = np.prod(x[..., None, None, :] ** basis._lowered_powers, axis=-1)
-    return np.swapaxes(basis.powers.T * lowered, -1, -2)
+    batched = np.ndim(x) == 2
+    x = _points(x, basis, batched=batched)
+    pts = x if batched else x[None, :]
+    jac = _multiply_out(pts, basis._jacobian_plan).reshape(len(pts), basis.n, len(basis))
+    jac = np.swapaxes(jac, -1, -2)
+    return jac if batched else jac[0]
 
 
 def monomial_lift(x, basis: MonomialBasis) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Dense linear-algebra kernels.
 
 Thin wrappers around LAPACK-backed routines, with the conditioning checks
-and deterministic orderings the rest of the package relies on.  Inputs are
-small dense matrices; nothing here is tuned for scale.
+and deterministic orderings the rest of the package relies on, and the
+row sums that the losses and the descent share.  Inputs are small dense
+matrices; nothing here is tuned for scale.
 """
 
 from __future__ import annotations
@@ -22,12 +23,38 @@ __all__ = [
     "require_full_rank",
     "complex_schur",
     "min_eigenvalue_sym",
+    "row_sum",
 ]
 
 # relative singular-value cutoff below which a matrix is treated as singular
 SINGULARITY_RTOL = 1e-10
 # condition-estimate ceiling for square solves
 CONDITION_LIMIT = 1e12
+
+# numpy's add.reduce over a last axis of fewer than 8 entries starts from
+# +0 and adds the entries strictly left to right, so below this width
+# row_sum's explicit column sums are the reduction to the last bit.  On
+# small arrays they take a few calls of under a microsecond where the
+# reduction takes several microseconds.  From width 8 numpy sums pairwise,
+# and the reduction is kept.
+UNROLLED_WIDTH = 8
+
+
+def row_sum(v: np.ndarray) -> np.ndarray:
+    """``v.sum(axis=-1)`` of a C-ordered v, bit for bit, for any layout of v."""
+    width = v.shape[-1]
+    if not 0 < width < UNROLLED_WIDTH:
+        # the pairwise sum of numpy's contiguous loop, whatever v's layout
+        return np.ascontiguousarray(v).sum(axis=-1)
+    if width == 1:
+        # + 0.0 as the reduction's start: a sum of -0.0 alone is +0.0
+        return v[..., 0] + 0.0
+    out = v[..., 0] + v[..., 1]
+    for t in range(2, width):
+        out += v[..., t]
+    # starting from +0 changes only a sum of nothing but -0.0 entries
+    out += 0.0
+    return out
 
 
 def solve_linear(a, b) -> np.ndarray:

@@ -139,3 +139,64 @@ def reference_generator_strings(gm):
                 pieces.append(f"+ {body}" if c > 0 else f"- {body}")
         out.append(" ".join(pieces) if pieces else "0")
     return out
+
+
+# -- broadcast reference formulas ----------------------------------------------
+#
+# The package evaluates monomials and sums short rows in fewer numpy calls
+# than these one-line broadcast formulas, and must match them bit for bit.
+
+
+def reference_monomial_matrix(points, powers):
+    """Rows of monomial values, (N, m): the product of x ** powers per row."""
+    return np.prod(points[:, None, :] ** powers[None, :, :], axis=2)
+
+
+def reference_evaluate_monomials(x, powers):
+    """Monomial values at one point, (m,)."""
+    return np.prod(x[None, :] ** powers, axis=1)
+
+
+def _lowered_powers(powers):
+    # exponents after differentiating in each variable, (n, m, n), clamped
+    # at zero so that 0 * x^(-1) cannot produce inf at x_i = 0
+    n = powers.shape[1]
+    arr = np.repeat(powers[None, :, :], n, axis=0)
+    for i in range(n):
+        arr[i, :, i] = np.maximum(arr[i, :, i] - 1, 0)
+    return arr
+
+
+def reference_basis_jacobian(x, powers):
+    """d(x^a_j)/dx_i = a_ji x^(a_j - e_i), (m, n) or (N, m, n)."""
+    lowered = np.prod(x[..., None, None, :] ** _lowered_powers(powers), axis=-1)
+    return np.swapaxes(powers.T * lowered, -1, -2)
+
+
+def reference_matvec(mat, v):
+    """mat @ v per row of v, as an elementwise product summed per row."""
+    return (v[..., None, :] * mat).sum(axis=-1)
+
+
+def reference_simplicial(a, x):
+    """Value and gradient of the scaled-simplex loss, summed per row by numpy."""
+    sq = x * x
+    s = sq.sum(axis=-1, keepdims=True)
+    value = (sq * (x - a) ** 2).sum(axis=-1) + 0.5 * (
+        s[..., 0] * s[..., 0] - (sq * sq).sum(axis=-1)
+    )
+    grad = 2.0 * x * (2.0 * sq - 3.0 * a * x + (s - sq + a * a))
+    return value, grad
+
+
+def reference_transformed_value_and_grad(loss, x):
+    """TransformedLoss.value_and_grad composed from the formulas above."""
+    basis = loss.lift_basis
+    zeta = x if basis is None else reference_monomial_matrix(x, basis.powers)[:, 1:]
+    z = reference_matvec(loss.to_simplex, zeta - loss.anchor_lift)
+    value, gz = reference_simplicial(1.0, z)
+    w = reference_matvec(loss.to_simplex.T, gz)
+    if basis is None:
+        return value, w
+    jac = reference_basis_jacobian(x, basis.powers)[:, 1:, :]
+    return value, (w[:, :, None] * jac).sum(axis=-2)

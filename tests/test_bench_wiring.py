@@ -53,3 +53,47 @@ def test_one_build_calls_every_traced_cli_binding(tmp_path, monkeypatch):
     out = tmp_path / "system.json"
     assert cli.main(["build", "--input", str(inp), "--output", str(out)]) == 0
     assert calls == dict.fromkeys(names, 1)
+
+
+def test_one_gmm_problem_calls_every_traced_binding(monkeypatch):
+    # a transformed-loss recovery and its labeling run every traced
+    # clustering, TransformedLoss, basis_jacobian and PenaltyModel binding
+    # but the two that serve other paths, so none of those layers reads 0
+    import numpy as np
+
+    import setloss.clustering as clustering
+    import setloss.loss_functions as loss_functions
+    from setloss.fitting import FitOptions, PenaltyModel, SampleSet
+    from setloss.loss_functions import TransformedLoss
+
+    owners = {clustering, TransformedLoss, PenaltyModel}
+    names = sorted(
+        (getattr(owner, "__name__", ""), attr)
+        for owner, attr, *_ in _load_layers().WRAPS
+        if owner in owners or (owner is loss_functions and attr == "basis_jacobian")
+    )
+    # the generating loss interpolates; describe renders a closed form
+    other_paths = {
+        ("setloss.clustering", "solve_generating_matrix"),
+        ("TransformedLoss", "describe"),
+    }
+    assert other_paths <= set(names)
+    calls = dict.fromkeys(names, 0)
+    lookup = {getattr(o, "__name__", ""): o for o in (*owners, loss_functions)}
+
+    def counting(key, func):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for key in names:
+        owner = lookup[key[0]]
+        monkeypatch.setattr(owner, key[1], counting(key, getattr(owner, key[1])))
+    spec = clustering.random_gmm_spec(2, 4, seed=3)
+    samples, _ = clustering.gmm_sample(spec, 300, seed=4)
+    result = clustering.recover_point_set(SampleSet(samples.samples), 4, FitOptions(seed=3))
+    assert result.loss.kind == "lifted"
+    clustering.assign_labels(result.loss, result.recovered, samples)
+    assert [key for key, count in calls.items() if count == 0] == sorted(other_paths)

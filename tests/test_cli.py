@@ -175,6 +175,7 @@ def test_fit_and_cluster_roundtrip(tmp_path, capsys, sample_csv):
     summary = json.loads(capsys.readouterr().out)
     assert summary["samples"] == 300
     assert summary["accuracy"] >= 0.98
+    assert summary["nearest_point_accuracy"] >= 0.98
     lines = labels_out.read_text().strip().splitlines()
     assert lines[0] == "label,converged,iterations,x1,x2"
     assert len(lines) == 301
@@ -428,6 +429,7 @@ def test_bench_gmm_summary(tmp_path, capsys):
     assert code == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["median_accuracy"] >= 0.8
+    assert summary["median_nearest_point_accuracy"] >= 0.8
     rows = (out_dir / "results.csv").read_text().strip().splitlines()
     assert rows[0] == "seed,accuracy,converged"
     assert len(rows) == 3

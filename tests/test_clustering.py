@@ -11,6 +11,7 @@ from setloss.clustering import (
     clustering_accuracy,
     gmm_sample,
     minimize_from,
+    nearest_point_assignment,
     random_gmm_spec,
     recover_point_set,
 )
@@ -236,6 +237,35 @@ def test_assign_labels_keeps_lifted_descents_in_their_basin():
     np.testing.assert_array_equal(assignment.labels, truth)
     # the cap costs no extra iterations here (9.3 per sample uncapped)
     assert assignment.iterations.mean() < 10.0
+
+
+def test_nearest_point_accuracy_on_the_basin_jump_case(monkeypatch):
+    # the case of the test above: the nearest recovered point labels every
+    # sample right, and through the same alignment it scores what an
+    # uncapped descent, which jumps basins here, loses
+    import setloss.clustering as clustering
+
+    rng = np.random.default_rng(19)
+    pts = PointSet(random_points(rng, 5, 2, min_gap=1.2))
+    samples, truth = bounded_noise_sample(pts, 0.05, 60, seed=20)
+    nearest = nearest_point_assignment(pts, samples)
+    np.testing.assert_array_equal(nearest.labels, truth)
+    assert nearest.converged.all() and not nearest.iterations.any()
+    np.testing.assert_array_equal(nearest.minimizers, pts.points[truth])
+    # true means listed in another order are aligned back by the permutation
+    order = np.array([2, 0, 4, 1, 3])
+    relabeled = np.argsort(order)[truth]
+    assert clustering_accuracy(nearest, relabeled, pts, pts.points[order]) == 1.0
+    monkeypatch.setattr(clustering, "STEP_CAP_FRACTION", np.inf)
+    descent = assign_labels(build_transformed_loss(pts), pts, samples)
+    descent_accuracy = clustering_accuracy(descent, relabeled, pts, pts.points[order])
+    assert descent_accuracy == pytest.approx(1.0 - 14 / 300)
+
+
+def test_nearest_point_assignment_rejects_dimension_mismatch():
+    pts = PointSet(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    with pytest.raises(ValueError):
+        nearest_point_assignment(pts, SampleSet(np.zeros((3, 3))))
 
 
 def test_assign_labels_on_exact_clusters():

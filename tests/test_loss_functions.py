@@ -11,7 +11,17 @@ from setloss.loss_functions import (
     simplicial_loss,
 )
 
-from helpers import fd_gradient, fd_hessian, random_points, reference_describe
+from setloss.monomial_basis import MonomialBasis
+from setloss.numeric_kernels import UNROLLED_WIDTH, row_sum
+
+from helpers import (
+    fd_gradient,
+    fd_hessian,
+    random_points,
+    reference_describe,
+    reference_simplicial,
+    reference_transformed_value_and_grad,
+)
 
 CASE1_SET = np.array([[4.0, -2.0, 1.0], [-1.0, 3.0, -5.0]])
 CASE2_SET = np.array([[2.0, 3.0], [-1.0, -2.0], [1.0, -3.0], [-2.0, 2.0]])
@@ -342,3 +352,64 @@ def test_batched_losses_stack_per_row_results():
         np.testing.assert_array_equal(grad, one_grad)
     with pytest.raises(ValueError):
         lifted.lift_value_and_grad(np.zeros((2, 2)))
+
+
+def test_row_sum_is_numpys_reduction_bit_for_bit():
+    # below width 8 numpy's add.reduce adds a row left to right; row_sum
+    # spells that out, and from width 8 calls the reduction itself
+    rng = np.random.default_rng(60)
+    for width in range(0, 11):
+        rows = rng.standard_normal((20000, width)) * 10.0 ** rng.integers(-8, 9, (20000, width))
+        rows[:50] = rng.choice([0.0, -0.0, 1.0, -1.0], (50, width))
+        got = row_sum(rows)
+        want = rows.sum(axis=-1)
+        assert got.tobytes() == want.tobytes(), width
+        assert row_sum(rows[0]).tobytes() == rows[0].sum().tobytes()
+    assert UNROLLED_WIDTH == 8
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_affine_loss_matches_the_broadcast_formulas_bit_for_bit(k):
+    rng = np.random.default_rng(61 + k)
+    for n in (1, 2, 3):
+        if k > n + 1:
+            continue
+        loss = build_transformed_loss(PointSet(random_points(rng, k, n)))
+        assert loss.kind == "affine"
+        x = rng.uniform(-3.0, 3.0, (57, n))
+        value, grad = loss.value_and_grad(x)
+        ref_value, ref_grad = reference_transformed_value_and_grad(loss, x)
+        np.testing.assert_array_equal(value, ref_value)
+        np.testing.assert_array_equal(grad, ref_grad)
+        one_value, one_grad = loss.value_and_grad(x[3])
+        assert one_value == ref_value[3]
+        np.testing.assert_array_equal(one_grad, ref_grad[3])
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 8, 9, 12])
+def test_lifted_loss_matches_the_broadcast_formulas_bit_for_bit(k):
+    # k <= 8 sums rows of width k - 1 < 8 column by column; from k = 9 the
+    # sums are numpy's reductions, as in the formulas
+    rng = np.random.default_rng(70 + k)
+    for n in (1, 2, 3):
+        if k <= n + 1:
+            continue
+        loss = build_transformed_loss(PointSet(random_points(rng, k, n, min_gap=0.5)))
+        assert loss.kind == "lifted"
+        x = loss.points.points[rng.integers(0, k, 41)] + rng.uniform(-0.2, 0.2, (41, n))
+        value, grad = loss.value_and_grad(x)
+        ref_value, ref_grad = reference_transformed_value_and_grad(loss, x)
+        np.testing.assert_array_equal(value, ref_value)
+        np.testing.assert_array_equal(grad, ref_grad)
+
+
+def test_simplicial_loss_matches_the_broadcast_formulas_bit_for_bit():
+    rng = np.random.default_rng(80)
+    for width in (1, 2, 5, 7, 8, 11):
+        a = rng.uniform(0.5, 2.0, width)
+        x = rng.uniform(-1.0, 2.0, (33, width))
+        loss = SimplicialLoss(a)
+        value, grad = loss.value_and_grad(x)
+        ref_value, ref_grad = reference_simplicial(a, x)
+        np.testing.assert_array_equal(value, ref_value)
+        np.testing.assert_array_equal(grad, ref_grad)

@@ -17,7 +17,12 @@ from setloss.monomial_basis import (
     standard_monomials,
 )
 
-from helpers import fd_jacobian
+from helpers import (
+    fd_jacobian,
+    reference_basis_jacobian,
+    reference_evaluate_monomials,
+    reference_monomial_matrix,
+)
 
 
 def brute_order(n, max_degree):
@@ -222,6 +227,7 @@ def test_standard_bases_are_shared_and_read_only():
     basis = standard_monomials(3, 8)
     assert standard_monomials(3, 8) is basis
     assert standard_monomials(3, 7) is not basis
+    assert border_monomials(basis) is border_monomials(standard_monomials(3, 8))
     with pytest.raises(ValueError):
         basis.powers[0, 0] = 5
     assert basis[0] == (0, 0, 0)
@@ -232,3 +238,52 @@ def test_standard_bases_are_shared_and_read_only():
     assert not again.powers.flags.writeable
     assert again != standard_monomials(3, 7)
     assert again != MonomialBasis(4, np.zeros((1, 4), dtype=int))
+
+
+def _bases_up_to_exponent_seven(rng, n):
+    # standard bases, random exponent sets with entries 0..7, one basis
+    # with a single member (its broadcast power has a single exponent)
+    bases = [standard_monomials(n, k) for k in (1, 2, 4, 9, 20)]
+    for _ in range(3):
+        bases.append(MonomialBasis(n, np.unique(rng.integers(0, 8, (12, n)), axis=0)))
+    bases.append(MonomialBasis(n, [[2] * n]))
+    return bases
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_evaluation_matches_the_broadcast_formulas_bit_for_bit(n, kind):
+    # powers run only where the exponent is 2 or more, and the products
+    # skip the factors x ** 0 and use x for x ** 1; numpy's pow loop
+    # rounds squares differently from x * x, so both are checked
+    rng = np.random.default_rng(40 + n)
+    for basis in _bases_up_to_exponent_seven(rng, n):
+        powers = basis.powers
+        for size in (1, 2, 7, 8, 33):
+            pts = rng.uniform(-3.0, 3.0, (size, n))
+            if kind == "complex":
+                pts = pts + 1j * rng.uniform(-3.0, 3.0, (size, n))
+            np.testing.assert_array_equal(
+                monomial_matrix(pts, basis), reference_monomial_matrix(pts, powers)
+            )
+            np.testing.assert_array_equal(
+                basis_jacobian(pts, basis), reference_basis_jacobian(pts, powers)
+            )
+            np.testing.assert_array_equal(
+                evaluate_monomials(pts[0], basis), reference_evaluate_monomials(pts[0], powers)
+            )
+            np.testing.assert_array_equal(
+                basis_jacobian(pts[0], basis), reference_basis_jacobian(pts[0], powers)
+            )
+
+
+def test_evaluation_keeps_the_layout_of_the_broadcast_formulas():
+    # downstream matmuls and reductions read the layout, not just the values
+    rng = np.random.default_rng(45)
+    basis = standard_monomials(3, 10)
+    pts = rng.uniform(-2.0, 2.0, (9, 3))
+    mat = monomial_matrix(pts, basis)
+    jac = basis_jacobian(pts, basis)
+    ref = reference_basis_jacobian(pts, basis.powers)
+    assert mat.flags.c_contiguous
+    assert jac.strides == ref.strides
