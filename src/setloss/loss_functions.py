@@ -16,6 +16,9 @@ Three families live here.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import scipy.linalg
 
@@ -167,6 +170,100 @@ class GeneratingLoss:
         return self.value_and_grad(x)[0]
 
 
+# -- the closed form, summed in integers and printed as sympy's str() would --
+#
+# A polynomial is a dict from monomial key to coefficient.  The key of
+# x1^e1 ... xd^ed is the base-5 number e1 e2 ... ed: the loss is a quartic,
+# so no exponent reaches 5, keys of a product are sums of keys, and
+# descending keys are descending lex order over x1 > x2 > ... > xd.
+
+_KEY_BASE = 5
+
+
+def _rational(v: float) -> Fraction:
+    # sympy's nsimplify(v, rational=True, tolerance=1e-12): the exact value
+    # of the float, limited to denominators of at most ceiling(1 / 1e-12)
+    return Fraction(v).limit_denominator(10**12)
+
+
+def _poly_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for ep, cp in p.items():
+        for eq, cq in q.items():
+            out[ep + eq] = out.get(ep + eq, 0) + cp * cq
+    return out
+
+
+def _format_sum(terms: list, names: list[str], units: list[int]) -> str:
+    """sympy's str() of a sum of (key, nonzero coefficient) terms, keys descending.
+
+    The terms print in descending lex order with the constant last, except
+    that a positive constant and one negative term in a single variable
+    print as "c - a*x".  A term is p*monomial/q, without p = 1 or /q = 1.
+    """
+    pieces = []
+    for key, c in terms:
+        exps = [key // u % _KEY_BASE for u in units]
+        mono = "*".join(n if e == 1 else f"{n}**{e}" for n, e in zip(names, exps) if e)
+        pieces.append((c, mono, sum(map(bool, exps))))
+    if (
+        len(pieces) == 2
+        and (pieces[0][2], pieces[1][2]) == (1, 0)
+        and pieces[1][0] > 0 > pieces[0][0]
+    ):
+        pieces.reverse()
+    out = []
+    for c, mono, _ in pieces:
+        p, q = abs(c).numerator, abs(c).denominator
+        if not mono:
+            body = str(p)
+        elif p == 1:
+            body = mono
+        else:
+            body = f"{p}*{mono}"
+        if q != 1:
+            body = f"{body}/{q}"
+        if not out:
+            out.append(body if c > 0 else f"-{body}")
+        else:
+            out.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(out)
+
+
+def _format_factored(lin: dict, den: int, names: list[str], units: list[int]) -> str:
+    """z^2 (z - 1)^2 for z = lin / den, as sympy's str(factor(...)) prints it.
+
+    That is the rational content squared, then the squares of the
+    primitive integer parts of z and z - 1, each with a positive leading
+    (lex) coefficient.  The factors follow sympy's sort key: fewer terms
+    first, then coefficient by coefficient in printed order.  The content's
+    numerator leads and its denominator follows as /q.
+    """
+    scale, factors = 1, []
+    for part in (lin, _poly_add(lin, {0: -den})):
+        terms = sorted(((e, c) for e, c in part.items() if c), reverse=True)
+        g = math.gcd(*(c for _, c in terms))
+        if terms[0][1] < 0:
+            g = -g
+        scale *= g * g
+        factors.append([(e, c // g) for e, c in terms])
+    factors.sort(key=lambda terms: (len(terms), [c for _, c in terms]))
+    coeff = Fraction(scale, den**4)
+    parts = [] if coeff.numerator == 1 else [str(coeff.numerator)]
+    for terms in factors:
+        body = _format_sum(terms, names, units)
+        parts.append(f"{body}**2" if len(terms) == 1 else f"({body})**2")
+    text = "*".join(parts)
+    return text if coeff.denominator == 1 else f"{text}/{coeff.denominator}"
+
+
 class TransformedLoss:
     """Simplicial loss pulled back through one change of coordinates.
 
@@ -187,6 +284,9 @@ class TransformedLoss:
                 f"a lift basis for {points.k} points needs {points.k} members, "
                 f"got {len(lift_basis)}"
             )
+        if lift_basis is not None and any(lift_basis[0]):
+            # the lift drops the first member as the constant monomial
+            raise ValueError("a lift basis must start with the constant monomial")
         self.points = points
         self.lift_basis = lift_basis
         if lift_basis is None:
@@ -332,52 +432,57 @@ class TransformedLoss:
         an explicit polynomial: in the original variables x1..xn for the
         identity lift, in the lift variables z1..z_(k-1) for the monomial
         lift.  Every entry of the map is read as the nearest rational
-        within 1e-12, and the polynomial is summed exactly in a sparse
-        polynomial ring over the rationals.  A single simplex coordinate
-        z gives z^2 (z - 1)^2, printed factored.
+        within 1e-12, as sympy's ``nsimplify`` reads it.  Each simplex
+        coordinate is written as z_i = L_i / D, with integer linear forms
+        L_i over one common denominator, and the polynomial is summed
+        exactly in integers; only its final coefficients become fractions.
+        The text is what sympy's ``str`` prints for that polynomial, and a
+        single simplex coordinate z gives z^2 (z - 1)^2 as ``str`` prints
+        sympy's ``factor`` of it.  sympy itself is not imported.
         """
         if not self.has_closed_form:
             return (
                 f"transformed simplicial loss ({self.kind}) for {self.k} points in R^{self.n}"
             )
-        import sympy as sp
-        from sympy.polys.rings import ring
-
-        def rational(v):
-            return sp.nsimplify(v, rational=True, tolerance=1e-12)
-
         prefix = "x" if self.lift_basis is None else "z"
-        xs = sp.symbols(f"{prefix}1:{self.anchor_lift.size + 1}")
-        poly_ring, *gens = ring(xs, sp.QQ)
-        qq = poly_ring.domain
+        dim = self.anchor_lift.size
+        names = [f"{prefix}{j + 1}" for j in range(dim)]
+        units = [_KEY_BASE ** (dim - 1 - j) for j in range(dim)]
         # the constant of x_j - a_j is the float -a_j read as a rational,
         # which need not be minus the rational read from a_j
-        shifted = [g + qq.from_sympy(rational(-a)) for g, a in zip(gens, self.anchor_lift.tolist())]
-        zs = [
-            sum((s * qq.from_sympy(rational(m)) for m, s in zip(row, shifted)), poly_ring.zero)
-            for row in self.to_simplex.tolist()
-        ]
-        if not zs:
+        shifts = [_rational(-a) for a in self.anchor_lift.tolist()]
+        rows = [[_rational(m) for m in row] for row in self.to_simplex.tolist()]
+        if not rows:
             return "0"
-        if len(zs) == 1:
-            # z^2 (z - 1)^2 as factor() prints it: the rational content
-            # times squares of primitive integer factors, each with a
-            # positive leading coefficient
-            coeff, factors = sp.Integer(1), []
-            for lin in (zs[0], zs[0] - 1):
-                content = lin.content()
-                if lin.LC < 0:
-                    content = -content
-                coeff *= qq.to_sympy(content) ** 2
-                factors.append(lin.quo_ground(content).as_expr() ** 2)
-            return str(sp.Mul(coeff, *factors))
-        total = poly_ring.zero
-        for i, z in enumerate(zs):
-            sq = z**2
-            total += sq * (z - 1) ** 2
-            for w in zs[i + 1 :]:
-                total += sq * w**2
-        return str(total.as_expr())
+        # one denominator D with z_i = L_i / D for integer linear forms L_i
+        den = math.lcm(
+            *(m.denominator * s.denominator for row in rows for m, s in zip(row, shifts))
+        )
+        lins = []
+        for row in rows:
+            lin = {u: m.numerator * (den // m.denominator) for u, m in zip(units, row) if m}
+            const = sum(
+                m.numerator * s.numerator * (den // (m.denominator * s.denominator))
+                for m, s in zip(row, shifts)
+            )
+            if const:
+                lin[0] = const
+            lins.append(lin)
+        if len(lins) == 1:
+            return _format_factored(lins[0], den, names, units)
+        # sum_i z_i^2 (z_i - 1)^2 + sum_{i<j} z_i^2 z_j^2, times D^4, is
+        # sum_i L_i^2 ((L_i - D)^2 + sum_{j>i} L_j^2)
+        squares = [_poly_mul(lin, lin) for lin in lins]
+        total: dict[int, int] = {}
+        for i, lin in enumerate(lins):
+            shifted = _poly_add(lin, {0: -den})
+            rest = _poly_mul(shifted, shifted)
+            for sq in squares[i + 1 :]:
+                rest = _poly_add(rest, sq)
+            total = _poly_add(total, _poly_mul(squares[i], rest))
+        scale = den**4
+        terms = [(e, Fraction(c, scale)) for e, c in sorted(total.items(), reverse=True) if c]
+        return _format_sum(terms, names, units)
 
 
 def build_transformed_loss(points: PointSet) -> TransformedLoss:

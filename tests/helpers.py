@@ -88,7 +88,7 @@ def reference_describe(loss):
     prefix = "x" if loss.lift_basis is None else "z"
     xs = sp.symbols(f"{prefix}1:{loss.anchor_lift.size + 1}")
     vec = sp.Matrix(xs) - sp.Matrix(loss.anchor_lift.tolist())
-    m = sp.Matrix(loss.to_simplex.tolist())
+    m = sp.Matrix(*loss.to_simplex.shape, loss.to_simplex.ravel().tolist())
     m = m.applyfunc(lambda v: sp.nsimplify(v, rational=True, tolerance=1e-12))
     vec = vec.applyfunc(lambda v: sp.nsimplify(v, rational=True, tolerance=1e-12))
     zs = list(m @ vec)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import setloss
 import setloss.cli as cli
 from setloss.cli import main
 from setloss.clustering import bounded_noise_sample, gmm_sample, random_gmm_spec
@@ -478,3 +483,35 @@ def test_bench_gmm_stops_on_other_numerical_failures(tmp_path, capsys, monkeypat
     assert main(args) == 2
     err = read_stderr_json(capsys)
     assert err["error"] == "numerical-failure" and err["stage"] == "fit"
+
+
+def test_build_and_describe_leave_sympy_unimported(tmp_path):
+    # the closed form is summed and printed without sympy, so a fresh
+    # process that builds and describes never pays for importing it
+    inp, out = tmp_path / "pts.csv", tmp_path / "build.json"
+    write_points(inp, THREE_POINTS)
+    script = f"""
+import json, sys
+import numpy as np
+import setloss
+import setloss.cli
+from setloss.generating_system import PointSet
+from setloss.loss_functions import build_transformed_loss
+
+assert setloss.cli.main(["build", "--input", {str(inp)!r}, "--output", {str(out)!r}]) == 0
+with open({str(out)!r}) as fh:
+    assert json.load(fh)["closed_form"] is not None
+build_transformed_loss(PointSet(np.array({THREE_POINTS.tolist()!r}))).describe()
+print(json.dumps(sorted(m for m in ("sympy", "mpmath") if m in sys.modules)))
+"""
+    src = str(Path(setloss.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

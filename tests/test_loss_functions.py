@@ -1,11 +1,18 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from setloss.errors import DegenerateConfigurationError
 from setloss.generating_system import PointSet, solve_generating_matrix
 from setloss.loss_functions import (
     GeneratingLoss,
     SimplicialLoss,
     TransformedLoss,
+    _format_sum,
+    _KEY_BASE,
+    _rational,
     build_transformed_loss,
     generating_loss,
     simplicial_loss,
@@ -301,21 +308,118 @@ def test_describe_small_cases():
     assert big.describe() == "transformed simplicial loss (lifted) for 5 points in R^2"
 
 
+def _closed_form_losses(rng):
+    # every (n, k) cell with a closed form, four kinds of input each: a
+    # random set, a small integer grid (anchored at the origin in every
+    # other cell, which leaves a factor or a z without a constant term),
+    # a random set rounded to 0.1, and one scaled by 10^3 or 10^-3; a
+    # dependent draw is drawn again
+    nonzero = np.array([-6.0, -5.0, -4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    for idx, (n, k) in enumerate((n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)):
+        for kind in range(4):
+            while True:
+                if kind == 0:
+                    pts = random_points(rng, k, n)
+                elif kind == 1:
+                    pts = rng.choice(nonzero, size=(k, n), replace=False)
+                    if idx % 2 == 0:
+                        pts[-1] = 0.0
+                elif kind == 2:
+                    pts = np.round(rng.uniform(-3.0, 3.0, size=(k, n)), 1)
+                else:
+                    pts = random_points(rng, k, n) * 10.0 ** (3 if idx % 2 else -3)
+                try:
+                    loss = build_transformed_loss(PointSet(pts))
+                except DegenerateConfigurationError:
+                    continue
+                yield loss
+                break
+
+
 def test_describe_matches_expression_rendering_byte_for_byte():
-    # one set per (n, k) cell, integer and float coordinates alternating
     rng = np.random.default_rng(24)
-    sets = [CASE1_SET, CASE2_SET]
-    for idx, (n, k) in enumerate((n, k) for n in (1, 2, 3) for k in (2, 3, 4)):
-        if idx % 2:
-            sets.append(rng.choice(np.arange(-6.0, 7.0), size=(k, n), replace=False))
-        else:
-            sets.append(random_points(rng, k, n))
-    kinds = set()
-    for pts in sets:
-        loss = build_transformed_loss(PointSet(pts))
-        kinds.add(loss.kind)
-        assert loss.describe() == reference_describe(loss), pts
-    assert kinds == {"affine", "lifted"}
+    losses = [build_transformed_loss(PointSet(pts)) for pts in (CASE1_SET, CASE2_SET)]
+    losses += _closed_form_losses(rng)
+    seen = set()
+    for loss in losses:
+        assert loss.has_closed_form
+        assert loss.describe() == reference_describe(loss), loss.points.points
+        seen.add((loss.kind, loss.simplex_dim))
+    assert seen == {("affine", d) for d in (0, 1, 2, 3)} | {("lifted", 2), ("lifted", 3)}
+
+
+@pytest.mark.parametrize(
+    "pts, expected",
+    [
+        # z = (x1 - 1)/2 and z - 1 = (x1 - 3)/2: the factor of z - 1 leads
+        ([[3.0], [1.0]], "(x1 - 3)**2*(x1 - 1)**2/16"),
+        # z = (2 x1 + 1) 2/3 and z - 1 = (4 x1 - 1)/3: the factor of z leads
+        ([[0.25], [-0.5]], "4*(2*x1 + 1)**2*(4*x1 - 1)**2/81"),
+        # z = x1/3 has no constant term: the shorter factor of z leads
+        ([[3.0], [0.0]], "x1**2*(x1 - 3)**2/81"),
+        # z - 1 = -x1/3 has none: the shorter factor of z - 1 leads
+        ([[0.0], [3.0]], "x1**2*(x1 - 3)**2/81"),
+        # an integer content
+        ([[0.5], [0.0]], "4*x1**2*(2*x1 - 1)**2"),
+        ([[1.0, 2.0], [-1.0, 0.0]], "(x1 + x2 - 3)**2*(x1 + x2 + 1)**2/256"),
+    ],
+)
+def test_describe_factors_a_single_simplex_coordinate(pts, expected):
+    loss = build_transformed_loss(PointSet(np.array(pts)))
+    assert loss.describe() == expected
+    assert reference_describe(loss) == expected
+
+
+def test_rational_reader_matches_nsimplify():
+    import sympy as sp
+
+    # values without a fraction of denominator <= 10^12 within 1e-12
+    capped = [math.pi, -math.sqrt(2.0), 1.0 / 3.0 + 1e-9, 0.1234567891234567, 2.718281828e-3]
+    exact = [0.0, -0.0, 1.0, -7.0, 1e8, 1.0 / 3.0, -2.0 / 3.0, 0.1, 1e-12, 1e-13, -1e-13, 6e-13]
+    for v in exact + capped:
+        got = _rational(v)
+        expected = sp.nsimplify(v, rational=True, tolerance=1e-12)
+        assert (got.numerator, got.denominator) == (expected.p, expected.q), v
+    for v in capped:
+        assert 10**11 < _rational(v).denominator <= 10**12, v
+
+
+def test_sum_printer_matches_sympy_str():
+    import sympy as sp
+
+    x1, x2, x3 = syms = sp.symbols("x1:4")
+    names, units = ["x1", "x2", "x3"], [_KEY_BASE**2, _KEY_BASE, 1]
+    half = sp.Rational(1, 2)
+    cases = [
+        # a positive constant and one negative term in one variable: c - a*x
+        3 - 2 * x1,
+        half - x3,
+        3 - 2 * x2**3 / 5,
+        # otherwise descending lex order with the constant last
+        3 - x1 * x2,
+        -3 - 2 * x1,
+        3 + 2 * x1,
+        -x1 + 2 * x2,
+        -x2**2 + x1 * x3 / 7 - half,
+        x1**4 - 4 * x1**3 * x2 / 3 + 6 * x2**2 * x3**2 - x3 + 5,
+        -x1,
+        -sp.Rational(5, 3),
+    ]
+    for expr in cases:
+        poly = sp.Poly(expr, *syms)
+        terms = [
+            (sum(e * u for e, u in zip(monom, units)), Fraction(int(c.p), int(c.q)))
+            for monom, c in poly.terms()
+        ]
+        assert _format_sum(terms, names, units) == str(expr), expr
+
+
+def test_lift_basis_must_start_with_the_constant_monomial():
+    basis = MonomialBasis(2, [[1, 0], [0, 1], [1, 1], [2, 0]])
+    with pytest.raises(ValueError, match="constant monomial"):
+        TransformedLoss(PointSet(CASE2_SET), basis)
+    with pytest.raises(ValueError, match="constant monomial"):
+        TransformedLoss.from_json({**CASE2_PAYLOAD, "lift_basis": basis.to_json()})
 
 
 def test_batched_losses_stack_per_row_results():
