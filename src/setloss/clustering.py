@@ -44,6 +44,9 @@ MAX_ALIGNMENT_SIZE = 8
 # assign_labels caps each descent step at this fraction of the smallest
 # gap between recovered points, so that no single step crosses that gap
 STEP_CAP_FRACTION = 0.1
+# assign_labels lowers its settle radius by this much, in simplex
+# coordinates (vertices 1 apart), to cover rounding
+SETTLE_MARGIN = 0.01
 
 
 class MinimizeResult(NamedTuple):
@@ -65,6 +68,7 @@ def minimize_from(
     gradient_tol: float = 1e-8,
     max_iterations: int = 500,
     max_step: float = np.inf,
+    settle_below: float = -np.inf,
 ):
     """Quasi-Newton descent with backtracking from one start or a batch.
 
@@ -89,6 +93,13 @@ def minimize_from(
     where BFGS updates are skipped, this keeps a row from crawling at
     the length of its gradient.  The default, no cap, leaves every step
     as it is.
+
+    A row whose loss value falls below ``settle_below`` finishes at its
+    current iterate, flagged converged, however large its gradient: the
+    caller has shown that its outcome can no longer change (see
+    ``assign_labels``).  Such a row reports the iterations it took to get
+    there and the gradient norm where it stopped.  The default, -inf,
+    settles no row and leaves every result as it is, bit for bit.
 
     A row's outcome does not depend on the other rows of its batch, to
     the last bit when the loss rounds each row the same way whatever the
@@ -151,7 +162,7 @@ def minimize_from(
     hp = np.repeat(eye_packed[:, None], count, axis=1)
     for it in range(max_iterations):
         gnorm = _norms(g)
-        done = gnorm <= gradient_tol
+        done = (gnorm <= gradient_tol) | (f < settle_below)
         picked = done.nonzero()[0]
         if picked.size:
             finish(picked, it, True, gnorm)
@@ -247,7 +258,12 @@ def minimize_from(
         x, f, g = x_new, f_new, g_new
     else:
         gnorm = _norms(g)
-        finish(np.arange(rows.size), max_iterations, gnorm <= gradient_tol, gnorm)
+        finish(
+            np.arange(rows.size),
+            max_iterations,
+            (gnorm <= gradient_tol) | (f < settle_below),
+            gnorm,
+        )
     if single:
         return MinimizeResult(out_x[0], int(iterations[0]), bool(converged[0]), float(grad_norm[0]))
     return MinimizeResult(out_x, iterations, converged, grad_norm)
@@ -255,7 +271,15 @@ def minimize_from(
 
 @dataclass(frozen=True)
 class ClusterAssignment:
-    """Per-sample labels plus the descent diagnostics behind them."""
+    """Per-sample labels plus the descent diagnostics behind them.
+
+    ``minimizers`` is where each descent stopped and ``iterations`` the
+    steps it took.  ``converged`` means the label is final: the descent
+    reached a gradient below its tolerance, or ``assign_labels`` settled
+    it early, once no later step could change its label.  A settled row's
+    minimizer is its iterate at that point, near but not at a recovered
+    point, and it counts fewer steps than a full descent would.
+    """
 
     labels: np.ndarray
     converged: np.ndarray
@@ -278,7 +302,7 @@ def assign_labels(loss, recovered: PointSet, samples: SampleSet) -> ClusterAssig
 
     All samples descend together in one batched ``minimize_from`` call,
     so the loss must accept a batch of points.  With a ``TransformedLoss``
-    the converged points are mapped to simplex coordinates and labeled by
+    the final iterates are mapped to simplex coordinates and labeled by
     their nearest vertex: vertex e_(i+1) carries label i, the origin
     carries label k-1 (the anchor point).  Any other loss labels by the
     nearest recovered point.  Ties resolve to the lowest label.  Descents
@@ -289,16 +313,60 @@ def assign_labels(loss, recovered: PointSet, samples: SampleSet) -> ClusterAssig
     curvature model has learnt anything, could land in another point's
     basin.  The same length is what a row on a flat stretch tries when
     its quasi-Newton step is too short (see ``minimize_from``).
+
+    With a ``TransformedLoss`` and k > 1, a row stops as soon as its label
+    is settled, with the label the full descent would give it.  Write
+    z = z(x) for the simplex coordinates, V = {0, e_1, ..., e_(k-1)} for
+    the vertices, f for the simplicial loss and h(r) = r^2 (1 - r)^2.
+
+    * f(z) >= h(min(dist(z, V), 1/2)) for every z.  Near the origin, with
+      r = |z| <= 1/2, f >= sum z_i^2 (z_i - 1)^2 >= (1 - r)^2 r^2.  Near
+      e_i, with r = |z - e_i| <= 1/2, f >= z_i^2 ((z_i - 1)^2 +
+      sum_(j != i) z_j^2) = z_i^2 r^2 >= (1 - r)^2 r^2.  When
+      dist(z, V) >= 1/2, let z_i^2 be the largest square: if z_i^2 >= 1/4
+      then f >= z_i^2 |z - e_i|^2 >= 1/16, and otherwise every |z_j| < 1/2
+      and f > |z|^2 / 4 >= 1/16.
+    * So f(z) < h(r), with r <= 1/2, puts z within r of one vertex v.  The
+      descent accepts no step that raises the loss, so every later
+      iterate lies within r of some vertex too.  It stays near the same
+      one if no step of at most ``max_step`` joins two such regions.
+      Affine map: z is affine in x and vertices are at least 1 apart, so
+      r = (1 - |P|_2 max_step) / 2 suffices, P = ``to_simplex``.  Lifted
+      map: the lift holds every x_i, so x - p_v = D_lin (z - v), where p_v
+      is the point of vertex v and D_lin the degree-1 rows of
+      ``diff_mat``; a region then lies in the ball of radius |D_lin|_2 r
+      about p_v, and r = (g_min - max_step) / (2 |D_lin|_2) suffices,
+      g_min the smallest gap between the loss's points.
+    * Every vertex other than v is more than 1 - r > r away, so the label
+      of the iterate where the loss first falls below h(r) is the label of
+      the final iterate, whatever stops the full descent.
+
+    The radius is capped at 1/2 and then lowered by SETTLE_MARGIN (0.01)
+    for rounding; a radius that is not positive settles no row.  Rounding
+    enters in three places.  Step lengths and the norms above are off by
+    a few units in the last place, which moves r by about 1e-15.  The
+    computed coordinates are off by about d = eps |P|_2 |lift(x)|, so the
+    labels, read with a separation of 1 - 2r, do not move.  The computed
+    loss differs from f at the exact coordinates by about d, while the
+    margin lowers the threshold by h(r) - h(r - 0.01) > 4.9e-5 (the least
+    is at r = 1/2); that covers any d below 1e-5, that is |P|_2 |lift(x)|
+    below about 1e10.  On the mixtures of ``setbench``'s gmm_cluster it
+    is at most about 500, at the samples and at the final iterates.
+
+    A settled row is flagged converged, its minimizer is the iterate
+    where it stopped, and it counts fewer iterations than a full descent
+    would.  ``GeneratingLoss`` descents always run in full.
     """
     if samples.n != recovered.n:
         raise ValueError(f"dimension mismatch: samples in R^{samples.n}, set in R^{recovered.n}")
     k = recovered.k
     max_step = np.inf
+    settle_below = -np.inf
     if k > 1:
-        pts = np.asarray(recovered.points.real)
-        gaps = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-        max_step = STEP_CAP_FRACTION * float(gaps[np.triu_indices(k, 1)].min())
-    res = minimize_from(loss, samples.samples, max_step=max_step)
+        max_step = STEP_CAP_FRACTION * _min_gap(recovered.points.real)
+        if isinstance(loss, TransformedLoss):
+            settle_below = _settle_threshold(loss, max_step)
+    res = minimize_from(loss, samples.samples, max_step=max_step, settle_below=settle_below)
     if isinstance(loss, TransformedLoss) and k > 1:
         coords = loss.simplex_coords(res.x)
         targets = np.vstack([np.eye(k - 1), np.zeros(k - 1)])
@@ -311,6 +379,26 @@ def assign_labels(loss, recovered: PointSet, samples: SampleSet) -> ClusterAssig
         iterations=res.iterations,
         minimizers=res.x,
     )
+
+
+def _min_gap(pts) -> float:
+    pts = np.asarray(pts)
+    gaps = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    return float(gaps[np.triu_indices(len(pts), 1)].min())
+
+
+def _settle_threshold(loss: TransformedLoss, max_step: float) -> float:
+    # h(r) for the settle radius r of assign_labels, -inf when r <= 0
+    if loss.lift_basis is None:
+        radius = 0.5 * (1.0 - np.linalg.norm(loss.to_simplex, 2) * max_step)
+    else:
+        linear = loss.lift_basis.powers[1:].sum(axis=1) == 1
+        spread = np.linalg.norm(loss.diff_mat[linear], 2)
+        radius = (_min_gap(loss.points.points.real) - max_step) / (2.0 * spread)
+    radius = min(radius, 0.5) - SETTLE_MARGIN
+    if not radius > 0.0:
+        return -np.inf
+    return (radius * (1.0 - radius)) ** 2
 
 
 def _nearest(coords: np.ndarray, targets: np.ndarray) -> np.ndarray:

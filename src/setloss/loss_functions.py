@@ -269,8 +269,9 @@ class TransformedLoss:
 
     The map is z = P (lift(x) - lift(u_k)), where the lift is the
     identity when ``lift_basis`` is None and the monomial lift through
-    its non-constant members otherwise, and P inverts the matrix of
-    lifted differences lift(u_i) - lift(u_k).  The last point of the set
+    its non-constant members otherwise (the basis must start with 1 and
+    hold every x_i, which makes the lift injective), and P inverts the
+    matrix of lifted differences lift(u_i) - lift(u_k).  The last point of the set
     is the anchor mapped to the origin of the simplex; point i (1-based)
     maps to the i-th unit vertex.  Use ``simplex_coords`` to read off
     which vertex a given x sits near.
@@ -287,6 +288,13 @@ class TransformedLoss:
         if lift_basis is not None and any(lift_basis[0]):
             # the lift drops the first member as the constant monomial
             raise ValueError("a lift basis must start with the constant monomial")
+        if lift_basis is not None and (
+            np.count_nonzero(lift_basis.powers.sum(axis=1) == 1) < points.n
+        ):
+            # the rows are distinct, so this counts the x_i present; without
+            # all of them the lift is not injective and the loss vanishes
+            # off the point set
+            raise ValueError("a lift basis must hold every degree-1 monomial")
         self.points = points
         self.lift_basis = lift_basis
         if lift_basis is None:

@@ -200,3 +200,33 @@ def reference_transformed_value_and_grad(loss, x):
         return value, w
     jac = reference_basis_jacobian(x, basis.powers)[:, 1:, :]
     return value, (w[:, :, None] * jac).sum(axis=-2)
+
+
+def reference_assign_labels(loss, recovered, samples):
+    """``assign_labels`` with every descent run to its own end.
+
+    The same step cap and labeling rule, without the early stop for rows
+    whose label is settled: the labels ``assign_labels`` must reproduce.
+    """
+    from setloss.clustering import STEP_CAP_FRACTION, ClusterAssignment, minimize_from
+    from setloss.loss_functions import TransformedLoss
+
+    k = recovered.k
+    pts = np.asarray(recovered.points.real)
+    max_step = np.inf
+    if k > 1:
+        gaps = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        max_step = STEP_CAP_FRACTION * float(gaps[np.triu_indices(k, 1)].min())
+    res = minimize_from(loss, samples.samples, max_step=max_step)
+    if isinstance(loss, TransformedLoss) and k > 1:
+        coords = loss.simplex_coords(res.x)
+        targets = np.vstack([np.eye(k - 1), np.zeros(k - 1)])
+    else:
+        coords, targets = res.x, pts
+    dists = np.linalg.norm(coords[:, None, :] - targets[None, :, :], axis=2)
+    return ClusterAssignment(
+        labels=np.argmin(dists, axis=1),
+        converged=res.converged,
+        iterations=res.iterations,
+        minimizers=res.x,
+    )

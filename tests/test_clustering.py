@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from setloss.loss_functions import (
     build_transformed_loss,
 )
 
-from helpers import match_as_multisets, random_points
+from helpers import match_as_multisets, random_points, reference_assign_labels
 
 
 class Quadratic:
@@ -222,6 +224,136 @@ def test_assign_labels_descends_in_one_batch(monkeypatch):
     # a per-sample descent would need at least one call per sample
     assert len(calls) < samples.size
     assert calls[0] == (300, 2)
+
+
+def test_minimize_from_settles_rows_below_the_threshold():
+    start = np.array([-1.2, 1.0])
+    full = minimize_from(rosenbrock, start)
+    default = minimize_from(rosenbrock, start, settle_below=-np.inf)
+    np.testing.assert_array_equal(default.x, full.x)
+    assert default[1:] == full[1:]
+    settled = minimize_from(rosenbrock, start, settle_below=1e-3)
+    assert settled.converged and 0 < settled.iterations < full.iterations
+    # it stops at the first iterate of the full descent below the threshold
+    at = minimize_from(rosenbrock, start, max_iterations=settled.iterations)
+    before = minimize_from(rosenbrock, start, max_iterations=settled.iterations - 1)
+    np.testing.assert_array_equal(settled.x, at.x)
+    assert settled.grad_norm == at.grad_norm
+    assert rosenbrock(at.x)[0] < 1e-3 <= rosenbrock(before.x)[0]
+    # an iterate below the threshold at the iteration cap counts as settled
+    assert not at.converged
+    capped = minimize_from(
+        rosenbrock, start, max_iterations=settled.iterations, settle_below=1e-3
+    )
+    assert capped.converged
+    np.testing.assert_array_equal(capped.x, at.x)
+    # batched rows settle on their own, from the start when it is low enough
+    starts = np.array([start, [1.0, 1.001], [2.0, 2.0]])
+
+    def batched(x):
+        values, grads = zip(*(rosenbrock(row) for row in x))
+        return np.array(values), np.array(grads)
+
+    rows = minimize_from(batched, starts, settle_below=1e-3)
+    assert rows.iterations[1] == 0 and rows.converged.all()
+    np.testing.assert_array_equal(rows.x[1], starts[1])
+    assert rows.iterations[0] == settled.iterations
+
+
+def _vertex_bound(z):
+    # h(min(dist(z, V), 1/2)) with h(r) = r^2 (1 - r)^2, V = {0, e_1, ...}
+    d = z.shape[1]
+    vertices = np.vstack([np.zeros(d), np.eye(d)])
+    dist = np.linalg.norm(z[:, None, :] - vertices[None, :, :], axis=2).min(axis=1)
+    r = np.minimum(dist, 0.5)
+    return (r * (1.0 - r)) ** 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_simplicial_loss_bounds_the_distance_to_the_vertices(d):
+    # the lemma behind assign_labels' early stop: f(z) >= h(min(dist, 1/2))
+    rng = np.random.default_rng(60 + d)
+    vertices = np.vstack([np.zeros(d), np.eye(d)])
+    mids = np.array([(a + b) / 2 for a, b in itertools.combinations(vertices, 2)])
+    dirs = rng.standard_normal((3000, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    near = vertices[rng.integers(0, d + 1, 3000)] + dirs * rng.uniform(0, 0.7, (3000, 1))
+    z = np.vstack([rng.uniform(-1.0, 2.0, (5000, d)), rng.normal(0.3, 0.4, (5000, d)), mids, near])
+    values = SimplicialLoss(np.ones(d)).value_and_grad(z)[0]
+    assert np.all(values >= _vertex_bound(z) * (1.0 - 1e-12))
+    # tight halfway between the origin and each e_i
+    halfway = SimplicialLoss(np.ones(d)).value_and_grad(np.eye(d) / 2)[0]
+    np.testing.assert_array_equal(halfway, 1 / 16)
+
+
+def _gmm_problem(n, k, seed, separation=6.0):
+    spec = random_gmm_spec(n, k, seed=seed, separation=separation)
+    samples, _ = gmm_sample(spec, 300, seed=seed + 50)
+    pts = PointSet(spec.means)
+    return build_transformed_loss(pts), pts, samples
+
+
+@pytest.mark.parametrize(
+    "n, k, seed, separation",
+    [(2, 3, 1, 6.0), (2, 3, 11, 3.0), (3, 3, 3, 6.0), (3, 4, 4, 6.0), (3, 4, 14, 3.0),
+     (2, 4, 5, 6.0), (2, 4, 15, 3.0)],
+)
+def test_settled_labels_equal_full_descent_labels(n, k, seed, separation):
+    # (3,3) maps R^3 onto a plane, (2,4) is the lifted map
+    loss, pts, samples = _gmm_problem(n, k, seed, separation)
+    assert loss.kind == ("lifted" if k > n + 1 else "affine")
+    settled = assign_labels(loss, pts, samples)
+    full = reference_assign_labels(loss, pts, samples)
+    np.testing.assert_array_equal(settled.labels, full.labels)
+    assert settled.converged.all()
+    assert np.all(settled.iterations <= full.iterations)
+    early = settled.iterations < full.iterations
+    assert early.sum() >= samples.size // 2
+    np.testing.assert_array_equal(settled.minimizers[~early], full.minimizers[~early])
+
+
+def test_no_settling_when_a_step_can_cross_between_vertices():
+    # a flat triangle: |P|_2 max_step is 1.42, so the settle radius is
+    # negative and every field is the full descent's, bit for bit
+    pts = PointSet(np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.05]]))
+    samples, _ = bounded_noise_sample(pts, 0.01, 100, seed=7)
+    loss = build_transformed_loss(pts)
+    settled = assign_labels(loss, pts, samples)
+    full = reference_assign_labels(loss, pts, samples)
+    for name in ("labels", "converged", "iterations", "minimizers"):
+        np.testing.assert_array_equal(getattr(settled, name), getattr(full, name))
+
+
+def test_generating_loss_never_settles():
+    rng = np.random.default_rng(3)
+    pts = PointSet(random_points(rng, 3, 2, min_gap=1.5))
+    samples, _ = bounded_noise_sample(pts, 0.3, 30, seed=4)
+    from setloss.generating_system import solve_generating_matrix
+
+    loss = GeneratingLoss(solve_generating_matrix(pts))
+    settled = assign_labels(loss, pts, samples)
+    full = reference_assign_labels(loss, pts, samples)
+    for name in ("labels", "converged", "iterations", "minimizers"):
+        np.testing.assert_array_equal(getattr(settled, name), getattr(full, name))
+
+
+def test_assign_labels_stops_descents_once_labels_settle(monkeypatch):
+    # batched value_and_grad calls with descents run in full: 21 (affine)
+    # and 24 (lifted); with the early stop: 4 and 9
+    calls = []
+    original = TransformedLoss.value_and_grad
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return original(self, x)
+
+    monkeypatch.setattr(TransformedLoss, "value_and_grad", counted)
+    for (n, k, seed), bound in (((2, 3, 1), 8), ((2, 4, 5), 15)):
+        loss, pts, samples = _gmm_problem(n, k, seed)
+        calls.clear()
+        assign_labels(loss, pts, samples)
+        assert calls[0] == (300, n)
+        assert len(calls) <= bound
 
 
 def test_assign_labels_keeps_lifted_descents_in_their_basin():

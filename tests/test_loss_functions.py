@@ -422,6 +422,21 @@ def test_lift_basis_must_start_with_the_constant_monomial():
         TransformedLoss.from_json({**CASE2_PAYLOAD, "lift_basis": basis.to_json()})
 
 
+def test_lift_basis_must_hold_every_degree_one_monomial():
+    # without y the lift (x, xy, x^2) is constant on the line x = 0, so the
+    # loss vanished at (0, 1), (0, -5) and (0, 40), while null_directions
+    # reported none
+    points = PointSet(np.array([[2.0, 3.0], [-1.0, -2.0], [1.0, -3.0], [0.0, 1.0]]))
+    basis = MonomialBasis(2, [[0, 0], [1, 0], [1, 1], [2, 0]])
+    with pytest.raises(ValueError, match="every degree-1 monomial"):
+        TransformedLoss(points, basis)
+    payload = {**build_transformed_loss(points).to_json(), "lift_basis": basis.to_json()}
+    with pytest.raises(ValueError, match="every degree-1 monomial"):
+        TransformedLoss.from_json(payload)
+    full = MonomialBasis(2, [[0, 0], [1, 0], [0, 1], [2, 0]])
+    assert TransformedLoss(points, full).kind == "lifted"
+
+
 def test_batched_losses_stack_per_row_results():
     rng = np.random.default_rng(21)
     pts = PointSet(random_points(rng, 5, 2, min_gap=0.6))
