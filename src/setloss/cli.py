@@ -175,10 +175,6 @@ def _loss_payload(loss) -> dict:
     return loss.to_json()
 
 
-def _points_rows(points) -> list[list[float]]:
-    return [[float(v) for v in row] for row in np.asarray(points)]
-
-
 # -- build -----------------------------------------------------------------
 
 
@@ -193,10 +189,11 @@ def cmd_build(args) -> int:
     payload = {
         "n": points.n,
         "k": points.k,
-        "points": _points_rows(points.points),
+        "points": points.points.tolist(),
         "generating_matrix": gm.to_json(),
         "generators": [
-            {"terms": [[list(e), c] for e, c in terms.items()], "text": text}
+            # json writes each (exponent tuple, coefficient) item as [[...], c]
+            {"terms": list(terms.items()), "text": text}
             for terms, text in zip(generator_terms(gm), generator_strings(gm))
         ],
         "loss": _loss_payload(loss),
@@ -225,11 +222,9 @@ def cmd_fit(args) -> int:
     )
     recovered = result.recovered
     if recovered.is_real:
-        s_star = _points_rows(recovered.points)
+        s_star = recovered.points.tolist()
     else:
-        s_star = [
-            [[float(v.real), float(v.imag)] for v in row] for row in recovered.points
-        ]
+        s_star = np.stack((recovered.points.real, recovered.points.imag), axis=-1).tolist()
     payload = {
         "k": result.k,
         "n": recovered.n,
@@ -358,7 +353,7 @@ def cmd_cluster(args) -> int:
         "n": recovered.n,
         "samples": samples.size,
         "descents_converged": int(assignment.converged.sum()),
-        "s_star": _points_rows(recovered.points.real),
+        "s_star": recovered.points.real.tolist(),
     }
     if truth is not None:
         means = np.array(

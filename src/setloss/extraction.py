@@ -102,8 +102,8 @@ class ZeroSet:
         return {
             "n": self.n,
             "k": self.k,
-            "points": [[[float(v.real), float(v.imag)] for v in row] for row in self.points],
-            "residuals": [float(r) for r in self.residuals],
+            "points": np.stack((self.points.real, self.points.imag), axis=-1).tolist(),
+            "residuals": self.residuals.tolist(),
             "approximate": self.approximate,
             "commutator_norm": self.commutator_norm,
         }
@@ -132,9 +132,11 @@ def zeros_are_real(points: np.ndarray) -> bool:
 def _sort_order(points: np.ndarray) -> np.ndarray:
     re = np.round(points.real / 1e-9) * 1e-9
     im = np.round(points.imag / 1e-9) * 1e-9
-    keys = [(float(re[i].sum()), *(-re[i]), *(-im[i])) for i in range(points.shape[0])]
-    # graded key on real parts: total first, heavier first coordinates earlier
-    return np.array(sorted(range(points.shape[0]), key=lambda i: keys[i]), dtype=np.int64)
+    # graded key on real parts: total first, heavier first coordinates
+    # earlier, then the imaginary parts; lexsort is stable and reads its
+    # last key first
+    keys = np.vstack([-im[:, ::-1].T, -re[:, ::-1].T, re.sum(axis=1)])
+    return np.lexsort(keys)
 
 
 def extract_zero_set(gm: GeneratingMatrix, seed: int = 0) -> ZeroSet:

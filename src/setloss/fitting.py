@@ -32,6 +32,7 @@ multiplication matrices, commutators and theta of its trial evaluation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from functools import cache
 
@@ -123,12 +124,23 @@ class FitOptions:
         if unknown:
             raise ValueError(f"unknown fit options: {sorted(unknown)}")
         kwargs = dict(payload)
-        if "seed" in kwargs:
-            kwargs["seed"] = int(kwargs["seed"])
-        for name in ("max_rounds", "max_inner_iterations"):
+        for name in ("seed", "max_rounds", "max_inner_iterations"):
             if name in kwargs:
-                kwargs[name] = int(kwargs[name])
+                kwargs[name] = _integer_option(name, kwargs[name])
         return cls(**kwargs)
+
+
+def _integer_option(name: str, value) -> int:
+    """A JSON integer, or a number with an integral value, as an int.
+
+    A fraction, a boolean, a string or anything else raises ValueError
+    rather than being truncated or parsed.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -161,7 +161,7 @@ class GeneratingMatrix:
             "k": self.k,
             "b0": self.basis.powers.tolist(),
             "b1": self.border.powers.tolist(),
-            "g": [float(v) for v in self.entries.reshape(-1)],
+            "g": self.entries.reshape(-1).tolist(),
         }
 
     @classmethod
@@ -325,11 +325,11 @@ def generator_terms(gm: GeneratingMatrix) -> list[dict[tuple[int, ...], float]]:
     Each map carries the +1 leading border coefficient and the negated
     matrix column on the basis monomials, zeros included.
     """
+    basis = list(gm.basis)
     out = []
-    for j, alpha in enumerate(gm.border):
+    for alpha, column in zip(gm.border, (-gm.entries).T.tolist()):
         terms = {alpha: 1.0}
-        for i, beta in enumerate(gm.basis):
-            terms[beta] = -float(gm.entries[i, j])
+        terms.update(zip(basis, column))
         out.append(terms)
     return out
 
@@ -344,21 +344,6 @@ def _monomial_str(exps: tuple[int, ...]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _basis_terms(column, monos):
-    """(sign, body) of each nonzero term -g x^b of one generator, in order."""
-    for g, mono in zip(column, monos):
-        if g == 0.0:
-            continue
-        mag = abs(g)
-        if mono == "1":
-            body = f"{mag:.12g}"
-        elif mag == 1.0:
-            body = mono
-        else:
-            body = f"{mag:.12g}*{mono}"
-        yield ("-" if g > 0 else "+"), body
-
-
 def generator_strings(gm: GeneratingMatrix) -> list[str]:
     """Human-readable rendering of each generator polynomial.
 
@@ -366,8 +351,9 @@ def generator_strings(gm: GeneratingMatrix) -> list[str]:
     magnitudes print to 12 significant digits, and a unit magnitude is
     left out except on the constant monomial.  The basis is ordered and
     its monomials formatted once per matrix; each generator then reads
-    its column of ``entries`` and places its border monomial by the same
-    grlex key.
+    its column of ``entries`` once, with its border monomial placed by
+    the same grlex key as a term of coefficient -1, and every term is
+    written with its sign as " + " or " - " before the first is trimmed.
     """
     keys = [grlex_key(b) for b in gm.basis]
     order = sorted(range(gm.k), key=keys.__getitem__, reverse=True)
@@ -377,13 +363,23 @@ def generator_strings(gm: GeneratingMatrix) -> list[str]:
     for alpha, column in zip(gm.border, gm.entries[order].T.tolist()):
         # the border term follows every basis term with a larger key
         at = len(ascending) - bisect_right(ascending, grlex_key(alpha))
-        terms = [
-            *_basis_terms(column[:at], monos[:at]),
-            ("+", _monomial_str(alpha)),
-            *_basis_terms(column[at:], monos[at:]),
-        ]
-        (sign, body), rest = terms[0], terms[1:]
-        out.append(
-            (body if sign == "+" else f"-{body}") + "".join(f" {s} {b}" for s, b in rest)
-        )
+        column[at:at] = (-1.0,)
+        names = monos[:at] + [_monomial_str(alpha)] + monos[at:]
+        pieces = []
+        for g, mono in zip(column, names):
+            # the term is -g x^b
+            if g > 0.0:
+                sign = " - "
+            elif g < 0.0:
+                sign, g = " + ", -g
+            else:
+                continue
+            if mono == "1":
+                pieces.append(f"{sign}{g:.12g}")
+            elif g == 1.0:
+                pieces.append(sign + mono)
+            else:
+                pieces.append(f"{sign}{g:.12g}*{mono}")
+        text = "".join(pieces)
+        out.append(text[3:] if text[1] == "+" else "-" + text[3:])
     return out

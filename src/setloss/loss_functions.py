@@ -403,17 +403,21 @@ class TransformedLoss:
     # -- serialization and rendering --------------------------------------
 
     def to_json(self) -> dict:
-        def rows(mat):
-            return [[float(v) for v in row] for row in mat]
+        """``kind``, ``n``, ``k``, ``points`` and, when lifted, ``lift_basis``.
 
-        payload = {"kind": self.kind, "n": self.n, "k": self.k, "points": rows(self.points.points)}
-        anchor = [float(v) for v in self.anchor_lift]
-        if self.lift_basis is None:
-            payload.update(u=rows(self.diff_mat), u_pinv=rows(self.to_simplex), anchor=anchor)
-        else:
-            payload.update(
-                lift_basis=self.lift_basis.to_json(), l=rows(self.diff_mat), anchor_lift=anchor
-            )
+        The points and the lift basis fix the map, so its matrices are not
+        written: ``from_json`` rebuilds them bit for bit.  Files of earlier
+        releases also carry ``u``, ``u_pinv`` and ``anchor`` (affine) or
+        ``l`` and ``anchor_lift`` (lifted); ``from_json`` ignores those.
+        """
+        payload = {
+            "kind": self.kind,
+            "n": self.n,
+            "k": self.k,
+            "points": self.points.points.tolist(),
+        }
+        if self.lift_basis is not None:
+            payload["lift_basis"] = self.lift_basis.to_json()
         return payload
 
     @classmethod

@@ -100,14 +100,29 @@ def reference_describe(loss):
     return str(sp.factor(total)) if len(zs) == 1 else str(total)
 
 
+def reference_generator_terms(gm):
+    """The term map of every generator, built entry by entry.
+
+    The +1 border coefficient first, then -G[i, j] on each basis monomial
+    in basis order: the keys, their order and the values (signed zeros
+    included) that ``generator_terms`` must reproduce.
+    """
+    out = []
+    for j, alpha in enumerate(gm.border):
+        terms = {alpha: 1.0}
+        for i, beta in enumerate(gm.basis):
+            terms[beta] = -float(gm.entries[i, j])
+        out.append(terms)
+    return out
+
+
 def reference_generator_strings(gm):
-    """Generator text rendered term by term from ``generator_terms``.
+    """Generator text rendered term by term from ``reference_generator_terms``.
 
     Sorts the nonzero terms of every generator by descending grlex key and
     formats each monomial afresh: slow, but a direct reading of the
     format, which ``generator_strings`` must reproduce byte for byte.
     """
-    from setloss.generating_system import generator_terms
     from setloss.monomial_basis import grlex_key
 
     def monomial(exps):
@@ -117,7 +132,7 @@ def reference_generator_strings(gm):
         return "*".join(parts) if parts else "1"
 
     out = []
-    for terms in generator_terms(gm):
+    for terms in reference_generator_terms(gm):
         ordered = sorted(
             ((e, c) for e, c in terms.items() if c != 0.0),
             key=lambda item: grlex_key(item[0]),
@@ -139,6 +154,20 @@ def reference_generator_strings(gm):
                 pieces.append(f"+ {body}" if c > 0 else f"- {body}")
         out.append(" ".join(pieces) if pieces else "0")
     return out
+
+
+def reference_sort_order(points):
+    """The order of extracted zeros, by Python's ``sorted`` over key tuples.
+
+    Per point: the real parts rounded to 1e-9 summed, then the negated
+    rounded real parts, then the negated rounded imaginary parts; ties keep
+    their index order.  ``extraction._sort_order`` must return the same
+    permutation.
+    """
+    re = np.round(points.real / 1e-9) * 1e-9
+    im = np.round(points.imag / 1e-9) * 1e-9
+    keys = [(float(re[i].sum()), *(-re[i]), *(-im[i])) for i in range(points.shape[0])]
+    return np.array(sorted(range(points.shape[0]), key=lambda i: keys[i]), dtype=np.int64)
 
 
 # -- broadcast reference formulas ----------------------------------------------

@@ -13,6 +13,7 @@ from setloss.cli import main
 from setloss.clustering import bounded_noise_sample, gmm_sample, random_gmm_spec
 from setloss.errors import NumericalFailureError
 from setloss.generating_system import PointSet
+from setloss.loss_functions import TransformedLoss, build_transformed_loss
 
 from helpers import random_points
 
@@ -31,6 +32,11 @@ G_THREE = (
     )
     / 19.0
 )
+
+
+# the map's matrices that files of earlier releases carried in "loss";
+# readers rebuild them from "points" and "lift_basis"
+DROPPED_LOSS_KEYS = {"u", "u_pinv", "anchor", "l", "anchor_lift"}
 
 
 def write_points(path, points, truth=None, header=None):
@@ -83,6 +89,26 @@ def test_build_golden_output(tmp_path, capsys):
     assert len(payload["generators"]) == 3
     assert payload["closed_form"] is not None
     assert payload["loss"]["kind"] == "affine"
+    assert list(payload["loss"]) == ["kind", "n", "k", "points"]
+
+
+@pytest.mark.parametrize(("n", "k"), [(2, 3), (3, 2), (2, 6), (3, 10), (4, 12)])
+def test_build_loss_rebuilds_bit_for_bit(tmp_path, n, k):
+    rng = np.random.default_rng(80 + n * k)
+    pts = random_points(rng, k, n)
+    inp, out = tmp_path / "pts.csv", tmp_path / "build.json"
+    write_points(inp, pts)
+    assert main(["build", "--input", str(inp), "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())["loss"]
+    assert not DROPPED_LOSS_KEYS & set(payload)
+    loaded = TransformedLoss.from_json(payload)
+    built = build_transformed_loss(PointSet(pts))
+    assert loaded.kind == built.kind == ("affine" if k <= n + 1 else "lifted")
+    for name in ("to_simplex", "diff_mat", "anchor_lift"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(built, name))
+    xs = rng.uniform(-3.0, 3.0, size=(9, n))
+    for got, want in zip(loaded.value_and_grad(xs), built.value_and_grad(xs), strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -157,6 +183,11 @@ def test_fit_and_cluster_roundtrip(tmp_path, capsys, sample_csv):
     assert fit_payload["fit"]["converged"] is True
     recovered = np.array(fit_payload["s_star"])
     assert recovered.shape == (6, 2)
+    assert not DROPPED_LOSS_KEYS & set(fit_payload["loss"])
+    loaded = TransformedLoss.from_json(fit_payload["loss"])
+    np.testing.assert_array_equal(
+        loaded.to_simplex, build_transformed_loss(PointSet(recovered)).to_simplex
+    )
     # every benchmark point is matched to about the noise level
     gaps = np.linalg.norm(
         recovered[None, :, :] - BENCH_SET[:, None, :], axis=2
@@ -321,6 +352,20 @@ def test_fit_rejects_unknown_config_keys(tmp_path, capsys, sample_csv):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "cluster"])
+@pytest.mark.parametrize(
+    "options", [{"max_rounds": 2.7}, {"seed": 1.9}, {"seed": True}, {"max_rounds": "8"}]
+)
+def test_config_refuses_non_integer_counts(tmp_path, capsys, sample_csv, command, options):
+    samples_path, _ = sample_csv
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(options))
+    argv = [command, "--input", str(samples_path), "--k", "6", "--config", str(config)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "bad fit options" in err and "must be an integer" in err
+
+
 def test_fit_too_few_samples_exit_two(tmp_path, capsys):
     inp = tmp_path / "tiny.csv"
     write_points(inp, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
@@ -360,7 +405,10 @@ def test_cluster_sstar_refuses_non_real_complex_zeros(tmp_path, capsys):
     assert err["stage"] == "extract"
     assert 0.8 < err["max_imag"] < 0.9
     assert "imaginary parts up to 8." in err["message"]
-    assert len(json.loads(fit_out.read_text())["s_star"]) == 4
+    fit_payload = json.loads(fit_out.read_text())
+    assert len(fit_payload["s_star"]) == 4
+    # [re, im] pairs of the same zeros, written in the same order
+    assert fit_payload["s_star"] == fit_payload["zero_set"]["points"]
     code = main(["cluster", "--input", str(inp), "--sstar", str(fit_out)])
     assert code == 2
     err = read_stderr_json(capsys)
@@ -496,6 +544,7 @@ import numpy as np
 import setloss
 import setloss.cli
 from setloss.generating_system import PointSet
+from setloss.loss_functions import TransformedLoss, build_transformed_loss
 from setloss.loss_functions import build_transformed_loss
 
 assert setloss.cli.main(["build", "--input", {str(inp)!r}, "--output", {str(out)!r}]) == 0

@@ -7,6 +7,7 @@ from setloss.clustering import gmm_sample, random_gmm_spec, recover_point_set
 from setloss.errors import InvalidStateError, NumericalFailureError
 from setloss.extraction import (
     ZeroSet,
+    _sort_order,
     extract_zero_set,
     real_projection,
     set_distance,
@@ -19,7 +20,7 @@ from setloss.generating_system import (
     solve_generating_matrix,
 )
 
-from helpers import match_as_multisets, random_points
+from helpers import match_as_multisets, random_points, reference_sort_order
 
 BENCH_SET = np.array(
     [[1.0, 1.0], [3.0, 2.0], [1.5, 2.5], [2.5, 3.0], [2.0, 1.5], [3.0, 1.0]]
@@ -75,6 +76,49 @@ def test_order_is_graded_on_real_parts():
     zs = extract_zero_set(solve_generating_matrix(PointSet(pts)))
     sums = zs.points.real.sum(axis=1)
     assert list(np.round(sums, 6)) == sorted(np.round(sums, 6))
+
+
+def complex_points(real, imag):
+    # set part by part: arithmetic such as real + 0j turns -0.0 into 0.0
+    pts = np.empty(real.shape, dtype=complex)
+    pts.real, pts.imag = real, imag
+    return pts
+
+
+def assert_sorted_as_reference(points):
+    got = _sort_order(points)
+    want = reference_sort_order(points)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype
+
+
+def test_sort_order_matches_sorted_on_random_points():
+    rng = np.random.default_rng(90)
+    for k in (1, 2, 5, 12, 35):
+        for n in (1, 2, 3, 4, 9, 12):
+            real = rng.uniform(-2.0, 2.0, size=(k, n))
+            assert_sorted_as_reference(complex_points(real, np.zeros((k, n))))
+            assert_sorted_as_reference(
+                complex_points(real, rng.uniform(-1e-3, 1e-3, size=(k, n)))
+            )
+
+
+def test_sort_order_matches_sorted_on_ties():
+    # coordinates that round to the same multiple of 1e-9, exact
+    # duplicates (which keep their index order), signed zeros, and
+    # conjugate pairs, whose real parts tie and whose imaginary parts
+    # order the pair
+    rng = np.random.default_rng(91)
+    grid = np.array([0.0, -0.0, 1.0, -1.0, 1.0 + 3e-10, 1.0 - 4e-10, 2e-10, -2e-10, 0.5])
+    for n in (1, 2, 3, 4):
+        for _ in range(200):
+            k = int(rng.integers(1, 10))
+            real = rng.choice(grid, size=(k, n))
+            imag = rng.choice(grid, size=(k, n))
+            assert_sorted_as_reference(complex_points(real, np.zeros((k, n))))
+            assert_sorted_as_reference(complex_points(real, imag))
+            pairs = np.vstack([complex_points(real, imag), complex_points(real, -imag)])
+            assert_sorted_as_reference(pairs[rng.permutation(2 * k)])
 
 
 def test_conjugate_zeros_come_back_as_pairs():

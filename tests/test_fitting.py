@@ -54,6 +54,33 @@ def test_fit_options_validation_and_roundtrip():
         FitOptions.from_json({"not_an_option": 1})
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"max_rounds": 2.7},
+        {"max_inner_iterations": 50.5},
+        {"seed": 1.9},
+        {"seed": True},
+        {"max_rounds": False},
+        {"max_rounds": "8"},
+        {"seed": None},
+        {"seed": float("inf")},
+    ],
+)
+def test_fit_options_refuse_non_integer_counts(payload):
+    # truncating 2.7 or parsing "8" would run a fit nobody asked for
+    (name,) = payload
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        FitOptions.from_json(payload)
+
+
+def test_fit_options_take_integral_numbers():
+    for name in ("seed", "max_rounds", "max_inner_iterations"):
+        exact, integral = FitOptions.from_json({name: 3}), FitOptions.from_json({name: 3.0})
+        assert exact == integral
+        assert getattr(integral, name) == 3 and type(getattr(integral, name)) is int
+
+
 def test_average_loss_vanishes_on_exact_samples():
     rng = np.random.default_rng(0)
     pts = random_points(rng, 4, 2)

@@ -23,7 +23,13 @@ from setloss.monomial_basis import (
     standard_monomials,
 )
 
-from helpers import fd_jacobian, product_loss, random_points, reference_generator_strings
+from helpers import (
+    fd_jacobian,
+    product_loss,
+    random_points,
+    reference_generator_strings,
+    reference_generator_terms,
+)
 
 # worked interpolation problems with exact rational solutions
 SET_A = np.array([[2.0, 1.0, 3.0], [-1.0, -2.0, 4.0]])
@@ -311,6 +317,17 @@ def test_strings_agree_with_term_maps():
         assert bound <= 1e-9
 
 
+def assert_terms_match_reference(gm):
+    # the keys, their order and every value to the bit, signed zeros
+    # included: a build file writes the maps item by item
+    got, want = generator_terms(gm), reference_generator_terms(gm)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert [(e, repr(c)) for e, c in g.items()] == [(e, repr(c)) for e, c in w.items()]
+        assert all(type(c) is float for c in g.values())
+        assert all(type(e) is int for key in g for e in key)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_strings_match_the_reference_renderer(n):
     rng = np.random.default_rng(40 + n)
@@ -318,6 +335,7 @@ def test_strings_match_the_reference_renderer(n):
         gm = solve_generating_matrix(PointSet(random_points(rng, k, n)))
         want = reference_generator_strings(gm)
         assert generator_strings(gm) == want, (n, k)
+        assert_terms_match_reference(gm)
         # the same system with its basis rows in another order reads the same
         perm = rng.permutation(k)
         shuffled = GeneratingMatrix(
@@ -348,6 +366,35 @@ def test_strings_place_every_term_by_its_key():
                 entries=entries[perm],
             )
             assert generator_strings(gm) == reference_generator_strings(gm)
+            assert_terms_match_reference(gm)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_strings_and_terms_on_special_entries(n):
+    # standard bases with entries that random sets never give: zeros of
+    # both signs, unit magnitudes, and +-1 on the constant monomial; the
+    # border term of highest degree leads its generator
+    rng = np.random.default_rng(70 + n)
+    values = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -1e-13, 1 / 3, -7.0])
+    leads = 0
+    for k in (2, 3, 4, 6, 10):
+        basis = standard_monomials(n, k)
+        border = border_monomials(basis)
+        assert not any(basis[0])  # the constant comes first
+        for _ in range(10):
+            entries = rng.choice(values, size=(k, len(border)))
+            entries[0] = rng.choice([1.0, -1.0], size=len(border))
+            gm = GeneratingMatrix(basis=basis, border=border, entries=entries)
+            texts = generator_strings(gm)
+            assert texts == reference_generator_strings(gm), (n, k)
+            assert_terms_match_reference(gm)
+            for text, alpha in zip(texts, border):
+                lead = "*".join(
+                    f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(alpha) if e
+                )
+                leads += text.startswith(lead + " ")
+            assert all(text.endswith((" + 1", " - 1")) for text in texts)
+    assert leads > 0
 
 
 def test_json_roundtrip():

@@ -280,7 +280,9 @@ def test_json_from_earlier_releases_loads_bit_equal():
         built = build_transformed_loss(PointSet(pts))
         loaded = TransformedLoss.from_json(payload)
         assert loaded.kind == payload["kind"]
-        assert built.to_json() == payload
+        # the map's matrices are rebuilt from the points, so none is written
+        dropped = {"u", "u_pinv", "anchor", "l", "anchor_lift"}
+        assert built.to_json() == {key: v for key, v in payload.items() if key not in dropped}
         np.testing.assert_array_equal(loaded.to_simplex, built.to_simplex)
         xs = rng.uniform(-3.0, 3.0, size=(7, built.n))
         for got, expected in zip(loaded.value_and_grad(xs), built.value_and_grad(xs)):
