@@ -161,8 +161,9 @@ def _load_fit_options(args) -> FitOptions:
 
 def _write_json(payload: dict, path: str | None) -> None:
     # one line: without ``indent`` json runs its C encoder, several times
-    # faster than the pure-Python one on a build payload
-    text = json.dumps(payload) + "\n"
+    # faster than the pure-Python one on a build payload.  Payloads are
+    # trees built fresh per call, so the encoder's cycle check can go
+    text = json.dumps(payload, check_circular=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -547,10 +548,7 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="report the extracted zeros without projecting to the reals",
     )
-    p.add_argument(
-        "--real", dest="complex_points", action="store_false", help="project (default)"
-    )
-    p.set_defaults(func=cmd_fit, complex_points=False)
+    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("cluster", help="label samples by loss descent")
     p.add_argument("--input", required=True, help="CSV of samples, optional truth column")

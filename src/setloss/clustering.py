@@ -591,15 +591,16 @@ def bounded_noise_sample(
         if model == "uniform":
             offsets = rng.uniform(-radii[i], radii[i], (need, n))
         else:
-            rows = []
-            while len(rows) < need:
+            # each round draws `need` rows and keeps those inside the box,
+            # in draw order, until `need` are kept
+            kept = []
+            missing = need
+            while missing > 0:
                 cand = rng.normal(0.0, radii[i] / 2.0, (need, n))
-                for row in cand:
-                    if np.max(np.abs(row)) <= radii[i]:
-                        rows.append(row)
-                        if len(rows) == need:
-                            break
-            offsets = np.array(rows)
+                inside = cand[np.max(np.abs(cand), axis=1) <= radii[i]][:missing]
+                kept.append(inside)
+                missing -= len(inside)
+            offsets = np.concatenate(kept)
         chunks.append(points.points[i] + offsets)
         truth.extend([i] * need)
     return SampleSet(np.vstack(chunks)), np.array(truth, dtype=np.int64)

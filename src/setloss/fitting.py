@@ -19,9 +19,12 @@ Rounds are warm-started and inexact (Nocedal and Wright, Numerical
 Optimization, Framework 17.1).  Each round after the first starts its
 damping at the smaller of the fresh value 1e-3 max diag(J^T J) and the
 previous round's final damping times the rho growth factor.  Each round
-stops on a relative decrease of decrease_tol * |c| / target, clipped to
-[decrease_tol, sqrt(decrease_tol)], so early rounds, far from the
-commutator target, stop early, and the last ones run to decrease_tol.
+stops on a relative decrease of DECREASE_TOL * |c| / target, clipped to
+[DECREASE_TOL, sqrt(DECREASE_TOL)], so early rounds, far from the
+commutator target, stop early, and the last ones run to DECREASE_TOL.
+The tolerances are module constants, not options: GRADIENT_TOL and
+STEP_TOL also end a round on a flat gradient or a negligible step, and
+the fit is feasible once |c| <= FEASIBILITY_FACTOR * (1 + |G|_F).
 
 The data block of the Jacobian is constant, so the normal equations are
 assembled from its precomputed Gram blocks; only the small commutator
@@ -53,6 +56,12 @@ __all__ = [
     "average_loss",
     "fit_generating_matrix",
 ]
+
+# stopping and feasibility tolerances of the penalty method
+GRADIENT_TOL = 1e-10
+STEP_TOL = 1e-12
+DECREASE_TOL = 1e-12
+FEASIBILITY_FACTOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -87,22 +96,17 @@ class FitOptions:
 
     The defaults implement a penalty weight starting at 1 and growing by
     a factor of 10 for at most 8 rounds, with the inner Gauss-Newton loop
-    capped at 200 iterations per round.  Feasibility is declared when the
-    total commutator norm drops below
-    ``feasibility_factor * (1 + |G|_F)``.  ``decrease_tol`` is the
-    tightest relative-decrease tolerance of a round, used once the
-    commutator norm is near that target; ``sqrt(decrease_tol)`` is the
-    loosest, used while it is far above.
+    capped at 200 iterations per round.  The tolerances are not options
+    but module constants: feasibility is declared when the total
+    commutator norm drops below ``FEASIBILITY_FACTOR * (1 + |G|_F)``, and
+    a round's relative-decrease tolerance runs from ``sqrt(DECREASE_TOL)``,
+    far above that target, down to ``DECREASE_TOL`` near it.
     """
 
     rho0: float = 1.0
     rho_growth: float = 10.0
     max_rounds: int = 8
     max_inner_iterations: int = 200
-    gradient_tol: float = 1e-10
-    step_tol: float = 1e-12
-    decrease_tol: float = 1e-12
-    feasibility_factor: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -110,9 +114,6 @@ class FitOptions:
             raise ValueError("penalty weight must be positive and strictly growing")
         if self.max_rounds < 1 or self.max_inner_iterations < 1:
             raise ValueError("iteration limits must be positive")
-        for name in ("gradient_tol", "step_tol", "decrease_tol", "feasibility_factor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
     def to_json(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -386,8 +387,8 @@ def _lm_round(
     iterations = 0
     stop = "budget"
     # these change only with g, not on a rejected step
-    flat_gradient = float(np.abs(jtr).max()) <= opts.gradient_tol
-    step_floor = opts.step_tol * (_norm(g) + opts.step_tol)
+    flat_gradient = float(np.abs(jtr).max()) <= GRADIENT_TOL
+    step_floor = STEP_TOL * (_norm(g) + STEP_TOL)
     for _ in range(opts.max_inner_iterations):
         if flat_gradient:
             stop = "gradient"
@@ -419,8 +420,8 @@ def _lm_round(
         g = g_new
         phi = phi_new
         jtj, jtr, _ = model.gram_and_gradient(g, rho)
-        flat_gradient = float(np.abs(jtr).max()) <= opts.gradient_tol
-        step_floor = opts.step_tol * (_norm(g) + opts.step_tol)
+        flat_gradient = float(np.abs(jtr).max()) <= GRADIENT_TOL
+        step_floor = STEP_TOL * (_norm(g) + STEP_TOL)
         mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
         nu = 2.0
         if actual <= tol * (abs(phi) + tol):
@@ -463,7 +464,7 @@ def fit_generating_matrix(
     theta_init = model.theta(g)
 
     def target_of(g):
-        return opts.feasibility_factor * (1.0 + float(np.linalg.norm(g)))
+        return FEASIBILITY_FACTOR * (1.0 + float(np.linalg.norm(g)))
 
     rho = opts.rho0
     com, target = model.commutator_norm(g), target_of(g)
@@ -471,7 +472,7 @@ def fit_generating_matrix(
     mu_cap = float("inf")
     history: list[PenaltyRound] = []
     while len(history) < opts.max_rounds and com > target:
-        tol = min(max(opts.decrease_tol * com / target, opts.decrease_tol), opts.decrease_tol**0.5)
+        tol = min(max(DECREASE_TOL * com / target, DECREASE_TOL), DECREASE_TOL**0.5)
         g, iterations, mu_start, mu, stop = _lm_round(model, g, rho, tol, mu_cap, opts)
         com, target = model.commutator_norm(g), target_of(g)
         history.append(PenaltyRound(rho, tol, mu_start, mu, iterations, com, stop))

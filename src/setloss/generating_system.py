@@ -70,7 +70,6 @@ class PointSet:
     """
 
     points: np.ndarray
-    labels: tuple | None = None
     check_distinct: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
@@ -82,8 +81,6 @@ class PointSet:
         pts = pts.astype(complex if np.iscomplexobj(pts) else float)
         if not np.all(np.isfinite(pts.view(float))):
             raise ValueError("points must be finite")
-        if self.labels is not None and len(self.labels) != pts.shape[0]:
-            raise ValueError("one label per point required")
         if self.check_distinct:
             pairs = coincident_pairs(pts)
             if len(pairs):
@@ -91,8 +88,6 @@ class PointSet:
                 raise ValueError(f"points {i} and {j} coincide")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
     def k(self) -> int:

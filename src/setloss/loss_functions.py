@@ -126,9 +126,6 @@ class SimplicialLoss:
     def value(self, x) -> float:
         return self.value_and_grad(x)[0]
 
-    def hessian(self, x) -> np.ndarray:
-        return simplicial_loss(self.a, x)[2]
-
     def vertices(self) -> np.ndarray:
         """The n + 1 zeros: the origin followed by a_i e_i, shape (n+1, n)."""
         return np.vstack([np.zeros(self.n), np.diag(self.a)])

@@ -259,3 +259,35 @@ def reference_assign_labels(loss, recovered, samples):
         iterations=res.iterations,
         minimizers=res.x,
     )
+
+
+def reference_bounded_noise_sample(points, eps, counts, seed=0, model="truncated-normal"):
+    """``bounded_noise_sample`` accepting one candidate row at a time.
+
+    The same draws in the same order; returns the (N, n) sample array and
+    the per-sample source index that the library must reproduce bit for
+    bit.
+    """
+    k, n = points.shape
+    radii = np.broadcast_to(np.asarray(eps, dtype=float), (k,))
+    sizes = np.broadcast_to(np.asarray(counts, dtype=np.int64), (k,))
+    rng = np.random.default_rng(seed)
+    chunks = []
+    truth = []
+    for i in range(k):
+        need = int(sizes[i])
+        if model == "uniform":
+            offsets = rng.uniform(-radii[i], radii[i], (need, n))
+        else:
+            rows = []
+            while len(rows) < need:
+                cand = rng.normal(0.0, radii[i] / 2.0, (need, n))
+                for row in cand:
+                    if np.max(np.abs(row)) <= radii[i]:
+                        rows.append(row)
+                        if len(rows) == need:
+                            break
+            offsets = np.array(rows)
+        chunks.append(points[i] + offsets)
+        truth.extend([i] * need)
+    return np.vstack(chunks), np.array(truth, dtype=np.int64)

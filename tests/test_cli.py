@@ -134,6 +134,26 @@ def test_build_writes_one_line_of_the_same_json(tmp_path, monkeypatch, n):
         assert json.loads(text) == json.loads(indented), (n, k)
 
 
+@pytest.mark.parametrize(("points", "kind"), [(THREE_POINTS, "affine"), (BENCH_SET, "lifted")])
+def test_build_file_is_the_default_encoding(tmp_path, monkeypatch, points, kind):
+    # the writer skips the encoder's cycle check; the bytes are those of
+    # plain json.dumps on the same payload
+    written = []
+    write = cli._write_json
+
+    def keep(payload, path):
+        written.append(payload)
+        write(payload, path)
+
+    monkeypatch.setattr(cli, "_write_json", keep)
+    inp, out = tmp_path / "pts.csv", tmp_path / "build.json"
+    write_points(inp, points)
+    assert main(["build", "--input", str(inp), "--output", str(out)]) == 0
+    (payload,) = written
+    assert payload["loss"]["kind"] == kind
+    assert out.read_bytes() == (json.dumps(payload) + "\n").encode()
+
+
 def test_build_to_stdout(tmp_path, capsys):
     inp = tmp_path / "pts.csv"
     write_points(inp, THREE_POINTS)
@@ -350,6 +370,29 @@ def test_fit_rejects_unknown_config_keys(tmp_path, capsys, sample_csv):
     )
     assert code == 1
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "cluster"])
+@pytest.mark.parametrize("key", ["gradient_tol", "step_tol", "decrease_tol", "feasibility_factor"])
+def test_config_refuses_the_fixed_tolerances(tmp_path, capsys, sample_csv, command, key):
+    # the fit's tolerances are constants: a config naming one is refused
+    # before any fit runs, not silently ignored
+    samples_path, _ = sample_csv
+    config = tmp_path / "tol.json"
+    config.write_text(json.dumps({key: 1e-6}))
+    argv = [command, "--input", str(samples_path), "--k", "6", "--config", str(config)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad fit options" in captured.err and key in captured.err
+
+
+def test_fit_has_no_real_flag(tmp_path, capsys, sample_csv):
+    # projecting to the reals is the default; only --complex changes it
+    samples_path, _ = sample_csv
+    argv = ["fit", "--input", str(samples_path), "--k", "6", "--real"]
+    assert main(argv) == 1
+    assert "unrecognized arguments: --real" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["fit", "cluster"])

@@ -27,7 +27,12 @@ from setloss.loss_functions import (
     build_transformed_loss,
 )
 
-from helpers import match_as_multisets, random_points, reference_assign_labels
+from helpers import (
+    match_as_multisets,
+    random_points,
+    reference_assign_labels,
+    reference_bounded_noise_sample,
+)
 
 
 class Quadratic:
@@ -517,6 +522,26 @@ def test_bounded_noise_counts_and_containment():
         second = samples.samples[30:] - pts.points[1]
         assert np.abs(first).max() <= 0.5
         assert np.abs(second).max() <= 0.1
+
+
+@pytest.mark.parametrize("model", ["truncated-normal", "uniform"])
+def test_bounded_noise_matches_row_by_row_reference(model):
+    # the masked acceptance keeps the same rows of the same draws as a
+    # loop testing one candidate at a time, so the samples are identical
+    rng = np.random.default_rng(31)
+    for trial in range(24):
+        n, k = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+        pts = random_points(rng, k, n, min_gap=0.5)
+        eps = rng.uniform(0.05, 1.0, k) if trial % 2 else float(rng.uniform(0.05, 1.0))
+        counts = rng.integers(1, 40, k) if trial % 3 else int(rng.integers(1, 40))
+        samples, truth = bounded_noise_sample(
+            PointSet(pts), eps, counts, seed=trial, model=model
+        )
+        ref_samples, ref_truth = reference_bounded_noise_sample(
+            pts, eps, counts, seed=trial, model=model
+        )
+        assert samples.samples.tobytes() == ref_samples.tobytes()
+        np.testing.assert_array_equal(truth, ref_truth)
 
 
 def test_bounded_noise_is_deterministic():

@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -52,6 +52,23 @@ def test_fit_options_validation_and_roundtrip():
         FitOptions(max_rounds=0)
     with pytest.raises(ValueError):
         FitOptions.from_json({"not_an_option": 1})
+
+
+def test_fit_options_are_the_schedule_and_the_seed():
+    # the tolerances are fixed parts of the method, not options
+    defaults = {f.name: f.default for f in fields(FitOptions)}
+    assert defaults == {
+        "rho0": 1.0,
+        "rho_growth": 10.0,
+        "max_rounds": 8,
+        "max_inner_iterations": 200,
+        "seed": 0,
+    }
+    assert (fitting.GRADIENT_TOL, fitting.STEP_TOL) == (1e-10, 1e-12)
+    assert (fitting.DECREASE_TOL, fitting.FEASIBILITY_FACTOR) == (1e-12, 1e-8)
+    for name in ("gradient_tol", "step_tol", "decrease_tol", "feasibility_factor"):
+        with pytest.raises(ValueError, match="unknown fit options"):
+            FitOptions.from_json({name: 1e-6})
 
 
 @pytest.mark.parametrize(
@@ -358,7 +375,7 @@ def test_history_records_warm_started_inexact_rounds():
     assert history[-1].commutator_norm == result.commutator_norm
     for i, r in enumerate(history):
         assert r.rho == opts.rho0 * opts.rho_growth**i
-        assert opts.decrease_tol <= r.decrease_tol <= opts.decrease_tol**0.5
+        assert fitting.DECREASE_TOL <= r.decrease_tol <= fitting.DECREASE_TOL**0.5
         assert r.stop in ("gradient", "step", "decrease", "mu overflow", "budget")
     model = PenaltyModel(samples, 5)
     carried = 0
@@ -372,7 +389,7 @@ def test_history_records_warm_started_inexact_rounds():
     assert carried > 0
     # the first round, far from the target, stops at the loosest tolerance,
     # and the tolerance tightens as the commutator nears the target
-    assert history[0].decrease_tol == opts.decrease_tol**0.5
+    assert history[0].decrease_tol == fitting.DECREASE_TOL**0.5
     assert history[0].stop == "decrease" and history[-1].decrease_tol < history[0].decrease_tol
 
 

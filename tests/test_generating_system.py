@@ -98,6 +98,12 @@ def test_point_set_names_first_coincident_pair():
     assert PointSet(np.array([[1.0 + 1e-6j], [1.0 - 1e-6j]])).k == 2
 
 
+def test_point_set_takes_no_labels():
+    # a point set is its rows; labels belong to samples, not to the set
+    with pytest.raises(TypeError):
+        PointSet(np.array([[1.0, 2.0], [3.0, 4.0]]), labels=(0, 1))
+
+
 def test_point_set_is_immutable():
     ps = PointSet(np.array([[1.0, 2.0], [3.0, 4.0]]))
     with pytest.raises(ValueError):
