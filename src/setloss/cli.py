@@ -23,6 +23,9 @@ import csv
 import functools
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -159,15 +162,18 @@ def _load_fit_options(args) -> FitOptions:
         raise _UsageError(f"bad fit options: {exc}") from exc
 
 
-def _write_json(payload: dict, path: str | None) -> None:
-    # one line: without ``indent`` json runs its C encoder, several times
-    # faster than the pure-Python one on a build payload.  Payloads are
-    # trees built fresh per call, so the encoder's cycle check can go
-    text = json.dumps(payload, check_circular=False) + "\n"
+def _write_text(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def _write_json(payload: dict, path: str | None) -> None:
+    # one line: without ``indent`` json runs its C encoder, several times
+    # faster than the pure-Python one on a fit payload.  Payloads are
+    # trees built fresh per call, so the encoder's cycle check can go
+    _write_text(json.dumps(payload, check_circular=False) + "\n", path)
 
 
 def _loss_payload(loss) -> dict:
@@ -179,6 +185,51 @@ def _loss_payload(loss) -> dict:
 # -- build -----------------------------------------------------------------
 
 
+def _build_text(points: PointSet, gm, loss) -> str:
+    """``json.dumps`` of the build payload, with each float formatted once.
+
+    Each coefficient of ``generator_terms`` is ``repr``'d once; G's entries
+    are those coefficients negated as text, in G's row order, and one
+    text of the points serves ``points`` and ``loss.points``.  Nothing is
+    kept from one build to the next.
+    """
+    terms = generator_terms(gm)
+    texts = generator_strings(gm)
+    coeffs = list(map(repr, chain.from_iterable(map(dict.values, terms))))
+    # row i of G is the (i + 1)-th coefficient of every generator; a "-"
+    # before each entry and "--" dropped negates them all, as the repr of
+    # a finite float holds no other "-" than its sign and its exponent's
+    step = gm.k + 1
+    negated = ", -".join(chain.from_iterable(coeffs[i::step] for i in range(1, step)))
+    g_text = "[" + ("-" + negated).replace("--", "") + "]"
+    b0, b1 = gm.basis.powers.tolist(), gm.border.powers.tolist()
+    # a list of ints prints as its JSON; each term is [exponents, coefficient]
+    heads = [f"[{alpha}, " for alpha in b0]
+    generators = ", ".join(
+        '{"terms": ['
+        + "], ".join(map(add, [f"[{beta}, ", *heads], coeffs[j * step : (j + 1) * step]))
+        + ']], "text": '
+        + encode_basestring_ascii(text)
+        + "}"
+        for j, (beta, text) in enumerate(zip(b1, texts))
+    )
+    points_text = json.dumps(points.points.tolist())
+    # the loss was built on these very points
+    loss_text = "{" + ", ".join(
+        f"{encode_basestring_ascii(key)}: "
+        + (points_text if key == "points" else json.dumps(value))
+        for key, value in loss.to_json().items()
+    ) + "}"
+    closed_form = encode_basestring_ascii(loss.describe()) if loss.has_closed_form else "null"
+    n, k = gm.n, gm.k
+    return (
+        f'{{"n": {n}, "k": {k}, "points": {points_text}, '
+        f'"generating_matrix": {{"n": {n}, "k": {k}, "b0": {json.dumps(b0)}, '
+        f'"b1": {json.dumps(b1)}, "g": {g_text}}}, "generators": [{generators}], '
+        f'"loss": {loss_text}, "closed_form": {closed_form}}}\n'
+    )
+
+
 def cmd_build(args) -> int:
     coords, _ = _parse_points(args.input, allow_truth=False)
     try:
@@ -187,20 +238,7 @@ def cmd_build(args) -> int:
         raise DegenerateConfigurationError(str(exc)) from exc
     gm = solve_generating_matrix(points)
     loss = build_transformed_loss(points)
-    payload = {
-        "n": points.n,
-        "k": points.k,
-        "points": points.points.tolist(),
-        "generating_matrix": gm.to_json(),
-        "generators": [
-            # json writes each (exponent tuple, coefficient) item as [[...], c]
-            {"terms": list(terms.items()), "text": text}
-            for terms, text in zip(generator_terms(gm), generator_strings(gm))
-        ],
-        "loss": _loss_payload(loss),
-        "closed_form": loss.describe() if loss.has_closed_form else None,
-    }
-    _write_json(payload, args.output)
+    _write_text(_build_text(points, gm, loss), args.output)
     return 0
 
 
@@ -343,11 +381,7 @@ def cmd_cluster(args) -> int:
             str(int(assignment.iterations[j])),
         ] + [repr(float(v)) for v in assignment.minimizers[j]]
         lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.output).write_text(text)
+    _write_text("\n".join(lines) + "\n", args.output)
 
     summary = {
         "k": recovered.k,

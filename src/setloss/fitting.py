@@ -30,6 +30,8 @@ The data block of the Jacobian is constant, so the normal equations are
 assembled from its precomputed Gram blocks; only the small commutator
 block is rebuilt per iteration, and an accepted step reuses the
 multiplication matrices, commutators and theta of its trial evaluation.
+A round that ends on its decrease test builds no normal equations at its
+last g: the next round builds them there for its own rho.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateConfigurationError
-from .generating_system import GeneratingMatrix, _index_pairs, commutators, shift_table
+from .generating_system import GeneratingMatrix, _index_pairs, _shifts, commutators
 from .monomial_basis import border_monomials, monomial_matrix, standard_monomials
 from .numeric_kernels import min_eigenvalue_sym
 
@@ -213,7 +215,7 @@ def _commutator_jacobian_steps(n: int, k: int):
     """
     basis = standard_monomials(n, k)
     border = border_monomials(basis)
-    shifts = shift_table(basis, border)
+    shifts = _shifts(basis, border)
     m = len(border)
     lifted = np.full((n, m), -1)
     lifted[shifts.var, shifts.border] = shifts.col
@@ -267,7 +269,7 @@ class PenaltyModel:
         self.k = k
         self.m = len(self.b1)
         self.n = samples.n
-        self.shifts = shift_table(self.b0, self.b1)
+        self.shifts = _shifts(self.b0, self.b1)
         # the index pairs i < j in the order of commutators()
         self._first, self._second = _index_pairs(self.n)
         self._jacobian_steps = _commutator_jacobian_steps(self.n, k)
@@ -419,14 +421,15 @@ def _lm_round(
         gain = actual / predicted
         g = g_new
         phi = phi_new
-        jtj, jtr, _ = model.gram_and_gradient(g, rho)
-        flat_gradient = float(np.abs(jtr).max()) <= GRADIENT_TOL
-        step_floor = STEP_TOL * (_norm(g) + STEP_TOL)
         mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
         nu = 2.0
         if actual <= tol * (abs(phi) + tol):
             stop = "decrease"
             break
+        # the round goes on, so it needs the normal equations at the new g
+        jtj, jtr, _ = model.gram_and_gradient(g, rho)
+        flat_gradient = float(np.abs(jtr).max()) <= GRADIENT_TOL
+        step_floor = STEP_TOL * (_norm(g) + STEP_TOL)
     return g, iterations, mu_start, mu, stop
 
 

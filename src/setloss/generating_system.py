@@ -147,8 +147,8 @@ class GeneratingMatrix:
 
     @cached_property
     def shifts(self) -> "ShiftTable":
-        """The shift table of this basis and border, built on first use."""
-        return shift_table(self.basis, self.border)
+        """The shift table of this basis and border, shared by every matrix on the pair."""
+        return _shifts(self.basis, self.border)
 
     def to_json(self) -> dict:
         return {
@@ -161,10 +161,25 @@ class GeneratingMatrix:
 
     @classmethod
     def from_json(cls, payload: dict) -> "GeneratingMatrix":
+        """Read a matrix back; a standard basis and border come back interned.
+
+        When ``b0`` and ``b1`` list the members of ``standard_monomials(n, k)``
+        and its border, the matrix gets those very objects, and with them
+        the shift table and rendering structures already built for the
+        pair.  Any other basis gets objects of its own.
+        """
         n = int(payload["n"])
         k = int(payload["k"])
-        basis = MonomialBasis.from_json({"n": n, "members": payload["b0"]})
-        border = MonomialBasis.from_json({"n": n, "members": payload["b1"]})
+        b0, b1 = payload["b0"], payload["b1"]
+        basis = None
+        if n >= 1 and k >= 1 and len(b0) == k:
+            standard = standard_monomials(n, k)
+            border = border_monomials(standard)
+            if np.array_equal(b0, standard.powers) and np.array_equal(b1, border.powers):
+                basis = standard
+        if basis is None:
+            basis = MonomialBasis.from_json({"n": n, "members": b0})
+            border = MonomialBasis.from_json({"n": n, "members": b1})
         if len(basis) != k:
             raise ValueError(f"declared k={k} but basis has {len(basis)} members")
         entries = np.array(payload["g"], dtype=float).reshape(k, len(border))
@@ -241,6 +256,25 @@ class ShiftTable(NamedTuple):
         return mats
 
 
+def _pair_structure(name: str, build, basis: MonomialBasis, border: MonomialBasis):
+    """``build(basis, border)``, made once per (basis, border) object pair.
+
+    Kept on the basis, so it lives as long as the basis does: for the
+    interned ``standard_monomials(n, k)`` and its border that is the whole
+    process, and a basis of its own takes its structures with it.
+    """
+    key = (name, id(border))
+    entry = basis._derived.get(key)
+    if entry is None:
+        entry = basis._derived[key] = (border, build(basis, border))
+    return entry[1]
+
+
+def _shifts(basis: MonomialBasis, border: MonomialBasis) -> "ShiftTable":
+    """The one shift table of a (basis, border) pair."""
+    return _pair_structure("shifts", shift_table, basis, border)
+
+
 def shift_table(basis: MonomialBasis, border: MonomialBasis) -> ShiftTable:
     """Where x_i * x^nu lands, for every variable i and basis monomial nu.
 
@@ -268,7 +302,7 @@ def shift_table(basis: MonomialBasis, border: MonomialBasis) -> ShiftTable:
         raise ValueError(f"monomial {key} is not a member")
     var, col, target = np.nonzero(in_border & ~stays[:, :, None])
     table = ShiftTable(unit=in_basis.astype(float), var=var, col=col, border=target)
-    # a generating matrix caches its table, so no caller may change it
+    # every matrix and fit on the pair shares its table, so no caller may change it
     for arr in table:
         arr.flags.writeable = False
     return table
@@ -339,27 +373,40 @@ def _monomial_str(exps: tuple[int, ...]) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _strings_prelude(basis: MonomialBasis, border: MonomialBasis):
+    """What ``generator_strings`` needs of a (basis, border) pair.
+
+    The basis order, descending in grlex, and per border monomial the
+    place of its -1 term in that order and the names of all its k + 1
+    monomials.
+    """
+    keys = [grlex_key(b) for b in basis]
+    order = sorted(range(len(basis)), key=keys.__getitem__, reverse=True)
+    ascending = [keys[i] for i in reversed(order)]
+    monos = [_monomial_str(basis[i]) for i in order]
+    places = []
+    for alpha in border:
+        # the border term follows every basis term with a larger key
+        at = len(ascending) - bisect_right(ascending, grlex_key(alpha))
+        places.append((at, monos[:at] + [_monomial_str(alpha)] + monos[at:]))
+    return order, places
+
+
 def generator_strings(gm: GeneratingMatrix) -> list[str]:
     """Human-readable rendering of each generator polynomial.
 
     Terms run in descending grlex order with zero coefficients left out;
     magnitudes print to 12 significant digits, and a unit magnitude is
-    left out except on the constant monomial.  The basis is ordered and
-    its monomials formatted once per matrix; each generator then reads
-    its column of ``entries`` once, with its border monomial placed by
-    the same grlex key as a term of coefficient -1, and every term is
-    written with its sign as " + " or " - " before the first is trimmed.
+    left out except on the constant monomial.  The monomials are ordered
+    and named once per (basis, border) pair; each generator then reads
+    its column of ``entries`` once, with its border monomial placed as a
+    term of coefficient -1, and every term is written with its sign as
+    " + " or " - " before the first is trimmed.
     """
-    keys = [grlex_key(b) for b in gm.basis]
-    order = sorted(range(gm.k), key=keys.__getitem__, reverse=True)
-    ascending = [keys[i] for i in reversed(order)]
-    monos = [_monomial_str(gm.basis[i]) for i in order]
+    order, places = _pair_structure("strings", _strings_prelude, gm.basis, gm.border)
     out = []
-    for alpha, column in zip(gm.border, gm.entries[order].T.tolist()):
-        # the border term follows every basis term with a larger key
-        at = len(ascending) - bisect_right(ascending, grlex_key(alpha))
+    for (at, names), column in zip(places, gm.entries[order].T.tolist()):
         column[at:at] = (-1.0,)
-        names = monos[:at] + [_monomial_str(alpha)] + monos[at:]
         pieces = []
         for g, mono in zip(column, names):
             # the term is -g x^b

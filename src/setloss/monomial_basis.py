@@ -106,6 +106,14 @@ class MonomialBasis:
     def _positions(self) -> dict[tuple[int, ...], int]:
         return {tuple(m): i for i, m in enumerate(self.powers.tolist())}
 
+    @cached_property
+    def _derived(self) -> dict:
+        # structures that other modules build from this basis and a partner
+        # basis, such as a shift table, keyed by name and by the partner's
+        # identity; each entry holds its partner, so no id is reused while
+        # its entry lives, and all of them live as long as this basis
+        return {}
+
     def position(self, alpha) -> int:
         """Index of a monomial in this basis; ValueError when absent."""
         key = tuple(int(e) for e in alpha)
@@ -142,7 +150,9 @@ def standard_monomials(n: int, k: int) -> MonomialBasis:
     The result is divisor closed: every divisor of a member is an earlier
     member, because a proper divisor has strictly smaller degree and all
     complete degree levels below the last one are included.  Bases are
-    immutable, so one object per (n, k) serves every caller.
+    immutable, so one object per (n, k) serves every caller, and so do
+    its border and every structure derived from the pair, for the whole
+    process.
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")

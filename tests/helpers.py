@@ -156,6 +156,57 @@ def reference_generator_strings(gm):
     return out
 
 
+def reference_build_payload(points, gm, loss):
+    """The payload that ``setloss build`` writes, assembled from the library's parts.
+
+    The points, ``gm.to_json()``, each generator's ``generator_terms`` items
+    and ``generator_strings`` text, ``loss.to_json()`` and, for a loss with a
+    closed form, ``describe``: a build file must be ``json.dumps`` of this
+    dict and a newline, byte for byte.
+    """
+    from setloss.generating_system import generator_strings, generator_terms
+
+    return {
+        "n": points.n,
+        "k": points.k,
+        "points": points.points.tolist(),
+        "generating_matrix": gm.to_json(),
+        "generators": [
+            {"terms": [[list(alpha), c] for alpha, c in terms.items()], "text": text}
+            for terms, text in zip(generator_terms(gm), generator_strings(gm), strict=True)
+        ],
+        "loss": loss.to_json(),
+        "closed_form": loss.describe() if loss.has_closed_form else None,
+    }
+
+
+def forget_shapes():
+    """Drop every structure the package keeps per (n, k).
+
+    The next use of any shape then builds its basis, border, shift table
+    and rendering structures afresh, so a test that counts those builds
+    reads the same counts whichever tests ran before it.
+    """
+    from setloss import fitting
+    from setloss.monomial_basis import standard_monomials
+
+    standard_monomials.cache_clear()
+    fitting._commutator_jacobian_steps.cache_clear()
+
+
+def counting_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper; returns the list of its calls' first arguments."""
+    calls = []
+    func = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0] if args else None)
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 def reference_sort_order(points):
     """The order of extracted zeros, by Python's ``sorted`` over key tuples.
 

@@ -12,10 +12,10 @@ import setloss.cli as cli
 from setloss.cli import main
 from setloss.clustering import bounded_noise_sample, gmm_sample, random_gmm_spec
 from setloss.errors import NumericalFailureError
-from setloss.generating_system import PointSet
+from setloss.generating_system import GeneratingMatrix, PointSet, solve_generating_matrix
 from setloss.loss_functions import TransformedLoss, build_transformed_loss
 
-from helpers import random_points
+from helpers import random_points, reference_build_payload
 
 BENCH_SET = np.array(
     [[1.0, 1.0], [3.0, 2.0], [1.5, 2.5], [2.5, 3.0], [2.0, 1.5], [3.0, 1.0]]
@@ -111,47 +111,53 @@ def test_build_loss_rebuilds_bit_for_bit(tmp_path, n, k):
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_build_writes_one_line_of_the_same_json(tmp_path, monkeypatch, n):
-    # compact output changes only whitespace: the file reads back to what
-    # the indented rendering of the same payload reads back to
-    written = []
-    write = cli._write_json
+def _chebyshev_nodes(k):
+    # on a line random points are too ill-conditioned to interpolate at
+    # large k; these nodes build up to k = 26, and no set of 27 or more does
+    return np.cos(np.pi * (np.arange(k) + 0.5) / k)[:, None]
 
-    def keep(payload, path):
-        written.append(payload)
-        write(payload, path)
 
-    monkeypatch.setattr(cli, "_write_json", keep)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_build_writes_one_line_of_the_same_json(tmp_path, n):
+    # the file is one line: json.dumps of the payload that the helpers
+    # assemble from the library's parts, byte for byte, for every shape
+    # that the benchmark builds
     rng = np.random.default_rng(60 + n)
     inp, out = tmp_path / "pts.csv", tmp_path / "build.json"
-    for k in range(2, 36):
-        write_points(inp, random_points(rng, k, n))
+    for k in range(2, 27 if n == 1 else 36):
+        pts = _chebyshev_nodes(k) if n == 1 else random_points(rng, k, n)
+        write_points(inp, pts)
         assert main(["build", "--input", str(inp), "--output", str(out)]) == 0
-        text = out.read_text()
-        assert text.endswith("\n") and text.count("\n") == 1, (n, k)
-        indented = json.dumps(written[-1], indent=2) + "\n"
-        assert json.loads(text) == json.loads(indented), (n, k)
+        points = PointSet(pts)
+        payload = reference_build_payload(
+            points, solve_generating_matrix(points), build_transformed_loss(points)
+        )
+        assert out.read_bytes() == (json.dumps(payload) + "\n").encode(), (n, k)
+
+
+# the entries where formatting a number once and negating it as text can
+# go wrong: signed zeros, units, exponents and the smallest subnormal
+SPECIAL_ENTRIES = [-0.0, 0.0, 1e-05, -1e16, 5e-324, -1.0, 1.0, 2.0, -5e-324, 1e16, -1e-05, -2.0]
 
 
 @pytest.mark.parametrize(("points", "kind"), [(THREE_POINTS, "affine"), (BENCH_SET, "lifted")])
 def test_build_file_is_the_default_encoding(tmp_path, monkeypatch, points, kind):
-    # the writer skips the encoder's cycle check; the bytes are those of
-    # plain json.dumps on the same payload
-    written = []
-    write = cli._write_json
-
-    def keep(payload, path):
-        written.append(payload)
-        write(payload, path)
-
-    monkeypatch.setattr(cli, "_write_json", keep)
+    # a G holding every special entry, not square in the lifted case, is
+    # written as plain json.dumps writes the reference payload
+    pts = PointSet(points)
+    exact = solve_generating_matrix(pts)
+    values = np.resize(SPECIAL_ENTRIES + np.linspace(-3.7, 5.1, 7).tolist(), exact.entries.size)
+    planted = GeneratingMatrix(exact.basis, exact.border, values.reshape(exact.entries.shape))
+    monkeypatch.setattr(cli, "solve_generating_matrix", lambda _: planted)
     inp, out = tmp_path / "pts.csv", tmp_path / "build.json"
     write_points(inp, points)
     assert main(["build", "--input", str(inp), "--output", str(out)]) == 0
-    (payload,) = written
-    assert payload["loss"]["kind"] == kind
+    loss = build_transformed_loss(pts)
+    assert loss.kind == kind
+    payload = reference_build_payload(pts, planted, loss)
     assert out.read_bytes() == (json.dumps(payload) + "\n").encode()
+    g = json.loads(out.read_text())["generating_matrix"]["g"]
+    assert [np.copysign(1.0, v) for v in g[:2]] == [-1.0, 1.0]
 
 
 def test_build_to_stdout(tmp_path, capsys):

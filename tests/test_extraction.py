@@ -17,10 +17,19 @@ from setloss.generating_system import (
     GeneratingMatrix,
     PointSet,
     commutator_residual,
+    generator_strings,
     solve_generating_matrix,
 )
+from setloss.monomial_basis import MonomialBasis, border_monomials, standard_monomials
 
-from helpers import match_as_multisets, random_points, reference_sort_order
+from helpers import (
+    counting_calls,
+    forget_shapes,
+    match_as_multisets,
+    random_points,
+    reference_generator_strings,
+    reference_sort_order,
+)
 
 BENCH_SET = np.array(
     [[1.0, 1.0], [3.0, 2.0], [1.5, 2.5], [2.5, 3.0], [2.0, 1.5], [3.0, 1.0]]
@@ -203,20 +212,60 @@ def test_large_k_roundtrip_needs_the_sorted_schur_form():
 
 
 def test_extraction_builds_one_shift_table(monkeypatch):
-    # the commutator gate and the Schur step share the matrix's table
+    # a matrix read from JSON gets the interned basis and border of its
+    # shape, so its commutator gate and Schur step, and every later matrix
+    # of that shape, share one table
     import setloss.generating_system as gs
 
-    calls = []
-    build = gs.shift_table
-
-    def counting(basis, border):
-        calls.append(len(basis))
-        return build(basis, border)
-
-    monkeypatch.setattr(gs, "shift_table", counting)
+    forget_shapes()
+    tables = counting_calls(monkeypatch, gs, "shift_table")
     payload = solve_generating_matrix(PointSet(BENCH_SET)).to_json()
-    extract_zero_set(GeneratingMatrix.from_json(payload))
-    assert calls == [6]
+    first = extract_zero_set(GeneratingMatrix.from_json(payload))
+    assert len(tables) == 1
+    again = GeneratingMatrix.from_json(payload)
+    assert again.basis is standard_monomials(2, 6)
+    assert again.border is border_monomials(again.basis)
+    second = extract_zero_set(again)
+    assert len(tables) == 1
+    np.testing.assert_array_equal(second.points, first.points)
+
+
+def test_permuted_basis_keeps_its_own_structures(monkeypatch):
+    # the same monomials in another order are a basis of their own: not
+    # interned, with a table and a rendering prelude of their own
+    import setloss.generating_system as gs
+
+    forget_shapes()
+    rng = np.random.default_rng(31)
+    pts = random_points(rng, 6, 2)
+    gm = solve_generating_matrix(PointSet(pts))
+    perm = np.array([3, 0, 5, 1, 4, 2])
+    basis = MonomialBasis(n=2, powers=gm.basis.powers[perm])
+    permuted = GeneratingMatrix(basis, gm.border, gm.entries[perm])
+    loaded = GeneratingMatrix.from_json(permuted.to_json())
+    assert loaded.basis == basis and loaded.basis is not gm.basis
+    assert loaded.border == gm.border and loaded.border is not gm.border
+    tables = counting_calls(monkeypatch, gs, "shift_table")
+    preludes = counting_calls(monkeypatch, gs, "_strings_prelude")
+    zeros = extract_zero_set(loaded)
+    assert generator_strings(loaded) == reference_generator_strings(loaded)
+    assert tables == [loaded.basis] and preludes == [loaded.basis]
+    parent = extract_zero_set(gm)
+    assert generator_strings(gm) == reference_generator_strings(gm)
+    assert tables == [loaded.basis, gm.basis] and preludes == [loaded.basis, gm.basis]
+    assert loaded.shifts is not gm.shifts
+    # the same zeros, in the same sorted order
+    np.testing.assert_allclose(zeros.points, parent.points, rtol=0, atol=1e-9)
+    assert match_as_multisets(zeros.points.real, pts) <= 1e-9
+    # another matrix on either pair builds nothing new
+    extract_zero_set(GeneratingMatrix(loaded.basis, loaded.border, loaded.entries))
+    generator_strings(loaded)
+    extract_zero_set(GeneratingMatrix.from_json(gm.to_json()))
+    assert len(tables) == len(preludes) == 2
+    # while a permuted basis read again is a new object, with a new table
+    reread = GeneratingMatrix.from_json(permuted.to_json())
+    extract_zero_set(reread)
+    assert tables[2:] == [reread.basis] and reread.basis is not loaded.basis
 
 
 def test_commuting_gate_rejects_garbage():

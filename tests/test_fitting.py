@@ -24,7 +24,7 @@ from setloss.generating_system import (
     solve_generating_matrix,
 )
 
-from helpers import fd_jacobian, match_as_multisets, random_points
+from helpers import counting_calls, fd_jacobian, forget_shapes, match_as_multisets, random_points
 
 
 def noisy_samples(rng, points, eps, per_point):
@@ -237,26 +237,59 @@ def test_single_variable_fit_has_no_commutators():
 
 
 def test_fit_looks_up_monomials_only_while_setting_up(monkeypatch):
-    # every per-iteration piece reads the shift table built once per fit,
-    # so the number of shift tables does not grow with the iterations
-    calls = []
-    build = gs.shift_table
-
-    def counting(basis, border):
-        calls.append(len(basis))
-        return build(basis, border)
-
-    for module in (gs, fitting):
-        monkeypatch.setattr(module, "shift_table", counting)
+    # the first fit of a shape builds its one shift table; every fit after
+    # it, however many iterations it runs, and the extraction of its
+    # result, read that table
+    forget_shapes()
+    tables = counting_calls(monkeypatch, gs, "shift_table")
     rng = np.random.default_rng(14)
     samples = noisy_samples(rng, random_points(rng, 4, 2, min_gap=0.8), 0.1, 30)
-    counts = []
-    for opts in (FitOptions(max_rounds=1, max_inner_iterations=1), FitOptions()):
-        calls.clear()
-        result = fit_generating_matrix(samples, 4, opts)
-        counts.append(len(calls))
+    short = fit_generating_matrix(samples, 4, FitOptions(max_rounds=1, max_inner_iterations=1))
+    assert short.iterations == 1 and len(tables) == 1
+    result = fit_generating_matrix(samples, 4, FitOptions())
     assert result.converged and result.iterations > 5
-    assert counts[0] == counts[1] > 0
+    extract_zero_set(result.g_star)
+    assert len(tables) == 1
+
+
+def test_fit_builds_no_gram_matrix_a_round_does_not_use():
+    # a round that stops on its decrease test after an accepted step needs
+    # no normal equations at its last g: the Gram builds are one per round
+    # plus one per accepted step that did not end its round
+    rng = np.random.default_rng(15)
+    samples = noisy_samples(rng, random_points(rng, 5, 2, min_gap=0.8), 0.05, 40)
+    builds, accepted = [], []
+    state = {}
+    gram = PenaltyModel.gram_and_gradient
+    penalized = PenaltyModel.penalized_value
+
+    def counting_gram(self, g, rho):
+        out = gram(self, g, rho)
+        builds.append(g.copy())
+        state["phi"] = out[2]
+        return out
+
+    def counting_penalized(self, g, rho):
+        value = penalized(self, g, rho)
+        # the damped step's predicted decrease is always positive, so a
+        # trial is accepted exactly when it lowers phi
+        if value < state["phi"]:
+            accepted.append(g.copy())
+            state["phi"] = value
+        return value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PenaltyModel, "gram_and_gradient", counting_gram)
+        mp.setattr(PenaltyModel, "penalized_value", counting_penalized)
+        result = fit_generating_matrix(samples, 5, FitOptions(seed=4))
+    reference = fit_generating_matrix(samples, 5, FitOptions(seed=4))
+    assert result.history == reference.history
+    ended = sum(r.stop == "decrease" for r in result.history)
+    assert result.converged and result.rounds > 1 and ended > 0
+    assert len(builds) == result.rounds + len(accepted) - ended
+    # no two builds in a row are at one g: a round's last accepted g is
+    # built only once, by the round after it
+    assert not any(np.array_equal(a, b) for a, b in zip(builds, builds[1:]))
 
 
 def test_theta_is_the_average_loss():
@@ -407,7 +440,10 @@ def test_accepted_steps_reuse_their_trial_evaluation(monkeypatch):
     samples = noisy_samples(rng, random_points(rng, 5, 2, min_gap=0.8), 0.05, 40)
     result = fit_generating_matrix(samples, 5)
     trials = counts["penalized_value"]
-    accepted = counts["gram_and_gradient"] - result.rounds
+    # one Gram build starts each round and one follows each accepted step,
+    # except a step that ends its round on the decrease test
+    ended = sum(r.stop == "decrease" for r in result.history)
+    accepted = counts["gram_and_gradient"] - result.rounds + ended
     assert result.converged and accepted > result.rounds + 1
     # once per trial step and at most once per round (a round whose last
     # trial was rejected evaluates its final g again), plus the start
