@@ -30,7 +30,6 @@ from .fitting import (
     FitOptions,
     FitResult,
     SampleSet,
-    average_loss,
     fit_generating_matrix,
 )
 from .generating_system import (
@@ -42,15 +41,11 @@ from .generating_system import (
     generator_terms,
     multiplication_matrices,
     solve_generating_matrix,
-    vandermonde,
 )
 from .loss_functions import (
     GeneratingLoss,
-    SimplicialLoss,
     TransformedLoss,
     build_transformed_loss,
-    generating_loss,
-    simplicial_loss,
 )
 from .monomial_basis import (
     MonomialBasis,
@@ -79,11 +74,9 @@ __all__ = [
     "PointSet",
     "RecoveryResult",
     "SampleSet",
-    "SimplicialLoss",
     "TransformedLoss",
     "ZeroSet",
     "assign_labels",
-    "average_loss",
     "border_monomials",
     "bounded_noise_sample",
     "build_transformed_loss",
@@ -94,7 +87,6 @@ __all__ = [
     "evaluate_monomials",
     "extract_zero_set",
     "fit_generating_matrix",
-    "generating_loss",
     "generator_strings",
     "generator_terms",
     "gmm_sample",
@@ -107,8 +99,6 @@ __all__ = [
     "real_projection",
     "recover_point_set",
     "set_distance",
-    "simplicial_loss",
     "solve_generating_matrix",
     "standard_monomials",
-    "vandermonde",
 ]

@@ -36,6 +36,7 @@ except ImportError:
     threadpool_limits = None
 
 from .clustering import (
+    MAX_ALIGNMENT_SIZE,
     assign_labels,
     bounded_noise_sample,
     clustering_accuracy,
@@ -77,6 +78,14 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _count(text: str) -> int:
+    # an argparse type, so a count below 1 is refused as the arguments are parsed
+    value = int(text) if text.strip().isdecimal() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _derived_seed(base: int, *path: int) -> int:
@@ -306,11 +315,48 @@ def _check_truth(truth, k: int) -> None:
     """
     if truth is None:
         return
+    if k > MAX_ALIGNMENT_SIZE:
+        raise _UsageError(
+            f"a truth column can be scored against at most {MAX_ALIGNMENT_SIZE} points, "
+            f"got k = {k}; pass --no-truth-column to cluster without scoring"
+        )
     if truth.max() >= k:
         raise _UsageError("truth labels exceed the recovered set size")
     empty = np.setdiff1d(np.arange(k), truth)
     if empty.size:
         raise _UsageError(f"truth label {int(empty[0])} has no samples")
+
+
+def _read_sstar(path: str, n: int) -> PointSet:
+    """The real set under ``s_star``, else ``points``, of a JSON object; refused unless in R^n."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _UsageError(f"cannot read {path}: {exc}") from exc
+    rows = payload.get("s_star", payload.get("points")) if isinstance(payload, dict) else None
+    try:
+        pts = np.array(rows, dtype=float)
+    except (TypeError, ValueError):  # ragged or not numbers
+        pts = np.empty(0)
+    if pts.ndim == 3 and pts.shape[2] == 2:  # complex [re, im] pairs; keep the real parts
+        zeros = pts[:, :, 0] + 1j * pts[:, :, 1]
+        if not zeros_are_real(zeros):
+            # same refusal as recovery: the real parts of a conjugate
+            # pair nearly coincide and give no loss worth descending
+            exc = NumericalFailureError(
+                f"{path} holds zeros that are not real: imaginary parts "
+                f"up to {np.max(np.abs(zeros.imag)):.3e}"
+            )
+            exc.stage = "extract"
+            raise exc
+        pts = zeros.real
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise _UsageError(f"{path} carries no point set in R^{n}, where the samples lie")
+    try:
+        return PointSet(pts)
+    except ValueError as exc:
+        raise DegenerateConfigurationError(str(exc)) from exc
 
 
 def cmd_cluster(args) -> int:
@@ -323,36 +369,12 @@ def cmd_cluster(args) -> int:
 
     fit_converged = True
     if args.sstar is not None:
-        try:
-            with open(args.sstar) as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise _UsageError(f"cannot read {args.sstar}: {exc}") from exc
-        rows = payload.get("s_star", payload.get("points"))
-        if rows is None:
-            raise _UsageError(f"{args.sstar} carries no point set")
-        pts = np.array(rows, dtype=float)
-        if pts.ndim == 3:  # complex [re, im] pairs; cluster on the real parts
-            zeros = pts[:, :, 0] + 1j * pts[:, :, 1]
-            if not zeros_are_real(zeros):
-                # same refusal as recovery: the real parts of a conjugate
-                # pair nearly coincide and give no loss worth descending
-                exc = NumericalFailureError(
-                    f"{args.sstar} holds zeros that are not real: imaginary parts "
-                    f"up to {np.max(np.abs(zeros.imag)):.3e}"
-                )
-                exc.stage = "extract"
-                raise exc
-            pts = zeros.real
-        try:
-            recovered = PointSet(pts)
-        except ValueError as exc:
-            raise DegenerateConfigurationError(str(exc)) from exc
+        recovered = _read_sstar(args.sstar, samples.n)
+        _check_truth(truth, recovered.k)
         if args.loss == "fg":
             loss = GeneratingLoss(solve_generating_matrix(recovered))
         else:
             loss = build_transformed_loss(recovered)
-        _check_truth(truth, recovered.k)
     elif args.k is not None:
         opts = _load_fit_options(args)
         # --k fixes the set size, so a bad truth column costs no fit
@@ -456,6 +478,10 @@ def _bench_trials(args, out_dir: Path, radii, counts, path: tuple, points_name: 
 
 
 def cmd_bench(args) -> int:
+    if args.scenario == "gmm" and args.k > MAX_ALIGNMENT_SIZE:
+        raise _UsageError(
+            f"bench --scenario gmm scores at most {MAX_ALIGNMENT_SIZE} components, got --k {args.k}"
+        )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     all_converged = True
@@ -571,7 +597,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="recover a point set from noisy samples")
     p.add_argument("--input", required=True, help="CSV of samples, one per row")
-    p.add_argument("--k", type=int, required=True, help="number of points to recover")
+    p.add_argument("--k", type=_count, required=True, help="number of points to recover")
     p.add_argument("--config", help="JSON file of fit options")
     p.add_argument("--seed", type=int, help="seed overriding the config")
     p.add_argument("--output", help="output JSON path (default stdout)")
@@ -586,7 +612,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cluster", help="label samples by loss descent")
     p.add_argument("--input", required=True, help="CSV of samples, optional truth column")
-    p.add_argument("--k", type=int, help="recover this many points from the samples")
+    p.add_argument("--k", type=_count, help="recover this many points from the samples")
     p.add_argument("--sstar", help="JSON with a previously recovered set")
     p.add_argument("--config", help="JSON file of fit options")
     p.add_argument("--seed", type=int, help="seed overriding the config")
@@ -609,18 +635,18 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="rerun a bundled benchmark scenario")
     p.add_argument("--scenario", choices=["table1", "example62", "gmm"], required=True)
-    p.add_argument("--seeds", type=int, default=5, help="number of trials")
+    p.add_argument("--seeds", type=_count, default=5, help="number of trials")
     p.add_argument("--seed", type=int, default=0, help="base seed for splitting")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--ni", type=int, default=50, help="samples per point (table1)")
+    p.add_argument("--ni", type=_count, default=50, help="samples per point (table1)")
     p.add_argument(
         "--noise-model",
         choices=["truncated-normal", "uniform"],
         default="truncated-normal",
     )
-    p.add_argument("--n", type=int, default=2, help="dimension (gmm)")
-    p.add_argument("--k", type=int, default=3, help="components (gmm)")
-    p.add_argument("--samples", type=int, default=300, help="sample count (gmm)")
+    p.add_argument("--n", type=_count, default=2, help="dimension (gmm)")
+    p.add_argument("--k", type=_count, default=3, help="components (gmm)")
+    p.add_argument("--samples", type=_count, default=300, help="sample count (gmm)")
     p.add_argument("--diagonal", action="store_true", help="diagonal covariances (gmm)")
     p.set_defaults(func=cmd_bench)
     return parser

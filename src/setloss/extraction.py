@@ -86,10 +86,6 @@ class ZeroSet:
     def n(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def real_points(self) -> np.ndarray:
-        return self.points.real
-
     def max_imaginary(self) -> float:
         return float(np.max(np.abs(self.points.imag))) if self.points.size else 0.0
 
@@ -203,7 +199,7 @@ def real_projection(zeros: ZeroSet) -> PointSet:
     ``is_real`` also warns, naming the largest imaginary part: the
     projected points are then not zeros of the system.
     """
-    pts = zeros.real_points.copy()
+    pts = zeros.points.real.copy()
     if not zeros.is_real:
         _warnings.warn(
             f"real projection dropped imaginary parts up to {zeros.max_imaginary():.3e}",

@@ -42,7 +42,6 @@ from dataclasses import asdict, dataclass, fields
 from functools import cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateConfigurationError
 from .generating_system import GeneratingMatrix, _index_pairs, _shifts, commutators
@@ -55,7 +54,6 @@ __all__ = [
     "FitResult",
     "PenaltyRound",
     "PenaltyModel",
-    "average_loss",
     "fit_generating_matrix",
 ]
 
@@ -194,16 +192,6 @@ class FitResult:
         }
 
 
-def average_loss(gm: GeneratingMatrix, samples: SampleSet) -> float:
-    """theta(G): mean squared generator residual over the samples."""
-    if samples.n != gm.n:
-        raise ValueError(f"dimension mismatch: samples in R^{samples.n}, system in R^{gm.n}")
-    a = monomial_matrix(samples.samples, gm.basis)
-    b = monomial_matrix(samples.samples, gm.border)
-    r = b - a @ gm.entries
-    return float(np.sum(r * r)) / samples.size
-
-
 @cache
 def _commutator_jacobian_steps(n: int, k: int):
     """Flat (jacobian, mats) index pairs of commutator_jacobian's steps.
@@ -250,12 +238,13 @@ def _commutator_jacobian_steps(n: int, k: int):
 
 
 class PenaltyModel:
-    """Residual stack and Jacobian of the penalized fitting problem.
+    """Normal equations of the penalized fitting problem.
 
     Parameters are the generating-matrix entries, flattened column by
     column (one border monomial at a time).  Residuals are the per-sample
     generator values scaled by 1/sqrt(N), followed by every commutator
-    entry scaled by sqrt(rho).
+    entry scaled by sqrt(rho).  The solver reads J^T J and J^T r from
+    ``gram_and_gradient``, which never forms the data block of J.
     """
 
     def __init__(self, samples: SampleSet, k: int):
@@ -333,18 +322,6 @@ class PenaltyModel:
         theta = self.theta(g)
         self._memo = (key, mats, cvec, theta)
         return mats, cvec, theta
-
-    def residuals(self, g: np.ndarray, rho: float) -> np.ndarray:
-        """Full residual stack; squared norm = theta(g) + rho * |c(g)|^2."""
-        data = (self.b - self.a @ g).T.reshape(-1) / np.sqrt(self.size)
-        comm = self.commutator_vec(self.mult_mats(g))
-        return np.concatenate([data, np.sqrt(rho) * comm])
-
-    def jacobian(self, g: np.ndarray, rho: float) -> np.ndarray:
-        """Dense Jacobian of ``residuals``; intended for small problems."""
-        data = -np.kron(np.eye(self.m), self.a) / np.sqrt(self.size)
-        comm = np.sqrt(rho) * self.commutator_jacobian(self.mult_mats(g))
-        return np.vstack([data, comm])
 
     # -- normal-equation pieces used by the solver -------------------------
 
@@ -450,9 +427,10 @@ def fit_generating_matrix(
     model = PenaltyModel(samples, k)
     # H = (2/N) sum_j [v_j]_B0 [v_j]_B0^T: a strictly positive smallest
     # eigenvalue certifies that the least-squares start is strongly convex
-    h = 2.0 * model.ata
-    h_min_eig = min_eigenvalue_sym(0.5 * (h + h.T))
-    g, _, rank, _ = scipy.linalg.lstsq(model.a, model.b)
+    h_min_eig = min_eigenvalue_sym(2.0 * model.ata)
+    # a cutoff of eps relative, not numpy's default eps * max(N, k): the
+    # rank test refuses only moment matrices singular to working precision
+    g, _, rank, _ = np.linalg.lstsq(model.a, model.b, rcond=np.finfo(float).eps)
     if rank < k:
         raise DegenerateConfigurationError(
             f"sample moment matrix is rank deficient (rank {rank} < {k}, "

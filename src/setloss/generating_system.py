@@ -37,7 +37,6 @@ __all__ = [
     "PointSet",
     "GeneratingMatrix",
     "ShiftTable",
-    "vandermonde",
     "solve_generating_matrix",
     "evaluate_generators",
     "generators_jacobian",
@@ -100,13 +99,6 @@ class PointSet:
     @property
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.points)
-
-
-def vandermonde(points: PointSet, basis: MonomialBasis) -> np.ndarray:
-    """Column-per-point monomial evaluation matrix, shape (m, k)."""
-    if points.n != basis.n:
-        raise ValueError(f"dimension mismatch: points in R^{points.n}, basis in R^{basis.n}")
-    return monomial_matrix(points.points, basis).T
 
 
 @dataclass(frozen=True)
@@ -199,8 +191,8 @@ def solve_generating_matrix(points: PointSet) -> GeneratingMatrix:
     """
     b0 = standard_monomials(points.n, points.k)
     b1 = border_monomials(b0)
-    x0 = vandermonde(points, b0)
-    x1 = vandermonde(points, b1)
+    x0 = monomial_matrix(points.points, b0).T
+    x1 = monomial_matrix(points.points, b1).T
     require_full_rank(
         np.linalg.svd(x0, compute_uv=False), "point set is degenerate for interpolation"
     )

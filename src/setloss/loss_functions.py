@@ -1,17 +1,20 @@
 """Smooth nonnegative losses whose zero sets are prescribed finite sets.
 
-Three families live here.
+Two families live here.
 
-* ``generating_loss``: the squared norm of an interpolated generating
+* ``GeneratingLoss``: the squared norm of an interpolated generating
   system.  Vanishes exactly on the interpolated set but may pick up
   spurious local minimizers away from it.
-* ``simplicial_loss``: the standard loss for the scaled simplex
-  {0, a_1 e_1, ..., a_n e_n}, built so that every local minimizer is a
-  global one.
-* ``TransformedLoss``: the simplicial loss pulled back through the map
-  z = P (lift(x) - lift(anchor)) so that its zero set becomes an
-  arbitrary point set.  The lift is the identity for sets with
-  k <= n + 1 points and the monomial lift for larger sets.
+* ``TransformedLoss``: the standard-simplex loss
+
+      f(z) = sum_i z_i^2 (z_i - 1)^2 + sum_{i<j} z_i^2 z_j^2,
+
+  whose only local minimizers are its zeros {0, e_1, ..., e_d}, pulled
+  back through the map z = P (lift(x) - lift(anchor)) so that its zero
+  set becomes an arbitrary point set.  The lift is the identity for sets
+  with k <= n + 1 points and the monomial lift for larger sets.  The
+  scaled simplex {a_1 e_1, ..., a_n e_n, 0} is the transformed loss of
+  its vertices.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .generating_system import (
     GeneratingMatrix,
@@ -38,45 +40,20 @@ from .monomial_basis import (
 from .numeric_kernels import UNROLLED_WIDTH, pseudo_inverse, require_full_rank, row_sum
 
 __all__ = [
-    "simplicial_loss",
-    "SimplicialLoss",
-    "generating_loss",
     "GeneratingLoss",
     "TransformedLoss",
     "build_transformed_loss",
 ]
 
 
-def _simplicial_value_and_grad(a, x):
-    # x is (n,) or (N, n); the cross term sum_{i<j} x_i^2 x_j^2 is
-    # (s^2 - sum x_i^4) / 2 with s = sum x_i^2
-    sq = x * x
+def _simplicial_value_and_grad(z):
+    # the standard-simplex loss sum_i z_i^2 (z_i - 1)^2 + sum_{i<j} z_i^2 z_j^2
+    # for z (N, d); the cross term is (s^2 - sum z_i^4) / 2 with s = sum z_i^2
+    sq = z * z
     s = row_sum(sq)
-    value = row_sum(sq * (x - a) ** 2) + 0.5 * (s * s - row_sum(sq * sq))
-    grad = 2.0 * x * (2.0 * sq - 3.0 * a * x + (s[..., None] - sq + a * a))
+    value = row_sum(sq * (z - 1.0) ** 2) + 0.5 * (s * s - row_sum(sq * sq))
+    grad = 2.0 * z * (2.0 * sq - 3.0 * z + (s[..., None] - sq + 1.0))
     return value, grad
-
-
-def simplicial_loss(a, x):
-    """Value, gradient, and Hessian of the scaled-simplex loss.
-
-    f(x) = sum_i x_i^2 (x_i - a_i)^2  +  sum_{i<j} x_i^2 x_j^2
-
-    vanishes exactly on {0, a_1 e_1, ..., a_n e_n} and has no other local
-    minimizers.  All a_i must be nonzero, otherwise two simplex vertices
-    collide.
-    """
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if a.ndim != 1 or a.shape != x.shape:
-        raise ValueError(f"shape mismatch: a {a.shape}, x {x.shape}")
-    if np.any(np.abs(a) <= 1e-12):
-        raise ValueError("all simplex scales a_i must be nonzero")
-    value, grad = _simplicial_value_and_grad(a, x)
-    sq = x * x
-    hess = 4.0 * np.outer(x, x)
-    np.fill_diagonal(hess, 12.0 * sq - 12.0 * a * x + 2.0 * (float(sq.sum()) - sq + a * a))
-    return float(value), grad, hess
 
 
 def _matvec(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -103,55 +80,8 @@ def _check_points(x, n: int) -> np.ndarray:
     return x
 
 
-class SimplicialLoss:
-    """Callable bundle around ``simplicial_loss`` for a fixed scale vector."""
-
-    def __init__(self, a):
-        a = np.array(a, dtype=float)
-        if a.ndim != 1 or a.size < 1:
-            raise ValueError(f"expected a scale vector, got shape {a.shape}")
-        if np.any(np.abs(a) <= 1e-12):
-            raise ValueError("all simplex scales a_i must be nonzero")
-        a.flags.writeable = False
-        self.a = a
-
-    @property
-    def n(self) -> int:
-        return self.a.size
-
-    def value_and_grad(self, x):
-        """Value and gradient at x (n,), or per row of a batch (N, n)."""
-        return _simplicial_value_and_grad(self.a, _check_points(x, self.n))
-
-    def value(self, x) -> float:
-        return self.value_and_grad(x)[0]
-
-    def vertices(self) -> np.ndarray:
-        """The n + 1 zeros: the origin followed by a_i e_i, shape (n+1, n)."""
-        return np.vstack([np.zeros(self.n), np.diag(self.a)])
-
-    def simplex_coords(self, x) -> np.ndarray:
-        """Coordinates in which the zeros become the unit simplex vertices."""
-        return np.asarray(x, dtype=float) / self.a
-
-
-def generating_loss(gm: GeneratingMatrix, x):
-    """Value and gradient of ||phi(x)||^2 for a generating system.
-
-    x of shape (n,) gives a float and an (n,) gradient; a batch (N, n)
-    gives (N,) values and (N, n) gradients.
-    """
-    phi = evaluate_generators(gm, x)
-    jac = generators_jacobian(gm, x)
-    value = np.real((np.conj(phi) * phi).sum(axis=-1))
-    grad = 2.0 * (phi[..., :, None] * jac).sum(axis=-2)
-    if not np.iscomplexobj(np.asarray(x)):
-        grad = np.real(grad)
-    return (float(value) if np.ndim(x) == 1 else value), grad
-
-
 class GeneratingLoss:
-    """Callable bundle around ``generating_loss`` for a fixed system."""
+    """The squared norm ||phi(x)||^2 of a fixed generating system."""
 
     def __init__(self, gm: GeneratingMatrix):
         self.gm = gm
@@ -161,7 +91,14 @@ class GeneratingLoss:
         return self.gm.n
 
     def value_and_grad(self, x):
-        return generating_loss(self.gm, x)
+        """Value and gradient at x (n,), or per row of a batch (N, n)."""
+        phi = evaluate_generators(self.gm, x)
+        jac = generators_jacobian(self.gm, x)
+        value = np.real((np.conj(phi) * phi).sum(axis=-1))
+        grad = 2.0 * (phi[..., :, None] * jac).sum(axis=-2)
+        if not np.iscomplexobj(np.asarray(x)):
+            grad = np.real(grad)
+        return (float(value) if np.ndim(x) == 1 else value), grad
 
     def value(self, x) -> float:
         return self.value_and_grad(x)[0]
@@ -381,7 +318,7 @@ class TransformedLoss:
     def _simplex_value_and_grad(self, zeta):
         # zeta is (N, d), already checked
         z = _matvec(self.to_simplex, zeta - self.anchor_lift)
-        value, gz = _simplicial_value_and_grad(1.0, z)
+        value, gz = _simplicial_value_and_grad(z)
         return value, _matvec(self.to_simplex.T, gz)
 
     def null_directions(self) -> np.ndarray:
@@ -395,7 +332,8 @@ class TransformedLoss:
             return np.zeros((self.n, 0))
         if self.simplex_dim == 0:
             return np.eye(self.n)
-        return scipy.linalg.null_space(self.to_simplex)
+        # to_simplex has rank k - 1, so vh's rows after the first k - 1 span its null space
+        return np.linalg.svd(self.to_simplex)[2][self.simplex_dim :].T
 
     # -- serialization and rendering --------------------------------------
 

@@ -269,6 +269,18 @@ def reference_simplicial(a, x):
     return value, grad
 
 
+def simplex_loss(a):
+    """The transformed loss of the scaled simplex {a_1 e_1, ..., a_n e_n, 0}.
+
+    Its map is z = x / a, so it is the standard-simplex loss of x / a.
+    """
+    from setloss.generating_system import PointSet
+    from setloss.loss_functions import build_transformed_loss
+
+    a = np.asarray(a, dtype=float)
+    return build_transformed_loss(PointSet(np.vstack([np.diag(a), np.zeros(a.size)])))
+
+
 def reference_transformed_value_and_grad(loss, x):
     """TransformedLoss.value_and_grad composed from the formulas above."""
     basis = loss.lift_basis
@@ -342,3 +354,29 @@ def reference_bounded_noise_sample(points, eps, counts, seed=0, model="truncated
         chunks.append(points[i] + offsets)
         truth.extend([i] * need)
     return np.vstack(chunks), np.array(truth, dtype=np.int64)
+
+
+def reference_average_loss(gm, samples):
+    """theta(G): the mean over the samples of ||phi_G(v_j)||^2."""
+    from setloss.generating_system import evaluate_generators
+
+    phi = evaluate_generators(gm, samples.samples)
+    return float((phi * phi).sum()) / samples.size
+
+
+def reference_penalty_residuals(model, g, rho):
+    """The penalized fit's residual stack; squared norm theta(g) + rho |c(g)|^2.
+
+    The per-sample generator values scaled by 1/sqrt(N), column by column
+    of g, then every commutator entry scaled by sqrt(rho).
+    """
+    data = (model.b - model.a @ g).T.reshape(-1) / np.sqrt(model.size)
+    comm = model.commutator_vec(model.mult_mats(g))
+    return np.concatenate([data, np.sqrt(rho) * comm])
+
+
+def reference_penalty_jacobian(model, g, rho):
+    """Dense Jacobian of ``reference_penalty_residuals`` in g, flattened column by column."""
+    data = -np.kron(np.eye(model.m), model.a) / np.sqrt(model.size)
+    comm = np.sqrt(rho) * model.commutator_jacobian(model.mult_mats(g))
+    return np.vstack([data, comm])

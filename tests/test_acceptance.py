@@ -29,11 +29,7 @@ from setloss.generating_system import (
     generator_terms,
     solve_generating_matrix,
 )
-from setloss.loss_functions import (
-    GeneratingLoss,
-    SimplicialLoss,
-    build_transformed_loss,
-)
+from setloss.loss_functions import GeneratingLoss, build_transformed_loss
 from setloss.monomial_basis import standard_monomials
 
 from helpers import (
@@ -42,6 +38,9 @@ from helpers import (
     fd_jacobian,
     match_as_multisets,
     random_points,
+    reference_penalty_jacobian,
+    reference_penalty_residuals,
+    simplex_loss,
 )
 
 # -- golden interpolation problems -------------------------------------------
@@ -201,8 +200,10 @@ def test_descents_only_reach_vertices():
     for family, n, k in configs:
         if family == "simplicial":
             a = rng.uniform(0.6, 2.5, size=n) * rng.choice([-1.0, 1.0], size=n)
-            loss = SimplicialLoss(a)
-            vertices = loss.vertices()
+            # the transformed loss of {a_1 e_1, ..., a_n e_n, 0}, checked
+            # against its vertices in x
+            loss = simplex_loss(a)
+            vertices = loss.points.points
             dim = n
 
             def z_of(x, loss=loss):
@@ -390,7 +391,7 @@ def test_gradients_match_finite_differences():
 
     gm = solve_generating_matrix(PointSet(random_points(rng, 5, 2)))
     g_loss = GeneratingLoss(gm)
-    simp = SimplicialLoss(np.array([1.5, -2.0, 1.0, 0.8]))
+    simp = simplex_loss(np.array([1.5, -2.0, 1.0, 0.8]))
     affine = build_transformed_loss(PointSet(CASE1_SET))
     lifted = build_transformed_loss(PointSet(CASE2_SET))
     for _ in range(20):
@@ -427,9 +428,9 @@ def test_gradients_match_finite_differences():
     model = PenaltyModel(samples, 4)
     for _ in range(20):
         g = rng.standard_normal((model.k, model.m))
-        jac = model.jacobian(g, 2.0)
+        jac = reference_penalty_jacobian(model, g, 2.0)
         ref = fd_jacobian(
-            lambda v: model.residuals(v.reshape(model.m, model.k).T, 2.0),
+            lambda v: reference_penalty_residuals(model, v.reshape(model.m, model.k).T, 2.0),
             g.T.reshape(-1),
         )
         worst = max(worst, rel_err(jac, ref))

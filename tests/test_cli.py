@@ -303,6 +303,74 @@ def test_cluster_checks_truth_before_fitting(tmp_path, capsys, monkeypatch, rela
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fit", "--k", "0"], "argument --k: must be a positive integer, got '0'"),
+        (["fit", "--k", "-2"], "argument --k: must be a positive integer, got '-2'"),
+        (["fit", "--k", "2.0"], "argument --k: must be a positive integer, got '2.0'"),
+        (["cluster", "--k", "0"], "argument --k: must be a positive integer, got '0'"),
+        (["cluster", "--k", "-1"], "argument --k: must be a positive integer, got '-1'"),
+        (["bench", "--scenario", "gmm", "--seeds", "0"], "argument --seeds: must be a positive"),
+        (["bench", "--scenario", "gmm", "--samples", "0"], "argument --samples: must be a positive"),
+        (["bench", "--scenario", "table1", "--ni", "0"], "argument --ni: must be a positive"),
+        (["bench", "--scenario", "gmm", "--k", "9"], "at most 8 components, got --k 9"),
+        (["cluster", "--sstar", "{set_in_r3}"], "carries no point set in R^2"),
+        (["cluster", "--sstar", "{list_file}"], "carries no point set in R^2"),
+        (["cluster", "--sstar", "{ragged}"], "carries no point set in R^2"),
+    ],
+)
+def test_refusals_exit_one_with_one_error_line(tmp_path, capsys, sample_csv, argv, message):
+    # each refusal ends in one "error:" line, exit 1 and no output file
+    files = {
+        "set_in_r3": {"points": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]},
+        "list_file": [[0.0, 0.0], [1.0, 1.0]],
+        "ragged": {"s_star": [[0.0, 0.0], [1.0]]},
+    }
+    for name, payload in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    argv = [arg.format(**{name: tmp_path / f"{name}.json" for name in files}) for arg in argv]
+    out = tmp_path / "out"
+    if argv[0] == "bench":
+        argv += ["--out-dir", str(out)]
+    else:
+        argv += ["--input", str(sample_csv[0]), "--output", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_cluster_refuses_a_truth_column_beyond_the_alignment_cap(tmp_path, capsys, monkeypatch):
+    # a truth column is scored by aligning every permutation of the
+    # recovered points, which stops at 8; the refusal comes before labels
+    rng = np.random.default_rng(9)
+    points = random_points(rng, 9, 2, min_gap=1.0)
+    samples = tmp_path / "nine.csv"
+    write_points(samples, points, truth=np.arange(9))
+    sstar = tmp_path / "nine.json"
+    sstar.write_text(json.dumps({"points": points.tolist()}))
+    out = tmp_path / "labels.csv"
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("recover_point_set ran before the truth check")
+
+    monkeypatch.setattr(cli, "recover_point_set", no_fit)
+    for source in (["--sstar", str(sstar)], ["--k", "9"]):
+        assert main(["cluster", "--input", str(samples), *source, "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "--no-truth-column" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+    # told there is no truth column, the same file clusters in three columns
+    args = ["--sstar", str(sstar), "--no-truth-column"]
+    points3 = np.column_stack([points, np.arange(9.0)])
+    sstar.write_text(json.dumps({"points": points3.tolist()}))
+    assert main(["cluster", "--input", str(samples), *args, "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 10
+
+
 def test_parser_is_reused_without_leaking_arguments(capsys, monkeypatch, sample_csv):
     # the parser is built once per process; each call must still see only
     # its own arguments

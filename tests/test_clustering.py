@@ -22,7 +22,6 @@ from setloss.fitting import FitOptions, SampleSet
 from setloss.generating_system import PointSet
 from setloss.loss_functions import (
     GeneratingLoss,
-    SimplicialLoss,
     TransformedLoss,
     build_transformed_loss,
 )
@@ -32,6 +31,7 @@ from helpers import (
     random_points,
     reference_assign_labels,
     reference_bounded_noise_sample,
+    simplex_loss,
 )
 
 
@@ -67,7 +67,7 @@ def test_minimize_from_accepts_plain_callable():
 
 
 def test_minimize_from_respects_iteration_cap():
-    loss = SimplicialLoss(np.ones(4))
+    loss = simplex_loss(np.ones(4))
     result = minimize_from(loss, np.full(4, 0.7), max_iterations=1)
     assert not result.converged
     assert result.iterations == 1
@@ -80,9 +80,9 @@ def test_minimize_from_descends_rosenbrock_valley():
 
 
 def test_simplicial_descents_land_on_vertices():
-    loss = SimplicialLoss(np.array([1.5, -2.0, 1.0]))
+    loss = simplex_loss(np.array([1.5, -2.0, 1.0]))
     rng = np.random.default_rng(0)
-    vertices = loss.vertices()
+    vertices = loss.points.points
     for _ in range(50):
         start = rng.uniform(-2.5, 2.5, size=3)
         result = minimize_from(loss, start)
@@ -96,7 +96,7 @@ def random_family_loss(family, seed):
     if family == "simplicial":
         n = int(rng.integers(1, 5))
         a = rng.uniform(0.6, 2.5, size=n) * rng.choice([-1.0, 1.0], size=n)
-        loss = SimplicialLoss(a)
+        loss = simplex_loss(a)
     elif family == "affine":
         n = int(rng.integers(2, 5))
         k = int(rng.integers(2, n + 2))
@@ -178,7 +178,7 @@ def test_capped_descent_crosses_flat_concave_stretches():
 
 
 def test_batched_descent_with_mixed_outcomes():
-    inner = SimplicialLoss(np.array([1.0, 2.0]))
+    inner = simplex_loss(np.array([1.0, 2.0]))
 
     def loss(x):
         # the wrong-sign gradient beyond x1 = 10 leaves no descent direction
@@ -284,10 +284,11 @@ def test_simplicial_loss_bounds_the_distance_to_the_vertices(d):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     near = vertices[rng.integers(0, d + 1, 3000)] + dirs * rng.uniform(0, 0.7, (3000, 1))
     z = np.vstack([rng.uniform(-1.0, 2.0, (5000, d)), rng.normal(0.3, 0.4, (5000, d)), mids, near])
-    values = SimplicialLoss(np.ones(d)).value_and_grad(z)[0]
+    loss = simplex_loss(np.ones(d))
+    values = loss.value_and_grad(z)[0]
     assert np.all(values >= _vertex_bound(z) * (1.0 - 1e-12))
     # tight halfway between the origin and each e_i
-    halfway = SimplicialLoss(np.ones(d)).value_and_grad(np.eye(d) / 2)[0]
+    halfway = loss.value_and_grad(np.eye(d) / 2)[0]
     np.testing.assert_array_equal(halfway, 1 / 16)
 
 

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +20,19 @@ def test_every_exported_name_resolves(name):
     assert len(exported) == len(set(exported))
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_only_numeric_kernels_imports_scipy():
+    # scipy's routines are wrapped in one module, which the others call
+    importers = set()
+    for path in Path(setloss.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.stem)
+    assert importers == {"numeric_kernels"}

@@ -14,7 +14,6 @@ from setloss.generating_system import (
     multiplication_matrices,
     shift_table,
     solve_generating_matrix,
-    vandermonde,
 )
 from setloss.monomial_basis import (
     MonomialBasis,
@@ -108,15 +107,6 @@ def test_point_set_is_immutable():
     ps = PointSet(np.array([[1.0, 2.0], [3.0, 4.0]]))
     with pytest.raises(ValueError):
         ps.points[0, 0] = 7.0
-
-
-def test_vandermonde_entries():
-    basis = standard_monomials(2, 3)
-    pts = PointSet(np.array([[2.0, 3.0], [-1.0, 1.0]]))
-    v = vandermonde(pts, basis)
-    assert v.shape == (3, 2)
-    np.testing.assert_allclose(v[:, 0], [1.0, 2.0, 3.0])
-    np.testing.assert_allclose(v[:, 1], [1.0, -1.0, 1.0])
 
 
 def test_worked_problem_three_dimensional_pair():

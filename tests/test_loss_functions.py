@@ -3,19 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from setloss.errors import DegenerateConfigurationError
 from setloss.generating_system import PointSet, solve_generating_matrix
 from setloss.loss_functions import (
     GeneratingLoss,
-    SimplicialLoss,
     TransformedLoss,
     _format_sum,
     _KEY_BASE,
     _rational,
     build_transformed_loss,
-    generating_loss,
-    simplicial_loss,
 )
 
 from setloss.monomial_basis import MonomialBasis
@@ -23,11 +21,11 @@ from setloss.numeric_kernels import UNROLLED_WIDTH, row_sum
 
 from helpers import (
     fd_gradient,
-    fd_hessian,
     random_points,
     reference_describe,
     reference_simplicial,
     reference_transformed_value_and_grad,
+    simplex_loss,
 )
 
 CASE1_SET = np.array([[4.0, -2.0, 1.0], [-1.0, 3.0, -5.0]])
@@ -59,76 +57,66 @@ CASE2_PAYLOAD = {
 }
 
 
-def simplicial_reference(a, x):
-    """Direct evaluation of the defining polynomial."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    value = np.sum(x**2 * (x - a) ** 2)
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            value += x[i] ** 2 * x[j] ** 2
+def simplicial_reference(z):
+    """Direct evaluation of the standard-simplex polynomial."""
+    value = np.sum(z**2 * (z - 1.0) ** 2)
+    for i in range(len(z)):
+        for j in range(i + 1, len(z)):
+            value += z[i] ** 2 * z[j] ** 2
     return float(value)
 
 
+def random_scales(rng, n):
+    return rng.uniform(0.5, 3.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+
+
 def test_simplicial_value_matches_polynomial():
+    # the loss of the scaled simplex is the standard one of z = x / a
     rng = np.random.default_rng(0)
     for _ in range(30):
         n = int(rng.integers(1, 7))
-        a = rng.uniform(0.5, 3.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+        a = random_scales(rng, n)
         x = rng.uniform(-2.0, 2.0, size=n)
-        value, _, _ = simplicial_loss(a, x)
-        assert value == pytest.approx(simplicial_reference(a, x), rel=1e-12)
+        loss = simplex_loss(a)
+        assert loss.value(x) == pytest.approx(simplicial_reference(x / a), rel=1e-12, abs=1e-15)
 
 
 def test_simplicial_zeros_are_exactly_the_vertices():
-    a = np.array([2.0, -3.0, 1.5])
-    loss = SimplicialLoss(a)
-    for v in loss.vertices():
-        assert loss.value(v) == 0.0
+    loss = simplex_loss(np.array([2.0, -3.0, 1.5]))
+    vertices = loss.points.points
+    for v in vertices:
+        assert loss.value(v) == pytest.approx(0.0, abs=1e-15)
     rng = np.random.default_rng(1)
     for _ in range(50):
         x = rng.uniform(-4, 4, size=3)
-        if min(np.linalg.norm(x - v) for v in loss.vertices()) > 1e-3:
+        if min(np.linalg.norm(x - v) for v in vertices) > 1e-3:
             assert loss.value(x) > 0
+    # the standard simplex's map is the identity, bit for bit
+    standard = simplex_loss(np.ones(3))
+    np.testing.assert_array_equal(standard.to_simplex, np.eye(3))
+    for v in standard.points.points:
+        assert standard.value(v) == 0.0
 
 
 def test_simplicial_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
     for _ in range(20):
         n = int(rng.integers(1, 6))
-        a = rng.uniform(0.5, 2.5, size=n) * rng.choice([-1.0, 1.0], size=n)
+        loss = simplex_loss(random_scales(rng, n))
         x = rng.uniform(-2, 2, size=n)
-        _, grad, _ = simplicial_loss(a, x)
-        ref = fd_gradient(lambda y: simplicial_loss(a, y)[0], x)
+        _, grad = loss.value_and_grad(x)
+        ref = fd_gradient(loss.value, x)
         np.testing.assert_allclose(grad, ref, rtol=1e-5, atol=1e-6)
 
 
-def test_simplicial_hessian_matches_finite_differences():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        n = int(rng.integers(2, 6))
-        a = rng.uniform(0.5, 2.5, size=n)
-        x = rng.uniform(-2, 2, size=n)
-        _, _, hess = simplicial_loss(a, x)
-        ref = fd_hessian(lambda y: simplicial_loss(a, y)[1], x)
-        np.testing.assert_allclose(hess, ref, rtol=1e-4, atol=1e-5)
-
-
-def test_simplicial_hessian_cross_term_coefficient():
-    # d^2/dx1 dx2 of x1^2 x2^2 is 4 x1 x2
-    x = np.array([0.7, 0.3])
-    _, _, hess = simplicial_loss(np.ones(2), x)
-    assert hess[0, 1] == pytest.approx(4 * 0.7 * 0.3, rel=1e-12)
-    assert hess[0, 1] != pytest.approx(8 * 0.7 * 0.3, rel=1e-2)
-
-
 def test_simplicial_rejects_zero_scale():
+    # a zero scale puts a vertex on the origin
     with pytest.raises(ValueError):
-        simplicial_loss(np.array([1.0, 0.0]), np.zeros(2))
+        simplex_loss(np.array([1.0, 0.0]))
 
 
 def test_univariate_simplicial_closed_form():
-    loss = SimplicialLoss(np.array([1.0]))
+    loss = simplex_loss(np.array([1.0]))
     for z in np.linspace(-2, 2, 41):
         assert loss.value(np.array([z])) == pytest.approx(
             z**2 * (z - 1) ** 2, abs=1e-14
@@ -146,7 +134,7 @@ def test_generating_loss_is_squared_residual_norm():
         x = rng.uniform(-2, 2, size=2)
         phi = evaluate_generators(gm, x)
         assert loss.value(x) == pytest.approx(float(phi @ phi), rel=1e-12)
-        _, grad = generating_loss(gm, x)
+        _, grad = loss.value_and_grad(x)
         ref = fd_gradient(loss.value, x)
         np.testing.assert_allclose(grad, ref, rtol=1e-4, atol=1e-5)
 
@@ -251,6 +239,10 @@ def test_null_directions_leave_loss_unchanged():
         loss = build_transformed_loss(PointSet(random_points(rng, k, n)))
         null = loss.null_directions()
         assert null.shape == (n, n - k + 1)
+        # an orthonormal basis of the null space scipy finds
+        np.testing.assert_allclose(null.T @ null, np.eye(n - k + 1), atol=1e-12)
+        ref = scipy.linalg.null_space(loss.to_simplex)
+        np.testing.assert_allclose(null @ null.T, ref @ ref.T, atol=1e-12)
         for _ in range(5):
             x = rng.uniform(-3, 3, size=n)
             y = null @ rng.standard_normal(null.shape[1])
@@ -443,7 +435,7 @@ def test_batched_losses_stack_per_row_results():
     rng = np.random.default_rng(21)
     pts = PointSet(random_points(rng, 5, 2, min_gap=0.6))
     losses = [
-        SimplicialLoss(np.array([1.5, -2.0])),
+        simplex_loss(np.array([1.5, -2.0])),
         build_transformed_loss(PointSet(random_points(rng, 3, 2, min_gap=0.6))),
         build_transformed_loss(pts),
         GeneratingLoss(solve_generating_matrix(pts)),
@@ -525,12 +517,14 @@ def test_lifted_loss_matches_the_broadcast_formulas_bit_for_bit(k):
 
 
 def test_simplicial_loss_matches_the_broadcast_formulas_bit_for_bit():
+    # the transformed loss of the standard simplex {e_1, ..., e_d, 0} is
+    # the standard-simplex loss itself, to the last bit
     rng = np.random.default_rng(80)
     for width in (1, 2, 5, 7, 8, 11):
-        a = rng.uniform(0.5, 2.0, width)
         x = rng.uniform(-1.0, 2.0, (33, width))
-        loss = SimplicialLoss(a)
+        loss = simplex_loss(np.ones(width))
+        assert loss.kind == "affine"
         value, grad = loss.value_and_grad(x)
-        ref_value, ref_grad = reference_simplicial(a, x)
+        ref_value, ref_grad = reference_simplicial(np.ones(width), x)
         np.testing.assert_array_equal(value, ref_value)
         np.testing.assert_array_equal(grad, ref_grad)
