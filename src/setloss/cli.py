@@ -22,6 +22,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -88,6 +89,13 @@ def _count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    # an argparse type: numpy refuses a negative seed, but only after the fit
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _derived_seed(base: int, *path: int) -> int:
     return int(np.random.SeedSequence(entropy=(int(base), *path)).generate_state(1)[0])
 
@@ -99,9 +107,10 @@ def _emit_error(kind: str, exc: Exception, **extra) -> None:
         payload["stage"] = stage
     condition = getattr(exc, "condition", None)
     if condition is not None:
-        payload["condition"] = condition
+        # strict JSON has no Infinity; the message still prints "inf"
+        payload["condition"] = condition if math.isfinite(condition) else None
     payload.update(extra)
-    print(json.dumps(payload), file=sys.stderr)
+    print(json.dumps(payload, allow_nan=False), file=sys.stderr)
 
 
 def _read_csv_rows(path: str) -> list[list[str]]:
@@ -151,24 +160,6 @@ def _parse_points(path: str, allow_truth: bool, truth_mode: str = "auto"):
     elif truth_mode == "yes":
         raise _UsageError(f"{path}: a truth column needs at least two columns")
     return arr, truth
-
-
-def _load_fit_options(args) -> FitOptions:
-    payload = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise _UsageError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise _UsageError(f"config {args.config} must hold a JSON object")
-    if getattr(args, "seed", None) is not None:
-        payload["seed"] = args.seed
-    try:
-        return FitOptions.from_json(payload)
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(f"bad fit options: {exc}") from exc
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -260,11 +251,10 @@ def cmd_fit(args) -> int:
         samples = SampleSet(coords)
     except ValueError as exc:
         raise DegenerateConfigurationError(str(exc)) from exc
-    opts = _load_fit_options(args)
     result = recover_point_set(
         samples,
         args.k,
-        opts,
+        FitOptions(seed=args.seed),
         want_real=not args.complex_points,
         loss_kind="generating" if args.loss == "fg" else "transformed",
     )
@@ -375,21 +365,18 @@ def cmd_cluster(args) -> int:
             loss = GeneratingLoss(solve_generating_matrix(recovered))
         else:
             loss = build_transformed_loss(recovered)
-    elif args.k is not None:
-        opts = _load_fit_options(args)
+    else:
         # --k fixes the set size, so a bad truth column costs no fit
         _check_truth(truth, args.k)
         result = recover_point_set(
             samples,
             args.k,
-            opts,
+            FitOptions(seed=args.seed),
             loss_kind="generating" if args.loss == "fg" else "transformed",
         )
         recovered = result.recovered
         loss = result.loss
         fit_converged = result.fit.converged
-    else:
-        raise _UsageError("cluster needs either --k or --sstar")
 
     assignment = assign_labels(loss, recovered, samples)
     header = ["label", "converged", "iterations"] + [
@@ -449,13 +436,12 @@ def _layered_points(path: Path, layers: dict[str, np.ndarray]) -> None:
     _write_csv(path, header, rows)
 
 
-def _bench_trials(args, out_dir: Path, radii, counts, path: tuple, points_name: str):
+def _bench_trials(args, radii, counts, path: tuple):
     """Sample, recover and score ``args.seeds`` trials of one noise setting.
 
-    Writes the layered points of trial 0 to ``points_name`` and returns
-    one [trial, set_distance, max_loss, converged] row per trial, the
-    median set distance, the median largest loss on the reference set and
-    whether every fit converged.
+    Returns one [trial, set_distance, max_loss, converged] row per trial,
+    the median set distance, the median largest loss on the reference set,
+    whether every fit converged and the layered points of trial 0.
     """
     reference = PointSet(BENCH_SET)
     rows, dists, losses, all_converged = [], [], [], True
@@ -473,8 +459,7 @@ def _bench_trials(args, out_dir: Path, radii, counts, path: tuple, points_name: 
         losses.append(max_loss)
         if trial == 0:
             layers = {"T": samples.samples, "S": BENCH_SET, "Sstar": recovered}
-            _layered_points(out_dir / points_name, layers)
-    return rows, float(np.median(dists)), float(np.median(losses)), all_converged
+    return rows, float(np.median(dists)), float(np.median(losses)), all_converged, layers
 
 
 def cmd_bench(args) -> int:
@@ -482,19 +467,18 @@ def cmd_bench(args) -> int:
         raise _UsageError(
             f"bench --scenario gmm scores at most {MAX_ALIGNMENT_SIZE} components, got --k {args.k}"
         )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     all_converged = True
     rows = []
+    # layered points by file name; like every output, written after the last trial
+    points = {}
     scores = ["set_distance", "max_loss", "converged"]
 
     if args.scenario == "table1":
         medians = {}
         counts = np.full(len(BENCH_SET), args.ni)
         for ei, eps in enumerate(BENCH_EPS_GRID):
-            trials, dist, loss, converged = _bench_trials(
-                args, out_dir, eps, counts, (ei,), f"points_eps{eps}.csv"
-            )
+            trials, dist, loss, converged, layers = _bench_trials(args, eps, counts, (ei,))
+            points[f"points_eps{eps}.csv"] = layers
             rows += [[eps, *row] for row in trials]
             all_converged &= converged
             medians[str(eps)] = {"set_distance": dist, "max_loss": loss}
@@ -508,9 +492,10 @@ def cmd_bench(args) -> int:
         }
 
     elif args.scenario == "example62":
-        rows, dist, loss, all_converged = _bench_trials(
-            args, out_dir, UNEVEN_RADII, UNEVEN_COUNTS, (), "points.csv"
+        rows, dist, loss, all_converged, layers = _bench_trials(
+            args, UNEVEN_RADII, UNEVEN_COUNTS, ()
         )
+        points["points.csv"] = layers
         header = ["seed", *scores]
         summary = {
             "scenario": "example62",
@@ -558,6 +543,10 @@ def cmd_bench(args) -> int:
             "median_nearest_point_accuracy": float(np.median(nearest_accs)),
         }
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, layers in points.items():
+        _layered_points(out_dir / name, layers)
     _write_csv(out_dir / "results.csv", header, rows)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))
@@ -598,8 +587,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fit", help="recover a point set from noisy samples")
     p.add_argument("--input", required=True, help="CSV of samples, one per row")
     p.add_argument("--k", type=_count, required=True, help="number of points to recover")
-    p.add_argument("--config", help="JSON file of fit options")
-    p.add_argument("--seed", type=int, help="seed overriding the config")
+    p.add_argument("--seed", type=_seed, default=0, help="seed of the extraction draws")
     p.add_argument("--output", help="output JSON path (default stdout)")
     p.add_argument("--loss", choices=["transformed", "fg"], default="transformed")
     p.add_argument(
@@ -612,10 +600,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cluster", help="label samples by loss descent")
     p.add_argument("--input", required=True, help="CSV of samples, optional truth column")
-    p.add_argument("--k", type=_count, help="recover this many points from the samples")
-    p.add_argument("--sstar", help="JSON with a previously recovered set")
-    p.add_argument("--config", help="JSON file of fit options")
-    p.add_argument("--seed", type=int, help="seed overriding the config")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--k", type=_count, help="recover this many points from the samples")
+    source.add_argument("--sstar", help="JSON with a previously recovered set")
+    p.add_argument("--seed", type=_seed, default=0, help="seed of the extraction draws")
     p.add_argument("--output", help="labels CSV path (default stdout)")
     p.add_argument("--loss", choices=["transformed", "fg"], default="transformed")
     p.add_argument(
@@ -636,7 +624,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="rerun a bundled benchmark scenario")
     p.add_argument("--scenario", choices=["table1", "example62", "gmm"], required=True)
     p.add_argument("--seeds", type=_count, default=5, help="number of trials")
-    p.add_argument("--seed", type=int, default=0, help="base seed for splitting")
+    p.add_argument("--seed", type=_seed, default=0, help="base seed for splitting")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--ni", type=_count, default=50, help="samples per point (table1)")
     p.add_argument(

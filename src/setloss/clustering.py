@@ -498,6 +498,7 @@ def recover_point_set(
 ) -> RecoveryResult:
     """Fit, extract, and wrap a loss around the recovered k points.
 
+    ``opts.seed`` seeds the extraction draws; the fit takes no options.
     ``loss_kind`` selects the loss built on the recovered set:
     "transformed" (default) composes the simplicial loss with the
     appropriate coordinate change, "generating" interpolates a fresh
@@ -518,7 +519,7 @@ def recover_point_set(
 
     t0 = time.perf_counter()
     try:
-        fit = fit_generating_matrix(samples, k, opts)
+        fit = fit_generating_matrix(samples, k)
     except Exception as exc:
         raise _tag_stage(exc, "fit")
     timings["fit"] = time.perf_counter() - t0

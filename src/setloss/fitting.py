@@ -22,9 +22,11 @@ previous round's final damping times the rho growth factor.  Each round
 stops on a relative decrease of DECREASE_TOL * |c| / target, clipped to
 [DECREASE_TOL, sqrt(DECREASE_TOL)], so early rounds, far from the
 commutator target, stop early, and the last ones run to DECREASE_TOL.
-The tolerances are module constants, not options: GRADIENT_TOL and
-STEP_TOL also end a round on a flat gradient or a negligible step, and
-the fit is feasible once |c| <= FEASIBILITY_FACTOR * (1 + |G|_F).
+The schedule and the tolerances are module constants, not options: rho
+starts at RHO0 and grows by RHO_GROWTH for at most MAX_ROUNDS rounds of
+at most MAX_INNER_ITERATIONS iterations each, GRADIENT_TOL and STEP_TOL
+also end a round on a flat gradient or a negligible step, and the fit is
+feasible once |c| <= FEASIBILITY_FACTOR * (1 + |G|_F).
 
 The data block of the Jacobian is constant, so the normal equations are
 assembled from its precomputed Gram blocks; only the small commutator
@@ -37,8 +39,7 @@ last g: the next round builds them there for its own rho.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import cache
 
 import numpy as np
@@ -56,6 +57,12 @@ __all__ = [
     "PenaltyModel",
     "fit_generating_matrix",
 ]
+
+# penalty schedule of the fit
+RHO0 = 1.0
+RHO_GROWTH = 10.0
+MAX_ROUNDS = 8
+MAX_INNER_ITERATIONS = 200
 
 # stopping and feasibility tolerances of the penalty method
 GRADIENT_TOL = 1e-10
@@ -92,56 +99,18 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Solver knobs for ``fit_generating_matrix``.
+    """The seed of the extraction draws of ``recover_point_set``.
 
-    The defaults implement a penalty weight starting at 1 and growing by
-    a factor of 10 for at most 8 rounds, with the inner Gauss-Newton loop
-    capped at 200 iterations per round.  The tolerances are not options
-    but module constants: feasibility is declared when the total
-    commutator norm drops below ``FEASIBILITY_FACTOR * (1 + |G|_F)``, and
-    a round's relative-decrease tolerance runs from ``sqrt(DECREASE_TOL)``,
-    far above that target, down to ``DECREASE_TOL`` near it.
+    The fit itself takes no options: its penalty schedule (``RHO0``,
+    ``RHO_GROWTH``, ``MAX_ROUNDS``, ``MAX_INNER_ITERATIONS``) and its
+    tolerances are module constants.
     """
 
-    rho0: float = 1.0
-    rho_growth: float = 10.0
-    max_rounds: int = 8
-    max_inner_iterations: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        if self.rho0 <= 0 or self.rho_growth <= 1:
-            raise ValueError("penalty weight must be positive and strictly growing")
-        if self.max_rounds < 1 or self.max_inner_iterations < 1:
-            raise ValueError("iteration limits must be positive")
-
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "FitOptions":
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown fit options: {sorted(unknown)}")
-        kwargs = dict(payload)
-        for name in ("seed", "max_rounds", "max_inner_iterations"):
-            if name in kwargs:
-                kwargs[name] = _integer_option(name, kwargs[name])
-        return cls(**kwargs)
-
-
-def _integer_option(name: str, value) -> int:
-    """A JSON integer, or a number with an integral value, as an int.
-
-    A fraction, a boolean, a string or anything else raises ValueError
-    rather than being truncated or parsed.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -149,7 +118,7 @@ class PenaltyRound:
     """One penalty round of ``fit_generating_matrix``.
 
     ``stop`` says why its Levenberg-Marquardt loop ended: "gradient",
-    "step", "decrease", "mu overflow" or "budget" (``max_inner_iterations``
+    "step", "decrease", "mu overflow" or "budget" (``MAX_INNER_ITERATIONS``
     spent).  ``commutator_norm`` is the norm after the round.
     """
 
@@ -348,9 +317,7 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _lm_round(
-    model: PenaltyModel, g: np.ndarray, rho: float, tol: float, mu_cap: float, opts: FitOptions
-):
+def _lm_round(model: PenaltyModel, g: np.ndarray, rho: float, tol: float, mu_cap: float):
     """One Levenberg-Marquardt descent on the rho-penalized residuals.
 
     The damping starts at min(1e-3 max diag(J^T J), mu_cap), and the loop
@@ -368,7 +335,7 @@ def _lm_round(
     # these change only with g, not on a rejected step
     flat_gradient = float(np.abs(jtr).max()) <= GRADIENT_TOL
     step_floor = STEP_TOL * (_norm(g) + STEP_TOL)
-    for _ in range(opts.max_inner_iterations):
+    for _ in range(MAX_INNER_ITERATIONS):
         if flat_gradient:
             stop = "gradient"
             break
@@ -410,20 +377,17 @@ def _lm_round(
     return g, iterations, mu_start, mu, stop
 
 
-def fit_generating_matrix(
-    samples: SampleSet, k: int, opts: FitOptions | None = None
-) -> FitResult:
+def fit_generating_matrix(samples: SampleSet, k: int) -> FitResult:
     """Fit a k-zero generating system to noisy samples.
 
     Starts from the unconstrained least-squares minimizer of theta, one
     solve per border column, and drives the commutator norm below the
-    feasibility target by penalized Gauss-Newton rounds.  When the round
-    budget runs out first, the best iterate is returned with
+    feasibility target by penalized Gauss-Newton rounds.  When
+    ``MAX_ROUNDS`` rounds end first, the best iterate is returned with
     ``converged=False`` rather than raising.  Raises
     DegenerateConfigurationError when the sample monomials are rank
     deficient (in particular whenever N < k).
     """
-    opts = opts or FitOptions()
     model = PenaltyModel(samples, k)
     # H = (2/N) sum_j [v_j]_B0 [v_j]_B0^T: a strictly positive smallest
     # eigenvalue certifies that the least-squares start is strongly convex
@@ -447,18 +411,18 @@ def fit_generating_matrix(
     def target_of(g):
         return FEASIBILITY_FACTOR * (1.0 + float(np.linalg.norm(g)))
 
-    rho = opts.rho0
+    rho = RHO0
     com, target = model.commutator_norm(g), target_of(g)
     # the commutator block of J^T J grows with rho, and so may the damping
     mu_cap = float("inf")
     history: list[PenaltyRound] = []
-    while len(history) < opts.max_rounds and com > target:
+    while len(history) < MAX_ROUNDS and com > target:
         tol = min(max(DECREASE_TOL * com / target, DECREASE_TOL), DECREASE_TOL**0.5)
-        g, iterations, mu_start, mu, stop = _lm_round(model, g, rho, tol, mu_cap, opts)
+        g, iterations, mu_start, mu, stop = _lm_round(model, g, rho, tol, mu_cap)
         com, target = model.commutator_norm(g), target_of(g)
         history.append(PenaltyRound(rho, tol, mu_start, mu, iterations, com, stop))
-        mu_cap = mu * opts.rho_growth
-        rho *= opts.rho_growth
+        mu_cap = mu * RHO_GROWTH
+        rho *= RHO_GROWTH
     return FitResult(
         g_star=model.matrix(np.ascontiguousarray(g)),
         objective=model.theta(g),

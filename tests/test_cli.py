@@ -9,6 +9,7 @@ import pytest
 
 import setloss
 import setloss.cli as cli
+import setloss.fitting as fitting
 from setloss.cli import main
 from setloss.clustering import bounded_noise_sample, gmm_sample, random_gmm_spec
 from setloss.errors import NumericalFailureError
@@ -62,8 +63,12 @@ def sample_csv(tmp_path):
 
 
 def read_stderr_json(capsys):
+    # strict JSON: Infinity or NaN in a diagnostic fails the test
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
     err = capsys.readouterr().err.strip().splitlines()
-    return json.loads(err[-1])
+    return json.loads(err[-1], parse_constant=refuse)
 
 
 def test_help_exits_zero(capsys):
@@ -265,7 +270,7 @@ def test_cluster_ignores_truth_when_told(tmp_path, capsys, sample_csv):
 def test_cluster_needs_k_or_sstar(tmp_path, capsys, sample_csv):
     samples_path, _ = sample_csv
     assert main(["cluster", "--input", str(samples_path)]) == 1
-    assert "either --k or --sstar" in capsys.readouterr().err
+    assert "one of the arguments --k --sstar is required" in capsys.readouterr().err
 
 
 def test_cluster_names_a_truth_label_with_no_samples(tmp_path, capsys):
@@ -318,6 +323,12 @@ def test_cluster_checks_truth_before_fitting(tmp_path, capsys, monkeypatch, rela
         (["cluster", "--sstar", "{set_in_r3}"], "carries no point set in R^2"),
         (["cluster", "--sstar", "{list_file}"], "carries no point set in R^2"),
         (["cluster", "--sstar", "{ragged}"], "carries no point set in R^2"),
+        (["fit", "--k", "3", "--seed", "-1"], "argument --seed: must be a non-negative integer"),
+        (["cluster", "--k", "3", "--seed", "-1"], "argument --seed: must be a non-negative"),
+        (["bench", "--scenario", "example62", "--seed", "-1"], "argument --seed: must be a non"),
+        (["cluster", "--sstar", "{list_file}", "--k", "5"], "not allowed with argument"),
+        (["cluster"], "one of the arguments --k --sstar is required"),
+        (["fit", "--k", "3", "--config", "{list_file}"], "unrecognized arguments: --config"),
     ],
 )
 def test_refusals_exit_one_with_one_error_line(tmp_path, capsys, sample_csv, argv, message):
@@ -383,16 +394,16 @@ def test_parser_is_reused_without_leaking_arguments(capsys, monkeypatch, sample_
         seen.append(truth_mode)
         return parse(path, allow_truth, truth_mode)
 
-    def stop_before_fit(args):
-        seen.append((args.command, args.seed, args.config, getattr(args, "complex_points", None)))
+    def stop_before_fit(samples, k, opts, want_real=True, loss_kind="transformed"):
+        seen.append((k, opts.seed, want_real, loss_kind))
         raise cli._UsageError("stopped before the fit")
 
     monkeypatch.setattr(cli, "_parse_points", spy_parse)
-    monkeypatch.setattr(cli, "_load_fit_options", stop_before_fit)
+    monkeypatch.setattr(cli, "recover_point_set", stop_before_fit)
     fit = ["fit", "--input", str(samples_path), "--k", "6"]
     cluster = ["cluster", "--input", str(truth_path), "--k", "6"]
     for argv in (
-        [*fit, "--seed", "3", "--complex", "--config", "c.json"],
+        [*fit, "--seed", "3", "--complex", "--loss", "fg"],
         fit,
         [*cluster, "--no-truth-column", "--seed", "4"],
         cluster,
@@ -401,64 +412,25 @@ def test_parser_is_reused_without_leaking_arguments(capsys, monkeypatch, sample_
         assert main(argv) == 1
     assert "stopped before the fit" in capsys.readouterr().err
     assert seen == [
-        "auto", ("fit", 3, "c.json", True),
-        "auto", ("fit", None, None, False),
-        "no", ("cluster", 4, None, None),
-        "auto", ("cluster", None, None, None),
-        "yes", ("cluster", None, None, None),
+        "auto", (6, 3, False, "generating"),
+        "auto", (6, 0, True, "transformed"),
+        "no", (6, 4, True, "transformed"),
+        "auto", (6, 0, True, "transformed"),
+        "yes", (6, 0, True, "transformed"),
     ]
 
 
-def test_fit_best_effort_exit_three(tmp_path, capsys, sample_csv):
+def test_fit_best_effort_exit_three(tmp_path, capsys, monkeypatch, sample_csv):
     samples_path, _ = sample_csv
-    config = tmp_path / "tight.json"
-    config.write_text(json.dumps({"max_rounds": 4}))
+    monkeypatch.setattr(fitting, "MAX_ROUNDS", 4)
     out = tmp_path / "fit.json"
-    code = main(
-        [
-            "fit",
-            "--input",
-            str(samples_path),
-            "--k",
-            "6",
-            "--config",
-            str(config),
-            "--output",
-            str(out),
-        ]
-    )
+    code = main(["fit", "--input", str(samples_path), "--k", "6", "--output", str(out)])
     assert code == 3
     err = read_stderr_json(capsys)
     assert err["error"] == "non-convergence"
     # best-effort output is still written
     payload = json.loads(out.read_text())
     assert payload["fit"]["converged"] is False
-
-
-def test_fit_rejects_unknown_config_keys(tmp_path, capsys, sample_csv):
-    samples_path, _ = sample_csv
-    config = tmp_path / "bad.json"
-    config.write_text(json.dumps({"bogus": 1}))
-    code = main(
-        ["fit", "--input", str(samples_path), "--k", "6", "--config", str(config)]
-    )
-    assert code == 1
-    assert "bogus" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["fit", "cluster"])
-@pytest.mark.parametrize("key", ["gradient_tol", "step_tol", "decrease_tol", "feasibility_factor"])
-def test_config_refuses_the_fixed_tolerances(tmp_path, capsys, sample_csv, command, key):
-    # the fit's tolerances are constants: a config naming one is refused
-    # before any fit runs, not silently ignored
-    samples_path, _ = sample_csv
-    config = tmp_path / "tol.json"
-    config.write_text(json.dumps({key: 1e-6}))
-    argv = [command, "--input", str(samples_path), "--k", "6", "--config", str(config)]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "bad fit options" in captured.err and key in captured.err
 
 
 def test_fit_has_no_real_flag(tmp_path, capsys, sample_csv):
@@ -469,20 +441,6 @@ def test_fit_has_no_real_flag(tmp_path, capsys, sample_csv):
     assert "unrecognized arguments: --real" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["fit", "cluster"])
-@pytest.mark.parametrize(
-    "options", [{"max_rounds": 2.7}, {"seed": 1.9}, {"seed": True}, {"max_rounds": "8"}]
-)
-def test_config_refuses_non_integer_counts(tmp_path, capsys, sample_csv, command, options):
-    samples_path, _ = sample_csv
-    config = tmp_path / "bad.json"
-    config.write_text(json.dumps(options))
-    argv = [command, "--input", str(samples_path), "--k", "6", "--config", str(config)]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert "bad fit options" in err and "must be an integer" in err
-
-
 def test_fit_too_few_samples_exit_two(tmp_path, capsys):
     inp = tmp_path / "tiny.csv"
     write_points(inp, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
@@ -490,6 +448,8 @@ def test_fit_too_few_samples_exit_two(tmp_path, capsys):
     err = read_stderr_json(capsys)
     assert err["error"] == "degenerate-configuration"
     assert err["stage"] == "fit"
+    # a rank-deficient moment matrix has an infinite condition number
+    assert err["condition"] is None and "condition estimate inf" in err["message"]
 
 
 def test_cluster_refuses_non_real_zeros_exit_two(tmp_path, capsys):
@@ -644,10 +604,13 @@ def test_bench_gmm_stops_on_other_numerical_failures(tmp_path, capsys, monkeypat
         raise exc
 
     monkeypatch.setattr(cli, "recover_point_set", fail_fit)
-    args = ["bench", "--scenario", "gmm", "--seeds", "2", "--out-dir", str(tmp_path / "gmm")]
+    out_dir = tmp_path / "gmm"
+    args = ["bench", "--scenario", "gmm", "--seeds", "2", "--out-dir", str(out_dir)]
     assert main(args) == 2
     err = read_stderr_json(capsys)
     assert err["error"] == "numerical-failure" and err["stage"] == "fit"
+    # every file is written after the last trial, so nothing is left behind
+    assert not out_dir.exists()
 
 
 def test_build_and_describe_leave_sympy_unimported(tmp_path):

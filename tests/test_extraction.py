@@ -189,7 +189,7 @@ def test_real_projection_warns_on_dropped_imaginary_parts():
     # parts near 0.3 and 0.8; the fit itself reports convergence
     spec = random_gmm_spec(2, 4, seed=207)
     samples, _ = gmm_sample(spec, 300, seed=257)
-    fit = fit_generating_matrix(samples, 4, FitOptions(seed=7))
+    fit = fit_generating_matrix(samples, 4)
     assert fit.converged
     zeros = extract_zero_set(fit.g_star, seed=7)
     assert not zeros.is_real

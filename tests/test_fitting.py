@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -50,60 +50,17 @@ def test_sample_set_validation():
     assert s.size == 3 and s.n == 2
 
 
-def test_fit_options_validation_and_roundtrip():
-    opts = FitOptions(rho0=2.0, max_rounds=4, seed=11)
-    again = FitOptions.from_json(opts.to_json())
-    assert again == opts
-    with pytest.raises(ValueError):
-        FitOptions(rho0=-1.0)
-    with pytest.raises(ValueError):
-        FitOptions(max_rounds=0)
-    with pytest.raises(ValueError):
-        FitOptions.from_json({"not_an_option": 1})
-
-
-def test_fit_options_are_the_schedule_and_the_seed():
-    # the tolerances are fixed parts of the method, not options
-    defaults = {f.name: f.default for f in fields(FitOptions)}
-    assert defaults == {
-        "rho0": 1.0,
-        "rho_growth": 10.0,
-        "max_rounds": 8,
-        "max_inner_iterations": 200,
-        "seed": 0,
-    }
+def test_fit_options_are_the_seed_alone():
+    # the penalty schedule and the tolerances are fixed parts of the
+    # method; the one option left is the seed of the extraction draws
+    assert [f.name for f in fields(FitOptions)] == ["seed"]
+    assert FitOptions().seed == 0
+    assert (fitting.RHO0, fitting.RHO_GROWTH) == (1.0, 10.0)
+    assert (fitting.MAX_ROUNDS, fitting.MAX_INNER_ITERATIONS) == (8, 200)
     assert (fitting.GRADIENT_TOL, fitting.STEP_TOL) == (1e-10, 1e-12)
     assert (fitting.DECREASE_TOL, fitting.FEASIBILITY_FACTOR) == (1e-12, 1e-8)
-    for name in ("gradient_tol", "step_tol", "decrease_tol", "feasibility_factor"):
-        with pytest.raises(ValueError, match="unknown fit options"):
-            FitOptions.from_json({name: 1e-6})
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        {"max_rounds": 2.7},
-        {"max_inner_iterations": 50.5},
-        {"seed": 1.9},
-        {"seed": True},
-        {"max_rounds": False},
-        {"max_rounds": "8"},
-        {"seed": None},
-        {"seed": float("inf")},
-    ],
-)
-def test_fit_options_refuse_non_integer_counts(payload):
-    # truncating 2.7 or parsing "8" would run a fit nobody asked for
-    (name,) = payload
-    with pytest.raises(ValueError, match=f"{name} must be an integer"):
-        FitOptions.from_json(payload)
-
-
-def test_fit_options_take_integral_numbers():
-    for name in ("seed", "max_rounds", "max_inner_iterations"):
-        exact, integral = FitOptions.from_json({name: 3}), FitOptions.from_json({name: 3.0})
-        assert exact == integral
-        assert getattr(integral, name) == 3 and type(getattr(integral, name)) is int
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        FitOptions(seed=-1)
 
 
 def test_average_loss_vanishes_on_exact_samples():
@@ -252,9 +209,12 @@ def test_fit_looks_up_monomials_only_while_setting_up(monkeypatch):
     tables = counting_calls(monkeypatch, gs, "shift_table")
     rng = np.random.default_rng(14)
     samples = noisy_samples(rng, random_points(rng, 4, 2, min_gap=0.8), 0.1, 30)
-    short = fit_generating_matrix(samples, 4, FitOptions(max_rounds=1, max_inner_iterations=1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "MAX_ROUNDS", 1)
+        mp.setattr(fitting, "MAX_INNER_ITERATIONS", 1)
+        short = fit_generating_matrix(samples, 4)
     assert short.iterations == 1 and len(tables) == 1
-    result = fit_generating_matrix(samples, 4, FitOptions())
+    result = fit_generating_matrix(samples, 4)
     assert result.converged and result.iterations > 5
     extract_zero_set(result.g_star)
     assert len(tables) == 1
@@ -289,8 +249,8 @@ def test_fit_builds_no_gram_matrix_a_round_does_not_use():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PenaltyModel, "gram_and_gradient", counting_gram)
         mp.setattr(PenaltyModel, "penalized_value", counting_penalized)
-        result = fit_generating_matrix(samples, 5, FitOptions(seed=4))
-    reference = fit_generating_matrix(samples, 5, FitOptions(seed=4))
+        result = fit_generating_matrix(samples, 5)
+    reference = fit_generating_matrix(samples, 5)
     assert result.history == reference.history
     ended = sum(r.stop == "decrease" for r in result.history)
     assert result.converged and result.rounds > 1 and ended > 0
@@ -357,19 +317,20 @@ def test_fit_is_deterministic():
     rng = np.random.default_rng(8)
     pts = random_points(rng, 4, 2)
     samples = noisy_samples(rng, pts, 0.1, 25)
-    a = fit_generating_matrix(samples, 4, FitOptions(seed=3))
-    b = fit_generating_matrix(samples, 4, FitOptions(seed=3))
+    a = fit_generating_matrix(samples, 4)
+    b = fit_generating_matrix(samples, 4)
     np.testing.assert_array_equal(a.g_star.entries, b.g_star.entries)
     assert a.objective == b.objective
     assert a.iterations == b.iterations
 
 
-def test_best_effort_flag_when_budget_too_small():
+def test_best_effort_flag_when_budget_too_small(monkeypatch):
     rng = np.random.default_rng(9)
     pts = random_points(rng, 5, 2)
     samples = noisy_samples(rng, pts, 0.3, 30)
-    tight = FitOptions(max_rounds=1, max_inner_iterations=2)
-    result = fit_generating_matrix(samples, 5, tight)
+    monkeypatch.setattr(fitting, "MAX_ROUNDS", 1)
+    monkeypatch.setattr(fitting, "MAX_INNER_ITERATIONS", 2)
+    result = fit_generating_matrix(samples, 5)
     assert not result.converged
     assert result.commutator_norm > 0
 
@@ -399,33 +360,33 @@ def test_acceptance_first_trials_fit_within_iteration_budget():
     total = 0
     for n, k, seed in ((2, 3, 100), (2, 4, 200), (3, 3, 300), (3, 4, 400)):
         samples, _ = gmm_sample(random_gmm_spec(n, k, seed), 300, seed + 50)
-        result = fit_generating_matrix(samples, k, FitOptions(seed=0))
+        result = fit_generating_matrix(samples, k)
         assert result.converged
         total += result.iterations
     assert total <= 150
 
 
-def test_history_records_warm_started_inexact_rounds():
+def test_history_records_warm_started_inexact_rounds(monkeypatch):
     rng = np.random.default_rng(15)
     samples = noisy_samples(rng, random_points(rng, 5, 2, min_gap=0.8), 0.05, 40)
-    opts = FitOptions()
-    result = fit_generating_matrix(samples, 5, opts)
+    result = fit_generating_matrix(samples, 5)
     history = result.history
     assert result.converged and len(history) == result.rounds >= 3
     assert sum(r.iterations for r in history) == result.iterations
     assert history[-1].commutator_norm == result.commutator_norm
     for i, r in enumerate(history):
-        assert r.rho == opts.rho0 * opts.rho_growth**i
+        assert r.rho == fitting.RHO0 * fitting.RHO_GROWTH**i
         assert fitting.DECREASE_TOL <= r.decrease_tol <= fitting.DECREASE_TOL**0.5
         assert r.stop in ("gradient", "step", "decrease", "mu overflow", "budget")
     model = PenaltyModel(samples, 5)
     carried = 0
     for i in range(1, len(history)):
         # the fit cut after i rounds ends where round i + 1 starts
-        g = fit_generating_matrix(samples, 5, replace(opts, max_rounds=i)).g_star.entries
+        monkeypatch.setattr(fitting, "MAX_ROUNDS", i)
+        g = fit_generating_matrix(samples, 5).g_star.entries
         fresh = 1e-3 * float(np.max(np.diag(model.gram_and_gradient(g, history[i].rho)[0])))
         assert history[i].mu_start <= fresh
-        assert history[i].mu_start == min(fresh, history[i - 1].mu_final * opts.rho_growth)
+        assert history[i].mu_start == min(fresh, history[i - 1].mu_final * fitting.RHO_GROWTH)
         carried += history[i].mu_start < fresh
     assert carried > 0
     # the first round, far from the target, stops at the loosest tolerance,
