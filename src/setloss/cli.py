@@ -258,17 +258,14 @@ def cmd_fit(args) -> int:
         want_real=not args.complex_points,
         loss_kind="generating" if args.loss == "fg" else "transformed",
     )
-    recovered = result.recovered
-    if recovered.is_real:
-        s_star = recovered.points.tolist()
-    else:
-        s_star = np.stack((recovered.points.real, recovered.points.imag), axis=-1).tolist()
+    zero_set = result.zero_set.to_json()
     payload = {
         "k": result.k,
-        "n": recovered.n,
+        "n": result.recovered.n,
         "fit": result.fit.to_json(),
-        "zero_set": result.zero_set.to_json(),
-        "s_star": s_star,
+        "zero_set": zero_set,
+        # --complex writes the zeros as [re, im] pairs, in the zero set's order
+        "s_star": zero_set["points"] if args.complex_points else result.recovered.points.tolist(),
         "loss": _loss_payload(result.loss),
     }
     _write_json(payload, args.output)
@@ -350,6 +347,9 @@ def _read_sstar(path: str, n: int) -> PointSet:
 
 
 def cmd_cluster(args) -> int:
+    if args.sstar is not None and args.seed is not None:
+        # a set read from a file takes no extraction draws to seed
+        raise _UsageError("argument --seed: not allowed with argument --sstar")
     truth_mode = {None: "auto", True: "yes", False: "no"}[args.truth_column]
     coords, truth = _parse_points(args.input, allow_truth=True, truth_mode=truth_mode)
     try:
@@ -371,7 +371,7 @@ def cmd_cluster(args) -> int:
         result = recover_point_set(
             samples,
             args.k,
-            FitOptions(seed=args.seed),
+            FitOptions(seed=args.seed or 0),
             loss_kind="generating" if args.loss == "fg" else "transformed",
         )
         recovered = result.recovered
@@ -397,7 +397,7 @@ def cmd_cluster(args) -> int:
         "n": recovered.n,
         "samples": samples.size,
         "descents_converged": int(assignment.converged.sum()),
-        "s_star": recovered.points.real.tolist(),
+        "s_star": recovered.points.tolist(),
     }
     if truth is not None:
         means = np.array(
@@ -450,15 +450,15 @@ def _bench_trials(args, radii, counts, path: tuple):
         samples, _ = bounded_noise_sample(reference, radii, counts, seed, args.noise_model)
         opts = FitOptions(seed=seed)
         result = recover_point_set(samples, reference.k, opts, loss_kind="generating")
-        recovered = result.recovered.points.real
-        dist = set_distance(PointSet(recovered, check_distinct=False), reference)
+        recovered = result.recovered
+        dist = set_distance(recovered, reference)
         max_loss = float(max(result.loss.value(u) for u in BENCH_SET))
         all_converged &= result.fit.converged
         rows.append([trial, dist, max_loss, int(result.fit.converged)])
         dists.append(dist)
         losses.append(max_loss)
         if trial == 0:
-            layers = {"T": samples.samples, "S": BENCH_SET, "Sstar": recovered}
+            layers = {"T": samples.samples, "S": BENCH_SET, "Sstar": recovered.points}
     return rows, float(np.median(dists)), float(np.median(losses)), all_converged, layers
 
 
@@ -574,7 +574,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="setloss", description=__doc__.splitlines()[0])
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_count,
         help="cap BLAS threads through threadpoolctl (default 1 for reproducible runs)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -603,7 +603,7 @@ def _build_parser() -> _Parser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--k", type=_count, help="recover this many points from the samples")
     source.add_argument("--sstar", help="JSON with a previously recovered set")
-    p.add_argument("--seed", type=_seed, default=0, help="seed of the extraction draws")
+    p.add_argument("--seed", type=_seed, help="seed of the extraction draws with --k (default 0)")
     p.add_argument("--output", help="labels CSV path (default stdout)")
     p.add_argument("--loss", choices=["transformed", "fg"], default="transformed")
     p.add_argument(
@@ -651,10 +651,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     limiter = None
-    threads = 1 if args.threads is None else args.threads
-    if threads >= 1 and threadpool_limits is not None:
-        limiter = threadpool_limits(limits=threads)
-    elif threads >= 1 and args.threads is not None:
+    if threadpool_limits is not None:
+        limiter = threadpool_limits(limits=args.threads or 1)
+    elif args.threads is not None:
         print(
             "warning: threadpoolctl is not installed; --threads applied no BLAS limit",
             file=sys.stderr,

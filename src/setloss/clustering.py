@@ -11,7 +11,6 @@ here too, all driven by explicit seeds.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -363,7 +362,7 @@ def assign_labels(loss, recovered: PointSet, samples: SampleSet) -> ClusterAssig
     max_step = np.inf
     settle_below = -np.inf
     if k > 1:
-        max_step = STEP_CAP_FRACTION * _min_gap(recovered.points.real)
+        max_step = STEP_CAP_FRACTION * _min_gap(recovered.points)
         if isinstance(loss, TransformedLoss):
             settle_below = _settle_threshold(loss, max_step)
     res = minimize_from(loss, samples.samples, max_step=max_step, settle_below=settle_below)
@@ -372,7 +371,7 @@ def assign_labels(loss, recovered: PointSet, samples: SampleSet) -> ClusterAssig
         targets = np.vstack([np.eye(k - 1), np.zeros(k - 1)])
     else:
         coords = res.x
-        targets = np.asarray(recovered.points.real)
+        targets = recovered.points
     return ClusterAssignment(
         labels=_nearest(coords, targets),
         converged=res.converged,
@@ -394,7 +393,7 @@ def _settle_threshold(loss: TransformedLoss, max_step: float) -> float:
     else:
         linear = loss.lift_basis.powers[1:].sum(axis=1) == 1
         spread = np.linalg.norm(loss.diff_mat[linear], 2)
-        radius = (_min_gap(loss.points.points.real) - max_step) / (2.0 * spread)
+        radius = (_min_gap(loss.points.points) - max_step) / (2.0 * spread)
     radius = min(radius, 0.5) - SETTLE_MARGIN
     if not radius > 0.0:
         return -np.inf
@@ -411,14 +410,14 @@ def nearest_point_assignment(recovered: PointSet, samples: SampleSet) -> Cluster
     """Label every sample by its nearest recovered point, without descent.
 
     The baseline that descent labels are judged against: a Voronoi
-    partition by the real parts of the recovered points, ties to the
-    lowest label.  Each sample counts as converged in zero iterations,
-    with its nearest recovered point as its minimizer, so the result
-    scores through ``clustering_accuracy`` like ``assign_labels``.
+    partition by the recovered points, ties to the lowest label.  Each
+    sample counts as converged in zero iterations, with its nearest
+    recovered point as its minimizer, so the result scores through
+    ``clustering_accuracy`` like ``assign_labels``.
     """
     if samples.n != recovered.n:
         raise ValueError(f"dimension mismatch: samples in R^{samples.n}, set in R^{recovered.n}")
-    pts = np.asarray(recovered.points.real)
+    pts = recovered.points
     labels = _nearest(samples.samples, pts)
     return ClusterAssignment(
         labels=labels,
@@ -456,7 +455,7 @@ def clustering_accuracy(
         raise ValueError("truth labels must index the true means")
     if not np.all(np.isfinite(means)):
         raise ValueError("true means must be finite")
-    pts = np.asarray(recovered.points.real)
+    pts = recovered.points
     best_perm = None
     best_cost = np.inf
     for perm in itertools.permutations(range(k)):
@@ -476,7 +475,6 @@ class RecoveryResult:
     zero_set: ZeroSet
     recovered: PointSet
     loss: object
-    timings: dict
 
     @property
     def k(self) -> int:
@@ -502,29 +500,25 @@ def recover_point_set(
     ``loss_kind`` selects the loss built on the recovered set:
     "transformed" (default) composes the simplicial loss with the
     appropriate coordinate change, "generating" interpolates a fresh
-    generating system through the recovered points and squares it.  With
-    ``want_real`` the recovered set is the real projection of the
-    extracted zeros, and zeros that are not real (``ZeroSet.is_real``)
-    raise NumericalFailureError naming the largest imaginary part: their
-    projection is not the zero set of the fit, and a conjugate pair
-    projects onto two nearly coincident points.  Otherwise the complex
-    zeros are kept (the loss is still built on the projection, since the
-    transforms are real).  Errors propagate from the failing stage,
-    tagged with a ``stage`` attribute ("fit", "extract", or "loss").
+    generating system through the recovered points and squares it.  The
+    recovered set is the real projection of the extracted zeros, which
+    ``zero_set`` keeps complex.  With ``want_real`` zeros that are not
+    real (``ZeroSet.is_real``) raise NumericalFailureError naming the
+    largest imaginary part: their projection is not the zero set of the
+    fit, and a conjugate pair projects onto two nearly coincident points.
+    Without it they pass, and the projection warns.  Errors propagate
+    from the failing stage, tagged with a ``stage`` attribute ("fit",
+    "extract", or "loss").
     """
     if loss_kind not in ("transformed", "generating"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     opts = opts or FitOptions()
-    timings: dict[str, float] = {}
 
-    t0 = time.perf_counter()
     try:
         fit = fit_generating_matrix(samples, k)
     except Exception as exc:
         raise _tag_stage(exc, "fit")
-    timings["fit"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     try:
         zeros = extract_zero_set(fit.g_star, seed=opts.seed)
         if want_real and not zeros.is_real:
@@ -534,23 +528,17 @@ def recover_point_set(
             )
     except Exception as exc:
         raise _tag_stage(exc, "extract")
-    timings["extract"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     try:
-        projected = real_projection(zeros)
-        recovered = projected if want_real else PointSet(zeros.points, check_distinct=False)
+        recovered = real_projection(zeros)
         if loss_kind == "transformed":
-            loss = build_transformed_loss(projected)
+            loss = build_transformed_loss(recovered)
         else:
-            loss = GeneratingLoss(solve_generating_matrix(projected))
+            loss = GeneratingLoss(solve_generating_matrix(recovered))
     except Exception as exc:
         raise _tag_stage(exc, "loss")
-    timings["loss"] = time.perf_counter() - t0
 
-    return RecoveryResult(
-        fit=fit, zero_set=zeros, recovered=recovered, loss=loss, timings=timings
-    )
+    return RecoveryResult(fit=fit, zero_set=zeros, recovered=recovered, loss=loss)
 
 
 # -- sample generators ----------------------------------------------------
@@ -573,8 +561,6 @@ def bounded_noise_sample(
     """
     if model not in ("truncated-normal", "uniform"):
         raise ValueError(f"unknown noise model {model!r}")
-    if not points.is_real:
-        raise ValueError("noise sampling needs a real point set")
     k, n = points.k, points.n
     radii = np.broadcast_to(np.asarray(eps, dtype=float), (k,)).copy()
     if np.any(radii <= 0):

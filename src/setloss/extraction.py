@@ -7,6 +7,9 @@ M1 = sum_i xi_i M_i, triangularize it as Q^H M1 Q, and evaluate the
 diagonal of Q^H M_i Q for every variable.  The same orthonormal columns
 triangularize all M_i simultaneously because the family commutes, so the
 i-th diagonal entries assemble the coordinates of one zero each.
+
+The zeros are the only complex numbers in the package: ``ZeroSet`` holds
+them, and ``real_projection`` hands their real parts on as a ``PointSet``.
 """
 
 from __future__ import annotations
@@ -149,7 +152,8 @@ def extract_zero_set(gm: GeneratingMatrix, seed: int = 0) -> ZeroSet:
     residuals.  Points come back with multiplicity when the system has
     repeated zeros.
     """
-    com = commutator_residual(gm)
+    mats = multiplication_matrices(gm)
+    com = commutator_residual(mats)
     scale = 1.0 + gm.frobenius_norm()
     if com > COMMUTATOR_HARD_LIMIT * scale:
         raise InvalidStateError(
@@ -158,7 +162,6 @@ def extract_zero_set(gm: GeneratingMatrix, seed: int = 0) -> ZeroSet:
         )
     approximate = com > COMMUTATOR_SOFT_LIMIT * scale
 
-    mats = multiplication_matrices(gm)
     k, n = gm.k, gm.n
     rng = np.random.default_rng(seed)
     for _ in range(MAX_COMBINATION_DRAWS):
@@ -199,7 +202,7 @@ def real_projection(zeros: ZeroSet) -> PointSet:
     ``is_real`` also warns, naming the largest imaginary part: the
     projected points are then not zeros of the system.
     """
-    pts = zeros.points.real.copy()
+    pts = zeros.points.real
     if not zeros.is_real:
         _warnings.warn(
             f"real projection dropped imaginary parts up to {zeros.max_imaginary():.3e}",
@@ -229,5 +232,5 @@ def set_distance(recovered: PointSet, reference: PointSet) -> float:
     a = np.asarray(recovered.points)
     b = np.asarray(reference.points)
     diff = b[:, None, :] - a[None, :, :]
-    dists = np.sqrt(np.sum(np.abs(diff) ** 2, axis=2))
+    dists = np.sqrt(np.sum(diff**2, axis=2))
     return float(dists.min(axis=1).max())

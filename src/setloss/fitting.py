@@ -45,7 +45,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DegenerateConfigurationError
-from .generating_system import GeneratingMatrix, _index_pairs, _shifts, commutators
+from .generating_system import GeneratingMatrix, _index_pairs, _real_rows, _shifts, commutators
 from .monomial_basis import border_monomials, monomial_matrix, standard_monomials
 from .numeric_kernels import min_eigenvalue_sym
 
@@ -78,15 +78,7 @@ class SampleSet:
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a (N, n) array, got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"need at least one sample and one coordinate, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _real_rows(self.samples, "samples"))
 
     @property
     def size(self) -> int:

@@ -58,12 +58,31 @@ def coincident_pairs(points: np.ndarray) -> np.ndarray:
     return np.argwhere(np.triu(gaps <= DISTINCT_TOL, k=1))
 
 
+def _real_rows(values, name: str) -> np.ndarray:
+    """``values`` as a new read-only finite float (rows, n) array, rows and n >= 1.
+
+    Anything else raises ValueError, complex entries too: a cast to float
+    would silently drop their imaginary parts.
+    """
+    arr = np.array(values)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{name} must be real, got complex entries")
+    arr = arr.astype(float, copy=False)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-d array of {name}, got shape {arr.shape}")
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError(f"need at least one row of {name} and one coordinate, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class PointSet:
-    """An ordered set of k points in n dimensions.
+    """An ordered set of k real points in n dimensions.
 
-    Points are stored as the rows of a read-only (k, n) array.  Entries
-    are real, or complex for sets coming out of zero extraction.  By
+    Points are stored as the rows of a read-only float (k, n) array.  By
     default construction rejects duplicate rows; pass
     ``check_distinct=False`` for projected sets that may collide.
     """
@@ -72,20 +91,12 @@ class PointSet:
     check_distinct: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.array(self.points)
-        if pts.ndim != 2:
-            raise ValueError(f"expected a (k, n) array of points, got shape {pts.shape}")
-        if pts.shape[0] < 1 or pts.shape[1] < 1:
-            raise ValueError(f"need at least one point and one coordinate, got {pts.shape}")
-        pts = pts.astype(complex if np.iscomplexobj(pts) else float)
-        if not np.all(np.isfinite(pts.view(float))):
-            raise ValueError("points must be finite")
+        pts = _real_rows(self.points, "points")
         if self.check_distinct:
             pairs = coincident_pairs(pts)
             if len(pairs):
                 i, j = pairs[0]
                 raise ValueError(f"points {i} and {j} coincide")
-        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @property
@@ -95,10 +106,6 @@ class PointSet:
     @property
     def n(self) -> int:
         return self.points.shape[1]
-
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.points)
 
 
 @dataclass(frozen=True)
@@ -185,9 +192,6 @@ def solve_generating_matrix(points: PointSet) -> GeneratingMatrix:
     basis and border monomials on the points.  Requires X0 nonsingular
     (relative singular-value gap above 1e-10); near-collinear or otherwise
     non-generic configurations raise DegenerateConfigurationError.
-
-    Complex point sets are accepted only when they are closed under
-    conjugation, in which case the matrix is real and is returned as such.
     """
     b0 = standard_monomials(points.n, points.k)
     b1 = border_monomials(b0)
@@ -197,14 +201,7 @@ def solve_generating_matrix(points: PointSet) -> GeneratingMatrix:
         np.linalg.svd(x0, compute_uv=False), "point set is degenerate for interpolation"
     )
     g = solve_linear(x0.T, x1.T)
-    if np.iscomplexobj(g):
-        drift = float(np.max(np.abs(g.imag)))
-        if drift > 1e-8 * (1.0 + float(np.max(np.abs(g.real)))):
-            raise ValueError(
-                f"complex point set is not conjugation closed (imaginary drift {drift:.3e})"
-            )
-        g = g.real
-    return GeneratingMatrix(basis=b0, border=b1, entries=np.ascontiguousarray(g))
+    return GeneratingMatrix(basis=b0, border=b1, entries=g)
 
 
 def evaluate_generators(gm: GeneratingMatrix, x) -> np.ndarray:
@@ -330,14 +327,15 @@ def commutators(mats: np.ndarray) -> np.ndarray:
     return mi @ mj - mj @ mi
 
 
-def commutator_residual(gm: GeneratingMatrix) -> float:
+def commutator_residual(mats: np.ndarray) -> float:
     """Total Frobenius norm of all pairwise commutators [M_i, M_j], i < j.
 
-    It vanishes (up to roundoff) exactly when the generators admit k
+    ``mats`` is the (n, k, k) stack of ``multiplication_matrices``.  The
+    total vanishes (up to roundoff) exactly when the generators admit k
     common zeros counted with multiplicity; for n = 1 there are no pairs
-    and the total is zero.
+    and it is zero.
     """
-    return float(np.linalg.norm(commutators(multiplication_matrices(gm))))
+    return float(np.linalg.norm(commutators(mats)))
 
 
 def generator_terms(gm: GeneratingMatrix) -> list[dict[tuple[int, ...], float]]:

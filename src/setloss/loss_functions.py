@@ -94,10 +94,8 @@ class GeneratingLoss:
         """Value and gradient at x (n,), or per row of a batch (N, n)."""
         phi = evaluate_generators(self.gm, x)
         jac = generators_jacobian(self.gm, x)
-        value = np.real((np.conj(phi) * phi).sum(axis=-1))
+        value = (phi * phi).sum(axis=-1)
         grad = 2.0 * (phi[..., :, None] * jac).sum(axis=-2)
-        if not np.iscomplexobj(np.asarray(x)):
-            grad = np.real(grad)
         return (float(value) if np.ndim(x) == 1 else value), grad
 
     def value(self, x) -> float:
@@ -212,8 +210,6 @@ class TransformedLoss:
     """
 
     def __init__(self, points: PointSet, lift_basis: MonomialBasis | None = None):
-        if not points.is_real:
-            raise ValueError("transformed losses are defined for real point sets")
         if lift_basis is not None and len(lift_basis) != points.k:
             raise ValueError(
                 f"a lift basis for {points.k} points needs {points.k} members, "
@@ -433,7 +429,7 @@ class TransformedLoss:
 
 
 def build_transformed_loss(points: PointSet) -> TransformedLoss:
-    """The transformed loss of a real point set.
+    """The transformed loss of a point set.
 
     Sets with k <= n + 1 points use the identity lift, an affine map
     that needs the differences u_i - u_k linearly independent.  Larger

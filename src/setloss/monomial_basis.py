@@ -234,37 +234,32 @@ def _product_plan(rows: np.ndarray, members: int, scale=None) -> _ProductPlan:
 def _multiply_out(x: np.ndarray, plan: _ProductPlan) -> np.ndarray:
     # x is (N, n); returns (N, r), C-ordered like the broadcast formula's
     count, n = x.shape
-    src = np.empty((count, n + 1 + plan.pow_rows.size), dtype=x.dtype)
+    src = np.empty((count, n + 1 + plan.pow_rows.size))
     src[:, :n] = x
     src[:, n] = 1
     if len(plan.pow_rows):
         src[:, n + 1 :] = (x[:, None, :] ** plan.pow_rows).reshape(count, -1)
     factors = src.take(plan.factors, axis=1)
-    if np.iscomplexobj(x):
-        # numpy multiplies complex arrays elementwise with fused
-        # multiply-adds, but reduces them without: keep the reduction
-        out = np.prod(factors, axis=-1)
-    else:
-        out = factors[..., 0]
-        for t in range(1, plan.factors.shape[1]):
-            out = out * factors[..., t]
+    out = factors[..., 0]
+    for t in range(1, plan.factors.shape[1]):
+        out = out * factors[..., t]
     return out if plan.scale is None else out * plan.scale
 
 
 def _points(x, basis: MonomialBasis, batched: bool) -> np.ndarray:
-    # real input is computed in float, complex input stays complex
-    x = np.asarray(x)
+    # points are real: a cast that would drop imaginary parts raises TypeError
+    x = np.asarray(x).astype(float, casting="same_kind", copy=False)
     if x.ndim != (2 if batched else 1) or x.shape[-1] != basis.n:
         want = f"(N, {basis.n})" if batched else f"({basis.n},)"
         raise ValueError(f"expected shape {want}, got {x.shape}")
-    return x if np.iscomplexobj(x) else x.astype(float, copy=False)
+    return x
 
 
 def evaluate_monomials(x, basis: MonomialBasis) -> np.ndarray:
     """Vector (x^a for a in basis), in basis order.
 
-    Accepts real or complex x of shape (n,).  The constant monomial
-    evaluates to 1 everywhere, including at x = 0.
+    Takes a real x of shape (n,).  The constant monomial evaluates to 1
+    everywhere, including at x = 0.
     """
     x = _points(x, basis, batched=False)
     return _multiply_out(x[None, :], basis._value_plan)[0]

@@ -58,21 +58,18 @@ def row_sum(v: np.ndarray) -> np.ndarray:
 
 
 def solve_linear(a, b) -> np.ndarray:
-    """Solve the square system a @ x = b via column-pivoted QR.
+    """Solve the real square system a @ x = b via column-pivoted QR.
 
     ``b`` may be a vector or a matrix of stacked right-hand sides.  Raises
     DegenerateConfigurationError when the estimated condition number of
     ``a`` exceeds 1e12.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
-        a = a.astype(float, copy=False)
-        b = b.astype(float, copy=False)
     q, r, piv = scipy.linalg.qr(a, pivoting=True)
     diag = np.abs(np.diag(r))
     if diag.min() == 0.0:
@@ -80,7 +77,7 @@ def solve_linear(a, b) -> np.ndarray:
     cond = float(diag.max() / diag.min())
     if cond > CONDITION_LIMIT:
         raise DegenerateConfigurationError("matrix is numerically singular", condition=cond)
-    y = scipy.linalg.solve_triangular(r, q.conj().T @ b)
+    y = scipy.linalg.solve_triangular(r, q.T @ b)
     x = np.empty_like(y)
     x[piv] = y
     return x

@@ -237,6 +237,31 @@ def reference_evaluate_monomials(x, powers):
     return np.prod(x[None, :] ** powers, axis=1)
 
 
+# three points in C^2, two of them a conjugate pair: the common zeros of a
+# real generating system
+CONJUGATE_PAIR_SET = np.array([[1.0 + 2.0j, -1.0], [1.0 - 2.0j, -1.0], [0.5, 2.0]])
+
+
+def conjugate_pair_system():
+    """The real generating matrix whose zeros are CONJUGATE_PAIR_SET.
+
+    The package interpolates real sets only.  This solves X0^T G = X1^T on
+    the complex Vandermonde matrices of the set and keeps the real part:
+    the set is closed under conjugation, so G is real up to roundoff.
+    """
+    from setloss.generating_system import GeneratingMatrix
+    from setloss.monomial_basis import border_monomials, standard_monomials
+
+    basis = standard_monomials(2, 3)
+    border = border_monomials(basis)
+    g = np.linalg.solve(
+        reference_monomial_matrix(CONJUGATE_PAIR_SET, basis.powers),
+        reference_monomial_matrix(CONJUGATE_PAIR_SET, border.powers),
+    )
+    assert np.abs(g.imag).max() <= 1e-12 * (1.0 + np.abs(g.real).max())
+    return GeneratingMatrix(basis, border, g.real)
+
+
 def _lowered_powers(powers):
     # exponents after differentiating in each variable, (n, m, n), clamped
     # at zero so that 0 * x^(-1) cannot produce inf at x_i = 0

@@ -329,6 +329,9 @@ def test_cluster_checks_truth_before_fitting(tmp_path, capsys, monkeypatch, rela
         (["cluster", "--sstar", "{list_file}", "--k", "5"], "not allowed with argument"),
         (["cluster"], "one of the arguments --k --sstar is required"),
         (["fit", "--k", "3", "--config", "{list_file}"], "unrecognized arguments: --config"),
+        (["cluster", "--sstar", "{list_file}", "--seed", "7"], "argument --seed: not allowed"),
+        (["--threads", "0", "build"], "argument --threads: must be a positive integer, got '0'"),
+        (["--threads", "-3", "build"], "argument --threads: must be a positive integer"),
     ],
 )
 def test_refusals_exit_one_with_one_error_line(tmp_path, capsys, sample_csv, argv, message):

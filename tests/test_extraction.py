@@ -18,11 +18,14 @@ from setloss.generating_system import (
     PointSet,
     commutator_residual,
     generator_strings,
+    multiplication_matrices,
     solve_generating_matrix,
 )
 from setloss.monomial_basis import MonomialBasis, border_monomials, standard_monomials
 
 from helpers import (
+    CONJUGATE_PAIR_SET,
+    conjugate_pair_system,
     counting_calls,
     forget_shapes,
     match_as_multisets,
@@ -131,21 +134,13 @@ def test_sort_order_matches_sorted_on_ties():
 
 
 def test_conjugate_zeros_come_back_as_pairs():
-    pts = PointSet(
-        np.array(
-            [
-                [1.0 + 2.0j, -1.0],
-                [1.0 - 2.0j, -1.0],
-                [0.5, 2.0],
-            ]
-        )
-    )
-    gm = solve_generating_matrix(pts)
-    zs = extract_zero_set(gm)
+    # a real system whose zeros include the pair (1 +- 2i, -1)
+    zs = extract_zero_set(conjugate_pair_system())
     assert zs.max_imaginary() > 1.0
+    assert not zs.is_real
     assert match_as_multisets(
         np.concatenate([zs.points.real, zs.points.imag], axis=1),
-        np.concatenate([pts.points.real, pts.points.imag], axis=1),
+        np.concatenate([CONJUGATE_PAIR_SET.real, CONJUGATE_PAIR_SET.imag], axis=1),
     ) <= 1e-8
 
 
@@ -154,25 +149,21 @@ def test_real_projection_of_real_zeros():
     pts = random_points(rng, 5, 2)
     zs = extract_zero_set(solve_generating_matrix(PointSet(pts)))
     projected = real_projection(zs)
-    assert projected.is_real
+    assert projected.points.dtype == np.float64
     assert match_as_multisets(projected.points, pts) <= 1e-8
 
 
 def test_real_projection_warns_on_collapsed_pairs():
     # a conjugate pair projects onto one doubled real point
-    pts = PointSet(
-        np.array(
-            [
-                [1.0 + 2.0j, -1.0],
-                [1.0 - 2.0j, -1.0],
-                [0.5, 2.0],
-            ]
-        )
-    )
-    zs = extract_zero_set(solve_generating_matrix(pts))
-    with pytest.warns(RuntimeWarning):
+    zs = extract_zero_set(conjugate_pair_system())
+    with pytest.warns(RuntimeWarning) as caught:
         projected = real_projection(zs)
+    dropped, collapsed = (str(w.message) for w in caught)
+    assert dropped == "real projection dropped imaginary parts up to 2.000e+00"
+    assert "coincident points" in collapsed
     assert projected.k == 3
+    assert projected.points.dtype == np.float64
+    np.testing.assert_array_equal(projected.points, zs.points.real)
 
 
 def test_real_projection_is_silent_on_real_zeros():
@@ -228,6 +219,17 @@ def test_extraction_builds_one_shift_table(monkeypatch):
     second = extract_zero_set(again)
     assert len(tables) == 1
     np.testing.assert_array_equal(second.points, first.points)
+
+
+def test_extraction_builds_the_multiplication_matrices_once(monkeypatch):
+    # the commutator gate and the Schur step read one (n, k, k) stack
+    import setloss.generating_system as gs
+
+    gm = solve_generating_matrix(PointSet(BENCH_SET))
+    builds = counting_calls(monkeypatch, gs.ShiftTable, "matrices")
+    zeros = extract_zero_set(gm, seed=3)
+    assert len(builds) == 1
+    assert zeros.commutator_norm == commutator_residual(multiplication_matrices(gm))
 
 
 def test_permuted_basis_keeps_its_own_structures(monkeypatch):
@@ -289,14 +291,14 @@ def test_approximate_flag_between_limits():
     probe = GeneratingMatrix(
         basis=gm.basis, border=gm.border, entries=gm.entries + direction
     )
-    slope = commutator_residual(probe)
+    slope = commutator_residual(multiplication_matrices(probe))
     scale = 1.0 + gm.frobenius_norm()
     # aim the residual midway between the soft and hard thresholds
     delta = 1e-7 * scale / slope
     bent = GeneratingMatrix(
         basis=gm.basis, border=gm.border, entries=gm.entries + delta * direction
     )
-    residual = commutator_residual(bent)
+    residual = commutator_residual(multiplication_matrices(bent))
     assert 1e-8 * scale < residual < 1e-6 * scale
     zs = extract_zero_set(bent)
     assert zs.approximate

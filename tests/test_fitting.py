@@ -295,7 +295,7 @@ def test_noisy_fit_drives_commutators_to_feasibility():
     assert result.converged
     scale = 1.0 + result.g_star.frobenius_norm()
     assert result.commutator_norm <= 1e-8 * scale
-    assert commutator_residual(result.g_star) == pytest.approx(
+    assert commutator_residual(multiplication_matrices(result.g_star)) == pytest.approx(
         result.commutator_norm, rel=1e-9
     )
     # the fitted zeros sit near the true points

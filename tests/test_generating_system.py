@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import sympy
 
+from setloss.fitting import SampleSet
 from setloss.generating_system import (
     GeneratingMatrix,
     PointSet,
@@ -84,7 +85,7 @@ def test_point_set_validation():
     with pytest.raises(ValueError):
         PointSet(np.zeros((0, 2)))
     ps = PointSet(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert ps.k == 2 and ps.n == 2 and ps.is_real
+    assert ps.k == 2 and ps.n == 2 and ps.points.dtype == np.float64
 
 
 def test_point_set_names_first_coincident_pair():
@@ -93,8 +94,18 @@ def test_point_set_names_first_coincident_pair():
         PointSet(pts)
     with pytest.raises(ValueError, match="points 1 and 3 coincide"):
         PointSet(pts[[4, 1, 0, 2, 3]])
-    # complex coordinates compare by the modulus of their difference
-    assert PointSet(np.array([[1.0 + 1e-6j], [1.0 - 1e-6j]])).k == 2
+
+
+@pytest.mark.parametrize("make", [PointSet, SampleSet])
+def test_point_and_sample_sets_refuse_complex_entries(make):
+    # a cast to float would keep the real parts and drop the rest
+    with pytest.raises(ValueError, match="must be real, got complex entries"):
+        make(np.array([[1.0 + 2.0j, 0.0], [2.0, 1.0]]))
+    # even when every imaginary part is zero
+    with pytest.raises(ValueError, match="must be real"):
+        make(np.array([[1.0, 0.0], [2.0, 1.0]], dtype=complex))
+    with pytest.raises(ValueError, match="must be real"):
+        make([[1.0 + 0j, 0.0], [2.0, 1.0]])
 
 
 def test_point_set_takes_no_labels():
@@ -171,24 +182,6 @@ def test_generators_jacobian_matches_finite_differences():
         jac = generators_jacobian(gm, x)
         ref = fd_jacobian(lambda y: evaluate_generators(gm, y), x)
         np.testing.assert_allclose(jac, ref, rtol=1e-5, atol=1e-6)
-
-
-def test_conjugate_pair_yields_real_matrix():
-    pts = PointSet(
-        np.array(
-            [[1.0 + 2.0j, 0.5 - 1.0j], [1.0 - 2.0j, 0.5 + 1.0j], [2.0, 1.0]]
-        )
-    )
-    gm = solve_generating_matrix(pts)
-    assert gm.entries.dtype == np.float64
-    for u in pts.points:
-        np.testing.assert_allclose(evaluate_generators(gm, u), 0, atol=1e-10)
-
-
-def test_unbalanced_complex_set_is_rejected():
-    pts = PointSet(np.array([[1.0 + 2.0j, 0.0], [2.0, 1.0]]))
-    with pytest.raises(ValueError):
-        solve_generating_matrix(pts)
 
 
 def test_multiplication_matrix_columns():
@@ -274,7 +267,9 @@ def test_commutators_vanish_for_interpolated_sets():
         k = int(rng.integers(2, 8))
         n = int(rng.integers(2, 4))
         gm = solve_generating_matrix(PointSet(random_points(rng, k, n)))
-        assert commutator_residual(gm) <= 1e-9 * (1 + gm.frobenius_norm())
+        assert commutator_residual(multiplication_matrices(gm)) <= 1e-9 * (
+            1 + gm.frobenius_norm()
+        )
 
 
 def test_commutators_match_pairwise_products():
@@ -296,7 +291,7 @@ def test_commutators_match_pairwise_products():
         for c, w in zip(got, want, strict=True):
             np.testing.assert_array_equal(c, w)
         total = np.sqrt(sum(float(np.sum(w * w)) for w in want))
-        assert commutator_residual(gm) == pytest.approx(total, rel=1e-14)
+        assert commutator_residual(mats) == pytest.approx(total, rel=1e-14)
 
 
 def test_strings_agree_with_term_maps():
