@@ -50,7 +50,6 @@ from .loss_functions import (
 from .monomial_basis import (
     MonomialBasis,
     border_monomials,
-    evaluate_monomials,
     grlex_key,
     monomial_lift,
     monomial_matrix,
@@ -84,7 +83,6 @@ __all__ = [
     "nearest_point_assignment",
     "commutator_residual",
     "evaluate_generators",
-    "evaluate_monomials",
     "extract_zero_set",
     "fit_generating_matrix",
     "generator_strings",

@@ -13,7 +13,10 @@ a numerical failure, or zeros refused as not real (by recovery or by
 (``fit --complex`` also when the zeros it wrote are not real, and
 ``bench --scenario gmm`` when a trial failed numerically at the
 extract stage, a refused recovery among them).  For
-codes 2 and 3 a machine-readable JSON object is written to stderr.
+codes 2 and 3 stderr is one line, a machine-readable JSON object that
+names every reason for the code; its ``warnings`` list holds the text of
+each Python warning raised while the command ran.  With codes 0 and 1
+such warnings print as Python prints them.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import add
@@ -70,6 +74,7 @@ BENCH_SET = np.array(
 UNEVEN_RADII = np.array([0.4, 0.2, 0.6, 0.2, 0.32, 0.4])
 UNEVEN_COUNTS = np.array([50, 25, 100, 30, 40, 70])
 BENCH_EPS_GRID = (0.05, 0.1, 0.5)
+NO_THREAD_LIMIT = "threadpoolctl is not installed; --threads applied no BLAS limit"
 
 
 class _UsageError(Exception):
@@ -100,7 +105,7 @@ def _derived_seed(base: int, *path: int) -> int:
     return int(np.random.SeedSequence(entropy=(int(base), *path)).generate_state(1)[0])
 
 
-def _emit_error(kind: str, exc: Exception, **extra) -> None:
+def _diagnostic(kind: str, exc: Exception, **extra) -> dict:
     payload = {"error": kind, "message": str(exc)}
     stage = getattr(exc, "stage", None)
     if stage is not None:
@@ -110,7 +115,7 @@ def _emit_error(kind: str, exc: Exception, **extra) -> None:
         # strict JSON has no Infinity; the message still prints "inf"
         payload["condition"] = condition if math.isfinite(condition) else None
     payload.update(extra)
-    print(json.dumps(payload, allow_nan=False), file=sys.stderr)
+    return payload
 
 
 def _read_csv_rows(path: str) -> list[list[str]]:
@@ -230,7 +235,11 @@ def _build_text(points: PointSet, gm, loss) -> str:
     )
 
 
-def cmd_build(args) -> int:
+# Each command returns the reasons, as diagnostics, why the output it wrote
+# is only best effort: none for exit 0, one or more for exit 3.
+
+
+def cmd_build(args) -> list[dict]:
     coords, _ = _parse_points(args.input, allow_truth=False)
     try:
         points = PointSet(coords)
@@ -239,13 +248,13 @@ def cmd_build(args) -> int:
     gm = solve_generating_matrix(points)
     loss = build_transformed_loss(points)
     _write_text(_build_text(points, gm, loss), args.output)
-    return 0
+    return []
 
 
 # -- fit -------------------------------------------------------------------
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> list[dict]:
     coords, _ = _parse_points(args.input, allow_truth=False)
     try:
         samples = SampleSet(coords)
@@ -269,16 +278,13 @@ def cmd_fit(args) -> int:
         "loss": _loss_payload(result.loss),
     }
     _write_json(payload, args.output)
-    code = 0
+    reasons = []
     if not result.fit.converged:
-        _emit_error(
-            "non-convergence",
-            NumericalFailureError(
-                f"commutator norm {result.fit.commutator_norm:.3e} above target "
-                f"after {result.fit.rounds} penalty rounds; best effort written"
-            ),
+        exc = NumericalFailureError(
+            f"commutator norm {result.fit.commutator_norm:.3e} above target "
+            f"after {result.fit.rounds} penalty rounds; best effort written"
         )
-        code = 3
+        reasons.append(_diagnostic("non-convergence", exc))
     if not result.zero_set.is_real:
         # only --complex gets here: recovery refuses such zeros otherwise
         max_imag = result.zero_set.max_imaginary()
@@ -287,9 +293,8 @@ def cmd_fit(args) -> int:
             "complex zeros written"
         )
         exc.stage = "extract"
-        _emit_error("numerical-failure", exc, max_imag=max_imag)
-        code = 3
-    return code
+        reasons.append(_diagnostic("numerical-failure", exc, max_imag=max_imag))
+    return reasons
 
 
 # -- cluster ---------------------------------------------------------------
@@ -346,7 +351,7 @@ def _read_sstar(path: str, n: int) -> PointSet:
         raise DegenerateConfigurationError(str(exc)) from exc
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args) -> list[dict]:
     if args.sstar is not None and args.seed is not None:
         # a set read from a file takes no extraction draws to seed
         raise _UsageError("argument --seed: not allowed with argument --sstar")
@@ -409,12 +414,9 @@ def cmd_cluster(args) -> int:
         )
     print(json.dumps(summary))
     if not fit_converged:
-        _emit_error(
-            "non-convergence",
-            NumericalFailureError("fit hit its round budget; labels are best effort"),
-        )
-        return 3
-    return 0
+        exc = NumericalFailureError("fit hit its round budget; labels are best effort")
+        return [_diagnostic("non-convergence", exc)]
+    return []
 
 
 # -- bench -----------------------------------------------------------------
@@ -452,7 +454,7 @@ def _bench_trials(args, radii, counts, path: tuple):
         result = recover_point_set(samples, reference.k, opts, loss_kind="generating")
         recovered = result.recovered
         dist = set_distance(recovered, reference)
-        max_loss = float(max(result.loss.value(u) for u in BENCH_SET))
+        max_loss = float(result.loss.value(BENCH_SET).max())
         all_converged &= result.fit.converged
         rows.append([trial, dist, max_loss, int(result.fit.converged)])
         dists.append(dist)
@@ -462,7 +464,7 @@ def _bench_trials(args, radii, counts, path: tuple):
     return rows, float(np.median(dists)), float(np.median(losses)), all_converged, layers
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> list[dict]:
     if args.scenario == "gmm" and args.k > MAX_ALIGNMENT_SIZE:
         raise _UsageError(
             f"bench --scenario gmm scores at most {MAX_ALIGNMENT_SIZE} components, got --k {args.k}"
@@ -551,14 +553,11 @@ def cmd_bench(args) -> int:
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))
     if not all_converged:
-        _emit_error(
-            "non-convergence",
-            NumericalFailureError(
-                "some bench fits hit their round budget or had their recovery refused"
-            ),
+        exc = NumericalFailureError(
+            "some bench fits hit their round budget or had their recovery refused"
         )
-        return 3
-    return 0
+        return [_diagnostic("non-convergence", exc)]
+    return []
 
 
 # -- wiring ------------------------------------------------------------------
@@ -651,30 +650,41 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     limiter = None
+    unlimited = threadpool_limits is None and args.threads is not None
     if threadpool_limits is not None:
         limiter = threadpool_limits(limits=args.threads or 1)
-    elif args.threads is not None:
-        print(
-            "warning: threadpoolctl is not installed; --threads applied no BLAS limit",
-            file=sys.stderr,
-        )
+    code, diagnostic = 2, None
     try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DegenerateConfigurationError as exc:
-        _emit_error("degenerate-configuration", exc)
-        return 2
-    except InvalidStateError as exc:
-        _emit_error("invalid-state", exc)
-        return 2
-    except NumericalFailureError as exc:
-        _emit_error("numerical-failure", exc)
-        return 2
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                reasons = args.func(args)
+                code = 3 if reasons else 0
+                if reasons:
+                    # one object: the first reason, naming any others in "also"
+                    diagnostic = {**reasons[0], "also": reasons[1:]} if reasons[1:] else reasons[0]
+            except _UsageError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                code = 1
+            except DegenerateConfigurationError as exc:
+                diagnostic = _diagnostic("degenerate-configuration", exc)
+            except InvalidStateError as exc:
+                diagnostic = _diagnostic("invalid-state", exc)
+            except NumericalFailureError as exc:
+                diagnostic = _diagnostic("numerical-failure", exc)
     finally:
         if limiter is not None:
             limiter.unregister()
+        # stderr of codes 2 and 3 is the one diagnostic, which carries the warnings
+        if diagnostic is None:
+            if unlimited:
+                print(f"warning: {NO_THREAD_LIMIT}", file=sys.stderr)
+            for w in caught:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+        else:
+            notes = [NO_THREAD_LIMIT] if unlimited else []
+            diagnostic["warnings"] = notes + [str(w.message) for w in caught]
+            print(json.dumps(diagnostic, allow_nan=False), file=sys.stderr)
+    return code
 
 
 def console_main() -> None:

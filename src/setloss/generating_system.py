@@ -26,7 +26,6 @@ from .monomial_basis import (
     MonomialBasis,
     basis_jacobian,
     border_monomials,
-    evaluate_monomials,
     grlex_key,
     monomial_matrix,
     standard_monomials,
@@ -204,23 +203,19 @@ def solve_generating_matrix(points: PointSet) -> GeneratingMatrix:
     return GeneratingMatrix(basis=b0, border=b1, entries=g)
 
 
-def evaluate_generators(gm: GeneratingMatrix, x) -> np.ndarray:
-    """Evaluate all generating polynomials at x, in border order.
-
-    x of shape (n,) gives shape (m,); a batch (N, n) gives (N, m).
-    """
-    monomials = monomial_matrix if np.ndim(x) == 2 else evaluate_monomials
-    rest = monomials(x, gm.basis)
+def evaluate_generators(gm: GeneratingMatrix, points) -> np.ndarray:
+    """Evaluate all generating polynomials at a batch (N, n), shape (N, m) in border order."""
+    rest = monomial_matrix(points, gm.basis)
     # summed per row, so a row's rounding does not depend on its batch
-    return monomials(x, gm.border) - (rest[..., :, None] * gm.entries).sum(axis=-2)
+    return monomial_matrix(points, gm.border) - (rest[:, :, None] * gm.entries).sum(axis=1)
 
 
-def generators_jacobian(gm: GeneratingMatrix, x) -> np.ndarray:
-    """Jacobian of the generator evaluation map, shape (m, n) or (N, m, n)."""
-    rest = basis_jacobian(x, gm.basis)
-    return basis_jacobian(x, gm.border) - (
-        gm.entries[..., :, :, None] * rest[..., :, None, :]
-    ).sum(axis=-3)
+def generators_jacobian(gm: GeneratingMatrix, points) -> np.ndarray:
+    """Jacobians of the generator evaluation map at a batch (N, n), shape (N, m, n)."""
+    rest = basis_jacobian(points, gm.basis)
+    return basis_jacobian(points, gm.border) - (
+        gm.entries[:, :, None] * rest[:, :, None, :]
+    ).sum(axis=1)
 
 
 class ShiftTable(NamedTuple):

@@ -73,11 +73,18 @@ def _matvec(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     return row_sum(prod.transpose(2, 0, 1))
 
 
-def _check_points(x, n: int) -> np.ndarray:
+def _as_batch(x, d: int):
+    """x (d,) or (N, d) as a float (N, d) batch, and what hands a result back.
+
+    One point runs as a batch of one row and gets row 0 of each result
+    back, bit for bit what the batch gives that row.
+    """
     x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != n:
-        raise ValueError(f"expected shape ({n},) or (N, {n}), got {x.shape}")
-    return x
+    if x.ndim not in (1, 2) or x.shape[-1] != d:
+        raise ValueError(f"expected shape ({d},) or (N, {d}), got {x.shape}")
+    if x.ndim == 2:
+        return x, lambda out: out
+    return x[None, :], lambda out: tuple(r[0] for r in out) if isinstance(out, tuple) else out[0]
 
 
 class GeneratingLoss:
@@ -92,11 +99,11 @@ class GeneratingLoss:
 
     def value_and_grad(self, x):
         """Value and gradient at x (n,), or per row of a batch (N, n)."""
+        x, back = _as_batch(x, self.n)
         phi = evaluate_generators(self.gm, x)
         jac = generators_jacobian(self.gm, x)
-        value = (phi * phi).sum(axis=-1)
-        grad = 2.0 * (phi[..., :, None] * jac).sum(axis=-2)
-        return (float(value) if np.ndim(x) == 1 else value), grad
+        value = (phi * phi).sum(axis=1)
+        return back((value, 2.0 * (phi[:, :, None] * jac).sum(axis=1)))
 
     def value(self, x) -> float:
         return self.value_and_grad(x)[0]
@@ -266,34 +273,27 @@ class TransformedLoss:
 
         x itself for the identity lift, the monomial lift of x otherwise.
         """
-        x = np.asarray(x, dtype=float)
-        return x if self.lift_basis is None else monomial_lift(x, self.lift_basis)
+        x, back = _as_batch(x, self.n)
+        return back(x if self.lift_basis is None else monomial_lift(x, self.lift_basis))
 
     def simplex_coords(self, x) -> np.ndarray:
         """Simplex coordinates of x (n,), or of each row of a batch (N, n)."""
-        x = _check_points(x, self.n)
-        pts = x if x.ndim == 2 else x[None, :]
-        coords = _matvec(self.to_simplex, self.lift(pts) - self.anchor_lift)
-        return coords if x.ndim == 2 else coords[0]
+        x, back = _as_batch(x, self.n)
+        return back(_matvec(self.to_simplex, self.lift(x) - self.anchor_lift))
 
     # -- evaluation ------------------------------------------------------
 
     def value_and_grad(self, x):
-        """Value and gradient at x (n,), or per row of a batch (N, n).
-
-        A single point is computed as a batch of one row.
-        """
-        x = _check_points(x, self.n)
-        pts = x if x.ndim == 2 else x[None, :]
+        """Value and gradient at x (n,), or per row of a batch (N, n)."""
+        x, back = _as_batch(x, self.n)
         if self.lift_basis is None:
-            value, grad = self._simplex_value_and_grad(pts)
+            value, grad = self._simplex_value_and_grad(x)
         else:
-            value, w = self._simplex_value_and_grad(monomial_lift(pts, self.lift_basis))
-            jac = basis_jacobian(pts, self.lift_basis)[:, 1:, :]
+            value, w = self._simplex_value_and_grad(monomial_lift(x, self.lift_basis))
+            jac = basis_jacobian(x, self.lift_basis)[:, 1:, :]
             grad = row_sum(np.swapaxes(w[:, :, None] * jac, 1, 2))
         # C order, as the gradient's consumers (the descent's matmul) expect
-        grad = np.ascontiguousarray(grad)
-        return (value, grad) if x.ndim == 2 else (value[0], grad[0])
+        return back((value, np.ascontiguousarray(grad)))
 
     def value(self, x) -> float:
         return self.value_and_grad(x)[0]
@@ -305,11 +305,8 @@ class TransformedLoss:
         gradient is taken in zeta.  For the identity lift this is
         ``value_and_grad``.
         """
-        zeta = _check_points(zeta, self.anchor_lift.size)
-        if zeta.ndim == 2:
-            return self._simplex_value_and_grad(zeta)
-        value, grad = self._simplex_value_and_grad(zeta[None, :])
-        return value[0], grad[0]
+        zeta, back = _as_batch(zeta, self.anchor_lift.size)
+        return back(self._simplex_value_and_grad(zeta))
 
     def _simplex_value_and_grad(self, zeta):
         # zeta is (N, d), already checked

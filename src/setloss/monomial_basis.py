@@ -28,7 +28,6 @@ __all__ = [
     "grlex_key",
     "standard_monomials",
     "border_monomials",
-    "evaluate_monomials",
     "monomial_matrix",
     "basis_jacobian",
     "monomial_lift",
@@ -246,54 +245,42 @@ def _multiply_out(x: np.ndarray, plan: _ProductPlan) -> np.ndarray:
     return out if plan.scale is None else out * plan.scale
 
 
-def _points(x, basis: MonomialBasis, batched: bool) -> np.ndarray:
+def _points(x, basis: MonomialBasis) -> np.ndarray:
     # points are real: a cast that would drop imaginary parts raises TypeError
     x = np.asarray(x).astype(float, casting="same_kind", copy=False)
-    if x.ndim != (2 if batched else 1) or x.shape[-1] != basis.n:
-        want = f"(N, {basis.n})" if batched else f"({basis.n},)"
-        raise ValueError(f"expected shape {want}, got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != basis.n:
+        raise ValueError(f"expected shape (N, {basis.n}), got {x.shape}")
     return x
 
 
-def evaluate_monomials(x, basis: MonomialBasis) -> np.ndarray:
-    """Vector (x^a for a in basis), in basis order.
-
-    Takes a real x of shape (n,).  The constant monomial evaluates to 1
-    everywhere, including at x = 0.
-    """
-    x = _points(x, basis, batched=False)
-    return _multiply_out(x[None, :], basis._value_plan)[0]
-
-
 def monomial_matrix(points, basis: MonomialBasis) -> np.ndarray:
-    """Rows of monomial evaluations for a batch of points, shape (N, m)."""
-    return _multiply_out(_points(points, basis, batched=True), basis._value_plan)
+    """Rows of monomial evaluations for a batch of points, shape (N, m).
 
-
-def basis_jacobian(x, basis: MonomialBasis) -> np.ndarray:
-    """Jacobian of the monomial evaluation map, shape (m, n) or (N, m, n).
-
-    Entry (j, i) is d(x^a_j)/dx_i = a_ji * x^(a_j - e_i), with the usual
-    convention that the derivative is zero when a_ji = 0.  A batch of
-    points of shape (N, n) gives one Jacobian per row.
+    Takes real points of shape (N, n); row p is (x_p^a for a in basis),
+    in basis order.  The constant monomial evaluates to 1 everywhere,
+    including at x = 0.
     """
-    batched = np.ndim(x) == 2
-    x = _points(x, basis, batched=batched)
-    pts = x if batched else x[None, :]
-    jac = _multiply_out(pts, basis._jacobian_plan).reshape(len(pts), basis.n, len(basis))
-    jac = np.swapaxes(jac, -1, -2)
-    return jac if batched else jac[0]
+    return _multiply_out(_points(points, basis), basis._value_plan)
 
 
-def monomial_lift(x, basis: MonomialBasis) -> np.ndarray:
-    """Evaluate every non-constant member of a basis headed by 1.
+def basis_jacobian(points, basis: MonomialBasis) -> np.ndarray:
+    """Jacobians of the monomial evaluation map at a batch (N, n), shape (N, m, n).
 
-    The basis must start with the constant monomial; the returned vector
+    Entry (p, j, i) is d(x^a_j)/dx_i = a_ji * x^(a_j - e_i) at point p,
+    with the usual convention that the derivative is zero when a_ji = 0.
+    """
+    x = _points(points, basis)
+    jac = _multiply_out(x, basis._jacobian_plan).reshape(len(x), basis.n, len(basis))
+    return np.swapaxes(jac, 1, 2)
+
+
+def monomial_lift(points, basis: MonomialBasis) -> np.ndarray:
+    """Evaluate every non-constant member of a basis headed by 1, per row of (N, n).
+
+    The basis must start with the constant monomial; each returned row
     drops that leading 1, giving a polynomial embedding of x into
-    dimension m - 1.  A batch of points (N, n) gives one lift per row.
+    dimension m - 1.
     """
     if len(basis) == 0 or any(basis[0]):
         raise InvalidStateError("basis must start with the constant monomial")
-    if np.ndim(x) == 2:
-        return monomial_matrix(x, basis)[:, 1:]
-    return evaluate_monomials(x, basis)[1:]
+    return monomial_matrix(points, basis)[:, 1:]

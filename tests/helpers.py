@@ -232,11 +232,6 @@ def reference_monomial_matrix(points, powers):
     return np.prod(points[:, None, :] ** powers[None, :, :], axis=2)
 
 
-def reference_evaluate_monomials(x, powers):
-    """Monomial values at one point, (m,)."""
-    return np.prod(x[None, :] ** powers, axis=1)
-
-
 # three points in C^2, two of them a conjugate pair: the common zeros of a
 # real generating system
 CONJUGATE_PAIR_SET = np.array([[1.0 + 2.0j, -1.0], [1.0 - 2.0j, -1.0], [0.5, 2.0]])
@@ -273,7 +268,7 @@ def _lowered_powers(powers):
 
 
 def reference_basis_jacobian(x, powers):
-    """d(x^a_j)/dx_i = a_ji x^(a_j - e_i), (m, n) or (N, m, n)."""
+    """d(x^a_j)/dx_i = a_ji x^(a_j - e_i) per row of x (N, n), (N, m, n)."""
     lowered = np.prod(x[..., None, None, :] ** _lowered_powers(powers), axis=-1)
     return np.swapaxes(powers.T * lowered, -1, -2)
 

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +181,20 @@ def test_build_duplicate_points_exit_two(tmp_path, capsys):
     assert main(["build", "--input", str(inp)]) == 2
     err = read_stderr_json(capsys)
     assert err["error"] == "degenerate-configuration"
+
+
+def test_build_collinear_points_exit_two(tmp_path, capsys):
+    # interpolation's rank check refuses three points on a line
+    inp = tmp_path / "line.csv"
+    write_points(inp, np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 5.0]]))
+    out = tmp_path / "build.json"
+    assert main(["build", "--input", str(inp), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = json.loads(captured.err)
+    assert err["error"] == "degenerate-configuration"
+    assert err["message"].startswith("point set is degenerate for interpolation")
+    assert err["condition"] > 1e10 and err["warnings"] == []
 
 
 def test_build_unreadable_csv_exit_one(tmp_path, capsys):
@@ -467,6 +483,70 @@ def test_cluster_refuses_non_real_zeros_exit_two(tmp_path, capsys):
     assert err["error"] == "numerical-failure"
     assert err["stage"] == "extract"
     assert "imaginary parts up to 8." in err["message"]
+
+
+def one_json_line(err):
+    # stderr of exit codes 2 and 3: exactly one line, one strict JSON object
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    return json.loads(err, parse_constant=lambda name: pytest.fail(f"{name} in {err}"))
+
+
+def test_fit_complex_non_real_stderr_is_one_json_object(tmp_path, capsys):
+    # real projection warns about the seed-207 conjugate pair; the warning
+    # goes into the diagnostic rather than ahead of it
+    spec = random_gmm_spec(2, 4, seed=207)
+    samples, _ = gmm_sample(spec, 300, seed=257)
+    inp = tmp_path / "samples.csv"
+    write_points(inp, samples.samples)
+    argv = ["fit", "--input", str(inp), "--k", "4", "--seed", "7", "--complex"]
+    assert main([*argv, "--output", str(tmp_path / "fit.json")]) == 3
+    err = one_json_line(capsys.readouterr().err)
+    assert err["error"] == "numerical-failure" and "also" not in err
+    assert err["warnings"] == ["real projection dropped imaginary parts up to 8.357e-01"]
+
+
+def test_fit_names_every_exit_three_reason_in_one_object(tmp_path, capsys, monkeypatch):
+    # a recovery that warns, is not converged and has non-real zeros
+    spec = random_gmm_spec(2, 4, seed=207)
+    samples, _ = gmm_sample(spec, 300, seed=257)
+    inp = tmp_path / "samples.csv"
+    write_points(inp, samples.samples)
+    recover = cli.recover_point_set
+
+    def unconverged(*args, **kwargs):
+        warnings.warn("recovery was told to warn", RuntimeWarning)
+        result = recover(*args, **kwargs)
+        return dataclasses.replace(result, fit=dataclasses.replace(result.fit, converged=False))
+
+    monkeypatch.setattr(cli, "recover_point_set", unconverged)
+    argv = ["fit", "--input", str(inp), "--k", "4", "--seed", "7", "--complex"]
+    assert main([*argv, "--output", str(tmp_path / "fit.json")]) == 3
+    err = one_json_line(capsys.readouterr().err)
+    assert err["error"] == "non-convergence" and "penalty rounds" in err["message"]
+    [also] = err["also"]
+    assert also["error"] == "numerical-failure" and also["stage"] == "extract"
+    assert 0.8 < also["max_imag"] < 0.9
+    assert err["warnings"] == [
+        "recovery was told to warn",
+        "real projection dropped imaginary parts up to 8.357e-01",
+    ]
+
+
+def test_exit_zero_lets_warnings_print_as_python_prints_them(tmp_path, monkeypatch):
+    # only the diagnostic of codes 2 and 3 takes the warnings in; a run
+    # that succeeds hands them back to Python's warning machinery
+    build = cli.build_transformed_loss
+
+    def warning_build(points):
+        warnings.warn("the build was told to warn", UserWarning)
+        return build(points)
+
+    monkeypatch.setattr(cli, "build_transformed_loss", warning_build)
+    inp = tmp_path / "pts.csv"
+    write_points(inp, THREE_POINTS)
+    with pytest.warns(UserWarning, match="the build was told to warn") as record:
+        assert main(["build", "--input", str(inp), "--output", str(tmp_path / "b.json")]) == 0
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_cluster_sstar_refuses_non_real_complex_zeros(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import sympy
 
+from setloss.errors import DegenerateConfigurationError
 from setloss.fitting import SampleSet
 from setloss.generating_system import (
     GeneratingMatrix,
@@ -18,8 +19,10 @@ from setloss.generating_system import (
 )
 from setloss.monomial_basis import (
     MonomialBasis,
+    basis_jacobian,
     border_monomials,
-    evaluate_monomials,
+    monomial_lift,
+    monomial_matrix,
     standard_monomials,
 )
 
@@ -148,16 +151,15 @@ def test_generators_vanish_on_their_set():
         n = int(rng.integers(1, 5))
         pts = PointSet(random_points(rng, k, n))
         gm = solve_generating_matrix(pts)
-        for u in pts.points:
-            np.testing.assert_allclose(
-                evaluate_generators(gm, u), 0, atol=1e-8 * (1 + gm.frobenius_norm())
-            )
+        np.testing.assert_allclose(
+            evaluate_generators(gm, pts.points), 0, atol=1e-8 * (1 + gm.frobenius_norm())
+        )
 
 
 def test_value_at_origin_is_negated_constant_row():
     gm = solve_generating_matrix(PointSet(SET_C))
     np.testing.assert_allclose(
-        evaluate_generators(gm, np.zeros(2)), -gm.entries[0], atol=1e-12
+        evaluate_generators(gm, np.zeros((1, 2))), -gm.entries[:1], atol=1e-12
     )
 
 
@@ -165,12 +167,11 @@ def test_zero_set_matches_product_loss_on_grid():
     # both losses vanish on the set and nowhere else
     gm = solve_generating_matrix(PointSet(SET_B))
     grid = np.linspace(-3.0, 3.0, 13)
-    for x1 in grid:
-        for x2 in grid:
-            x = np.array([x1, x2])
-            near = product_loss(SET_B, x) < 1e-16
-            phi = evaluate_generators(gm, x)
-            assert (float(phi @ phi) < 1e-14) == near
+    xs = np.array([[x1, x2] for x1 in grid for x2 in grid])
+    phi = evaluate_generators(gm, xs)
+    for x, row in zip(xs, phi):
+        near = product_loss(SET_B, x) < 1e-16
+        assert (float(row @ row) < 1e-14) == near
 
 
 def test_generators_jacobian_matches_finite_differences():
@@ -179,9 +180,37 @@ def test_generators_jacobian_matches_finite_differences():
     gm = solve_generating_matrix(pts)
     for _ in range(5):
         x = rng.uniform(-2, 2, size=3)
-        jac = generators_jacobian(gm, x)
-        ref = fd_jacobian(lambda y: evaluate_generators(gm, y), x)
+        jac = generators_jacobian(gm, x[None, :])[0]
+        ref = fd_jacobian(lambda y: evaluate_generators(gm, y[None, :])[0], x)
         np.testing.assert_allclose(jac, ref, rtol=1e-5, atol=1e-6)
+
+
+def test_interpolation_refuses_collinear_points():
+    # X0 on the basis {1, x1, x2} is singular for points on a line; the rank
+    # check refuses it before the solve, with a condition estimate
+    line = PointSet(np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 5.0]]))
+    with pytest.raises(DegenerateConfigurationError) as info:
+        solve_generating_matrix(line)
+    assert str(info.value).startswith("point set is degenerate for interpolation")
+    assert "condition estimate" in str(info.value)
+    assert info.value.condition is not None and info.value.condition > 1e10
+
+
+def test_batched_evaluators_refuse_a_single_point():
+    # below the loss objects every evaluator takes an (N, n) batch only
+    gm = solve_generating_matrix(PointSet(SET_C))
+    evaluators = (
+        lambda x: monomial_matrix(x, gm.basis),
+        lambda x: basis_jacobian(x, gm.basis),
+        lambda x: monomial_lift(x, gm.basis),
+        lambda x: evaluate_generators(gm, x),
+        lambda x: generators_jacobian(gm, x),
+    )
+    point = SET_C[0]
+    for evaluate in evaluators:
+        assert evaluate(point[None, :]).shape[0] == 1
+        with pytest.raises(ValueError, match=r"expected shape \(N, 2\)"):
+            evaluate(point)
 
 
 def test_multiplication_matrix_columns():
@@ -253,8 +282,7 @@ def test_basis_vector_is_left_eigenvector():
         pts = PointSet(random_points(rng, k, n))
         gm = solve_generating_matrix(pts)
         mats = multiplication_matrices(gm)
-        for u in pts.points:
-            v = evaluate_monomials(u, gm.basis)
+        for u, v in zip(pts.points, monomial_matrix(pts.points, gm.basis)):
             for i in range(n):
                 np.testing.assert_allclose(
                     mats[i].T @ v, u[i] * v, atol=1e-7 * (1 + np.abs(v).max())

@@ -132,7 +132,7 @@ def test_generating_loss_is_squared_residual_norm():
 
     for _ in range(10):
         x = rng.uniform(-2, 2, size=2)
-        phi = evaluate_generators(gm, x)
+        phi = evaluate_generators(gm, x[None, :])[0]
         assert loss.value(x) == pytest.approx(float(phi @ phi), rel=1e-12)
         _, grad = loss.value_and_grad(x)
         ref = fd_gradient(loss.value, x)
@@ -465,6 +465,35 @@ def test_batched_losses_stack_per_row_results():
         np.testing.assert_array_equal(grad, one_grad)
     with pytest.raises(ValueError):
         lifted.lift_value_and_grad(np.zeros((2, 2)))
+
+
+def test_one_point_is_row_zero_of_a_batch_of_one():
+    # the loss objects own the one adapter from a point (d,) to a batch of
+    # one row: every adapted method gives that row's results, bit for bit
+    rng = np.random.default_rng(22)
+    pts = PointSet(random_points(rng, 5, 2, min_gap=0.6))
+    generating = GeneratingLoss(solve_generating_matrix(pts))
+    affine = build_transformed_loss(PointSet(random_points(rng, 3, 2, min_gap=0.6)))
+    lifted = build_transformed_loss(pts)
+    assert (affine.kind, lifted.kind) == ("affine", "lifted")
+    x = rng.uniform(-2.0, 2.0, size=2)
+    calls = [(generating.value_and_grad, x), (generating.value, x)]
+    for loss in (affine, lifted):
+        zeta = loss.lift(x) + rng.uniform(-0.5, 0.5, size=loss.anchor_lift.size)
+        calls += [
+            (loss.lift, x),
+            (loss.simplex_coords, x),
+            (loss.value_and_grad, x),
+            (loss.value, x),
+            (loss.lift_value_and_grad, zeta),
+        ]
+    for method, point in calls:
+        one, batch = method(point), method(point[None, :])
+        if not isinstance(one, tuple):
+            one, batch = (one,), (batch,)
+        for got, rows in zip(one, batch, strict=True):
+            assert len(rows) == 1 and np.shape(got) == np.shape(rows)[1:]
+            assert np.asarray(got).tobytes() == np.asarray(rows[0]).tobytes()
 
 
 def test_row_sum_is_numpys_reduction_bit_for_bit():

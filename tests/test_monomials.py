@@ -10,7 +10,6 @@ from setloss.monomial_basis import (
     MonomialBasis,
     basis_jacobian,
     border_monomials,
-    evaluate_monomials,
     grlex_key,
     monomial_lift,
     monomial_matrix,
@@ -20,7 +19,6 @@ from setloss.monomial_basis import (
 from helpers import (
     fd_jacobian,
     reference_basis_jacobian,
-    reference_evaluate_monomials,
     reference_monomial_matrix,
 )
 
@@ -144,18 +142,17 @@ def test_border_disjoint_sorted_and_covering():
         assert shifts == set(edge)
 
 
-def test_evaluate_monomials_values():
+def test_monomial_matrix_values():
     basis = standard_monomials(2, 6)
-    x = np.array([2.0, 3.0])
-    got = evaluate_monomials(x, basis)
-    np.testing.assert_allclose(got, [1, 2, 3, 4, 6, 9], rtol=0, atol=0)
+    got = monomial_matrix(np.array([[2.0, 3.0], [0.0, 0.0]]), basis)
+    np.testing.assert_array_equal(got, [[1, 2, 3, 4, 6, 9], [1, 0, 0, 0, 0, 0]])
 
 
 def test_evaluators_refuse_complex_points():
     # points are real: a complex point is refused, not cast to its real part
     basis = standard_monomials(2, 4)
     with pytest.raises(TypeError):
-        evaluate_monomials(np.array([1j, 2.0]), basis)
+        monomial_matrix(np.array([[1j, 2.0]]), basis)
     with pytest.raises(TypeError):
         basis_jacobian(np.array([[1j, 2.0]]), basis)
 
@@ -166,7 +163,7 @@ def test_monomial_matrix_stacks_rows():
     mat = monomial_matrix(pts, basis)
     assert mat.shape == (3, 5)
     for j, p in enumerate(pts):
-        np.testing.assert_allclose(mat[j], evaluate_monomials(p, basis))
+        np.testing.assert_array_equal(mat[j], monomial_matrix(p[None, :], basis)[0])
 
 
 def test_basis_jacobian_matches_finite_differences():
@@ -174,15 +171,15 @@ def test_basis_jacobian_matches_finite_differences():
     for n, k in [(1, 4), (2, 6), (3, 9), (4, 12)]:
         basis = standard_monomials(n, k)
         x = rng.uniform(-1.5, 1.5, size=n)
-        jac = basis_jacobian(x, basis)
-        ref = fd_jacobian(lambda y: evaluate_monomials(y, basis), x)
+        jac = basis_jacobian(x[None, :], basis)[0]
+        ref = fd_jacobian(lambda y: monomial_matrix(y[None, :], basis)[0], x)
         np.testing.assert_allclose(jac, ref, rtol=1e-6, atol=1e-7)
 
 
 def test_basis_jacobian_at_zero():
     # derivative of x_i is 1 at the origin, all higher terms vanish
     basis = standard_monomials(2, 6)
-    jac = basis_jacobian(np.zeros(2), basis)
+    jac = basis_jacobian(np.zeros((1, 2)), basis)[0]
     expected = np.zeros((6, 2))
     expected[1, 0] = 1.0
     expected[2, 1] = 1.0
@@ -198,9 +195,10 @@ def test_batched_jacobian_and_lift_stack_per_row_results():
         pts[3, 0] = 0.0
         jac = basis_jacobian(pts, basis)
         assert jac.shape == (5, k, n)
-        np.testing.assert_array_equal(jac, [basis_jacobian(p, basis) for p in pts])
+        rows = pts[:, None, :]
+        np.testing.assert_array_equal(jac, [basis_jacobian(p, basis)[0] for p in rows])
         np.testing.assert_array_equal(
-            monomial_lift(pts, basis), [monomial_lift(p, basis) for p in pts]
+            monomial_lift(pts, basis), [monomial_lift(p, basis)[0] for p in rows]
         )
     with pytest.raises(ValueError):
         basis_jacobian(np.zeros((2, 2, 2)), standard_monomials(2, 3))
@@ -208,15 +206,15 @@ def test_batched_jacobian_and_lift_stack_per_row_results():
 
 def test_monomial_lift_drops_constant():
     basis = standard_monomials(2, 4)
-    x = np.array([2.0, -1.0])
+    x = np.array([[2.0, -1.0]])
     lift = monomial_lift(x, basis)
-    np.testing.assert_allclose(lift, [2.0, -1.0, 4.0])
+    np.testing.assert_allclose(lift, [[2.0, -1.0, 4.0]])
 
 
 def test_monomial_lift_requires_leading_constant():
     shifted = MonomialBasis(2, ((1, 0), (0, 1)))
     with pytest.raises(InvalidStateError):
-        monomial_lift(np.ones(2), shifted)
+        monomial_lift(np.ones((1, 2)), shifted)
 
 
 def test_json_roundtrip():
@@ -267,12 +265,6 @@ def test_evaluation_matches_the_broadcast_formulas_bit_for_bit(n):
             )
             np.testing.assert_array_equal(
                 basis_jacobian(pts, basis), reference_basis_jacobian(pts, powers)
-            )
-            np.testing.assert_array_equal(
-                evaluate_monomials(pts[0], basis), reference_evaluate_monomials(pts[0], powers)
-            )
-            np.testing.assert_array_equal(
-                basis_jacobian(pts[0], basis), reference_basis_jacobian(pts[0], powers)
             )
 
 

@@ -70,22 +70,6 @@ def test_solve_linear_vector_rhs_keeps_shape():
     np.testing.assert_allclose(x, [1.0, 2.0])
 
 
-def test_solve_linear_rejects_singular():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(DegenerateConfigurationError):
-        solve_linear(a, np.ones(2))
-
-
-def test_solve_linear_reports_condition():
-    a = np.diag([1.0, 1e-14])
-    try:
-        solve_linear(a, np.ones(2))
-    except DegenerateConfigurationError as exc:
-        assert exc.condition is not None and exc.condition > 1e10
-    else:
-        pytest.fail("singular solve did not raise")
-
-
 def test_pseudo_inverse_tall_matrix():
     rng = np.random.default_rng(1)
     for _ in range(20):
