@@ -118,10 +118,12 @@ def _diagnostic(kind: str, exc: Exception, **extra) -> dict:
     return payload
 
 
-def _read_csv_rows(path: str) -> list[list[str]]:
+def _read_csv_rows(path: str) -> list[tuple[int, list[str]]]:
+    """The rows of a CSV file that are not blank, each with its line number."""
     try:
         with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader if any(map(str.strip, row))]
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     if not rows:
@@ -138,20 +140,20 @@ def _parse_points(path: str, allow_truth: bool, truth_mode: str = "auto"):
     rows = _read_csv_rows(path)
     start = 0
     try:
-        [float(cell) for cell in rows[0]]
+        [float(cell) for cell in rows[0][1]]
     except ValueError:
         start = 1  # header row
         if len(rows) == 1:
             raise _UsageError(f"{path} contains only a header") from None
-    width = len(rows[start])
+    width = len(rows[start][1])
     data = []
-    for idx, row in enumerate(rows[start:], start=start + 1):
+    for line, row in rows[start:]:
         if len(row) != width:
-            raise _UsageError(f"{path}:{idx}: expected {width} columns, got {len(row)}")
+            raise _UsageError(f"{path}:{line}: expected {width} columns, got {len(row)}")
         try:
             data.append([float(cell) for cell in row])
         except ValueError as exc:
-            raise _UsageError(f"{path}:{idx}: {exc}") from None
+            raise _UsageError(f"{path}:{line}: {exc}") from None
     arr = np.array(data, dtype=float)
     truth = None
     if allow_truth and width >= 2:
@@ -179,12 +181,6 @@ def _write_json(payload: dict, path: str | None) -> None:
     # faster than the pure-Python one on a fit payload.  Payloads are
     # trees built fresh per call, so the encoder's cycle check can go
     _write_text(json.dumps(payload, check_circular=False) + "\n", path)
-
-
-def _loss_payload(loss) -> dict:
-    if isinstance(loss, GeneratingLoss):
-        return {"kind": "generating", "g": loss.gm.to_json()}
-    return loss.to_json()
 
 
 # -- build -----------------------------------------------------------------
@@ -275,7 +271,7 @@ def cmd_fit(args) -> list[dict]:
         "zero_set": zero_set,
         # --complex writes the zeros as [re, im] pairs, in the zero set's order
         "s_star": zero_set["points"] if args.complex_points else result.recovered.points.tolist(),
-        "loss": _loss_payload(result.loss),
+        "loss": result.loss.to_json(),
     }
     _write_json(payload, args.output)
     reasons = []
@@ -454,7 +450,7 @@ def _bench_trials(args, radii, counts, path: tuple):
         result = recover_point_set(samples, reference.k, opts, loss_kind="generating")
         recovered = result.recovered
         dist = set_distance(recovered, reference)
-        max_loss = float(result.loss.value(BENCH_SET).max())
+        max_loss = float(result.loss.value_and_grad(BENCH_SET)[0].max())
         all_converged &= result.fit.converged
         rows.append([trial, dist, max_loss, int(result.fit.converged)])
         dists.append(dist)

@@ -49,12 +49,12 @@ SETTLE_MARGIN = 0.01
 
 
 class MinimizeResult(NamedTuple):
-    """Where a descent stopped; per-row arrays when started from a batch."""
+    """Where each descent of a batch stopped, one array entry per start."""
 
     x: np.ndarray
-    iterations: int | np.ndarray
-    converged: bool | np.ndarray
-    grad_norm: float | np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    grad_norm: np.ndarray
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -62,21 +62,20 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def minimize_from(
-    loss,
-    start,
+    fun,
+    starts,
     gradient_tol: float = 1e-8,
     max_iterations: int = 500,
     max_step: float = np.inf,
     settle_below: float = -np.inf,
 ):
-    """Quasi-Newton descent with backtracking from one start or a batch.
+    """Quasi-Newton descent with backtracking from a batch of starts.
 
-    ``loss`` is either an object exposing ``value_and_grad`` or a callable
-    returning ``(value, gradient)``.  A start of shape (d,) calls it with
-    (d,) vectors and returns scalars.  Starts of shape (N, d) run every row
-    in one loop: the loss is called with the (M, d) rows still descending
-    and must return (M,) values and (M, d) gradients, and the result holds
-    per-row arrays.  Each row keeps its own BFGS inverse Hessian and Armijo
+    The starts (N, d) run in one loop, and one start is a batch of one
+    row.  ``fun`` is called with the (M, d) rows still descending and
+    returns (M,) values and (M, d) gradients, as the ``value_and_grad``
+    of the losses in ``loss_functions`` does; the result holds per-row
+    arrays.  Each row keeps its own BFGS inverse Hessian and Armijo
     step and iterates until its gradient norm drops below
     ``gradient_tol``, its line search stalls, or the iteration budget runs
     out; the last iterate is returned either way, with ``converged``
@@ -102,28 +101,17 @@ def minimize_from(
 
     A row's outcome does not depend on the other rows of its batch, to
     the last bit when the loss rounds each row the same way whatever the
-    batch (the losses in ``loss_functions`` do).  The arrays a batched
-    loss returns are updated in place, so it must return new ones on
-    every call, as those losses do.
+    batch (the losses in ``loss_functions`` do).  The arrays ``fun``
+    returns are updated in place, so it must return new ones on every
+    call, as those losses do.
     """
-    fun = loss.value_and_grad if hasattr(loss, "value_and_grad") else loss
-    x = np.array(start, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    x = np.array(starts, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"expected starts of shape (N, d), got {x.shape}")
 
-        def evaluate(pts):
-            value, grad = fun(pts[0])
-            return np.array([value], dtype=float), np.array(grad, dtype=float)[None, :]
-
-    elif x.ndim == 2:
-
-        def evaluate(pts):
-            values, grads = fun(pts)
-            return np.asarray(values, dtype=float), np.asarray(grads, dtype=float)
-
-    else:
-        raise ValueError(f"expected a start vector or a (N, d) batch, got shape {x.shape}")
+    def evaluate(pts):
+        values, grads = fun(pts)
+        return np.asarray(values, dtype=float), np.asarray(grads, dtype=float)
 
     count, dim = x.shape
     out_x = x.copy()
@@ -263,8 +251,6 @@ def minimize_from(
             (gnorm <= gradient_tol) | (f < settle_below),
             gnorm,
         )
-    if single:
-        return MinimizeResult(out_x[0], int(iterations[0]), bool(converged[0]), float(grad_norm[0]))
     return MinimizeResult(out_x, iterations, converged, grad_norm)
 
 
@@ -299,8 +285,8 @@ class ClusterAssignment:
 def assign_labels(loss, recovered: PointSet, samples: SampleSet) -> ClusterAssignment:
     """Cluster every sample by descending the loss it sits on.
 
-    All samples descend together in one batched ``minimize_from`` call,
-    so the loss must accept a batch of points.  With a ``TransformedLoss``
+    All samples descend together in one ``minimize_from`` call on the
+    loss's ``value_and_grad``.  With a ``TransformedLoss``
     the final iterates are mapped to simplex coordinates and labeled by
     their nearest vertex: vertex e_(i+1) carries label i, the origin
     carries label k-1 (the anchor point).  Any other loss labels by the
@@ -365,7 +351,9 @@ def assign_labels(loss, recovered: PointSet, samples: SampleSet) -> ClusterAssig
         max_step = STEP_CAP_FRACTION * _min_gap(recovered.points)
         if isinstance(loss, TransformedLoss):
             settle_below = _settle_threshold(loss, max_step)
-    res = minimize_from(loss, samples.samples, max_step=max_step, settle_below=settle_below)
+    res = minimize_from(
+        loss.value_and_grad, samples.samples, max_step=max_step, settle_below=settle_below
+    )
     if isinstance(loss, TransformedLoss) and k > 1:
         coords = loss.simplex_coords(res.x)
         targets = np.vstack([np.eye(k - 1), np.zeros(k - 1)])

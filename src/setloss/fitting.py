@@ -40,13 +40,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cache
 
 import numpy as np
 
 from .errors import DegenerateConfigurationError
-from .generating_system import GeneratingMatrix, _index_pairs, _real_rows, _shifts, commutators
-from .monomial_basis import border_monomials, monomial_matrix, standard_monomials
+from .generating_system import (
+    GeneratingMatrix,
+    _index_pairs,
+    _pair_structure,
+    _real_rows,
+    _shifts,
+    commutators,
+)
+from .monomial_basis import MonomialBasis, border_monomials, monomial_matrix, standard_monomials
 from .numeric_kernels import min_eigenvalue_sym
 
 __all__ = [
@@ -153,19 +159,16 @@ class FitResult:
         }
 
 
-@cache
-def _commutator_jacobian_steps(n: int, k: int):
+def _commutator_jacobian_steps(basis: MonomialBasis, border: MonomialBasis):
     """Flat (jacobian, mats) index pairs of commutator_jacobian's steps.
 
     The shift table read backwards gives C_i, the (m, k) one-hot map with
     dM_i = dG C_i: border column q lifts to basis column c_i(q) when x_i
     times basis monomial c_i(q) is border monomial q.  The steps depend
-    only on (n, k), so every fit of one shape shares them.
+    only on the (basis, border) pair, so every fit on one pair shares them.
     """
-    basis = standard_monomials(n, k)
-    border = border_monomials(basis)
+    n, k, m = basis.n, len(basis), len(border)
     shifts = _shifts(basis, border)
-    m = len(border)
     lifted = np.full((n, m), -1)
     lifted[shifts.var, shifts.border] = shifts.col
     ks = np.arange(k)
@@ -209,8 +212,6 @@ class PenaltyModel:
     """
 
     def __init__(self, samples: SampleSet, k: int):
-        if k < 1:
-            raise ValueError(f"need k >= 1, got {k}")
         self.b0 = standard_monomials(samples.n, k)
         self.b1 = border_monomials(self.b0)
         self.a = monomial_matrix(samples.samples, self.b0)
@@ -220,9 +221,9 @@ class PenaltyModel:
         self.m = len(self.b1)
         self.n = samples.n
         self.shifts = _shifts(self.b0, self.b1)
-        # the index pairs i < j in the order of commutators()
-        self._first, self._second = _index_pairs(self.n)
-        self._jacobian_steps = _commutator_jacobian_steps(self.n, k)
+        self._jacobian_steps = _pair_structure(
+            "jacobian steps", _commutator_jacobian_steps, self.b0, self.b1
+        )
         self.ata = (self.a.T @ self.a) / samples.size
         self.atb = (self.a.T @ self.b) / samples.size
         # Gram block of the data residuals, constant in g
@@ -230,16 +231,6 @@ class PenaltyModel:
         self._memo = None
 
     # -- assembly ---------------------------------------------------------
-
-    def matrix(self, g: np.ndarray) -> GeneratingMatrix:
-        return GeneratingMatrix(basis=self.b0, border=self.b1, entries=g)
-
-    def mult_mats(self, g: np.ndarray) -> np.ndarray:
-        """The (n, k, k) stack of multiplication matrices of g."""
-        return self.shifts.matrices(g)
-
-    def commutator_vec(self, mats: np.ndarray) -> np.ndarray:
-        return commutators(mats).reshape(-1)
 
     def commutator_jacobian(self, mats: np.ndarray) -> np.ndarray:
         """d vec([M_i, M_j]) / d g, stacked over pairs; unscaled by rho.
@@ -253,10 +244,12 @@ class PenaltyModel:
         summed in this order, the order of the entry-wise reference in the
         tests, which this matches bit for bit.  C_i is one-hot, so each
         term gathers entries of M_i or M_j; the four steps gather and
-        scatter them through index plans made once per (n, k).
+        scatter them through index plans made once per basis and border
+        pair.
         """
         flat = mats.reshape(-1)
-        jac = np.zeros(len(self._first) * self.k * self.k * self.m * self.k)
+        # one (k, k) block of rows per pair i < j, one column per entry of g
+        jac = np.zeros(self.n * (self.n - 1) // 2 * self.k * self.k * self.m * self.k)
         (at1, src1), (at2, src2), (at3, src3), (at4, src4) = self._jacobian_steps
         jac[at1] = flat[src1]
         jac[at2] -= flat[src2]
@@ -269,7 +262,7 @@ class PenaltyModel:
         return float((r * r).sum()) / self.size
 
     def _at(self, g: np.ndarray):
-        """(mult_mats, commutator_vec, theta) at g.
+        """(multiplication matrices, flat commutators, theta) at g.
 
         One entry is kept, keyed on the dtype, shape and bytes of g, so an
         accepted step reads what its trial computed and a g that differs in
@@ -278,8 +271,8 @@ class PenaltyModel:
         key = (g.dtype.str, g.shape, g.tobytes())
         if self._memo is not None and self._memo[0] == key:
             return self._memo[1:]
-        mats = self.mult_mats(g)
-        cvec = self.commutator_vec(mats)
+        mats = self.shifts.matrices(g)
+        cvec = commutators(mats).reshape(-1)
         theta = self.theta(g)
         self._memo = (key, mats, cvec, theta)
         return mats, cvec, theta
@@ -416,7 +409,7 @@ def fit_generating_matrix(samples: SampleSet, k: int) -> FitResult:
         mu_cap = mu * RHO_GROWTH
         rho *= RHO_GROWTH
     return FitResult(
-        g_star=model.matrix(np.ascontiguousarray(g)),
+        g_star=GeneratingMatrix(model.b0, model.b1, np.ascontiguousarray(g)),
         objective=model.theta(g),
         commutator_norm=com,
         h_min_eig=h_min_eig,

@@ -67,24 +67,20 @@ def _matvec(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     # h @ g stays a matmul: no simple summation order reproduces numpy's
     # batched matmul.
     if not 0 < mat.shape[1] < UNROLLED_WIDTH:
-        # numpy's own sums, on the layout they had in the plain formula
+        # numpy's own sums, on the layout they had in the plain formula:
+        # pairwise for a C-ordered mat, left to right for the F-ordered
+        # to_simplex.T, whose products are strided along each row
         return (np.ascontiguousarray(v)[:, None, :] * mat).sum(axis=-1)
     prod = mat[:, :, None] * np.ascontiguousarray(v.T)[None, :, :]
     return row_sum(prod.transpose(2, 0, 1))
 
 
-def _as_batch(x, d: int):
-    """x (d,) or (N, d) as a float (N, d) batch, and what hands a result back.
-
-    One point runs as a batch of one row and gets row 0 of each result
-    back, bit for bit what the batch gives that row.
-    """
+def _batch(x, d: int) -> np.ndarray:
+    """x as a float (N, d) batch; one point is a batch of one row."""
     x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != d:
-        raise ValueError(f"expected shape ({d},) or (N, {d}), got {x.shape}")
-    if x.ndim == 2:
-        return x, lambda out: out
-    return x[None, :], lambda out: tuple(r[0] for r in out) if isinstance(out, tuple) else out[0]
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"expected shape (N, {d}), got {x.shape}")
+    return x
 
 
 class GeneratingLoss:
@@ -98,15 +94,16 @@ class GeneratingLoss:
         return self.gm.n
 
     def value_and_grad(self, x):
-        """Value and gradient at x (n,), or per row of a batch (N, n)."""
-        x, back = _as_batch(x, self.n)
+        """Values (N,) and gradients (N, n) at the rows of x (N, n)."""
+        x = _batch(x, self.n)
         phi = evaluate_generators(self.gm, x)
         jac = generators_jacobian(self.gm, x)
         value = (phi * phi).sum(axis=1)
-        return back((value, 2.0 * (phi[:, :, None] * jac).sum(axis=1)))
+        return value, 2.0 * (phi[:, :, None] * jac).sum(axis=1)
 
-    def value(self, x) -> float:
-        return self.value_and_grad(x)[0]
+    def to_json(self) -> dict:
+        """``kind`` "generating" and the generating matrix as ``g``."""
+        return {"kind": "generating", "g": self.gm.to_json()}
 
 
 # -- the closed form, summed in integers and printed as sympy's str() would --
@@ -271,21 +268,21 @@ class TransformedLoss:
     def lift(self, x) -> np.ndarray:
         """The intermediate coordinates fed into the simplex map.
 
-        x itself for the identity lift, the monomial lift of x otherwise.
+        x itself for the identity lift, the monomial lift of x otherwise,
+        per row of x (N, n).
         """
-        x, back = _as_batch(x, self.n)
-        return back(x if self.lift_basis is None else monomial_lift(x, self.lift_basis))
+        x = _batch(x, self.n)
+        return x if self.lift_basis is None else monomial_lift(x, self.lift_basis)
 
     def simplex_coords(self, x) -> np.ndarray:
-        """Simplex coordinates of x (n,), or of each row of a batch (N, n)."""
-        x, back = _as_batch(x, self.n)
-        return back(_matvec(self.to_simplex, self.lift(x) - self.anchor_lift))
+        """Simplex coordinates (N, k-1) of the rows of x (N, n)."""
+        return _matvec(self.to_simplex, self.lift(x) - self.anchor_lift)
 
     # -- evaluation ------------------------------------------------------
 
     def value_and_grad(self, x):
-        """Value and gradient at x (n,), or per row of a batch (N, n)."""
-        x, back = _as_batch(x, self.n)
+        """Values (N,) and gradients (N, n) at the rows of x (N, n)."""
+        x = _batch(x, self.n)
         if self.lift_basis is None:
             value, grad = self._simplex_value_and_grad(x)
         else:
@@ -293,20 +290,16 @@ class TransformedLoss:
             jac = basis_jacobian(x, self.lift_basis)[:, 1:, :]
             grad = row_sum(np.swapaxes(w[:, :, None] * jac, 1, 2))
         # C order, as the gradient's consumers (the descent's matmul) expect
-        return back((value, np.ascontiguousarray(grad)))
-
-    def value(self, x) -> float:
-        return self.value_and_grad(x)[0]
+        return value, np.ascontiguousarray(grad)
 
     def lift_value_and_grad(self, zeta):
-        """The loss as a function of the lift coordinates, (d,) or (N, d).
+        """The loss as a function of the lift coordinates, per row of zeta (N, d).
 
         Its local minimizers are exactly the lifted points, and its
         gradient is taken in zeta.  For the identity lift this is
         ``value_and_grad``.
         """
-        zeta, back = _as_batch(zeta, self.anchor_lift.size)
-        return back(self._simplex_value_and_grad(zeta))
+        return self._simplex_value_and_grad(_batch(zeta, self.anchor_lift.size))
 
     def _simplex_value_and_grad(self, zeta):
         # zeta is (N, d), already checked

@@ -4,15 +4,21 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 
-def fd_gradient(func, x, h=1e-6):
-    """Central-difference gradient of a scalar function."""
+def _shifted(x, h):
+    # the batch x + h e_1, ..., x + h e_d, x - h e_1, ..., x - h e_d
     x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        g[i] = (func(x + step) - func(x - step)) / (2 * h)
-    return g
+    step = h * np.eye(x.size)
+    return np.vstack([x + step, x - step])
+
+
+def fd_gradient(value_and_grad, x, h=1e-6):
+    """Central-difference gradient at x (d,) of the values of a batched loss.
+
+    ``value_and_grad`` maps (N, d) points to (N,) values and (N, d)
+    gradients, as the losses do; the shifted points go in one batch.
+    """
+    values = value_and_grad(_shifted(x, h))[0]
+    return (values[: len(values) // 2] - values[len(values) // 2 :]) / (2 * h)
 
 
 def fd_jacobian(func, x, h=1e-6):
@@ -27,14 +33,10 @@ def fd_jacobian(func, x, h=1e-6):
     return jac
 
 
-def fd_hessian(grad, x, h=1e-5):
-    """Central differences of an analytic gradient, symmetrized."""
-    x = np.asarray(x, dtype=float)
-    hess = np.zeros((x.size, x.size))
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        hess[:, i] = (np.asarray(grad(x + step)) - np.asarray(grad(x - step))) / (2 * h)
+def fd_hessian(value_and_grad, x, h=1e-5):
+    """Central differences at x (d,) of a batched loss's gradient, symmetrized."""
+    grads = value_and_grad(_shifted(x, h))[1]
+    hess = (grads[: len(grads) // 2] - grads[len(grads) // 2 :]).T / (2 * h)
     return 0.5 * (hess + hess.T)
 
 
@@ -183,15 +185,15 @@ def reference_build_payload(points, gm, loss):
 def forget_shapes():
     """Drop every structure the package keeps per (n, k).
 
-    The next use of any shape then builds its basis, border, shift table
-    and rendering structures afresh, so a test that counts those builds
-    reads the same counts whichever tests ran before it.
+    Those structures hang off the interned ``standard_monomials(n, k)``,
+    so the next use of any shape builds its basis, border, shift table,
+    commutator-Jacobian plans and rendering structures afresh, and a test
+    that counts those builds reads the same counts whichever tests ran
+    before it.
     """
-    from setloss import fitting
     from setloss.monomial_basis import standard_monomials
 
     standard_monomials.cache_clear()
-    fitting._commutator_jacobian_steps.cache_clear()
 
 
 def counting_calls(monkeypatch, owner, name):
@@ -329,7 +331,7 @@ def reference_assign_labels(loss, recovered, samples):
     if k > 1:
         gaps = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
         max_step = STEP_CAP_FRACTION * float(gaps[np.triu_indices(k, 1)].min())
-    res = minimize_from(loss, samples.samples, max_step=max_step)
+    res = minimize_from(loss.value_and_grad, samples.samples, max_step=max_step)
     if isinstance(loss, TransformedLoss) and k > 1:
         coords = loss.simplex_coords(res.x)
         targets = np.vstack([np.eye(k - 1), np.zeros(k - 1)])
@@ -390,13 +392,15 @@ def reference_penalty_residuals(model, g, rho):
     The per-sample generator values scaled by 1/sqrt(N), column by column
     of g, then every commutator entry scaled by sqrt(rho).
     """
+    from setloss.generating_system import commutators
+
     data = (model.b - model.a @ g).T.reshape(-1) / np.sqrt(model.size)
-    comm = model.commutator_vec(model.mult_mats(g))
+    comm = commutators(model.shifts.matrices(g)).reshape(-1)
     return np.concatenate([data, np.sqrt(rho) * comm])
 
 
 def reference_penalty_jacobian(model, g, rho):
     """Dense Jacobian of ``reference_penalty_residuals`` in g, flattened column by column."""
     data = -np.kron(np.eye(model.m), model.a) / np.sqrt(model.size)
-    comm = np.sqrt(rho) * model.commutator_jacobian(model.mult_mats(g))
+    comm = np.sqrt(rho) * model.commutator_jacobian(model.shifts.matrices(g))
     return np.vstack([data, comm])

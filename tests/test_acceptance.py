@@ -157,14 +157,14 @@ def test_golden_transform_matrices():
 def test_documented_spurious_minimizer():
     t0 = time.perf_counter()
     loss = GeneratingLoss(solve_generating_matrix(PointSet(SPURIOUS_SET)))
-    result = minimize_from(loss, np.array([-2.0, -50.0]), gradient_tol=1e-8)
-    dist = float(np.linalg.norm(result.x - SPURIOUS_MINIMIZER))
-    grad_norm = float(np.linalg.norm(loss.value_and_grad(result.x)[1]))
-    hess = fd_hessian(lambda y: loss.value_and_grad(y)[1], result.x)
+    result = minimize_from(loss.value_and_grad, np.array([[-2.0, -50.0]]), gradient_tol=1e-8)
+    dist = float(np.linalg.norm(result.x[0] - SPURIOUS_MINIMIZER))
+    grad_norm = float(np.linalg.norm(loss.value_and_grad(result.x)[1][0]))
+    hess = fd_hessian(loss.value_and_grad, result.x[0])
     min_eig = float(np.linalg.eigvalsh(hess).min())
     elapsed = time.perf_counter() - t0
     ok = (
-        result.converged
+        result.converged[0]
         and dist <= 1e-3
         and grad_norm <= 1e-6
         and min_eig >= -1e-8
@@ -210,7 +210,7 @@ def test_descents_only_reach_vertices():
             def z_of(x, loss=loss):
                 return x
 
-            descend = loss
+            descend = loss.value_and_grad
         else:
             pts = PointSet(random_points(rng, k, n, min_gap=0.6))
             loss = build_transformed_loss(pts)
@@ -223,7 +223,7 @@ def test_descents_only_reach_vertices():
                 def z_of(x, loss=loss):
                     return loss.simplex_coords(x)
 
-                descend = loss
+                descend = loss.value_and_grad
             else:
                 # the no-spurious guarantee lives in the lift coordinates
                 dim = k - 1
@@ -293,7 +293,7 @@ def noisy_recovery_runs():
                 samples, 6, FitOptions(seed=trial), loss_kind="generating"
             )
             dist = symmetric_distance(result.recovered.points.real, BENCH_SET)
-            max_loss = max(float(result.loss.value(u)) for u in BENCH_SET)
+            max_loss = float(result.loss.value_and_grad(BENCH_SET)[0].max())
             rows.append((dist, max_loss))
         _noisy_runs[eps] = rows
     _noisy_runs["elapsed"] = time.perf_counter() - t0
@@ -367,10 +367,10 @@ def test_affine_null_space_invariance():
         loss = build_transformed_loss(PointSet(random_points(rng, k, n)))
         null = loss.null_directions()
         for _ in range(10):
-            x = rng.uniform(-3, 3, size=n)
+            x = rng.uniform(-3, 3, size=(1, n))
             y = null @ rng.standard_normal(null.shape[1])
-            base = loss.value(x)
-            rel = abs(loss.value(x + y) - base) / (1 + abs(base))
+            (base, moved), _ = loss.value_and_grad(np.vstack([x, x + y]))
+            rel = abs(moved - base) / (1 + abs(base))
             worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 5.0
@@ -396,31 +396,12 @@ def test_gradients_match_finite_differences():
     affine = build_transformed_loss(PointSet(CASE1_SET))
     lifted = build_transformed_loss(PointSet(CASE2_SET))
     for _ in range(20):
-        x = rng.uniform(-2, 2, size=2)
-        worst = max(
-            worst,
-            rel_err(
-                g_loss.value_and_grad(x)[1], fd_gradient(g_loss.value, x)
-            ),
-        )
-        x = rng.uniform(-2, 2, size=4)
-        worst = max(
-            worst,
-            rel_err(
-                simp.value_and_grad(x)[1],
-                fd_gradient(lambda y: simp.value_and_grad(y)[0], x),
-            ),
-        )
-        x = rng.uniform(-2, 2, size=3)
-        worst = max(
-            worst,
-            rel_err(affine.value_and_grad(x)[1], fd_gradient(affine.value, x)),
-        )
-        x = rng.uniform(-2, 2, size=2)
-        worst = max(
-            worst,
-            rel_err(lifted.value_and_grad(x)[1], fd_gradient(lifted.value, x)),
-        )
+        for loss, n in ((g_loss, 2), (simp, 4), (affine, 3), (lifted, 2)):
+            x = rng.uniform(-2, 2, size=(1, n))
+            worst = max(
+                worst,
+                rel_err(loss.value_and_grad(x)[1][0], fd_gradient(loss.value_and_grad, x[0])),
+            )
 
     samples = SampleSet(
         np.repeat(random_points(rng, 4, 2), 10, axis=0)

@@ -204,6 +204,35 @@ def test_build_unreadable_csv_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # blank lines are skipped but still counted
+        ("1.0,2.0\n\n\n3.0,4.0\n5.0,x\n", "5: could not convert string to float: 'x'"),
+        ("x,y\n1.0,2.0\n\n3.0\n", "4: expected 2 columns, got 1"),
+    ],
+)
+def test_csv_errors_name_the_physical_line(tmp_path, capsys, text, message):
+    path = tmp_path / "blank.csv"
+    path.write_text(text)
+    assert main(["build", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{message}\n"
+
+
+def test_fit_writes_the_generating_loss_as_its_matrix(tmp_path, capsys, sample_csv):
+    samples_path, _ = sample_csv
+    out = tmp_path / "fit.json"
+    code = main(["fit", "--input", str(samples_path), "--k", "6", "--loss", "fg",
+                 "--output", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["loss"]["kind"] == "generating"
+    # the matrix interpolated through the recovered points, bit for bit
+    written = GeneratingMatrix.from_json(payload["loss"]["g"])
+    expected = solve_generating_matrix(PointSet(payload["s_star"]))
+    np.testing.assert_array_equal(written.entries, expected.entries)
+
+
 def test_build_missing_file_exit_one(tmp_path, capsys):
     assert main(["build", "--input", str(tmp_path / "absent.csv")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -41,53 +41,53 @@ class Quadratic:
 
     def value_and_grad(self, x):
         d = x - self.center
-        return float(d @ d), 2 * d
+        return (d * d).sum(axis=1), 2 * d
 
 
 def rosenbrock(x):
-    a, b = x
+    a, b = x.T
     value = (1 - a) ** 2 + 100 * (b - a * a) ** 2
-    grad = np.array([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)])
+    grad = np.stack([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)], axis=1)
     return value, grad
 
 
 def test_minimize_from_quadratic():
-    result = minimize_from(Quadratic([1.0, -2.0, 0.5]), np.zeros(3))
-    assert result.converged
-    np.testing.assert_allclose(result.x, [1.0, -2.0, 0.5], atol=1e-6)
-    assert result.grad_norm <= 1e-8
+    result = minimize_from(Quadratic([1.0, -2.0, 0.5]).value_and_grad, np.zeros((1, 3)))
+    assert result.converged[0]
+    np.testing.assert_allclose(result.x, [[1.0, -2.0, 0.5]], atol=1e-6)
+    assert result.grad_norm[0] <= 1e-8
 
 
 def test_minimize_from_accepts_plain_callable():
     result = minimize_from(
-        lambda x: (float(x @ x), 2 * x), np.array([3.0, -4.0])
+        lambda x: ((x * x).sum(axis=1), 2 * x), np.array([[3.0, -4.0]])
     )
-    assert result.converged
+    assert result.converged[0]
     np.testing.assert_allclose(result.x, 0, atol=1e-7)
 
 
 def test_minimize_from_respects_iteration_cap():
     loss = simplex_loss(np.ones(4))
-    result = minimize_from(loss, np.full(4, 0.7), max_iterations=1)
-    assert not result.converged
-    assert result.iterations == 1
+    result = minimize_from(loss.value_and_grad, np.full((1, 4), 0.7), max_iterations=1)
+    assert not result.converged[0]
+    assert result.iterations[0] == 1
 
 
 def test_minimize_from_descends_rosenbrock_valley():
-    result = minimize_from(rosenbrock, np.array([-1.2, 1.0]), max_iterations=2000)
-    assert result.converged
-    np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-5)
+    result = minimize_from(rosenbrock, np.array([[-1.2, 1.0]]), max_iterations=2000)
+    assert result.converged[0]
+    np.testing.assert_allclose(result.x, [[1.0, 1.0]], atol=1e-5)
 
 
 def test_simplicial_descents_land_on_vertices():
     loss = simplex_loss(np.array([1.5, -2.0, 1.0]))
     rng = np.random.default_rng(0)
     vertices = loss.points.points
-    for _ in range(50):
-        start = rng.uniform(-2.5, 2.5, size=3)
-        result = minimize_from(loss, start)
-        assert result.converged
-        assert min(np.linalg.norm(result.x - v) for v in vertices) < 1e-5
+    starts = rng.uniform(-2.5, 2.5, size=(50, 3))
+    result = minimize_from(loss.value_and_grad, starts)
+    assert result.converged.all()
+    gaps = np.linalg.norm(result.x[:, None, :] - vertices[None, :, :], axis=2)
+    assert gaps.min(axis=1).max() < 1e-5
 
 
 def random_family_loss(family, seed):
@@ -116,40 +116,44 @@ def random_family_loss(family, seed):
     st.floats(0.01, 3.0),
 )
 def test_batched_descent_matches_single_starts(family, seed, max_step):
+    # a row's outcome does not depend on its batch: each row descends as a
+    # batch of that one row to the same bits
     loss, starts = random_family_loss(family, seed)
     for cap in (np.inf, max_step):
-        batch = minimize_from(loss, starts, max_iterations=200, max_step=cap)
+        batch = minimize_from(loss.value_and_grad, starts, max_iterations=200, max_step=cap)
         assert batch.x.shape == starts.shape
-        for i, start in enumerate(starts):
-            single = minimize_from(loss, start, max_iterations=200, max_step=cap)
-            assert batch.iterations[i] == single.iterations
-            assert batch.converged[i] == single.converged
-            np.testing.assert_array_equal(batch.x[i], single.x)
-            assert batch.grad_norm[i] == single.grad_norm
+        for i in range(len(starts)):
+            single = minimize_from(
+                loss.value_and_grad, starts[i : i + 1], max_iterations=200, max_step=cap
+            )
+            assert batch.iterations[i] == single.iterations[0]
+            assert batch.converged[i] == single.converged[0]
+            np.testing.assert_array_equal(batch.x[i : i + 1], single.x)
+            assert batch.grad_norm[i] == single.grad_norm[0]
 
 
 def test_capped_descent_never_steps_further_than_max_step():
     def iterates(cap, count):
         # cutting a descent after i iterations returns its i-th accepted iterate
-        return [start] + [
-            minimize_from(rosenbrock, start, max_iterations=i, max_step=cap).x
+        return [start[0]] + [
+            minimize_from(rosenbrock, start, max_iterations=i, max_step=cap).x[0]
             for i in range(1, count + 1)
         ]
 
-    start, cap = np.array([-1.2, 1.0]), 0.1
-    uncapped = iterates(np.inf, minimize_from(rosenbrock, start).iterations)
+    start, cap = np.array([[-1.2, 1.0]]), 0.1
+    uncapped = iterates(np.inf, minimize_from(rosenbrock, start).iterations[0])
     assert max(np.linalg.norm(np.diff(uncapped, axis=0), axis=1)) > 5 * cap
 
     seen = []
 
     def recording(x):
-        seen.append(x.copy())
+        seen.extend(x.copy())
         return rosenbrock(x)
 
     result = minimize_from(recording, start, max_iterations=2000, max_step=cap)
-    assert result.converged
-    np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-5)
-    capped = iterates(cap, result.iterations)
+    assert result.converged[0]
+    np.testing.assert_allclose(result.x, [[1.0, 1.0]], atol=1e-5)
+    capped = iterates(cap, result.iterations[0])
     for before, after in zip(capped, capped[1:]):
         assert any(np.array_equal(after, p) for p in seen)
         assert np.linalg.norm(after - before) <= cap * (1 + 1e-12)
@@ -168,8 +172,8 @@ def test_capped_descent_crosses_flat_concave_stretches():
 
     # the curvature pairs are negative, so BFGS never lengthens the
     # gradient-sized steps and the uncapped descent crawls
-    crawl = minimize_from(well, np.array([0.0]))
-    assert not crawl.converged and abs(crawl.x[0]) < 0.1
+    crawl = minimize_from(well, np.array([[0.0]]))
+    assert not crawl.converged[0] and abs(crawl.x[0, 0]) < 0.1
     starts = np.array([[0.0], [1.0], [2.5], [9.0]])
     result = minimize_from(well, starts, max_step=0.5)
     assert result.converged.all()
@@ -198,7 +202,7 @@ def test_batched_descent_with_mixed_outcomes():
     np.testing.assert_array_equal(res.converged, [True, False, False, False])
     np.testing.assert_array_equal(res.x[0], starts[0])
     np.testing.assert_array_equal(res.x[2], starts[2])
-    assert res.grad_norm[2] == pytest.approx(np.linalg.norm(inner.value_and_grad(starts[2])[1]))
+    assert res.grad_norm[2] == pytest.approx(np.linalg.norm(inner.value_and_grad(starts[2:3])[1]))
     # the stalled row changes nothing for the others
     rest = minimize_from(loss, starts[[0, 1, 3]], max_iterations=1)
     for name in ("x", "iterations", "converged", "grad_norm"):
@@ -207,8 +211,11 @@ def test_batched_descent_with_mixed_outcomes():
 
 
 def test_minimize_from_rejects_bad_start_shape():
-    with pytest.raises(ValueError):
-        minimize_from(Quadratic([0.0]), np.zeros((2, 2, 1)))
+    # starts are an (N, d) batch: a (d,) vector is refused, not adapted
+    fun = Quadratic([0.0, 0.0]).value_and_grad
+    for starts in (np.zeros((2, 2, 1)), np.zeros(2)):
+        with pytest.raises(ValueError, match=r"expected starts of shape \(N, d\)"):
+            minimize_from(fun, starts)
 
 
 def test_assign_labels_descends_in_one_batch(monkeypatch):
@@ -232,37 +239,31 @@ def test_assign_labels_descends_in_one_batch(monkeypatch):
 
 
 def test_minimize_from_settles_rows_below_the_threshold():
-    start = np.array([-1.2, 1.0])
+    start = np.array([[-1.2, 1.0]])
     full = minimize_from(rosenbrock, start)
     default = minimize_from(rosenbrock, start, settle_below=-np.inf)
-    np.testing.assert_array_equal(default.x, full.x)
-    assert default[1:] == full[1:]
+    for got, want in zip(default, full, strict=True):
+        np.testing.assert_array_equal(got, want)
     settled = minimize_from(rosenbrock, start, settle_below=1e-3)
-    assert settled.converged and 0 < settled.iterations < full.iterations
+    steps = int(settled.iterations[0])
+    assert settled.converged[0] and 0 < steps < full.iterations[0]
     # it stops at the first iterate of the full descent below the threshold
-    at = minimize_from(rosenbrock, start, max_iterations=settled.iterations)
-    before = minimize_from(rosenbrock, start, max_iterations=settled.iterations - 1)
+    at = minimize_from(rosenbrock, start, max_iterations=steps)
+    before = minimize_from(rosenbrock, start, max_iterations=steps - 1)
     np.testing.assert_array_equal(settled.x, at.x)
-    assert settled.grad_norm == at.grad_norm
-    assert rosenbrock(at.x)[0] < 1e-3 <= rosenbrock(before.x)[0]
+    np.testing.assert_array_equal(settled.grad_norm, at.grad_norm)
+    assert rosenbrock(at.x)[0][0] < 1e-3 <= rosenbrock(before.x)[0][0]
     # an iterate below the threshold at the iteration cap counts as settled
-    assert not at.converged
-    capped = minimize_from(
-        rosenbrock, start, max_iterations=settled.iterations, settle_below=1e-3
-    )
-    assert capped.converged
+    assert not at.converged[0]
+    capped = minimize_from(rosenbrock, start, max_iterations=steps, settle_below=1e-3)
+    assert capped.converged[0]
     np.testing.assert_array_equal(capped.x, at.x)
     # batched rows settle on their own, from the start when it is low enough
-    starts = np.array([start, [1.0, 1.001], [2.0, 2.0]])
-
-    def batched(x):
-        values, grads = zip(*(rosenbrock(row) for row in x))
-        return np.array(values), np.array(grads)
-
-    rows = minimize_from(batched, starts, settle_below=1e-3)
+    starts = np.vstack([start, [[1.0, 1.001], [2.0, 2.0]]])
+    rows = minimize_from(rosenbrock, starts, settle_below=1e-3)
     assert rows.iterations[1] == 0 and rows.converged.all()
     np.testing.assert_array_equal(rows.x[1], starts[1])
-    assert rows.iterations[0] == settled.iterations
+    assert rows.iterations[0] == steps
 
 
 def _vertex_bound(z):
@@ -506,8 +507,8 @@ def test_recover_generating_loss_kind():
     samples, _ = bounded_noise_sample(PointSet(pts), 0.05, 30, seed=11)
     result = recover_point_set(samples, 3, loss_kind="generating")
     assert isinstance(result.loss, GeneratingLoss)
-    value = result.loss.value(result.recovered.points.real[0])
-    assert value == pytest.approx(0.0, abs=1e-6)
+    value, _ = result.loss.value_and_grad(result.recovered.points[:1])
+    assert value[0] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_bounded_noise_counts_and_containment():

@@ -17,8 +17,10 @@ from setloss.fitting import (
 )
 import setloss.generating_system as gs
 from setloss.generating_system import (
+    GeneratingMatrix,
     PointSet,
     commutator_residual,
+    commutators,
     multiplication_matrices,
     solve_generating_matrix,
 )
@@ -168,22 +170,24 @@ def test_commutator_jacobian_matches_entrywise_loop():
     for n, k in ((2, 4), (2, 9), (3, 4), (3, 10), (4, 12)):
         samples = SampleSet(rng.uniform(-2.0, 2.0, size=(k + 5, n)))
         model = PenaltyModel(samples, k)
-        mats = model.mult_mats(rng.standard_normal((model.k, model.m)))
+        mats = model.shifts.matrices(rng.standard_normal((model.k, model.m)))
         np.testing.assert_array_equal(
             model.commutator_jacobian(mats), _loop_commutator_jacobian(model, mats)
         )
 
 
 def test_penalty_model_mult_mats_share_the_extraction_table():
+    # the fit builds its multiplication matrices from the one shift table
+    # of its basis and border, the table extraction reads
     rng = np.random.default_rng(12)
     for n in (1, 2, 3, 4):
         for k in range(1, 36):
             samples = SampleSet(rng.uniform(-2.0, 2.0, size=(k + 3, n)))
             model = PenaltyModel(samples, k)
             g = rng.standard_normal((model.k, model.m))
-            np.testing.assert_array_equal(
-                model.mult_mats(g), multiplication_matrices(model.matrix(g))
-            )
+            gm = GeneratingMatrix(model.b0, model.b1, g)
+            assert model.shifts is gm.shifts
+            np.testing.assert_array_equal(model.shifts.matrices(g), multiplication_matrices(gm))
 
 
 def test_single_variable_fit_has_no_commutators():
@@ -191,8 +195,8 @@ def test_single_variable_fit_has_no_commutators():
     samples = noisy_samples(rng, random_points(rng, 4, 1), 0.05, 20)
     model = PenaltyModel(samples, 4)
     g = rng.standard_normal((model.k, model.m))
-    mats = model.mult_mats(g)
-    assert model.commutator_vec(mats).shape == (0,)
+    mats = model.shifts.matrices(g)
+    assert commutators(mats).size == 0
     assert model.commutator_jacobian(mats).shape == (0, model.k * model.m)
     gram, _, _ = model.gram_and_gradient(g, 5.0)
     np.testing.assert_array_equal(gram, np.kron(np.eye(model.m), model.ata))
@@ -218,6 +222,23 @@ def test_fit_looks_up_monomials_only_while_setting_up(monkeypatch):
     assert result.converged and result.iterations > 5
     extract_zero_set(result.g_star)
     assert len(tables) == 1
+
+
+def test_fits_of_one_shape_build_the_jacobian_plans_once(monkeypatch):
+    # the commutator-Jacobian plans hang off the (basis, border) pair, so
+    # every fit of one (n, k) shares them until the shapes are forgotten
+    forget_shapes()
+    builds = counting_calls(monkeypatch, fitting, "_commutator_jacobian_steps")
+    rng = np.random.default_rng(17)
+    samples = noisy_samples(rng, random_points(rng, 4, 2, min_gap=0.8), 0.1, 30)
+    first = fit_generating_matrix(samples, 4)
+    second = fit_generating_matrix(samples, 4)
+    assert len(builds) == 1 and first.iterations > 0
+    np.testing.assert_array_equal(first.g_star.entries, second.g_star.entries)
+    forget_shapes()
+    third = fit_generating_matrix(samples, 4)
+    assert len(builds) == 2
+    np.testing.assert_array_equal(third.g_star.entries, first.g_star.entries)
 
 
 def test_fit_builds_no_gram_matrix_a_round_does_not_use():
@@ -266,7 +287,7 @@ def test_theta_is_the_average_loss():
     samples = noisy_samples(rng, pts, 0.1, 12)
     model = PenaltyModel(samples, 4)
     g = rng.standard_normal((model.k, model.m))
-    gm = model.matrix(g)
+    gm = GeneratingMatrix(model.b0, model.b1, g)
     assert model.theta(g) == pytest.approx(reference_average_loss(gm, samples), rel=1e-12)
 
 
@@ -396,15 +417,17 @@ def test_history_records_warm_started_inexact_rounds(monkeypatch):
 
 
 def test_accepted_steps_reuse_their_trial_evaluation(monkeypatch):
-    counts = {"mult_mats": 0, "penalized_value": 0, "gram_and_gradient": 0}
-    for name in counts:
-        original = getattr(PenaltyModel, name)
+    counts = {"matrices": 0, "penalized_value": 0, "gram_and_gradient": 0}
+    owners = {"matrices": gs.ShiftTable, "penalized_value": PenaltyModel,
+              "gram_and_gradient": PenaltyModel}
+    for name, owner in owners.items():
+        original = getattr(owner, name)
 
         def counting(self, *args, _name=name, _original=original):
             counts[_name] += 1
             return _original(self, *args)
 
-        monkeypatch.setattr(PenaltyModel, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     rng = np.random.default_rng(16)
     samples = noisy_samples(rng, random_points(rng, 5, 2, min_gap=0.8), 0.05, 40)
     result = fit_generating_matrix(samples, 5)
@@ -416,4 +439,4 @@ def test_accepted_steps_reuse_their_trial_evaluation(monkeypatch):
     assert result.converged and accepted > result.rounds + 1
     # once per trial step and at most once per round (a round whose last
     # trial was rejected evaluates its final g again), plus the start
-    assert counts["mult_mats"] <= trials + result.rounds + 1
+    assert counts["matrices"] <= trials + result.rounds + 1
