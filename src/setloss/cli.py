@@ -172,8 +172,11 @@ def _parse_points(path: str, allow_truth: bool, truth_mode: str = "auto"):
 def _write_text(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(payload: dict, path: str | None) -> None:
@@ -542,11 +545,14 @@ def cmd_bench(args) -> list[dict]:
         }
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, layers in points.items():
-        _layered_points(out_dir / name, layers)
-    _write_csv(out_dir / "results.csv", header, rows)
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, layers in points.items():
+            _layered_points(out_dir / name, layers)
+        _write_csv(out_dir / "results.csv", header, rows)
+        (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out_dir}: {exc}") from exc
     print(json.dumps(summary))
     if not all_converged:
         exc = NumericalFailureError(

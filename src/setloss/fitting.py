@@ -53,7 +53,7 @@ from .generating_system import (
     commutators,
 )
 from .monomial_basis import MonomialBasis, border_monomials, monomial_matrix, standard_monomials
-from .numeric_kernels import min_eigenvalue_sym
+from .numeric_kernels import min_eigenvalue_sym, require_finite
 
 __all__ = [
     "SampleSet",
@@ -216,6 +216,8 @@ class PenaltyModel:
         self.b1 = border_monomials(self.b0)
         self.a = monomial_matrix(samples.samples, self.b0)
         self.b = monomial_matrix(samples.samples, self.b1)
+        for x in (self.a, self.b):
+            require_finite(x, "monomials of the samples overflow: coordinates too large to fit")
         self.size = samples.size
         self.k = k
         self.m = len(self.b1)
@@ -370,8 +372,8 @@ def fit_generating_matrix(samples: SampleSet, k: int) -> FitResult:
     feasibility target by penalized Gauss-Newton rounds.  When
     ``MAX_ROUNDS`` rounds end first, the best iterate is returned with
     ``converged=False`` rather than raising.  Raises
-    DegenerateConfigurationError when the sample monomials are rank
-    deficient (in particular whenever N < k).
+    DegenerateConfigurationError when the sample monomials overflow or
+    are rank deficient (in particular whenever N < k).
     """
     model = PenaltyModel(samples, k)
     # H = (2/N) sum_j [v_j]_B0 [v_j]_B0^T: a strictly positive smallest

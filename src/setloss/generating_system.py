@@ -30,7 +30,7 @@ from .monomial_basis import (
     monomial_matrix,
     standard_monomials,
 )
-from .numeric_kernels import require_full_rank, solve_linear
+from .numeric_kernels import require_finite, require_full_rank, solve_linear
 
 __all__ = [
     "PointSet",
@@ -190,12 +190,15 @@ def solve_generating_matrix(points: PointSet) -> GeneratingMatrix:
     Solves X0^T G = X1^T where X0, X1 are the Vandermonde matrices of the
     basis and border monomials on the points.  Requires X0 nonsingular
     (relative singular-value gap above 1e-10); near-collinear or otherwise
-    non-generic configurations raise DegenerateConfigurationError.
+    non-generic configurations raise DegenerateConfigurationError, and so
+    do points whose monomials overflow.
     """
     b0 = standard_monomials(points.n, points.k)
     b1 = border_monomials(b0)
     x0 = monomial_matrix(points.points, b0).T
     x1 = monomial_matrix(points.points, b1).T
+    for x in (x0, x1):
+        require_finite(x, "monomials of the points overflow: coordinates too large to interpolate")
     require_full_rank(
         np.linalg.svd(x0, compute_uv=False), "point set is degenerate for interpolation"
     )
@@ -221,11 +224,12 @@ def generators_jacobian(gm: GeneratingMatrix, points) -> np.ndarray:
 class ShiftTable(NamedTuple):
     """The constant structure of the multiplication matrices of a basis.
 
-    ``unit`` has shape (n, k, k): entry (i, r, c) is 1 when x_i times
-    basis monomial c is basis monomial r, and 0 otherwise.  The other
-    fields list the products that cross into the border, one entry per
-    product: x_i times basis monomial ``col[t]`` is border monomial
-    ``border[t]``, with i = ``var[t]``.
+    ``unit`` is a boolean (n, k, k) array: entry (i, r, c) is True when
+    x_i times basis monomial c is basis monomial r.  The other fields
+    list the products that cross into the border, one entry per product:
+    x_i times basis monomial ``col[t]`` is border monomial ``border[t]``,
+    with i = ``var[t]``.  A table lives as long as its basis, so it keeps
+    the 0/1 pattern at one byte an entry, not eight.
     """
 
     unit: np.ndarray
@@ -234,8 +238,12 @@ class ShiftTable(NamedTuple):
     border: np.ndarray
 
     def matrices(self, entries: np.ndarray) -> np.ndarray:
-        """The (n, k, k) stack of M_i for a (k, m) generating matrix."""
-        mats = self.unit.copy()
+        """The float (n, k, k) stack of M_i for a (k, m) generating matrix.
+
+        The stack starts as ``unit`` cast to 0.0 and 1.0, and each border
+        product writes its generating-matrix column in.
+        """
+        mats = self.unit.astype(float)
         mats[self.var, :, self.col] = entries[:, self.border].T
         return mats
 
@@ -285,7 +293,7 @@ def shift_table(basis: MonomialBasis, border: MonomialBasis) -> ShiftTable:
         key = tuple(int(e) for e in shifted[i, c])
         raise ValueError(f"monomial {key} is not a member")
     var, col, target = np.nonzero(in_border & ~stays[:, :, None])
-    table = ShiftTable(unit=in_basis.astype(float), var=var, col=col, border=target)
+    table = ShiftTable(unit=in_basis, var=var, col=col, border=target)
     # every matrix and fit on the pair shares its table, so no caller may change it
     for arr in table:
         arr.flags.writeable = False
@@ -361,20 +369,20 @@ def _monomial_str(exps: tuple[int, ...]) -> str:
 def _strings_prelude(basis: MonomialBasis, border: MonomialBasis):
     """What ``generator_strings`` needs of a (basis, border) pair.
 
-    The basis order, descending in grlex, and per border monomial the
-    place of its -1 term in that order and the names of all its k + 1
-    monomials.
+    The basis order, descending in grlex, and the basis names in that
+    order; per border monomial, only the place of its -1 term in that
+    order and its own name, in two lists.  The structure lives as long as
+    the basis, so the k + 1 names of a generator are put together as it
+    is written, not kept once per border monomial.
     """
     keys = [grlex_key(b) for b in basis]
     order = sorted(range(len(basis)), key=keys.__getitem__, reverse=True)
     ascending = [keys[i] for i in reversed(order)]
     monos = [_monomial_str(basis[i]) for i in order]
-    places = []
-    for alpha in border:
-        # the border term follows every basis term with a larger key
-        at = len(ascending) - bisect_right(ascending, grlex_key(alpha))
-        places.append((at, monos[:at] + [_monomial_str(alpha)] + monos[at:]))
-    return order, places
+    # the border term follows every basis term with a larger key
+    places = [len(ascending) - bisect_right(ascending, grlex_key(alpha)) for alpha in border]
+    border_names = [_monomial_str(alpha) for alpha in border]
+    return order, monos, places, border_names
 
 
 def generator_strings(gm: GeneratingMatrix) -> list[str]:
@@ -388,10 +396,13 @@ def generator_strings(gm: GeneratingMatrix) -> list[str]:
     term of coefficient -1, and every term is written with its sign as
     " + " or " - " before the first is trimmed.
     """
-    order, places = _pair_structure("strings", _strings_prelude, gm.basis, gm.border)
+    order, monos, places, border_names = _pair_structure(
+        "strings", _strings_prelude, gm.basis, gm.border
+    )
     out = []
-    for (at, names), column in zip(places, gm.entries[order].T.tolist()):
+    for at, name, column in zip(places, border_names, gm.entries[order].T.tolist()):
         column[at:at] = (-1.0,)
+        names = monos[:at] + [name] + monos[at:]
         pieces = []
         for g, mono in zip(column, names):
             # the term is -g x^b

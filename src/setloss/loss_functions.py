@@ -37,7 +37,13 @@ from .monomial_basis import (
     monomial_matrix,
     standard_monomials,
 )
-from .numeric_kernels import UNROLLED_WIDTH, pseudo_inverse, require_full_rank, row_sum
+from .numeric_kernels import (
+    UNROLLED_WIDTH,
+    pseudo_inverse,
+    require_finite,
+    require_full_rank,
+    row_sum,
+)
 
 __all__ = [
     "GeneratingLoss",
@@ -237,6 +243,9 @@ class TransformedLoss:
             lifts = monomial_matrix(points.points, lift_basis)[:, 1:]
         self.anchor_lift = lifts[-1]
         self.diff_mat = (lifts[:-1] - self.anchor_lift).T
+        require_finite(
+            self.diff_mat, "lifted point differences overflow: coordinates too large"
+        )
         if lift_basis is None:
             self.to_simplex = pseudo_inverse(self.diff_mat)
         else:
@@ -426,7 +435,8 @@ def build_transformed_loss(points: PointSet) -> TransformedLoss:
     sets are lifted through the non-constant members of the first k
     graded-lexicographic monomials, which is injective and puts the k
     lifted points in general position in R^(k-1) for generic sets.
-    Dependent (lifted) differences raise DegenerateConfigurationError.
+    Dependent or overflowing (lifted) differences raise
+    DegenerateConfigurationError.
     """
     if points.k <= points.n + 1:
         return TransformedLoss(points)

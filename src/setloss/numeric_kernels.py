@@ -21,6 +21,7 @@ __all__ = [
     "solve_linear",
     "pseudo_inverse",
     "require_full_rank",
+    "require_finite",
     "complex_schur",
     "min_eigenvalue_sym",
     "row_sum",
@@ -97,11 +98,23 @@ def require_full_rank(s, message: str) -> None:
 
     ``s`` holds singular values in descending order; the matrix counts as
     rank deficient when the smallest is at most SINGULARITY_RTOL times the
-    largest.  The error carries the condition number s[0] / s[-1].
+    largest, and also when a value is NaN.  The error carries the
+    condition number s[0] / s[-1].
     """
-    if s[0] == 0.0 or s[-1] <= SINGULARITY_RTOL * s[0]:
+    if not s[-1] > SINGULARITY_RTOL * s[0]:
         cond = float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
         raise DegenerateConfigurationError(message, condition=cond)
+
+
+def require_finite(a: np.ndarray, message: str) -> None:
+    """Raise DegenerateConfigurationError(message) when ``a`` holds inf or NaN.
+
+    Monomials of finite coordinates overflow once the coordinates are
+    large enough for their degree, and LAPACK's factorizations of such a
+    matrix fail or return NaN.
+    """
+    if not np.isfinite(a).all():
+        raise DegenerateConfigurationError(message)
 
 
 @dataclass(frozen=True)

@@ -520,6 +520,59 @@ def one_json_line(err):
     return json.loads(err, parse_constant=lambda name: pytest.fail(f"{name} in {err}"))
 
 
+BIG_POINTS = np.array([[1e200, 0.0], [0.0, 1e200], [-1e200, 0.0], [3e200, 1e200]])
+
+
+@pytest.mark.parametrize("command", ["build", "cluster --sstar", "fit"])
+def test_overflowing_monomials_exit_two_with_one_json_line(tmp_path, capsys, command):
+    # finite coordinates whose monomials overflow to inf: LAPACK cannot
+    # factor such a matrix, and a rank check on it sees NaN singular values
+    if command == "build":
+        write_points(tmp_path / "big.csv", BIG_POINTS)
+        argv = ["build", "--input", str(tmp_path / "big.csv")]
+    elif command == "cluster --sstar":
+        (tmp_path / "bigs.json").write_text(json.dumps({"points": BIG_POINTS.tolist()}))
+        write_points(tmp_path / "few.csv", np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 1.0]]))
+        argv = ["cluster", "--input", str(tmp_path / "few.csv"), "--no-truth-column"]
+        argv += ["--sstar", str(tmp_path / "bigs.json")]
+    else:
+        rng = np.random.default_rng(5)
+        samples = np.repeat(THREE_POINTS[:2] * 1e200, 20, axis=0)
+        write_points(tmp_path / "big.csv", samples * rng.uniform(0.99, 1.01, samples.shape))
+        argv = ["fit", "--input", str(tmp_path / "big.csv"), "--k", "2"]
+    out = tmp_path / "out"
+    assert main([*argv, "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = one_json_line(captured.err)
+    assert err["error"] == "degenerate-configuration"
+    assert "overflow" in err["message"] and "rank" not in err["message"]
+
+
+@pytest.mark.parametrize("command", ["build", "fit", "cluster", "bench"])
+def test_unwritable_output_exits_one_with_one_error_line(tmp_path, capsys, sample_csv, command):
+    (tmp_path / "some_file").write_text("")
+    if command == "bench":
+        target = tmp_path / "some_file" / "sub"
+        argv = ["bench", "--scenario", "example62", "--seeds", "1", "--out-dir", str(target)]
+    else:
+        target = tmp_path / "nodir" / "out"
+        inp = sample_csv[0]
+        if command == "build":
+            inp = tmp_path / "points.csv"
+            write_points(inp, THREE_POINTS)
+        argv = [command, "--input", str(inp), "--output", str(target)]
+        if command != "build":
+            argv += ["--k", "6"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists() and not (tmp_path / "nodir").exists()
+    assert (tmp_path / "some_file").is_file()
+
+
 def test_fit_complex_non_real_stderr_is_one_json_object(tmp_path, capsys):
     # real projection warns about the seed-207 conjugate pair; the warning
     # goes into the diagnostic rather than ahead of it

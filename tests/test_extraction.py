@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -230,6 +232,37 @@ def test_extraction_builds_the_multiplication_matrices_once(monkeypatch):
     zeros = extract_zero_set(gm, seed=3)
     assert len(builds) == 1
     assert zeros.commutator_norm == commutator_residual(multiplication_matrices(gm))
+
+
+def test_the_structures_of_102_shapes_stay_under_2_mib():
+    # every (n, k) of the benchmark's round-trip cycle, built from scratch:
+    # interpolation, generator text and extraction keep each shape's basis,
+    # border, shift table and text prelude for the rest of the process.
+    # They hold about 1.4 MiB.  Shift tables that kept their 0/1 pattern as
+    # float64 would add 0.9 MiB, and full name lists per border monomial
+    # in the preludes 0.4 MiB
+    forget_shapes()
+    rng = np.random.default_rng(29)
+    shapes = [(n, k) for n in (2, 3, 4) for k in range(2, 36)]
+    point_sets = [PointSet(random_points(rng, k, n)) for n, k in shapes]
+    tracemalloc.start()
+    try:
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        for points in point_sets:
+            gm = solve_generating_matrix(points)
+            generator_strings(gm)
+            try:
+                extract_zero_set(gm)
+            except NumericalFailureError:
+                # the shape's structures are built before any refusal
+                pass
+        del gm
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 * 2**20, f"{retained / 2**20:.2f} MiB retained"
 
 
 def test_permuted_basis_keeps_its_own_structures(monkeypatch):

@@ -266,11 +266,27 @@ def test_shift_table_rejects_incomplete_border():
     with pytest.raises(ValueError, match="not a member"):
         shift_table(b0, short)
     table = shift_table(b0, border)
-    assert table.unit.shape == (2, 3, 3)
+    assert table.unit.shape == (2, 3, 3) and table.unit.dtype == bool
     # only the constant column stays inside the basis, for either variable
     assert sorted(zip(table.var.tolist(), table.col.tolist())) == [
         (0, 1), (0, 2), (1, 1), (1, 2)
     ]
+
+
+@pytest.mark.parametrize(("n", "k"), [(1, 5), (2, 9), (3, 12), (4, 15)])
+def test_shift_table_matrices_are_the_float_formula(n, k):
+    # the boolean table cast to 0.0 and 1.0, then every border product's
+    # generating-matrix column written in, one product at a time
+    b0 = standard_monomials(n, k)
+    b1 = border_monomials(b0)
+    table = shift_table(b0, b1)
+    entries = np.random.default_rng(n).standard_normal((k, len(b1)))
+    want = table.unit.astype(float)
+    for i, c, q in zip(table.var, table.col, table.border, strict=True):
+        want[i, :, c] = entries[:, q]
+    got = table.matrices(entries)
+    assert got.dtype == np.float64 and got.shape == (n, k, k)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_basis_vector_is_left_eigenvector():

@@ -12,6 +12,8 @@ from setloss.numeric_kernels import (
     complex_schur,
     min_eigenvalue_sym,
     pseudo_inverse,
+    require_finite,
+    require_full_rank,
     solve_linear,
 )
 
@@ -87,6 +89,19 @@ def test_pseudo_inverse_tall_matrix():
 def test_pseudo_inverse_zero_columns():
     dag = pseudo_inverse(np.zeros((3, 0)))
     assert dag.shape == (0, 3)
+
+
+def test_rank_and_finiteness_checks_refuse_nan_and_inf():
+    require_full_rank(np.array([2.0, 1.0]), "unused")
+    require_finite(np.ones((2, 2)), "unused")
+    # every comparison with NaN is False, so a NaN singular value must
+    # count as deficient rather than pass the gap test
+    for s in ([np.nan, 1.0], [2.0, np.nan], [0.0, 0.0], [1.0, 1e-11]):
+        with pytest.raises(DegenerateConfigurationError, match="deficient"):
+            require_full_rank(np.array(s), "deficient")
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(DegenerateConfigurationError, match="overflow"):
+            require_finite(np.array([[1.0, bad]]), "overflow")
 
 
 def test_schur_eigenvalues_match_char_poly():
