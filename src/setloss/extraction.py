@@ -23,7 +23,6 @@ from .errors import InvalidStateError, NumericalFailureError
 from .generating_system import (
     GeneratingMatrix,
     PointSet,
-    _index_pairs,
     coincident_pairs,
     commutator_residual,
     multiplication_matrices,
@@ -144,13 +143,19 @@ def extract_zero_set(gm: GeneratingMatrix, seed: int = 0) -> ZeroSet:
     Requires the total commutator norm to be at most
     1e-6 * (1 + |G|_F); between 1e-8 and 1e-6 the result is flagged
     approximate.  Each draw of random combination weights (from ``seed``)
-    is Schur-factored once, and its sorted diagonal is the eigenvalue
-    spread test; a clustered spread redraws (at most 10 draws), and
-    persistent clustering raises NumericalFailureError.  The accepted
-    unitary factor reduces every multiplication matrix at once; the
-    diagonals are the points and the strictly-lower column norms their
-    residuals.  Points come back with multiplicity when the system has
-    repeated zeros.
+    is Schur-factored once, and its diagonal is the eigenvalue spread
+    test: the draw passes when the smallest distance between two
+    eigenvalues is at least 1e-8 times the largest, or when k = 1.  A
+    clustered spread redraws (at most 10 draws), and persistent
+    clustering raises NumericalFailureError.  The accepted unitary factor
+    reduces every multiplication matrix at once; the diagonals are the
+    points and the strictly-lower column norms their residuals.
+
+    Repeated zeros come back with multiplicity only when every eigenvalue
+    coincides (the largest distance is 0 too), or when the split that
+    rounding gives a near-repeated zero passes the relative gap: a double
+    zero at 1 comes back as about 1 - 3e-8 and 1 + 3e-8.  A repeated zero
+    among separated ones fails the gap test on every draw.
     """
     mats = multiplication_matrices(gm)
     com = commutator_residual(mats)
@@ -168,10 +173,14 @@ def extract_zero_set(gm: GeneratingMatrix, seed: int = 0) -> ZeroSet:
         xi = rng.standard_normal(n)
         xi /= np.linalg.norm(xi)
         schur = complex_schur((xi[:, None, None] * mats).sum(axis=0))
+        # every |e_i - e_j|: the diagonal's zeros leave the max alone, and
+        # |a - b| == |b - a| exactly, so with the diagonal set to inf the
+        # min is the min over i < j too
         eigs = schur.eigenvalues
-        first, second = _index_pairs(k)
-        gaps = np.abs(eigs[first] - eigs[second])
-        if k < 2 or gaps.min() >= MIN_GAP_FACTOR * gaps.max():
+        gaps = np.abs(eigs[:, None] - eigs)
+        widest = gaps.max()
+        np.fill_diagonal(gaps, np.inf)
+        if k < 2 or gaps.min() >= MIN_GAP_FACTOR * widest:
             break
     else:
         raise NumericalFailureError(

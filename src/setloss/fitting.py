@@ -214,8 +214,10 @@ class PenaltyModel:
     def __init__(self, samples: SampleSet, k: int):
         self.b0 = standard_monomials(samples.n, k)
         self.b1 = border_monomials(self.b0)
-        self.a = monomial_matrix(samples.samples, self.b0)
-        self.b = monomial_matrix(samples.samples, self.b1)
+        # overflowing monomials are refused below, not warned about first
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.a = monomial_matrix(samples.samples, self.b0)
+            self.b = monomial_matrix(samples.samples, self.b1)
         for x in (self.a, self.b):
             require_finite(x, "monomials of the samples overflow: coordinates too large to fit")
         self.size = samples.size

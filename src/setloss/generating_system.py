@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -195,8 +195,10 @@ def solve_generating_matrix(points: PointSet) -> GeneratingMatrix:
     """
     b0 = standard_monomials(points.n, points.k)
     b1 = border_monomials(b0)
-    x0 = monomial_matrix(points.points, b0).T
-    x1 = monomial_matrix(points.points, b1).T
+    # overflowing monomials are refused below, not warned about first
+    with np.errstate(over="ignore", invalid="ignore"):
+        x0 = monomial_matrix(points.points, b0).T
+        x1 = monomial_matrix(points.points, b1).T
     for x in (x0, x1):
         require_finite(x, "monomials of the points overflow: coordinates too large to interpolate")
     require_full_rank(
@@ -315,8 +317,9 @@ def multiplication_matrices(gm: GeneratingMatrix) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # np.triu_indices costs several times a small commutator stack; the
-    # fit asks for one stack per trial step, extraction one gap test per draw
+    # np.triu_indices costs several times a small commutator stack, and the
+    # fit asks for one stack per trial step; n is the number of variables,
+    # so the cache stays a few entries long
     pairs = np.triu_indices(n, k=1)
     for arr in pairs:
         arr.flags.writeable = False
@@ -356,7 +359,10 @@ def generator_terms(gm: GeneratingMatrix) -> list[dict[tuple[int, ...], float]]:
     return out
 
 
+@cache
 def _monomial_str(exps: tuple[int, ...]) -> str:
+    # one string object per monomial for the whole process: the rendering
+    # preludes of every shape that holds the monomial share it
     parts = []
     for i, e in enumerate(exps):
         if e == 0:
@@ -373,7 +379,9 @@ def _strings_prelude(basis: MonomialBasis, border: MonomialBasis):
     order; per border monomial, only the place of its -1 term in that
     order and its own name, in two lists.  The structure lives as long as
     the basis, so the k + 1 names of a generator are put together as it
-    is written, not kept once per border monomial.
+    is written, not kept once per border monomial.  The names come from
+    ``_monomial_str``'s cache, so the preludes of all shapes hold one
+    string per monomial between them.
     """
     keys = [grlex_key(b) for b in basis]
     order = sorted(range(len(basis)), key=keys.__getitem__, reverse=True)

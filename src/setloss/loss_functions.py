@@ -237,12 +237,14 @@ class TransformedLoss:
             raise ValueError("a lift basis must hold every degree-1 monomial")
         self.points = points
         self.lift_basis = lift_basis
-        if lift_basis is None:
-            lifts = points.points
-        else:
-            lifts = monomial_matrix(points.points, lift_basis)[:, 1:]
-        self.anchor_lift = lifts[-1]
-        self.diff_mat = (lifts[:-1] - self.anchor_lift).T
+        # overflowing lifts are refused below, not warned about first
+        with np.errstate(over="ignore", invalid="ignore"):
+            if lift_basis is None:
+                lifts = points.points
+            else:
+                lifts = monomial_matrix(points.points, lift_basis)[:, 1:]
+            self.anchor_lift = lifts[-1]
+            self.diff_mat = (lifts[:-1] - self.anchor_lift).T
         require_finite(
             self.diff_mat, "lifted point differences overflow: coordinates too large"
         )

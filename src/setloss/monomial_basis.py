@@ -46,7 +46,9 @@ class MonomialBasis:
 
     The members are the rows of ``powers``, a read-only int64 array of
     shape (m, n).  Iterating over a basis or indexing it yields plain
-    exponent tuples.
+    exponent tuples, built afresh from ``powers`` on every call: a basis
+    lives as long as its shape is in use, so it keeps no map from member
+    to position, and ``position`` and ``in`` scan the members.
     """
 
     n: int
@@ -64,7 +66,7 @@ class MonomialBasis:
             raise ValueError("exponents must be nonnegative")
         arr.flags.writeable = False
         object.__setattr__(self, "powers", arr)
-        if len(self._positions) != len(arr):
+        if len(set(self)) != len(arr):
             raise ValueError("basis members must be distinct")
 
     def __eq__(self, other) -> bool:
@@ -76,7 +78,7 @@ class MonomialBasis:
         return len(self.powers)
 
     def __iter__(self):
-        return iter(self._positions)
+        return map(tuple, self.powers.tolist())
 
     def __getitem__(self, i: int) -> tuple[int, ...]:
         return tuple(self.powers[i].tolist())
@@ -98,12 +100,8 @@ class MonomialBasis:
     def _border(self) -> "MonomialBasis":
         shifted = self.powers[:, None, :] + np.eye(self.n, dtype=np.int64)
         out = {tuple(e) for e in shifted.reshape(-1, self.n).tolist()}
-        out.difference_update(self._positions)
+        out.difference_update(self)
         return MonomialBasis(n=self.n, powers=sorted(out, key=grlex_key))
-
-    @cached_property
-    def _positions(self) -> dict[tuple[int, ...], int]:
-        return {tuple(m): i for i, m in enumerate(self.powers.tolist())}
 
     @cached_property
     def _derived(self) -> dict:
@@ -117,12 +115,12 @@ class MonomialBasis:
         """Index of a monomial in this basis; ValueError when absent."""
         key = tuple(int(e) for e in alpha)
         try:
-            return self._positions[key]
-        except KeyError:
+            return list(self).index(key)
+        except ValueError:
             raise ValueError(f"monomial {key} is not a member") from None
 
     def __contains__(self, alpha) -> bool:
-        return tuple(int(e) for e in alpha) in self._positions
+        return tuple(int(e) for e in alpha) in iter(self)
 
     def to_json(self) -> dict:
         return {"n": self.n, "members": self.powers.tolist()}

@@ -547,6 +547,7 @@ def test_overflowing_monomials_exit_two_with_one_json_line(tmp_path, capsys, com
     err = one_json_line(captured.err)
     assert err["error"] == "degenerate-configuration"
     assert "overflow" in err["message"] and "rank" not in err["message"]
+    assert err["warnings"] == []
 
 
 @pytest.mark.parametrize("command", ["build", "fit", "cluster", "bench"])

@@ -18,8 +18,11 @@ from setloss.fitting import FitOptions, fit_generating_matrix
 from setloss.generating_system import (
     GeneratingMatrix,
     PointSet,
+    _index_pairs,
+    _strings_prelude,
     commutator_residual,
     generator_strings,
+    generator_terms,
     multiplication_matrices,
     solve_generating_matrix,
 )
@@ -234,13 +237,13 @@ def test_extraction_builds_the_multiplication_matrices_once(monkeypatch):
     assert zeros.commutator_norm == commutator_residual(multiplication_matrices(gm))
 
 
-def test_the_structures_of_102_shapes_stay_under_2_mib():
+def test_the_structures_of_102_shapes_stay_under_1_mib():
     # every (n, k) of the benchmark's round-trip cycle, built from scratch:
-    # interpolation, generator text and extraction keep each shape's basis,
-    # border, shift table and text prelude for the rest of the process.
-    # They hold about 1.4 MiB.  Shift tables that kept their 0/1 pattern as
-    # float64 would add 0.9 MiB, and full name lists per border monomial
-    # in the preludes 0.4 MiB
+    # interpolation, generator terms and text, and extraction keep each
+    # shape's basis, border, shift table and text prelude for the rest of
+    # the process.  They hold about 0.8 MiB.  A member-to-position map per
+    # basis would add 0.35 MiB, one name string per monomial per shape
+    # 0.16 MiB, and index pairs cached per extracted k 0.11 MiB
     forget_shapes()
     rng = np.random.default_rng(29)
     shapes = [(n, k) for n in (2, 3, 4) for k in range(2, 36)]
@@ -251,6 +254,7 @@ def test_the_structures_of_102_shapes_stay_under_2_mib():
         start = tracemalloc.get_traced_memory()[0]
         for points in point_sets:
             gm = solve_generating_matrix(points)
+            generator_terms(gm)
             generator_strings(gm)
             try:
                 extract_zero_set(gm)
@@ -262,7 +266,53 @@ def test_the_structures_of_102_shapes_stay_under_2_mib():
         retained = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    assert retained < 2 * 2**20, f"{retained / 2**20:.2f} MiB retained"
+    assert retained < 2**20, f"{retained / 2**20:.2f} MiB retained"
+
+
+def test_extraction_caches_no_index_pairs_per_k():
+    # the gap test reads the full k x k distance matrix; the pair indices
+    # stay cached only for the n-variable commutator stacks
+    _index_pairs.cache_clear()
+    rng = np.random.default_rng(30)
+    for k in range(5, 36, 5):
+        extract_zero_set(solve_generating_matrix(PointSet(random_points(rng, k, 2))))
+    assert _index_pairs.cache_info().currsize == 1
+
+
+def test_preludes_of_two_shapes_share_their_names():
+    small, large = standard_monomials(2, 6), standard_monomials(2, 10)
+    names = [
+        _strings_prelude(basis, border_monomials(basis))[1] for basis in (small, large)
+    ]
+    first, second = (next(x for x in found if x == "x1^2") for found in names)
+    assert first is second
+
+
+def test_gap_test_passes_an_all_coincident_spectrum():
+    # x^2 = 0: both eigenvalues are 0, so the largest gap is 0 as well and
+    # the two zeros come back with multiplicity
+    basis = standard_monomials(1, 2)
+    gm = GeneratingMatrix(basis, border_monomials(basis), np.zeros((2, 1)))
+    zeros = extract_zero_set(gm)
+    np.testing.assert_array_equal(zeros.points, [[0.0], [0.0]])
+
+
+def test_gap_test_refuses_a_cluster_among_separated_zeros():
+    # x^3 = x^2 has zeros {0, 0, 1}: the double zero is clustered against
+    # the distance 1, whatever the combination
+    basis = standard_monomials(1, 3)
+    gm = GeneratingMatrix(basis, border_monomials(basis), np.array([[0.0], [0.0], [1.0]]))
+    with pytest.raises(NumericalFailureError, match="stayed clustered"):
+        extract_zero_set(gm)
+
+
+def test_gap_test_splits_a_lone_double_zero():
+    # x^2 = 2x - 1: one distance between two eigenvalues is both the min and
+    # the max, and rounding splits the double zero at 1 by about 6e-8
+    basis = standard_monomials(1, 2)
+    gm = GeneratingMatrix(basis, border_monomials(basis), np.array([[-1.0], [2.0]]))
+    zeros = extract_zero_set(gm)
+    assert np.abs(zeros.points - 1.0).max() < 1e-6
 
 
 def test_permuted_basis_keeps_its_own_structures(monkeypatch):
@@ -367,3 +417,7 @@ def test_single_point_extraction():
     gm = solve_generating_matrix(PointSet(np.array([[2.5, -1.5]])))
     zs = extract_zero_set(gm)
     np.testing.assert_allclose(zs.points.real, [[2.5, -1.5]], atol=1e-12)
+    # k = 1 passes the gap test without a distance to measure, in any n
+    for point in ([0.75], [1.0, -2.0, 3.0]):
+        zs = extract_zero_set(solve_generating_matrix(PointSet(np.array([point]))))
+        np.testing.assert_array_equal(zs.points, [point])

@@ -102,6 +102,19 @@ def test_basis_rejects_duplicates_and_keeps_order():
     assert basis[1] == (0, 0)
 
 
+def test_basis_keeps_no_position_map():
+    # a basis lives as long as its shape is in use: iteration, position and
+    # membership read ``powers`` and leave nothing behind on the object
+    basis = standard_monomials(2, 10)
+    assert list(basis) == [tuple(row) for row in basis.powers.tolist()]
+    assert basis.position((0, 3)) == 9 and (0, 3) in basis and (4, 0) not in basis
+    assert (0, 0, 0) not in basis
+    assert not hasattr(basis, "_positions")
+    assert "_positions" not in vars(basis)
+    with pytest.raises(ValueError, match="distinct"):
+        MonomialBasis(2, ((0, 0), (1, 0), (0, 1), (1, 0)))
+
+
 def test_basis_rejects_negative_and_wrong_width():
     with pytest.raises(ValueError, match="nonnegative"):
         MonomialBasis(2, ((0, 0), (1, -1)))

@@ -1,13 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from setloss.clustering import recover_point_set
 from setloss.errors import DegenerateConfigurationError
+from setloss.fitting import FitOptions, SampleSet
 from setloss.generating_system import (
     PointSet,
     multiplication_matrices,
     solve_generating_matrix,
 )
+from setloss.loss_functions import TransformedLoss
+from setloss.monomial_basis import standard_monomials
 from setloss.numeric_kernels import (
     complex_schur,
     min_eigenvalue_sym,
@@ -102,6 +108,31 @@ def test_rank_and_finiteness_checks_refuse_nan_and_inf():
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(DegenerateConfigurationError, match="overflow"):
             require_finite(np.array([[1.0, bad]]), "overflow")
+
+
+BIG_POINTS = np.array([[1e200, 0.0], [0.0, 1e200], [-1e200, 0.0], [3e200, 1e200]])
+
+
+def _refuse_big(path):
+    if path == "interpolate":
+        solve_generating_matrix(PointSet(BIG_POINTS))
+    elif path == "lift":
+        TransformedLoss(PointSet(BIG_POINTS), standard_monomials(2, 4))
+    else:
+        rng = np.random.default_rng(5)
+        samples = np.repeat(BIG_POINTS[:2], 20, axis=0) * rng.uniform(0.99, 1.01, (40, 2))
+        recover_point_set(SampleSet(samples), 2, FitOptions(seed=1))
+
+
+@pytest.mark.parametrize("path", ["interpolate", "lift", "fit"])
+def test_overflow_refusals_come_without_numpy_warnings(path):
+    # the monomials overflow to inf and their products to NaN; the refusal
+    # names that, so numpy's own overflow warnings would only repeat it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DegenerateConfigurationError, match="overflow"):
+            _refuse_big(path)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_schur_eigenvalues_match_char_poly():
