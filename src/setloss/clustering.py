@@ -21,6 +21,7 @@ from .extraction import ZeroSet, extract_zero_set, real_projection
 from .fitting import FitOptions, FitResult, SampleSet, fit_generating_matrix
 from .generating_system import PointSet, solve_generating_matrix
 from .loss_functions import GeneratingLoss, TransformedLoss, build_transformed_loss
+from .monomial_basis import standard_monomials
 from .numeric_kernels import row_sum
 
 __all__ = [
@@ -484,11 +485,13 @@ def recover_point_set(
 ) -> RecoveryResult:
     """Fit, extract, and wrap a loss around the recovered k points.
 
-    ``opts.seed`` seeds the extraction draws; the fit takes no options.
-    ``loss_kind`` selects the loss built on the recovered set:
-    "transformed" (default) composes the simplicial loss with the
-    appropriate coordinate change, "generating" interpolates a fresh
-    generating system through the recovered points and squares it.  The
+    The fit runs on ``standard_monomials(samples.n, k)``, built inside the
+    "fit" stage, so a k that gives no basis fails there.  ``opts.seed``
+    seeds the extraction draws; the fit takes no options.  ``loss_kind``
+    selects the loss built on the recovered set: "transformed" (default)
+    composes the simplicial loss with the appropriate coordinate change,
+    "generating" interpolates a fresh generating system through the
+    recovered points and squares it.  The
     recovered set is the real projection of the extracted zeros, which
     ``zero_set`` keeps complex.  With ``want_real`` zeros that are not
     real (``ZeroSet.is_real``) raise NumericalFailureError naming the
@@ -503,7 +506,7 @@ def recover_point_set(
     opts = opts or FitOptions()
 
     try:
-        fit = fit_generating_matrix(samples, k)
+        fit = fit_generating_matrix(samples, standard_monomials(samples.n, k))
     except Exception as exc:
         raise _tag_stage(exc, "fit")
 

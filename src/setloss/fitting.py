@@ -46,13 +46,13 @@ import numpy as np
 from .errors import DegenerateConfigurationError
 from .generating_system import (
     GeneratingMatrix,
+    _basis_structure,
     _index_pairs,
-    _pair_structure,
     _real_rows,
     _shifts,
     commutators,
 )
-from .monomial_basis import MonomialBasis, border_monomials, monomial_matrix, standard_monomials
+from .monomial_basis import MonomialBasis, border_monomials, monomial_matrix
 from .numeric_kernels import min_eigenvalue_sym, require_finite
 
 __all__ = [
@@ -159,16 +159,16 @@ class FitResult:
         }
 
 
-def _commutator_jacobian_steps(basis: MonomialBasis, border: MonomialBasis):
+def _commutator_jacobian_steps(basis: MonomialBasis):
     """Flat (jacobian, mats) index pairs of commutator_jacobian's steps.
 
     The shift table read backwards gives C_i, the (m, k) one-hot map with
     dM_i = dG C_i: border column q lifts to basis column c_i(q) when x_i
     times basis monomial c_i(q) is border monomial q.  The steps depend
-    only on the (basis, border) pair, so every fit on one pair shares them.
+    only on the basis, so every fit on one basis shares them.
     """
-    n, k, m = basis.n, len(basis), len(border)
-    shifts = _shifts(basis, border)
+    n, k, m = basis.n, len(basis), len(border_monomials(basis))
+    shifts = _shifts(basis)
     lifted = np.full((n, m), -1)
     lifted[shifts.var, shifts.border] = shifts.col
     ks = np.arange(k)
@@ -209,11 +209,22 @@ class PenaltyModel:
     generator values scaled by 1/sqrt(N), followed by every commutator
     entry scaled by sqrt(rho).  The solver reads J^T J and J^T r from
     ``gram_and_gradient``, which never forms the data block of J.
+
+    ``basis`` is the quotient basis of the fitted system, a
+    ``MonomialBasis`` in the samples' n variables such as
+    ``standard_monomials(n, k)``; k and the border are read off it.
     """
 
-    def __init__(self, samples: SampleSet, k: int):
-        self.b0 = standard_monomials(samples.n, k)
-        self.b1 = border_monomials(self.b0)
+    def __init__(self, samples: SampleSet, basis: MonomialBasis):
+        if not isinstance(basis, MonomialBasis):
+            raise TypeError(
+                "basis must be a MonomialBasis, such as standard_monomials(n, k), "
+                f"got {type(basis).__name__}"
+            )
+        if len(basis) == 0:
+            raise ValueError("basis must have at least one member")
+        self.b0 = basis
+        self.b1 = border_monomials(basis)
         # overflowing monomials are refused below, not warned about first
         with np.errstate(over="ignore", invalid="ignore"):
             self.a = monomial_matrix(samples.samples, self.b0)
@@ -221,13 +232,11 @@ class PenaltyModel:
         for x in (self.a, self.b):
             require_finite(x, "monomials of the samples overflow: coordinates too large to fit")
         self.size = samples.size
-        self.k = k
+        self.k = len(basis)
         self.m = len(self.b1)
         self.n = samples.n
-        self.shifts = _shifts(self.b0, self.b1)
-        self._jacobian_steps = _pair_structure(
-            "jacobian steps", _commutator_jacobian_steps, self.b0, self.b1
-        )
+        self.shifts = _shifts(basis)
+        self._jacobian_steps = _basis_structure("jacobian steps", _commutator_jacobian_steps, basis)
         self.ata = (self.a.T @ self.a) / samples.size
         self.atb = (self.a.T @ self.b) / samples.size
         # Gram block of the data residuals, constant in g
@@ -248,8 +257,7 @@ class PenaltyModel:
         summed in this order, the order of the entry-wise reference in the
         tests, which this matches bit for bit.  C_i is one-hot, so each
         term gathers entries of M_i or M_j; the four steps gather and
-        scatter them through index plans made once per basis and border
-        pair.
+        scatter them through index plans made once per basis.
         """
         flat = mats.reshape(-1)
         # one (k, k) block of rows per pair i < j, one column per entry of g
@@ -366,18 +374,22 @@ def _lm_round(model: PenaltyModel, g: np.ndarray, rho: float, tol: float, mu_cap
     return g, iterations, mu_start, mu, stop
 
 
-def fit_generating_matrix(samples: SampleSet, k: int) -> FitResult:
-    """Fit a k-zero generating system to noisy samples.
+def fit_generating_matrix(samples: SampleSet, basis: MonomialBasis) -> FitResult:
+    """Fit a generating system on ``basis`` to noisy samples.
 
-    Starts from the unconstrained least-squares minimizer of theta, one
-    solve per border column, and drives the commutator norm below the
+    The basis, such as ``standard_monomials(n, k)``, fixes the system: its
+    k members, its border and so the k zeros sought; ``g_star.basis`` is
+    the object passed, and anything but a ``MonomialBasis`` raises
+    TypeError.  Starts from the unconstrained least-squares minimizer of
+    theta, one solve per border column, and drives the commutator norm below the
     feasibility target by penalized Gauss-Newton rounds.  When
     ``MAX_ROUNDS`` rounds end first, the best iterate is returned with
     ``converged=False`` rather than raising.  Raises
     DegenerateConfigurationError when the sample monomials overflow or
     are rank deficient (in particular whenever N < k).
     """
-    model = PenaltyModel(samples, k)
+    model = PenaltyModel(samples, basis)
+    k = model.k
     # H = (2/N) sum_j [v_j]_B0 [v_j]_B0^T: a strictly positive smallest
     # eigenvalue certifies that the least-squares start is strongly convex
     h_min_eig = min_eigenvalue_sym(2.0 * model.ata)
@@ -413,7 +425,7 @@ def fit_generating_matrix(samples: SampleSet, k: int) -> FitResult:
         mu_cap = mu * RHO_GROWTH
         rho *= RHO_GROWTH
     return FitResult(
-        g_star=GeneratingMatrix(model.b0, model.b1, np.ascontiguousarray(g)),
+        g_star=GeneratingMatrix(model.b0, np.ascontiguousarray(g)),
         objective=model.theta(g),
         commutator_norm=com,
         h_min_eig=h_min_eig,

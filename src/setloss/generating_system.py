@@ -111,12 +111,12 @@ class PointSet:
 class GeneratingMatrix:
     """Coefficient matrix of a border generating system.
 
-    ``entries`` has shape (k, m): rows are indexed by the k basis
-    monomials, columns by the m border monomials.
+    The basis fixes the system: its border, the led monomials, is
+    ``border_monomials(basis)``.  ``entries`` has shape (k, m): rows are
+    indexed by the k basis monomials, columns by the m border monomials.
     """
 
     basis: MonomialBasis
-    border: MonomialBasis
     entries: np.ndarray
 
     def __post_init__(self):
@@ -127,10 +127,12 @@ class GeneratingMatrix:
             )
         if not np.all(np.isfinite(ent)):
             raise ValueError("entries must be finite")
-        if self.basis.n != self.border.n:
-            raise ValueError("basis and border dimensions differ")
         ent.flags.writeable = False
         object.__setattr__(self, "entries", ent)
+
+    @property
+    def border(self) -> MonomialBasis:
+        return border_monomials(self.basis)
 
     @property
     def n(self) -> int:
@@ -145,8 +147,8 @@ class GeneratingMatrix:
 
     @cached_property
     def shifts(self) -> "ShiftTable":
-        """The shift table of this basis and border, shared by every matrix on the pair."""
-        return _shifts(self.basis, self.border)
+        """The shift table of this basis, shared by every matrix on it."""
+        return _shifts(self.basis)
 
     def to_json(self) -> dict:
         return {
@@ -159,29 +161,29 @@ class GeneratingMatrix:
 
     @classmethod
     def from_json(cls, payload: dict) -> "GeneratingMatrix":
-        """Read a matrix back; a standard basis and border come back interned.
+        """Read a matrix back; a standard basis comes back interned.
 
-        When ``b0`` and ``b1`` list the members of ``standard_monomials(n, k)``
-        and its border, the matrix gets those very objects, and with them
-        the shift table and rendering structures already built for the
-        pair.  Any other basis gets objects of its own.
+        When ``b0`` lists the members of ``standard_monomials(n, k)``, the
+        matrix gets that very object, and with it the shift table and
+        rendering structures already built for it.  Any other basis gets
+        an object of its own.  ``b1`` must be the border of the basis, row
+        for row, as ``to_json`` writes it; anything else raises ValueError.
         """
         n = int(payload["n"])
         k = int(payload["k"])
-        b0, b1 = payload["b0"], payload["b1"]
-        basis = None
-        if n >= 1 and k >= 1 and len(b0) == k:
-            standard = standard_monomials(n, k)
-            border = border_monomials(standard)
-            if np.array_equal(b0, standard.powers) and np.array_equal(b1, border.powers):
-                basis = standard
-        if basis is None:
+        b0 = payload["b0"]
+        standard = n >= 1 and k >= 1 and len(b0) == k
+        if standard and np.array_equal(b0, standard_monomials(n, k).powers):
+            basis = standard_monomials(n, k)
+        else:
             basis = MonomialBasis.from_json({"n": n, "members": b0})
-            border = MonomialBasis.from_json({"n": n, "members": b1})
         if len(basis) != k:
             raise ValueError(f"declared k={k} but basis has {len(basis)} members")
+        border = border_monomials(basis)
+        if not np.array_equal(payload["b1"], border.powers):
+            raise ValueError("b1 must list the border of b0 in graded lexicographic order")
         entries = np.array(payload["g"], dtype=float).reshape(k, len(border))
-        return cls(basis=basis, border=border, entries=entries)
+        return cls(basis=basis, entries=entries)
 
 
 def solve_generating_matrix(points: PointSet) -> GeneratingMatrix:
@@ -205,7 +207,7 @@ def solve_generating_matrix(points: PointSet) -> GeneratingMatrix:
         np.linalg.svd(x0, compute_uv=False), "point set is degenerate for interpolation"
     )
     g = solve_linear(x0.T, x1.T)
-    return GeneratingMatrix(basis=b0, border=b1, entries=g)
+    return GeneratingMatrix(basis=b0, entries=g)
 
 
 def evaluate_generators(gm: GeneratingMatrix, points) -> np.ndarray:
@@ -250,34 +252,33 @@ class ShiftTable(NamedTuple):
         return mats
 
 
-def _pair_structure(name: str, build, basis: MonomialBasis, border: MonomialBasis):
-    """``build(basis, border)``, made once per (basis, border) object pair.
+def _basis_structure(name: str, build, basis: MonomialBasis):
+    """``build(basis)``, made once per basis object.
 
     Kept on the basis, so it lives as long as the basis does: for the
-    interned ``standard_monomials(n, k)`` and its border that is the whole
-    process, and a basis of its own takes its structures with it.
+    interned ``standard_monomials(n, k)`` that is the whole process, and a
+    basis of its own takes its structures with it.
     """
-    key = (name, id(border))
-    entry = basis._derived.get(key)
+    entry = basis._derived.get(name)
     if entry is None:
-        entry = basis._derived[key] = (border, build(basis, border))
-    return entry[1]
+        entry = basis._derived[name] = build(basis)
+    return entry
 
 
-def _shifts(basis: MonomialBasis, border: MonomialBasis) -> "ShiftTable":
-    """The one shift table of a (basis, border) pair."""
-    return _pair_structure("shifts", shift_table, basis, border)
+def _shifts(basis: MonomialBasis) -> "ShiftTable":
+    """The one shift table of a basis."""
+    return _basis_structure("shifts", shift_table, basis)
 
 
-def shift_table(basis: MonomialBasis, border: MonomialBasis) -> ShiftTable:
+def shift_table(basis: MonomialBasis) -> ShiftTable:
     """Where x_i * x^nu lands, for every variable i and basis monomial nu.
 
     A product that is itself a basis monomial gives a unit column of
-    M_i; otherwise it must be a border monomial, whose generating-matrix
-    column becomes that column of M_i.  Raises ValueError when a product
-    is in neither.
+    M_i; otherwise it is a border monomial, by the border's definition,
+    whose generating-matrix column becomes that column of M_i.
     """
     n = basis.n
+    border = border_monomials(basis)
     # shifted[i, c] = exponents of x_i * basis[c]
     shifted = basis.powers[None, :, :] + np.eye(n, dtype=np.int64)[:, None, :]
     # in_basis[i, r, c]: x_i * basis[c] == basis[r]; in_border[i, c, q] likewise.
@@ -289,14 +290,9 @@ def shift_table(basis: MonomialBasis, border: MonomialBasis) -> ShiftTable:
         in_basis &= shifted[:, None, :, t] == basis.powers[None, :, None, t]
         in_border &= shifted[:, :, None, t] == border.powers[None, None, :, t]
     stays = in_basis.any(axis=1)
-    missing = ~(stays | in_border.any(axis=2))
-    if missing.any():
-        i, c = np.argwhere(missing)[0]
-        key = tuple(int(e) for e in shifted[i, c])
-        raise ValueError(f"monomial {key} is not a member")
     var, col, target = np.nonzero(in_border & ~stays[:, :, None])
     table = ShiftTable(unit=in_basis, var=var, col=col, border=target)
-    # every matrix and fit on the pair shares its table, so no caller may change it
+    # every matrix and fit on the basis shares its table, so no caller may change it
     for arr in table:
         arr.flags.writeable = False
     return table
@@ -372,8 +368,8 @@ def _monomial_str(exps: tuple[int, ...]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _strings_prelude(basis: MonomialBasis, border: MonomialBasis):
-    """What ``generator_strings`` needs of a (basis, border) pair.
+def _strings_prelude(basis: MonomialBasis):
+    """What ``generator_strings`` needs of a basis and its border.
 
     The basis order, descending in grlex, and the basis names in that
     order; per border monomial, only the place of its -1 term in that
@@ -383,6 +379,7 @@ def _strings_prelude(basis: MonomialBasis, border: MonomialBasis):
     ``_monomial_str``'s cache, so the preludes of all shapes hold one
     string per monomial between them.
     """
+    border = border_monomials(basis)
     keys = [grlex_key(b) for b in basis]
     order = sorted(range(len(basis)), key=keys.__getitem__, reverse=True)
     ascending = [keys[i] for i in reversed(order)]
@@ -399,14 +396,12 @@ def generator_strings(gm: GeneratingMatrix) -> list[str]:
     Terms run in descending grlex order with zero coefficients left out;
     magnitudes print to 12 significant digits, and a unit magnitude is
     left out except on the constant monomial.  The monomials are ordered
-    and named once per (basis, border) pair; each generator then reads
+    and named once per basis; each generator then reads
     its column of ``entries`` once, with its border monomial placed as a
     term of coefficient -1, and every term is written with its sign as
     " + " or " - " before the first is trimmed.
     """
-    order, monos, places, border_names = _pair_structure(
-        "strings", _strings_prelude, gm.basis, gm.border
-    )
+    order, monos, places, border_names = _basis_structure("strings", _strings_prelude, gm.basis)
     out = []
     for at, name, column in zip(places, border_names, gm.entries[order].T.tolist()):
         column[at:at] = (-1.0,)

@@ -48,7 +48,7 @@ class MonomialBasis:
     shape (m, n).  Iterating over a basis or indexing it yields plain
     exponent tuples, built afresh from ``powers`` on every call: a basis
     lives as long as its shape is in use, so it keeps no map from member
-    to position, and ``position`` and ``in`` scan the members.
+    to position.
     """
 
     n: int
@@ -105,22 +105,9 @@ class MonomialBasis:
 
     @cached_property
     def _derived(self) -> dict:
-        # structures that other modules build from this basis and a partner
-        # basis, such as a shift table, keyed by name and by the partner's
-        # identity; each entry holds its partner, so no id is reused while
-        # its entry lives, and all of them live as long as this basis
+        # structures that other modules build from this basis alone, such
+        # as its shift table, keyed by name; they live as long as the basis
         return {}
-
-    def position(self, alpha) -> int:
-        """Index of a monomial in this basis; ValueError when absent."""
-        key = tuple(int(e) for e in alpha)
-        try:
-            return list(self).index(key)
-        except ValueError:
-            raise ValueError(f"monomial {key} is not a member") from None
-
-    def __contains__(self, alpha) -> bool:
-        return tuple(int(e) for e in alpha) in iter(self)
 
     def to_json(self) -> dict:
         return {"n": self.n, "members": self.powers.tolist()}
@@ -148,7 +135,7 @@ def standard_monomials(n: int, k: int) -> MonomialBasis:
     member, because a proper divisor has strictly smaller degree and all
     complete degree levels below the last one are included.  Bases are
     immutable, so one object per (n, k) serves every caller, and so do
-    its border and every structure derived from the pair, for the whole
+    its border and every structure derived from it, for the whole
     process.
     """
     if n < 1 or k < 1:

@@ -256,7 +256,7 @@ def conjugate_pair_system():
         reference_monomial_matrix(CONJUGATE_PAIR_SET, border.powers),
     )
     assert np.abs(g.imag).max() <= 1e-12 * (1.0 + np.abs(g.real).max())
-    return GeneratingMatrix(basis, border, g.real)
+    return GeneratingMatrix(basis, g.real)
 
 
 def _lowered_powers(powers):

@@ -407,7 +407,7 @@ def test_gradients_match_finite_differences():
         np.repeat(random_points(rng, 4, 2), 10, axis=0)
         + rng.uniform(-0.1, 0.1, (40, 2))
     )
-    model = PenaltyModel(samples, 4)
+    model = PenaltyModel(samples, standard_monomials(samples.n, 4))
     for _ in range(20):
         g = rng.standard_normal((model.k, model.m))
         jac = reference_penalty_jacobian(model, g, 2.0)

@@ -154,7 +154,7 @@ def test_build_file_is_the_default_encoding(tmp_path, monkeypatch, points, kind)
     pts = PointSet(points)
     exact = solve_generating_matrix(pts)
     values = np.resize(SPECIAL_ENTRIES + np.linspace(-3.7, 5.1, 7).tolist(), exact.entries.size)
-    planted = GeneratingMatrix(exact.basis, exact.border, values.reshape(exact.entries.shape))
+    planted = GeneratingMatrix(exact.basis, values.reshape(exact.entries.shape))
     monkeypatch.setattr(cli, "solve_generating_matrix", lambda _: planted)
     inp, out = tmp_path / "pts.csv", tmp_path / "build.json"
     write_points(inp, points)

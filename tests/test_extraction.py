@@ -185,7 +185,7 @@ def test_real_projection_warns_on_dropped_imaginary_parts():
     # parts near 0.3 and 0.8; the fit itself reports convergence
     spec = random_gmm_spec(2, 4, seed=207)
     samples, _ = gmm_sample(spec, 300, seed=257)
-    fit = fit_generating_matrix(samples, 4)
+    fit = fit_generating_matrix(samples, standard_monomials(samples.n, 4))
     assert fit.converged
     zeros = extract_zero_set(fit.g_star, seed=7)
     assert not zeros.is_real
@@ -208,9 +208,9 @@ def test_large_k_roundtrip_needs_the_sorted_schur_form():
 
 
 def test_extraction_builds_one_shift_table(monkeypatch):
-    # a matrix read from JSON gets the interned basis and border of its
-    # shape, so its commutator gate and Schur step, and every later matrix
-    # of that shape, share one table
+    # a matrix read from JSON gets the interned basis of its shape, so its
+    # commutator gate and Schur step, and every later matrix of that shape,
+    # share one table
     import setloss.generating_system as gs
 
     forget_shapes()
@@ -281,9 +281,7 @@ def test_extraction_caches_no_index_pairs_per_k():
 
 def test_preludes_of_two_shapes_share_their_names():
     small, large = standard_monomials(2, 6), standard_monomials(2, 10)
-    names = [
-        _strings_prelude(basis, border_monomials(basis))[1] for basis in (small, large)
-    ]
+    names = [_strings_prelude(basis)[1] for basis in (small, large)]
     first, second = (next(x for x in found if x == "x1^2") for found in names)
     assert first is second
 
@@ -292,7 +290,7 @@ def test_gap_test_passes_an_all_coincident_spectrum():
     # x^2 = 0: both eigenvalues are 0, so the largest gap is 0 as well and
     # the two zeros come back with multiplicity
     basis = standard_monomials(1, 2)
-    gm = GeneratingMatrix(basis, border_monomials(basis), np.zeros((2, 1)))
+    gm = GeneratingMatrix(basis, np.zeros((2, 1)))
     zeros = extract_zero_set(gm)
     np.testing.assert_array_equal(zeros.points, [[0.0], [0.0]])
 
@@ -301,7 +299,7 @@ def test_gap_test_refuses_a_cluster_among_separated_zeros():
     # x^3 = x^2 has zeros {0, 0, 1}: the double zero is clustered against
     # the distance 1, whatever the combination
     basis = standard_monomials(1, 3)
-    gm = GeneratingMatrix(basis, border_monomials(basis), np.array([[0.0], [0.0], [1.0]]))
+    gm = GeneratingMatrix(basis, np.array([[0.0], [0.0], [1.0]]))
     with pytest.raises(NumericalFailureError, match="stayed clustered"):
         extract_zero_set(gm)
 
@@ -310,7 +308,7 @@ def test_gap_test_splits_a_lone_double_zero():
     # x^2 = 2x - 1: one distance between two eigenvalues is both the min and
     # the max, and rounding splits the double zero at 1 by about 6e-8
     basis = standard_monomials(1, 2)
-    gm = GeneratingMatrix(basis, border_monomials(basis), np.array([[-1.0], [2.0]]))
+    gm = GeneratingMatrix(basis, np.array([[-1.0], [2.0]]))
     zeros = extract_zero_set(gm)
     assert np.abs(zeros.points - 1.0).max() < 1e-6
 
@@ -326,7 +324,7 @@ def test_permuted_basis_keeps_its_own_structures(monkeypatch):
     gm = solve_generating_matrix(PointSet(pts))
     perm = np.array([3, 0, 5, 1, 4, 2])
     basis = MonomialBasis(n=2, powers=gm.basis.powers[perm])
-    permuted = GeneratingMatrix(basis, gm.border, gm.entries[perm])
+    permuted = GeneratingMatrix(basis, gm.entries[perm])
     loaded = GeneratingMatrix.from_json(permuted.to_json())
     assert loaded.basis == basis and loaded.basis is not gm.basis
     assert loaded.border == gm.border and loaded.border is not gm.border
@@ -342,8 +340,8 @@ def test_permuted_basis_keeps_its_own_structures(monkeypatch):
     # the same zeros, in the same sorted order
     np.testing.assert_allclose(zeros.points, parent.points, rtol=0, atol=1e-9)
     assert match_as_multisets(zeros.points.real, pts) <= 1e-9
-    # another matrix on either pair builds nothing new
-    extract_zero_set(GeneratingMatrix(loaded.basis, loaded.border, loaded.entries))
+    # another matrix on either basis builds nothing new
+    extract_zero_set(GeneratingMatrix(loaded.basis, loaded.entries))
     generator_strings(loaded)
     extract_zero_set(GeneratingMatrix.from_json(gm.to_json()))
     assert len(tables) == len(preludes) == 2
@@ -359,7 +357,6 @@ def test_commuting_gate_rejects_garbage():
     gm = solve_generating_matrix(PointSet(pts))
     wrecked = GeneratingMatrix(
         basis=gm.basis,
-        border=gm.border,
         entries=gm.entries + rng.standard_normal(gm.entries.shape),
     )
     with pytest.raises(InvalidStateError):
@@ -371,16 +368,12 @@ def test_approximate_flag_between_limits():
     pts = random_points(rng, 4, 2)
     gm = solve_generating_matrix(PointSet(pts))
     direction = rng.standard_normal(gm.entries.shape)
-    probe = GeneratingMatrix(
-        basis=gm.basis, border=gm.border, entries=gm.entries + direction
-    )
+    probe = GeneratingMatrix(basis=gm.basis, entries=gm.entries + direction)
     slope = commutator_residual(multiplication_matrices(probe))
     scale = 1.0 + gm.frobenius_norm()
     # aim the residual midway between the soft and hard thresholds
     delta = 1e-7 * scale / slope
-    bent = GeneratingMatrix(
-        basis=gm.basis, border=gm.border, entries=gm.entries + delta * direction
-    )
+    bent = GeneratingMatrix(basis=gm.basis, entries=gm.entries + delta * direction)
     residual = commutator_residual(multiplication_matrices(bent))
     assert 1e-8 * scale < residual < 1e-6 * scale
     zs = extract_zero_set(bent)

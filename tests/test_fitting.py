@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from setloss.clustering import gmm_sample, random_gmm_spec
+from setloss.clustering import gmm_sample, random_gmm_spec, recover_point_set
 from setloss.errors import DegenerateConfigurationError
 from setloss.extraction import extract_zero_set
 import setloss.fitting as fitting
@@ -24,6 +24,7 @@ from setloss.generating_system import (
     multiplication_matrices,
     solve_generating_matrix,
 )
+from setloss.monomial_basis import MonomialBasis, standard_monomials
 
 from helpers import (
     counting_calls,
@@ -70,7 +71,8 @@ def test_average_loss_vanishes_on_exact_samples():
     pts = random_points(rng, 4, 2)
     gm = solve_generating_matrix(PointSet(pts))
     exact = SampleSet(np.repeat(pts, 5, axis=0))
-    assert PenaltyModel(exact, 4).theta(gm.entries) == pytest.approx(0.0, abs=1e-18)
+    model = PenaltyModel(exact, standard_monomials(2, 4))
+    assert model.theta(gm.entries) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_fit_start_recovers_exact_system():
@@ -82,7 +84,7 @@ def test_fit_start_recovers_exact_system():
         n = int(rng.integers(1, 4))
         pts = random_points(rng, k, n)
         exact = SampleSet(np.repeat(pts, 3, axis=0))
-        result = fit_generating_matrix(exact, k)
+        result = fit_generating_matrix(exact, standard_monomials(exact.n, k))
         ref = solve_generating_matrix(PointSet(pts))
         assert result.converged and result.rounds == 0 and result.history == ()
         assert result.theta_init == pytest.approx(0.0, abs=1e-18)
@@ -96,9 +98,37 @@ def test_fit_rejects_fewer_samples_than_k():
     # eigenvalue the error reports
     for points, k in (([[1.0, 2.0], [0.5, -1.0]], 4), ([[1.0, 2.0], [0.5, -1.0], [0.0, 1.0]], 5)):
         with pytest.raises(DegenerateConfigurationError, match=r"rank \d < \d") as info:
-            fit_generating_matrix(SampleSet(np.array(points)), k)
+            fit_generating_matrix(SampleSet(np.array(points)), standard_monomials(2, k))
         min_eig = re.search(r"min eigenvalue (\S+)\)", str(info.value)).group(1)
         assert float(min_eig) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_fit_keeps_a_basis_other_than_the_standard_one():
+    # samples of the grid {0, 3}^2 fitted on {1, x, y, xy}: the fit keeps
+    # the basis it is given, and its zeros are the grid
+    rng = np.random.default_rng(0)
+    grid = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0], [3.0, 3.0]])
+    samples = SampleSet(np.repeat(grid, 50, axis=0) + rng.normal(0.0, 0.05, (200, 2)))
+    ideal = MonomialBasis(2, ((0, 0), (1, 0), (0, 1), (1, 1)))
+    result = fit_generating_matrix(samples, ideal)
+    assert result.converged and result.g_star.basis is ideal
+    assert list(result.g_star.border) == [(2, 0), (0, 2), (2, 1), (1, 2)]
+    zeros = extract_zero_set(result.g_star)
+    assert zeros.is_real
+    assert match_as_multisets(zeros.points.real, grid) <= 0.05
+
+
+def test_fit_takes_a_basis_not_k():
+    samples = SampleSet(np.random.default_rng(5).uniform(-1.0, 1.0, (20, 2)))
+    for call in (PenaltyModel, fit_generating_matrix):
+        with pytest.raises(TypeError, match=r"standard_monomials\(n, k\)"):
+            call(samples, 4)
+        with pytest.raises(ValueError, match="at least one member"):
+            call(samples, MonomialBasis(2, ()))
+    # recovery still takes k, and a k that gives no basis fails at the fit
+    with pytest.raises(ValueError, match="k >= 1") as info:
+        recover_point_set(samples, 0)
+    assert info.value.stage == "fit"
 
 
 def test_penalty_residual_jacobian_matches_finite_differences():
@@ -108,7 +138,7 @@ def test_penalty_residual_jacobian_matches_finite_differences():
     for n, k in ((2, 4), (3, 4), (3, 6), (4, 6)):
         pts = random_points(rng, k, n)
         samples = noisy_samples(rng, pts, 0.1, 10)
-        model = PenaltyModel(samples, k)
+        model = PenaltyModel(samples, standard_monomials(samples.n, k))
         for _ in range(5):
             g = rng.standard_normal((model.k, model.m))
 
@@ -126,7 +156,7 @@ def test_penalty_gram_matches_dense_jacobian():
     for n, k in ((2, 5), (3, 5), (4, 7)):
         pts = random_points(rng, k, n)
         samples = noisy_samples(rng, pts, 0.05, 8)
-        model = PenaltyModel(samples, k)
+        model = PenaltyModel(samples, standard_monomials(samples.n, k))
         g = rng.standard_normal((model.k, model.m))
         jac = reference_penalty_jacobian(model, g, rho)
         res = reference_penalty_residuals(model, g, rho)
@@ -150,7 +180,7 @@ def _loop_commutator_jacobian(model, mats):
                 lowered = list(alpha)
                 lowered[var] -= 1
                 inside = lowered[var] >= 0 and tuple(lowered) in model.b0
-                lifts.append(model.b0.position(tuple(lowered)) if inside else -1)
+                lifts.append(list(model.b0).index(tuple(lowered)) if inside else -1)
             ci, cj = lifts
             for p in range(k):
                 d = np.zeros((k, k))
@@ -169,7 +199,7 @@ def test_commutator_jacobian_matches_entrywise_loop():
     rng = np.random.default_rng(11)
     for n, k in ((2, 4), (2, 9), (3, 4), (3, 10), (4, 12)):
         samples = SampleSet(rng.uniform(-2.0, 2.0, size=(k + 5, n)))
-        model = PenaltyModel(samples, k)
+        model = PenaltyModel(samples, standard_monomials(samples.n, k))
         mats = model.shifts.matrices(rng.standard_normal((model.k, model.m)))
         np.testing.assert_array_equal(
             model.commutator_jacobian(mats), _loop_commutator_jacobian(model, mats)
@@ -178,14 +208,14 @@ def test_commutator_jacobian_matches_entrywise_loop():
 
 def test_penalty_model_mult_mats_share_the_extraction_table():
     # the fit builds its multiplication matrices from the one shift table
-    # of its basis and border, the table extraction reads
+    # of its basis, the table extraction reads
     rng = np.random.default_rng(12)
     for n in (1, 2, 3, 4):
         for k in range(1, 36):
             samples = SampleSet(rng.uniform(-2.0, 2.0, size=(k + 3, n)))
-            model = PenaltyModel(samples, k)
+            model = PenaltyModel(samples, standard_monomials(samples.n, k))
             g = rng.standard_normal((model.k, model.m))
-            gm = GeneratingMatrix(model.b0, model.b1, g)
+            gm = GeneratingMatrix(model.b0, g)
             assert model.shifts is gm.shifts
             np.testing.assert_array_equal(model.shifts.matrices(g), multiplication_matrices(gm))
 
@@ -193,14 +223,14 @@ def test_penalty_model_mult_mats_share_the_extraction_table():
 def test_single_variable_fit_has_no_commutators():
     rng = np.random.default_rng(13)
     samples = noisy_samples(rng, random_points(rng, 4, 1), 0.05, 20)
-    model = PenaltyModel(samples, 4)
+    model = PenaltyModel(samples, standard_monomials(samples.n, 4))
     g = rng.standard_normal((model.k, model.m))
     mats = model.shifts.matrices(g)
     assert commutators(mats).size == 0
     assert model.commutator_jacobian(mats).shape == (0, model.k * model.m)
     gram, _, _ = model.gram_and_gradient(g, 5.0)
     np.testing.assert_array_equal(gram, np.kron(np.eye(model.m), model.ata))
-    result = fit_generating_matrix(samples, 4)
+    result = fit_generating_matrix(samples, standard_monomials(samples.n, 4))
     assert result.converged
     assert result.rounds == 0 and result.iterations == 0
 
@@ -216,27 +246,27 @@ def test_fit_looks_up_monomials_only_while_setting_up(monkeypatch):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fitting, "MAX_ROUNDS", 1)
         mp.setattr(fitting, "MAX_INNER_ITERATIONS", 1)
-        short = fit_generating_matrix(samples, 4)
+        short = fit_generating_matrix(samples, standard_monomials(samples.n, 4))
     assert short.iterations == 1 and len(tables) == 1
-    result = fit_generating_matrix(samples, 4)
+    result = fit_generating_matrix(samples, standard_monomials(samples.n, 4))
     assert result.converged and result.iterations > 5
     extract_zero_set(result.g_star)
     assert len(tables) == 1
 
 
 def test_fits_of_one_shape_build_the_jacobian_plans_once(monkeypatch):
-    # the commutator-Jacobian plans hang off the (basis, border) pair, so
+    # the commutator-Jacobian plans hang off the basis, so
     # every fit of one (n, k) shares them until the shapes are forgotten
     forget_shapes()
     builds = counting_calls(monkeypatch, fitting, "_commutator_jacobian_steps")
     rng = np.random.default_rng(17)
     samples = noisy_samples(rng, random_points(rng, 4, 2, min_gap=0.8), 0.1, 30)
-    first = fit_generating_matrix(samples, 4)
-    second = fit_generating_matrix(samples, 4)
+    first = fit_generating_matrix(samples, standard_monomials(samples.n, 4))
+    second = fit_generating_matrix(samples, standard_monomials(samples.n, 4))
     assert len(builds) == 1 and first.iterations > 0
     np.testing.assert_array_equal(first.g_star.entries, second.g_star.entries)
     forget_shapes()
-    third = fit_generating_matrix(samples, 4)
+    third = fit_generating_matrix(samples, standard_monomials(samples.n, 4))
     assert len(builds) == 2
     np.testing.assert_array_equal(third.g_star.entries, first.g_star.entries)
 
@@ -270,8 +300,8 @@ def test_fit_builds_no_gram_matrix_a_round_does_not_use():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PenaltyModel, "gram_and_gradient", counting_gram)
         mp.setattr(PenaltyModel, "penalized_value", counting_penalized)
-        result = fit_generating_matrix(samples, 5)
-    reference = fit_generating_matrix(samples, 5)
+        result = fit_generating_matrix(samples, standard_monomials(samples.n, 5))
+    reference = fit_generating_matrix(samples, standard_monomials(samples.n, 5))
     assert result.history == reference.history
     ended = sum(r.stop == "decrease" for r in result.history)
     assert result.converged and result.rounds > 1 and ended > 0
@@ -285,9 +315,9 @@ def test_theta_is_the_average_loss():
     rng = np.random.default_rng(4)
     pts = random_points(rng, 4, 2)
     samples = noisy_samples(rng, pts, 0.1, 12)
-    model = PenaltyModel(samples, 4)
+    model = PenaltyModel(samples, standard_monomials(samples.n, 4))
     g = rng.standard_normal((model.k, model.m))
-    gm = GeneratingMatrix(model.b0, model.b1, g)
+    gm = GeneratingMatrix(model.b0, g)
     assert model.theta(g) == pytest.approx(reference_average_loss(gm, samples), rel=1e-12)
 
 
@@ -298,7 +328,7 @@ def test_noiseless_fit_reproduces_interpolation():
         n = int(rng.integers(2, 4))
         pts = random_points(rng, k, n)
         exact = SampleSet(np.repeat(pts, 4, axis=0))
-        result = fit_generating_matrix(exact, k)
+        result = fit_generating_matrix(exact, standard_monomials(exact.n, k))
         assert result.converged
         ref = solve_generating_matrix(PointSet(pts))
         np.testing.assert_allclose(
@@ -312,7 +342,7 @@ def test_noisy_fit_drives_commutators_to_feasibility():
     rng = np.random.default_rng(6)
     pts = random_points(rng, 5, 2, min_gap=0.8)
     samples = noisy_samples(rng, pts, 0.05, 40)
-    result = fit_generating_matrix(samples, 5)
+    result = fit_generating_matrix(samples, standard_monomials(samples.n, 5))
     assert result.converged
     scale = 1.0 + result.g_star.frobenius_norm()
     assert result.commutator_norm <= 1e-8 * scale
@@ -329,7 +359,7 @@ def test_fit_lowers_little_over_init_theta():
     rng = np.random.default_rng(7)
     pts = random_points(rng, 4, 2)
     samples = noisy_samples(rng, pts, 0.1, 30)
-    result = fit_generating_matrix(samples, 4)
+    result = fit_generating_matrix(samples, standard_monomials(samples.n, 4))
     assert result.objective >= result.theta_init - 1e-12
     assert result.h_min_eig > 0
 
@@ -338,8 +368,8 @@ def test_fit_is_deterministic():
     rng = np.random.default_rng(8)
     pts = random_points(rng, 4, 2)
     samples = noisy_samples(rng, pts, 0.1, 25)
-    a = fit_generating_matrix(samples, 4)
-    b = fit_generating_matrix(samples, 4)
+    a = fit_generating_matrix(samples, standard_monomials(samples.n, 4))
+    b = fit_generating_matrix(samples, standard_monomials(samples.n, 4))
     np.testing.assert_array_equal(a.g_star.entries, b.g_star.entries)
     assert a.objective == b.objective
     assert a.iterations == b.iterations
@@ -351,7 +381,7 @@ def test_best_effort_flag_when_budget_too_small(monkeypatch):
     samples = noisy_samples(rng, pts, 0.3, 30)
     monkeypatch.setattr(fitting, "MAX_ROUNDS", 1)
     monkeypatch.setattr(fitting, "MAX_INNER_ITERATIONS", 2)
-    result = fit_generating_matrix(samples, 5)
+    result = fit_generating_matrix(samples, standard_monomials(samples.n, 5))
     assert not result.converged
     assert result.commutator_norm > 0
 
@@ -360,7 +390,7 @@ def test_fit_result_json():
     rng = np.random.default_rng(10)
     pts = random_points(rng, 3, 2)
     samples = noisy_samples(rng, pts, 0.05, 20)
-    result = fit_generating_matrix(samples, 3)
+    result = fit_generating_matrix(samples, standard_monomials(samples.n, 3))
     payload = result.to_json()
     assert payload["converged"] is True
     assert payload["g_star"]["k"] == 3
@@ -381,7 +411,7 @@ def test_acceptance_first_trials_fit_within_iteration_budget():
     total = 0
     for n, k, seed in ((2, 3, 100), (2, 4, 200), (3, 3, 300), (3, 4, 400)):
         samples, _ = gmm_sample(random_gmm_spec(n, k, seed), 300, seed + 50)
-        result = fit_generating_matrix(samples, k)
+        result = fit_generating_matrix(samples, standard_monomials(samples.n, k))
         assert result.converged
         total += result.iterations
     assert total <= 150
@@ -390,7 +420,7 @@ def test_acceptance_first_trials_fit_within_iteration_budget():
 def test_history_records_warm_started_inexact_rounds(monkeypatch):
     rng = np.random.default_rng(15)
     samples = noisy_samples(rng, random_points(rng, 5, 2, min_gap=0.8), 0.05, 40)
-    result = fit_generating_matrix(samples, 5)
+    result = fit_generating_matrix(samples, standard_monomials(samples.n, 5))
     history = result.history
     assert result.converged and len(history) == result.rounds >= 3
     assert sum(r.iterations for r in history) == result.iterations
@@ -399,12 +429,12 @@ def test_history_records_warm_started_inexact_rounds(monkeypatch):
         assert r.rho == fitting.RHO0 * fitting.RHO_GROWTH**i
         assert fitting.DECREASE_TOL <= r.decrease_tol <= fitting.DECREASE_TOL**0.5
         assert r.stop in ("gradient", "step", "decrease", "mu overflow", "budget")
-    model = PenaltyModel(samples, 5)
+    model = PenaltyModel(samples, standard_monomials(samples.n, 5))
     carried = 0
     for i in range(1, len(history)):
         # the fit cut after i rounds ends where round i + 1 starts
         monkeypatch.setattr(fitting, "MAX_ROUNDS", i)
-        g = fit_generating_matrix(samples, 5).g_star.entries
+        g = fit_generating_matrix(samples, standard_monomials(samples.n, 5)).g_star.entries
         fresh = 1e-3 * float(np.max(np.diag(model.gram_and_gradient(g, history[i].rho)[0])))
         assert history[i].mu_start <= fresh
         assert history[i].mu_start == min(fresh, history[i - 1].mu_final * fitting.RHO_GROWTH)
@@ -430,7 +460,7 @@ def test_accepted_steps_reuse_their_trial_evaluation(monkeypatch):
         monkeypatch.setattr(owner, name, counting)
     rng = np.random.default_rng(16)
     samples = noisy_samples(rng, random_points(rng, 5, 2, min_gap=0.8), 0.05, 40)
-    result = fit_generating_matrix(samples, 5)
+    result = fit_generating_matrix(samples, standard_monomials(samples.n, 5))
     trials = counts["penalized_value"]
     # one Gram build starts each round and one follows each accepted step,
     # except a step that ends its round on the decrease test

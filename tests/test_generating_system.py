@@ -239,9 +239,9 @@ def _loop_multiplication_matrices(gm):
         for col, nu in enumerate(gm.basis):
             target = nu[:i] + (nu[i] + 1,) + nu[i + 1 :]
             if target in gm.basis:
-                mat[gm.basis.position(target), col] = 1.0
+                mat[list(gm.basis).index(target), col] = 1.0
             else:
-                mat[:, col] = gm.entries[:, gm.border.position(target)]
+                mat[:, col] = gm.entries[:, list(gm.border).index(target)]
         mats.append(mat)
     return mats
 
@@ -252,20 +252,16 @@ def test_multiplication_matrices_match_monomial_loop():
         for k in range(1, 36):
             b0 = standard_monomials(n, k)
             b1 = border_monomials(b0)
-            gm = GeneratingMatrix(b0, b1, rng.standard_normal((k, len(b1))))
+            gm = GeneratingMatrix(b0, rng.standard_normal((k, len(b1))))
             mats = multiplication_matrices(gm)
             assert mats.shape == (n, k, k) and not mats.flags.writeable
             for got, want in zip(mats, _loop_multiplication_matrices(gm), strict=True):
                 np.testing.assert_array_equal(got, want)
 
 
-def test_shift_table_rejects_incomplete_border():
+def test_shift_table_of_the_three_member_basis():
     b0 = standard_monomials(2, 3)
-    border = border_monomials(b0)
-    short = MonomialBasis(n=2, powers=border.powers[:-1])
-    with pytest.raises(ValueError, match="not a member"):
-        shift_table(b0, short)
-    table = shift_table(b0, border)
+    table = shift_table(b0)
     assert table.unit.shape == (2, 3, 3) and table.unit.dtype == bool
     # only the constant column stays inside the basis, for either variable
     assert sorted(zip(table.var.tolist(), table.col.tolist())) == [
@@ -279,7 +275,7 @@ def test_shift_table_matrices_are_the_float_formula(n, k):
     # generating-matrix column written in, one product at a time
     b0 = standard_monomials(n, k)
     b1 = border_monomials(b0)
-    table = shift_table(b0, b1)
+    table = shift_table(b0)
     entries = np.random.default_rng(n).standard_normal((k, len(b1)))
     want = table.unit.astype(float)
     for i, c, q in zip(table.var, table.col, table.border, strict=True):
@@ -323,7 +319,7 @@ def test_commutators_match_pairwise_products():
         k = 7
         b0 = standard_monomials(n, k)
         b1 = border_monomials(b0)
-        gm = GeneratingMatrix(b0, b1, rng.standard_normal((k, len(b1))))
+        gm = GeneratingMatrix(b0, rng.standard_normal((k, len(b1))))
         mats = multiplication_matrices(gm)
         got = commutators(mats)
         want = [
@@ -375,20 +371,21 @@ def test_strings_match_the_reference_renderer(n):
         perm = rng.permutation(k)
         shuffled = GeneratingMatrix(
             basis=MonomialBasis(n=n, powers=gm.basis.powers[perm]),
-            border=gm.border,
             entries=gm.entries[perm],
         )
         assert generator_strings(shuffled) == want, (n, k)
 
 
 def test_strings_place_every_term_by_its_key():
-    # a basis that skips x1*x2 and x1^2, and a border holding them and the
-    # constant: border terms land before, between and after basis terms,
+    # a basis that skips the constant, x1*x2 and x1^2, whose border holds
+    # the last two: border terms land before and between basis terms (a
+    # border term divides by a basis term, so none comes after them all),
     # and the entries hit the zero, signed-zero and unit-magnitude cases
     basis = MonomialBasis.from_json(
         {"n": 2, "members": [[0, 1], [1, 0], [0, 2], [2, 1], [0, 3], [1, 2]]}
     )
-    border = MonomialBasis.from_json({"n": 2, "members": [[1, 1], [0, 0], [2, 0], [3, 1]]})
+    border = border_monomials(basis)
+    assert list(border) == [(2, 0), (1, 1), (3, 1), (2, 2), (1, 3), (0, 4)]
     rng = np.random.default_rng(8)
     values = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -1e-13, 1 / 3, -7.0])
     for _ in range(50):
@@ -397,7 +394,6 @@ def test_strings_place_every_term_by_its_key():
         for perm in (np.arange(len(basis)), rng.permutation(len(basis))):
             gm = GeneratingMatrix(
                 basis=MonomialBasis(n=2, powers=basis.powers[perm]),
-                border=border,
                 entries=entries[perm],
             )
             assert generator_strings(gm) == reference_generator_strings(gm)
@@ -419,7 +415,7 @@ def test_strings_and_terms_on_special_entries(n):
         for _ in range(10):
             entries = rng.choice(values, size=(k, len(border)))
             entries[0] = rng.choice([1.0, -1.0], size=len(border))
-            gm = GeneratingMatrix(basis=basis, border=border, entries=entries)
+            gm = GeneratingMatrix(basis=basis, entries=entries)
             texts = generator_strings(gm)
             assert texts == reference_generator_strings(gm), (n, k)
             assert_terms_match_reference(gm)
@@ -430,6 +426,27 @@ def test_strings_and_terms_on_special_entries(n):
                 leads += text.startswith(lead + " ")
             assert all(text.endswith((" + 1", " - 1")) for text in texts)
     assert leads > 0
+
+
+# the points that CI builds; their b1 is [[1,1],[0,2],[3,0],[2,1]]
+BUILD_POINTS = np.array([[2.0, -1.0], [-1.0, 3.0], [-2.0, -2.0], [0.5, 0.25]])
+
+
+@pytest.mark.parametrize("case", ["short", "extra", "swapped"])
+def test_json_refuses_a_b1_that_is_not_the_border_of_b0(case):
+    # G's columns are edited along with b1, so the shapes agree and only b1 is wrong
+    gm = solve_generating_matrix(PointSet(BUILD_POINTS))
+    payload = gm.to_json()
+    b1, g = payload["b1"], gm.entries
+    assert b1 == [[1, 1], [0, 2], [3, 0], [2, 1]]
+    if case == "short":
+        b1, g = b1[:-1], g[:, :-1]
+    elif case == "extra":
+        b1, g = b1 + [[5, 5]], np.column_stack([g, np.ones(len(g))])
+    else:
+        b1, g = [b1[1], b1[0], *b1[2:]], g[:, [1, 0, 2, 3]]
+    with pytest.raises(ValueError, match="b1 must list the border of b0"):
+        GeneratingMatrix.from_json({**payload, "b1": b1, "g": g.reshape(-1).tolist()})
 
 
 def test_json_roundtrip():

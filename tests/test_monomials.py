@@ -83,31 +83,21 @@ def test_standard_monomials_always_divisor_closed():
                         assert tuple(lowered) in members
 
 
-def test_basis_position_and_contains():
-    basis = standard_monomials(3, 7)
-    for i, m in enumerate(basis):
-        assert basis.position(m) == i
-        assert m in basis
-    assert (9, 9, 9) not in basis
-    with pytest.raises(ValueError):
-        basis.position((9, 9, 9))
-
-
 def test_basis_rejects_duplicates_and_keeps_order():
     with pytest.raises(ValueError):
         MonomialBasis(2, ((0, 0), (0, 0)))
     # member order is preserved as given, not re-sorted
     basis = MonomialBasis(2, ((1, 0), (0, 0)))
-    assert basis.position((1, 0)) == 0
+    assert basis[0] == (1, 0)
     assert basis[1] == (0, 0)
 
 
 def test_basis_keeps_no_position_map():
-    # a basis lives as long as its shape is in use: iteration, position and
+    # a basis lives as long as its shape is in use: iteration and
     # membership read ``powers`` and leave nothing behind on the object
     basis = standard_monomials(2, 10)
     assert list(basis) == [tuple(row) for row in basis.powers.tolist()]
-    assert basis.position((0, 3)) == 9 and (0, 3) in basis and (4, 0) not in basis
+    assert (0, 3) in basis and (4, 0) not in basis
     assert (0, 0, 0) not in basis
     assert not hasattr(basis, "_positions")
     assert "_positions" not in vars(basis)
