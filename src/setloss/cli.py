@@ -10,8 +10,8 @@ Four commands cover the library surface:
 Exit codes: 0 success, 1 usage or parse failure, 2 degenerate input,
 a numerical failure, or zeros refused as not real (by recovery or by
 ``cluster --sstar``), 3 best-effort output produced after an iteration cap
-(``fit --complex`` also when the zeros it wrote are not real, and
-``bench --scenario gmm`` when a trial failed numerically at the
+(``fit --complex`` also when the zeros it wrote are not real, with no
+loss, and ``bench --scenario gmm`` when a trial failed numerically at the
 extract stage, a refused recovery among them).  For
 codes 2 and 3 stderr is one line, a machine-readable JSON object that
 names every reason for the code; its ``warnings`` list holds the text of
@@ -95,7 +95,7 @@ def _count(text: str) -> int:
 
 
 def _seed(text: str) -> int:
-    # an argparse type: numpy refuses a negative seed, but only after the fit
+    # an argparse type: numpy refuses a negative seed, but only once a trial runs
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
@@ -262,19 +262,19 @@ def cmd_fit(args) -> list[dict]:
     result = recover_point_set(
         samples,
         args.k,
-        FitOptions(seed=args.seed),
         want_real=not args.complex_points,
         loss_kind="generating" if args.loss == "fg" else "transformed",
     )
     zero_set = result.zero_set.to_json()
     payload = {
         "k": result.k,
-        "n": result.recovered.n,
+        "n": result.zero_set.n,
         "fit": result.fit.to_json(),
         "zero_set": zero_set,
         # --complex writes the zeros as [re, im] pairs, in the zero set's order
         "s_star": zero_set["points"] if args.complex_points else result.recovered.points.tolist(),
-        "loss": result.loss.to_json(),
+        # zeros that are not real are no set to build a loss on
+        "loss": None if result.loss is None else result.loss.to_json(),
     }
     _write_json(payload, args.output)
     reasons = []
@@ -351,9 +351,6 @@ def _read_sstar(path: str, n: int) -> PointSet:
 
 
 def cmd_cluster(args) -> list[dict]:
-    if args.sstar is not None and args.seed is not None:
-        # a set read from a file takes no extraction draws to seed
-        raise _UsageError("argument --seed: not allowed with argument --sstar")
     truth_mode = {None: "auto", True: "yes", False: "no"}[args.truth_column]
     coords, truth = _parse_points(args.input, allow_truth=True, truth_mode=truth_mode)
     try:
@@ -373,10 +370,7 @@ def cmd_cluster(args) -> list[dict]:
         # --k fixes the set size, so a bad truth column costs no fit
         _check_truth(truth, args.k)
         result = recover_point_set(
-            samples,
-            args.k,
-            FitOptions(seed=args.seed or 0),
-            loss_kind="generating" if args.loss == "fg" else "transformed",
+            samples, args.k, loss_kind="generating" if args.loss == "fg" else "transformed"
         )
         recovered = result.recovered
         loss = result.loss
@@ -588,7 +582,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fit", help="recover a point set from noisy samples")
     p.add_argument("--input", required=True, help="CSV of samples, one per row")
     p.add_argument("--k", type=_count, required=True, help="number of points to recover")
-    p.add_argument("--seed", type=_seed, default=0, help="seed of the extraction draws")
     p.add_argument("--output", help="output JSON path (default stdout)")
     p.add_argument("--loss", choices=["transformed", "fg"], default="transformed")
     p.add_argument(
@@ -604,7 +597,6 @@ def _build_parser() -> _Parser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--k", type=_count, help="recover this many points from the samples")
     source.add_argument("--sstar", help="JSON with a previously recovered set")
-    p.add_argument("--seed", type=_seed, help="seed of the extraction draws with --k (default 0)")
     p.add_argument("--output", help="labels CSV path (default stdout)")
     p.add_argument("--loss", choices=["transformed", "fg"], default="transformed")
     p.add_argument(

@@ -458,16 +458,20 @@ def clustering_accuracy(
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """Everything the recovery pipeline produced, stage by stage."""
+    """Everything the recovery pipeline produced, stage by stage.
+
+    ``recovered`` and ``loss`` are None when the zeros are not real, which
+    only ``want_real=False`` lets through.
+    """
 
     fit: FitResult
     zero_set: ZeroSet
-    recovered: PointSet
+    recovered: PointSet | None
     loss: object
 
     @property
     def k(self) -> int:
-        return self.recovered.k
+        return self.zero_set.k
 
 
 def _tag_stage(exc: Exception, stage: str) -> Exception:
@@ -491,15 +495,14 @@ def recover_point_set(
     selects the loss built on the recovered set: "transformed" (default)
     composes the simplicial loss with the appropriate coordinate change,
     "generating" interpolates a fresh generating system through the
-    recovered points and squares it.  The
-    recovered set is the real projection of the extracted zeros, which
-    ``zero_set`` keeps complex.  With ``want_real`` zeros that are not
-    real (``ZeroSet.is_real``) raise NumericalFailureError naming the
-    largest imaginary part: their projection is not the zero set of the
-    fit, and a conjugate pair projects onto two nearly coincident points.
-    Without it they pass, and the projection warns.  Errors propagate
-    from the failing stage, tagged with a ``stage`` attribute ("fit",
-    "extract", or "loss").
+    recovered points and squares it.  The recovered set is the real
+    projection of the extracted zeros, which ``zero_set`` keeps complex.
+    Zeros that are not real (``ZeroSet.is_real``) are no point set: with
+    ``want_real`` they raise NumericalFailureError naming the largest
+    imaginary part, and without it the result carries them alone, with
+    no recovered set and no loss.  Errors propagate from the failing
+    stage, tagged with a ``stage`` attribute ("fit", "extract", or
+    "loss").
     """
     if loss_kind not in ("transformed", "generating"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
@@ -519,6 +522,8 @@ def recover_point_set(
             )
     except Exception as exc:
         raise _tag_stage(exc, "extract")
+    if not zeros.is_real:
+        return RecoveryResult(fit=fit, zero_set=zeros, recovered=None, loss=None)
 
     try:
         recovered = real_projection(zeros)

@@ -9,21 +9,19 @@ triangularize all M_i simultaneously because the family commutes, so the
 i-th diagonal entries assemble the coordinates of one zero each.
 
 The zeros are the only complex numbers in the package: ``ZeroSet`` holds
-them, and ``real_projection`` hands their real parts on as a ``PointSet``.
+them, and ``real_projection`` hands real ones on as a ``PointSet``.
 """
 
 from __future__ import annotations
 
-import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError, NumericalFailureError
+from .errors import DegenerateConfigurationError, InvalidStateError, NumericalFailureError
 from .generating_system import (
     GeneratingMatrix,
     PointSet,
-    coincident_pairs,
     commutator_residual,
     multiplication_matrices,
 )
@@ -46,7 +44,7 @@ COMMUTATOR_SOFT_LIMIT = 1e-8
 MIN_GAP_FACTOR = 1e-8
 MAX_COMBINATION_DRAWS = 10
 # zeros with imaginary parts above this, relative to 1 + the largest real
-# part, are not real: real projection warns and recovery refuses them
+# part, are not real: real projection and recovery refuse them
 IMAG_DROP_TOL = 1e-6
 
 
@@ -203,28 +201,20 @@ def extract_zero_set(gm: GeneratingMatrix, seed: int = 0) -> ZeroSet:
 
 
 def real_projection(zeros: ZeroSet) -> PointSet:
-    """Drop imaginary parts, keeping duplicates that the projection creates.
+    """The real parts of zeros that are ``is_real``, as a checked ``PointSet``.
 
-    Complex zeros of real systems come in conjugate pairs, so projecting
-    can make two rows collide; a warning is emitted in that case and the
-    returned set skips the distinctness check.  A zero set that is not
-    ``is_real`` also warns, naming the largest imaginary part: the
-    projected points are then not zeros of the system.
+    Zeros that are not real raise InvalidStateError naming the largest
+    imaginary part: a conjugate pair is no point of a real set.  Real
+    zeros that coincide raise DegenerateConfigurationError.
     """
-    pts = zeros.points.real
     if not zeros.is_real:
-        _warnings.warn(
-            f"real projection dropped imaginary parts up to {zeros.max_imaginary():.3e}",
-            RuntimeWarning,
-            stacklevel=2,
+        raise InvalidStateError(
+            f"zeros are not real: imaginary parts up to {zeros.max_imaginary():.3e}"
         )
-    if len(coincident_pairs(pts)):
-        _warnings.warn(
-            "real projection produced coincident points (conjugate pair collapsed)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return PointSet(pts, check_distinct=False)
+    try:
+        return PointSet(zeros.points.real)
+    except ValueError as exc:
+        raise DegenerateConfigurationError(str(exc)) from exc
 
 
 def set_distance(recovered: PointSet, reference: PointSet) -> float:

@@ -16,8 +16,8 @@ joint eigenvalues are the points.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from dataclasses import dataclass
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -81,21 +81,18 @@ def _real_rows(values, name: str) -> np.ndarray:
 class PointSet:
     """An ordered set of k real points in n dimensions.
 
-    Points are stored as the rows of a read-only float (k, n) array.  By
-    default construction rejects duplicate rows; pass
-    ``check_distinct=False`` for projected sets that may collide.
+    Points are stored as the rows of a read-only float (k, n) array.
+    Construction rejects duplicate rows.
     """
 
     points: np.ndarray
-    check_distinct: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         pts = _real_rows(self.points, "points")
-        if self.check_distinct:
-            pairs = coincident_pairs(pts)
-            if len(pairs):
-                i, j = pairs[0]
-                raise ValueError(f"points {i} and {j} coincide")
+        pairs = coincident_pairs(pts)
+        if len(pairs):
+            i, j = pairs[0]
+            raise ValueError(f"points {i} and {j} coincide")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -144,11 +141,6 @@ class GeneratingMatrix:
 
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.entries))
-
-    @cached_property
-    def shifts(self) -> "ShiftTable":
-        """The shift table of this basis, shared by every matrix on it."""
-        return _shifts(self.basis)
 
     def to_json(self) -> dict:
         return {
@@ -306,7 +298,7 @@ def multiplication_matrices(gm: GeneratingMatrix) -> np.ndarray:
     the basis, the matching generating-matrix column when it crosses into
     the border.
     """
-    mats = gm.shifts.matrices(gm.entries)
+    mats = _shifts(gm.basis).matrices(gm.entries)
     mats.flags.writeable = False
     return mats
 

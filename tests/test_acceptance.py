@@ -109,7 +109,7 @@ def report(label, ok, detail):
 
 
 def symmetric_distance(a, b):
-    pa, pb = PointSet(a, check_distinct=False), PointSet(b, check_distinct=False)
+    pa, pb = PointSet(a), PointSet(b)
     return max(set_distance(pa, pb), set_distance(pb, pa))
 
 

@@ -248,8 +248,6 @@ def test_fit_and_cluster_roundtrip(tmp_path, capsys, sample_csv):
             str(samples_path),
             "--k",
             "6",
-            "--seed",
-            "3",
             "--output",
             str(fit_out),
         ]
@@ -368,13 +366,13 @@ def test_cluster_checks_truth_before_fitting(tmp_path, capsys, monkeypatch, rela
         (["cluster", "--sstar", "{set_in_r3}"], "carries no point set in R^2"),
         (["cluster", "--sstar", "{list_file}"], "carries no point set in R^2"),
         (["cluster", "--sstar", "{ragged}"], "carries no point set in R^2"),
-        (["fit", "--k", "3", "--seed", "-1"], "argument --seed: must be a non-negative integer"),
-        (["cluster", "--k", "3", "--seed", "-1"], "argument --seed: must be a non-negative"),
+        (["fit", "--k", "3", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["cluster", "--k", "3", "--seed", "1"], "unrecognized arguments: --seed 1"),
         (["bench", "--scenario", "example62", "--seed", "-1"], "argument --seed: must be a non"),
         (["cluster", "--sstar", "{list_file}", "--k", "5"], "not allowed with argument"),
         (["cluster"], "one of the arguments --k --sstar is required"),
         (["fit", "--k", "3", "--config", "{list_file}"], "unrecognized arguments: --config"),
-        (["cluster", "--sstar", "{list_file}", "--seed", "7"], "argument --seed: not allowed"),
+        (["cluster", "--sstar", "{list_file}", "--seed", "7"], "unrecognized arguments: --seed 7"),
         (["--threads", "0", "build"], "argument --threads: must be a positive integer, got '0'"),
         (["--threads", "-3", "build"], "argument --threads: must be a positive integer"),
     ],
@@ -442,8 +440,8 @@ def test_parser_is_reused_without_leaking_arguments(capsys, monkeypatch, sample_
         seen.append(truth_mode)
         return parse(path, allow_truth, truth_mode)
 
-    def stop_before_fit(samples, k, opts, want_real=True, loss_kind="transformed"):
-        seen.append((k, opts.seed, want_real, loss_kind))
+    def stop_before_fit(samples, k, want_real=True, loss_kind="transformed"):
+        seen.append((k, want_real, loss_kind))
         raise cli._UsageError("stopped before the fit")
 
     monkeypatch.setattr(cli, "_parse_points", spy_parse)
@@ -451,20 +449,20 @@ def test_parser_is_reused_without_leaking_arguments(capsys, monkeypatch, sample_
     fit = ["fit", "--input", str(samples_path), "--k", "6"]
     cluster = ["cluster", "--input", str(truth_path), "--k", "6"]
     for argv in (
-        [*fit, "--seed", "3", "--complex", "--loss", "fg"],
+        [*fit, "--complex", "--loss", "fg"],
         fit,
-        [*cluster, "--no-truth-column", "--seed", "4"],
+        [*cluster, "--no-truth-column", "--loss", "fg"],
         cluster,
         [*cluster, "--truth-column"],
     ):
         assert main(argv) == 1
     assert "stopped before the fit" in capsys.readouterr().err
     assert seen == [
-        "auto", (6, 3, False, "generating"),
-        "auto", (6, 0, True, "transformed"),
-        "no", (6, 4, True, "transformed"),
-        "auto", (6, 0, True, "transformed"),
-        "yes", (6, 0, True, "transformed"),
+        "auto", (6, False, "generating"),
+        "auto", (6, True, "transformed"),
+        "no", (6, True, "generating"),
+        "auto", (6, True, "transformed"),
+        "yes", (6, True, "transformed"),
     ]
 
 
@@ -506,7 +504,7 @@ def test_cluster_refuses_non_real_zeros_exit_two(tmp_path, capsys):
     samples, _ = gmm_sample(spec, 300, seed=257)
     inp = tmp_path / "samples.csv"
     write_points(inp, samples.samples)
-    code = main(["cluster", "--input", str(inp), "--k", "4", "--seed", "7"])
+    code = main(["cluster", "--input", str(inp), "--k", "4"])
     assert code == 2
     err = read_stderr_json(capsys)
     assert err["error"] == "numerical-failure"
@@ -575,21 +573,27 @@ def test_unwritable_output_exits_one_with_one_error_line(tmp_path, capsys, sampl
 
 
 def test_fit_complex_non_real_stderr_is_one_json_object(tmp_path, capsys):
-    # real projection warns about the seed-207 conjugate pair; the warning
-    # goes into the diagnostic rather than ahead of it
+    # the seed-207 conjugate pair is written as it is, with no loss built
+    # on its real parts and nothing projected to warn about
     spec = random_gmm_spec(2, 4, seed=207)
     samples, _ = gmm_sample(spec, 300, seed=257)
     inp = tmp_path / "samples.csv"
     write_points(inp, samples.samples)
-    argv = ["fit", "--input", str(inp), "--k", "4", "--seed", "7", "--complex"]
-    assert main([*argv, "--output", str(tmp_path / "fit.json")]) == 3
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--input", str(inp), "--k", "4", "--complex", "--output", str(out)]) == 3
     err = one_json_line(capsys.readouterr().err)
     assert err["error"] == "numerical-failure" and "also" not in err
-    assert err["warnings"] == ["real projection dropped imaginary parts up to 8.357e-01"]
+    assert err["stage"] == "extract" and 0.8 < err["max_imag"] < 0.9
+    assert err["warnings"] == []
+    payload = json.loads(out.read_text())
+    assert payload["loss"] is None
+    assert (payload["k"], payload["n"]) == (4, 2)
+    assert payload["s_star"] == payload["zero_set"]["points"]
 
 
 def test_fit_names_every_exit_three_reason_in_one_object(tmp_path, capsys, monkeypatch):
-    # a recovery that warns, is not converged and has non-real zeros
+    # a recovery that warns, is not converged and has non-real zeros; the
+    # warning goes into the diagnostic rather than ahead of it
     spec = random_gmm_spec(2, 4, seed=207)
     samples, _ = gmm_sample(spec, 300, seed=257)
     inp = tmp_path / "samples.csv"
@@ -602,17 +606,14 @@ def test_fit_names_every_exit_three_reason_in_one_object(tmp_path, capsys, monke
         return dataclasses.replace(result, fit=dataclasses.replace(result.fit, converged=False))
 
     monkeypatch.setattr(cli, "recover_point_set", unconverged)
-    argv = ["fit", "--input", str(inp), "--k", "4", "--seed", "7", "--complex"]
+    argv = ["fit", "--input", str(inp), "--k", "4", "--complex"]
     assert main([*argv, "--output", str(tmp_path / "fit.json")]) == 3
     err = one_json_line(capsys.readouterr().err)
     assert err["error"] == "non-convergence" and "penalty rounds" in err["message"]
     [also] = err["also"]
     assert also["error"] == "numerical-failure" and also["stage"] == "extract"
     assert 0.8 < also["max_imag"] < 0.9
-    assert err["warnings"] == [
-        "recovery was told to warn",
-        "real projection dropped imaginary parts up to 8.357e-01",
-    ]
+    assert err["warnings"] == ["recovery was told to warn"]
 
 
 def test_exit_zero_lets_warnings_print_as_python_prints_them(tmp_path, monkeypatch):
@@ -640,7 +641,7 @@ def test_cluster_sstar_refuses_non_real_complex_zeros(tmp_path, capsys):
     inp = tmp_path / "samples.csv"
     write_points(inp, samples.samples)
     fit_out = tmp_path / "fit.json"
-    args = ["--input", str(inp), "--k", "4", "--seed", "7", "--complex"]
+    args = ["--input", str(inp), "--k", "4", "--complex"]
     assert main(["fit", *args, "--output", str(fit_out)]) == 3
     # fit --complex writes the zeros but says they are not real
     err = read_stderr_json(capsys)
@@ -810,3 +811,64 @@ print(json.dumps(sorted(m for m in ("sympy", "mpmath") if m in sys.modules)))
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+@pytest.fixture()
+def mixture_csv(tmp_path):
+    # a (2, 3) Gaussian mixture whose fit converges to three real points
+    samples, _ = gmm_sample(random_gmm_spec(2, 3, seed=1), 300, seed=2)
+    path = tmp_path / "mixture.csv"
+    write_points(path, samples.samples)
+    return path
+
+
+def test_cluster_sstar_descends_the_generating_loss(tmp_path, capsys, mixture_csv):
+    # the generating loss rebuilt from a fit file labels as the one that
+    # recovery builds on the same points
+    fit_out = tmp_path / "fit.json"
+    assert main(["fit", "--input", str(mixture_csv), "--k", "3", "--output", str(fit_out)]) == 0
+    labels = {}
+    for name, source in (("sstar", ["--sstar", str(fit_out)]), ("k", ["--k", "3"])):
+        out = tmp_path / f"labels_{name}.csv"
+        argv = ["cluster", "--input", str(mixture_csv), *source, "--loss", "fg"]
+        assert main([*argv, "--output", str(out)]) == 0
+        labels[name] = out.read_text()
+    assert labels["sstar"] == labels["k"]
+    assert len(labels["k"].splitlines()) == 301
+
+
+def test_cluster_best_effort_exit_three(tmp_path, capsys, monkeypatch, mixture_csv):
+    monkeypatch.setattr(fitting, "MAX_ROUNDS", 5)
+    out = tmp_path / "labels.csv"
+    assert main(["cluster", "--input", str(mixture_csv), "--k", "3", "--output", str(out)]) == 3
+    captured = capsys.readouterr()
+    err = one_json_line(captured.err)
+    assert err["error"] == "non-convergence" and "round budget" in err["message"]
+    # the labels and the summary are still written
+    assert len(out.read_text().splitlines()) == 301
+    assert json.loads(captured.out)["k"] == 3
+
+
+@pytest.mark.parametrize("command", ["fit", "cluster"])
+def test_non_finite_samples_exit_two(tmp_path, capsys, command):
+    samples, _ = gmm_sample(random_gmm_spec(2, 3, seed=1), 300, seed=2)
+    points = samples.samples.copy()
+    points[5, 0] = np.nan
+    inp, out = tmp_path / "nan.csv", tmp_path / "out"
+    write_points(inp, points)
+    assert main([command, "--input", str(inp), "--k", "3", "--output", str(out)]) == 2
+    err = one_json_line(capsys.readouterr().err)
+    assert err["error"] == "degenerate-configuration"
+    assert "samples must be finite" in err["message"]
+    assert not out.exists()
+
+
+def test_extraction_refusal_is_an_invalid_state(tmp_path, capsys, monkeypatch, mixture_csv):
+    # one penalty round leaves the commutators far above extraction's limit
+    monkeypatch.setattr(fitting, "MAX_ROUNDS", 1)
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--input", str(mixture_csv), "--k", "3", "--output", str(out)]) == 2
+    err = one_json_line(capsys.readouterr().err)
+    assert err["error"] == "invalid-state" and err["stage"] == "extract"
+    assert err["message"].startswith("multiplication matrices do not commute (residual ")
+    assert err["warnings"] == [] and not out.exists()

@@ -491,6 +491,18 @@ def test_recover_point_set_end_to_end():
     assert result.loss.kind in ("affine", "lifted")
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_recovery_reports_non_real_zeros_without_a_loss(seed):
+    # a (2, 4) mixture whose fitted zeros hold a conjugate pair: told to
+    # keep complex zeros, recovery returns them as they are, at every
+    # extraction seed, and builds no loss on their real parts
+    samples, _ = gmm_sample(random_gmm_spec(2, 4, seed=207), 300, seed=257)
+    result = recover_point_set(samples, 4, FitOptions(seed=seed), want_real=False)
+    assert not result.zero_set.is_real
+    assert result.recovered is None and result.loss is None
+    assert result.k == 4
+
+
 def test_recover_tags_failure_stage():
     samples = SampleSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     try:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from setloss.clustering import gmm_sample, random_gmm_spec, recover_point_set
-from setloss.errors import InvalidStateError, NumericalFailureError
+from setloss.errors import DegenerateConfigurationError, InvalidStateError, NumericalFailureError
 from setloss.extraction import (
     ZeroSet,
     _sort_order,
@@ -158,17 +158,22 @@ def test_real_projection_of_real_zeros():
     assert match_as_multisets(projected.points, pts) <= 1e-8
 
 
-def test_real_projection_warns_on_collapsed_pairs():
-    # a conjugate pair projects onto one doubled real point
+def test_real_projection_refuses_a_conjugate_pair():
+    # a conjugate pair is no point of a real set, and its real parts would
+    # be one doubled point
     zs = extract_zero_set(conjugate_pair_system())
-    with pytest.warns(RuntimeWarning) as caught:
-        projected = real_projection(zs)
-    dropped, collapsed = (str(w.message) for w in caught)
-    assert dropped == "real projection dropped imaginary parts up to 2.000e+00"
-    assert "coincident points" in collapsed
-    assert projected.k == 3
-    assert projected.points.dtype == np.float64
-    np.testing.assert_array_equal(projected.points, zs.points.real)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidStateError, match=r"imaginary parts up to 2\.000e\+00"):
+            real_projection(zs)
+
+
+def test_real_projection_refuses_coincident_real_zeros():
+    # x^2 = 0: the double zero passes the gap test and comes back twice
+    zs = extract_zero_set(GeneratingMatrix(standard_monomials(1, 2), np.zeros((2, 1))))
+    assert zs.is_real
+    with pytest.raises(DegenerateConfigurationError, match="points 0 and 1 coincide"):
+        real_projection(zs)
 
 
 def test_real_projection_is_silent_on_real_zeros():
@@ -180,7 +185,7 @@ def test_real_projection_is_silent_on_real_zeros():
         real_projection(zs)
 
 
-def test_real_projection_warns_on_dropped_imaginary_parts():
+def test_real_projection_refuses_dropped_imaginary_parts():
     # a noisy (2, 4) fit whose zeros include a conjugate pair with imaginary
     # parts near 0.3 and 0.8; the fit itself reports convergence
     spec = random_gmm_spec(2, 4, seed=207)
@@ -189,9 +194,8 @@ def test_real_projection_warns_on_dropped_imaginary_parts():
     assert fit.converged
     zeros = extract_zero_set(fit.g_star, seed=7)
     assert not zeros.is_real
-    with pytest.warns(RuntimeWarning, match=r"imaginary parts up to 8\.\d+e-01"):
-        projected = real_projection(zeros)
-    np.testing.assert_array_equal(projected.points, zeros.points.real)
+    with pytest.raises(InvalidStateError, match=r"imaginary parts up to 8\.\d+e-01"):
+        real_projection(zeros)
     # recovery refuses the same zeros instead of building a loss on them
     with pytest.raises(NumericalFailureError, match=r"imaginary parts up to 8\.\d+e-01") as info:
         recover_point_set(samples, 4, FitOptions(seed=7))
@@ -336,7 +340,7 @@ def test_permuted_basis_keeps_its_own_structures(monkeypatch):
     parent = extract_zero_set(gm)
     assert generator_strings(gm) == reference_generator_strings(gm)
     assert tables == [loaded.basis, gm.basis] and preludes == [loaded.basis, gm.basis]
-    assert loaded.shifts is not gm.shifts
+    assert gs._shifts(loaded.basis) is not gs._shifts(gm.basis)
     # the same zeros, in the same sorted order
     np.testing.assert_allclose(zeros.points, parent.points, rtol=0, atol=1e-9)
     assert match_as_multisets(zeros.points.real, pts) <= 1e-9

@@ -117,6 +117,12 @@ def test_point_set_takes_no_labels():
         PointSet(np.array([[1.0, 2.0], [3.0, 4.0]]), labels=(0, 1))
 
 
+def test_point_set_always_refuses_coincident_points():
+    # no switch lets duplicate rows through
+    with pytest.raises(TypeError):
+        PointSet(np.array([[1.0, 2.0], [1.0, 2.0]]), check_distinct=False)
+
+
 def test_point_set_is_immutable():
     ps = PointSet(np.array([[1.0, 2.0], [3.0, 4.0]]))
     with pytest.raises(ValueError):
