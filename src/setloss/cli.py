@@ -35,11 +35,6 @@ from pathlib import Path
 
 import numpy as np
 
-try:  # optional: without it --threads cannot cap the BLAS pools
-    from threadpoolctl import threadpool_limits
-except ImportError:
-    threadpool_limits = None
-
 from .clustering import (
     MAX_ALIGNMENT_SIZE,
     assign_labels,
@@ -74,7 +69,6 @@ BENCH_SET = np.array(
 UNEVEN_RADII = np.array([0.4, 0.2, 0.6, 0.2, 0.32, 0.4])
 UNEVEN_COUNTS = np.array([50, 25, 100, 30, 40, 70])
 BENCH_EPS_GRID = (0.05, 0.1, 0.5)
-NO_THREAD_LIMIT = "threadpoolctl is not installed; --threads applied no BLAS limit"
 
 
 class _UsageError(Exception):
@@ -119,32 +113,38 @@ def _diagnostic(kind: str, exc: Exception, **extra) -> dict:
 
 
 def _read_csv_rows(path: str) -> list[tuple[int, list[str]]]:
-    """The rows of a CSV file that are not blank, each with its line number."""
+    """The rows of a UTF-8 CSV file that are not blank, each with its line number."""
     try:
-        with open(path, newline="") as fh:
+        # utf-8-sig drops a leading byte-order mark, which would spoil the first cell
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = [(reader.line_num, row) for row in reader if any(map(str.strip, row))]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise _UsageError(f"{path} contains no data rows")
     return rows
 
 
-def _parse_points(path: str, allow_truth: bool, truth_mode: str = "auto"):
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_points(path: str, truth: bool | None = False):
     """Parse a CSV of points; optionally split a trailing integer truth column.
 
-    ``truth_mode`` is "auto" (trailing column of integers is truth),
-    "yes" (require it), or "no" (treat every column as a coordinate).
+    ``truth`` is None (a trailing column of non-negative integers is
+    truth), True (require one) or False (every column is a coordinate).
+    The first row is a header only when none of its cells is a number.
     """
     rows = _read_csv_rows(path)
-    start = 0
-    try:
-        [float(cell) for cell in rows[0][1]]
-    except ValueError:
-        start = 1  # header row
-        if len(rows) == 1:
-            raise _UsageError(f"{path} contains only a header") from None
+    start = 0 if any(map(_is_number, rows[0][1])) else 1
+    if start == len(rows):
+        raise _UsageError(f"{path} contains only a header")
     width = len(rows[start][1])
     data = []
     for line, row in rows[start:]:
@@ -155,18 +155,33 @@ def _parse_points(path: str, allow_truth: bool, truth_mode: str = "auto"):
         except ValueError as exc:
             raise _UsageError(f"{path}:{line}: {exc}") from None
     arr = np.array(data, dtype=float)
-    truth = None
-    if allow_truth and width >= 2:
-        last = arr[:, -1]
-        integral = bool(np.all(last == np.round(last)) and np.all(last >= 0))
-        if truth_mode == "yes" or (truth_mode == "auto" and integral):
-            if not integral:
-                raise _UsageError(f"{path}: trailing column is not an integer truth column")
-            truth = last.astype(np.int64)
-            arr = arr[:, :-1]
-    elif truth_mode == "yes":
+    if truth is False:
+        return arr, None
+    last = arr[:, -1]
+    integral = width >= 2 and bool(np.all(last == np.round(last)) and np.all(last >= 0))
+    if truth is None and not integral:
+        return arr, None
+    if width < 2:
         raise _UsageError(f"{path}: a truth column needs at least two columns")
-    return arr, truth
+    if not integral:
+        raise _UsageError(f"{path}: trailing column is not an integer truth column")
+    return arr[:, :-1], last.astype(np.int64)
+
+
+def _checked(cls, values):
+    """``cls(values)``, raising its refusal of the input as a degenerate configuration."""
+    try:
+        return cls(values)
+    except ValueError as exc:
+        raise DegenerateConfigurationError(str(exc)) from exc
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """CSV lines of ``rows`` under ``header``: floats by ``repr``, the rest by ``str``."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -239,11 +254,8 @@ def _build_text(points: PointSet, gm, loss) -> str:
 
 
 def cmd_build(args) -> list[dict]:
-    coords, _ = _parse_points(args.input, allow_truth=False)
-    try:
-        points = PointSet(coords)
-    except ValueError as exc:
-        raise DegenerateConfigurationError(str(exc)) from exc
+    coords, _ = _parse_points(args.input)
+    points = _checked(PointSet, coords)
     gm = solve_generating_matrix(points)
     loss = build_transformed_loss(points)
     _write_text(_build_text(points, gm, loss), args.output)
@@ -254,11 +266,8 @@ def cmd_build(args) -> list[dict]:
 
 
 def cmd_fit(args) -> list[dict]:
-    coords, _ = _parse_points(args.input, allow_truth=False)
-    try:
-        samples = SampleSet(coords)
-    except ValueError as exc:
-        raise DegenerateConfigurationError(str(exc)) from exc
+    coords, _ = _parse_points(args.input)
+    samples = _checked(SampleSet, coords)
     result = recover_point_set(
         samples,
         args.k,
@@ -321,9 +330,9 @@ def _check_truth(truth, k: int) -> None:
 def _read_sstar(path: str, n: int) -> PointSet:
     """The real set under ``s_star``, else ``points``, of a JSON object; refused unless in R^n."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a JSONDecodeError or UnicodeDecodeError
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     rows = payload.get("s_star", payload.get("points")) if isinstance(payload, dict) else None
     try:
@@ -344,19 +353,12 @@ def _read_sstar(path: str, n: int) -> PointSet:
         pts = zeros.real
     if pts.ndim != 2 or pts.shape[1] != n:
         raise _UsageError(f"{path} carries no point set in R^{n}, where the samples lie")
-    try:
-        return PointSet(pts)
-    except ValueError as exc:
-        raise DegenerateConfigurationError(str(exc)) from exc
+    return _checked(PointSet, pts)
 
 
 def cmd_cluster(args) -> list[dict]:
-    truth_mode = {None: "auto", True: "yes", False: "no"}[args.truth_column]
-    coords, truth = _parse_points(args.input, allow_truth=True, truth_mode=truth_mode)
-    try:
-        samples = SampleSet(coords)
-    except ValueError as exc:
-        raise DegenerateConfigurationError(str(exc)) from exc
+    coords, truth = _parse_points(args.input, args.truth_column)
+    samples = _checked(SampleSet, coords)
 
     fit_converged = True
     if args.sstar is not None:
@@ -377,18 +379,17 @@ def cmd_cluster(args) -> list[dict]:
         fit_converged = result.fit.converged
 
     assignment = assign_labels(loss, recovered, samples)
-    header = ["label", "converged", "iterations"] + [
-        f"x{i + 1}" for i in range(samples.n)
-    ]
-    lines = [",".join(header)]
-    for j in range(assignment.size):
-        row = [
-            str(int(assignment.labels[j])),
-            str(int(assignment.converged[j])),
-            str(int(assignment.iterations[j])),
-        ] + [repr(float(v)) for v in assignment.minimizers[j]]
-        lines.append(",".join(row))
-    _write_text("\n".join(lines) + "\n", args.output)
+    header = ["label", "converged", "iterations"] + [f"x{i + 1}" for i in range(samples.n)]
+    rows = (
+        [label, int(converged), iterations, *x]
+        for label, converged, iterations, x in zip(
+            assignment.labels.tolist(),
+            assignment.converged.tolist(),
+            assignment.iterations.tolist(),
+            assignment.minimizers.tolist(),
+        )
+    )
+    _write_text(_csv_text(header, rows), args.output)
 
     summary = {
         "k": recovered.k,
@@ -413,22 +414,6 @@ def cmd_cluster(args) -> list[dict]:
 
 
 # -- bench -----------------------------------------------------------------
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _layered_points(path: Path, layers: dict[str, np.ndarray]) -> None:
-    header = ["layer", "x1", "x2"]
-    rows = []
-    for name, pts in layers.items():
-        for p in np.asarray(pts):
-            rows.append([name, float(p[0]), float(p[1])])
-    _write_csv(path, header, rows)
 
 
 def _bench_trials(args, radii, counts, path: tuple):
@@ -542,8 +527,9 @@ def cmd_bench(args) -> list[dict]:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, layers in points.items():
-            _layered_points(out_dir / name, layers)
-        _write_csv(out_dir / "results.csv", header, rows)
+            layered = ([layer, *p] for layer, pts in layers.items() for p in pts.tolist())
+            (out_dir / name).write_text(_csv_text(["layer", "x1", "x2"], layered))
+        (out_dir / "results.csv").write_text(_csv_text(header, rows))
         (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     except OSError as exc:
         raise _UsageError(f"cannot write {out_dir}: {exc}") from exc
@@ -567,11 +553,6 @@ def _build_parser() -> _Parser:
     parser carries nothing from one ``main`` call to the next.
     """
     parser = _Parser(prog="setloss", description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--threads",
-        type=_count,
-        help="cap BLAS threads through threadpoolctl (default 1 for reproducible runs)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="interpolate the system and losses of an exact set")
@@ -643,10 +624,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
 
-    limiter = None
-    unlimited = threadpool_limits is None and args.threads is not None
-    if threadpool_limits is not None:
-        limiter = threadpool_limits(limits=args.threads or 1)
     code, diagnostic = 2, None
     try:
         with warnings.catch_warnings(record=True) as caught:
@@ -666,17 +643,12 @@ def main(argv=None) -> int:
             except NumericalFailureError as exc:
                 diagnostic = _diagnostic("numerical-failure", exc)
     finally:
-        if limiter is not None:
-            limiter.unregister()
         # stderr of codes 2 and 3 is the one diagnostic, which carries the warnings
         if diagnostic is None:
-            if unlimited:
-                print(f"warning: {NO_THREAD_LIMIT}", file=sys.stderr)
             for w in caught:
                 warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
         else:
-            notes = [NO_THREAD_LIMIT] if unlimited else []
-            diagnostic["warnings"] = notes + [str(w.message) for w in caught]
+            diagnostic["warnings"] = [str(w.message) for w in caught]
             print(json.dumps(diagnostic, allow_nan=False), file=sys.stderr)
     return code
 
