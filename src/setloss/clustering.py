@@ -21,7 +21,7 @@ from .extraction import ZeroSet, extract_zero_set, real_projection
 from .fitting import FitOptions, FitResult, SampleSet, fit_generating_matrix
 from .generating_system import PointSet, solve_generating_matrix
 from .loss_functions import GeneratingLoss, TransformedLoss, build_transformed_loss
-from .monomial_basis import standard_monomials
+from .monomial_basis import real_batch, standard_monomials
 from .numeric_kernels import row_sum
 
 __all__ = [
@@ -47,6 +47,9 @@ STEP_CAP_FRACTION = 0.1
 # assign_labels lowers its settle radius by this much, in simplex
 # coordinates (vertices 1 apart), to cover rounding
 SETTLE_MARGIN = 0.01
+# the descent's fixed schedule: its gradient tolerance and iteration cap
+DESCENT_GRADIENT_TOL = 1e-8
+MAX_DESCENT_ITERATIONS = 500
 
 
 class MinimizeResult(NamedTuple):
@@ -62,14 +65,7 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(row_sum(v * v))
 
 
-def minimize_from(
-    fun,
-    starts,
-    gradient_tol: float = 1e-8,
-    max_iterations: int = 500,
-    max_step: float = np.inf,
-    settle_below: float = -np.inf,
-):
+def minimize_from(fun, starts, max_step: float = np.inf, settle_below: float = -np.inf):
     """Quasi-Newton descent with backtracking from a batch of starts.
 
     The starts (N, d) run in one loop, and one start is a batch of one
@@ -77,10 +73,10 @@ def minimize_from(
     returns (M,) values and (M, d) gradients, as the ``value_and_grad``
     of the losses in ``loss_functions`` does; the result holds per-row
     arrays.  Each row keeps its own BFGS inverse Hessian and Armijo
-    step and iterates until its gradient norm drops below
-    ``gradient_tol``, its line search stalls, or the iteration budget runs
-    out; the last iterate is returned either way, with ``converged``
-    telling the cases apart.
+    step and iterates until its gradient norm drops to
+    DESCENT_GRADIENT_TOL, its line search stalls, or it has taken
+    MAX_DESCENT_ITERATIONS steps; the last iterate is returned either
+    way, with ``converged`` telling the cases apart.
 
     ``max_step`` caps the length of every step: a longer search direction
     is shortened to it before the line search.  A shorter full step that
@@ -106,9 +102,10 @@ def minimize_from(
     returns are updated in place, so it must return new ones on every
     call, as those losses do.
     """
-    x = np.array(starts, dtype=float)
+    x = np.asarray(starts)
     if x.ndim != 2:
         raise ValueError(f"expected starts of shape (N, d), got {x.shape}")
+    x = real_batch(x, x.shape[1])
 
     def evaluate(pts):
         values, grads = fun(pts)
@@ -116,7 +113,7 @@ def minimize_from(
 
     count, dim = x.shape
     out_x = x.copy()
-    iterations = np.full(count, max_iterations, dtype=np.int64)
+    iterations = np.full(count, MAX_DESCENT_ITERATIONS, dtype=np.int64)
     converged = np.zeros(count, dtype=bool)
     grad_norm = np.empty(count)
     eye = np.eye(dim)
@@ -148,9 +145,9 @@ def minimize_from(
     rows = np.arange(count)
     f, g = evaluate(x)
     hp = np.repeat(eye_packed[:, None], count, axis=1)
-    for it in range(max_iterations):
+    for it in range(MAX_DESCENT_ITERATIONS):
         gnorm = _norms(g)
-        done = (gnorm <= gradient_tol) | (f < settle_below)
+        done = (gnorm <= DESCENT_GRADIENT_TOL) | (f < settle_below)
         picked = done.nonzero()[0]
         if picked.size:
             finish(picked, it, True, gnorm)
@@ -248,8 +245,8 @@ def minimize_from(
         gnorm = _norms(g)
         finish(
             np.arange(rows.size),
-            max_iterations,
-            (gnorm <= gradient_tol) | (f < settle_below),
+            MAX_DESCENT_ITERATIONS,
+            (gnorm <= DESCENT_GRADIENT_TOL) | (f < settle_below),
             gnorm,
         )
     return MinimizeResult(out_x, iterations, converged, grad_norm)
@@ -650,21 +647,20 @@ def random_gmm_spec(
     seed: int = 0,
     separation: float = 6.0,
     diagonal: bool = False,
-    scale: float = 0.5,
 ) -> GmmSpec:
     """A mixture with means separated relative to its covariance factors.
 
     Covariances are R^T R for random factors R with entries of order
-    ``scale``; means are redrawn until every pair is at least
-    ``separation`` times the largest singular value of any factor apart.
+    0.5; means are redrawn until every pair is at least ``separation``
+    times the largest singular value of any factor apart.
     """
     rng = np.random.default_rng(seed)
     factors = []
     for _ in range(k):
         if diagonal:
-            r = np.diag(rng.uniform(0.3 * scale, scale, n))
+            r = np.diag(rng.uniform(0.15, 0.5, n))
         else:
-            r = rng.uniform(-scale, scale, (n, n)) + np.eye(n) * 0.3 * scale
+            r = rng.uniform(-0.5, 0.5, (n, n)) + np.eye(n) * 0.15
         factors.append(r)
     sigma_max = max(float(np.linalg.svd(r, compute_uv=False)[0]) for r in factors)
     gap = separation * sigma_max

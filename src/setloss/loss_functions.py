@@ -35,6 +35,7 @@ from .monomial_basis import (
     basis_jacobian,
     monomial_lift,
     monomial_matrix,
+    real_batch,
     standard_monomials,
 )
 from .numeric_kernels import (
@@ -81,14 +82,6 @@ def _matvec(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     return row_sum(prod.transpose(2, 0, 1))
 
 
-def _batch(x, d: int) -> np.ndarray:
-    """x as a float (N, d) batch; one point is a batch of one row."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != d:
-        raise ValueError(f"expected shape (N, {d}), got {x.shape}")
-    return x
-
-
 class GeneratingLoss:
     """The squared norm ||phi(x)||^2 of a fixed generating system."""
 
@@ -101,7 +94,7 @@ class GeneratingLoss:
 
     def value_and_grad(self, x):
         """Values (N,) and gradients (N, n) at the rows of x (N, n)."""
-        x = _batch(x, self.n)
+        x = real_batch(x, self.n)
         phi = evaluate_generators(self.gm, x)
         jac = generators_jacobian(self.gm, x)
         value = (phi * phi).sum(axis=1)
@@ -282,7 +275,7 @@ class TransformedLoss:
         x itself for the identity lift, the monomial lift of x otherwise,
         per row of x (N, n).
         """
-        x = _batch(x, self.n)
+        x = real_batch(x, self.n)
         return x if self.lift_basis is None else monomial_lift(x, self.lift_basis)
 
     def simplex_coords(self, x) -> np.ndarray:
@@ -293,7 +286,7 @@ class TransformedLoss:
 
     def value_and_grad(self, x):
         """Values (N,) and gradients (N, n) at the rows of x (N, n)."""
-        x = _batch(x, self.n)
+        x = real_batch(x, self.n)
         if self.lift_basis is None:
             value, grad = self._simplex_value_and_grad(x)
         else:
@@ -310,7 +303,7 @@ class TransformedLoss:
         gradient is taken in zeta.  For the identity lift this is
         ``value_and_grad``.
         """
-        return self._simplex_value_and_grad(_batch(zeta, self.anchor_lift.size))
+        return self._simplex_value_and_grad(real_batch(zeta, self.anchor_lift.size))
 
     def _simplex_value_and_grad(self, zeta):
         # zeta is (N, d), already checked

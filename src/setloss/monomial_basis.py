@@ -230,11 +230,14 @@ def _multiply_out(x: np.ndarray, plan: _ProductPlan) -> np.ndarray:
     return out if plan.scale is None else out * plan.scale
 
 
-def _points(x, basis: MonomialBasis) -> np.ndarray:
-    # points are real: a cast that would drop imaginary parts raises TypeError
+def real_batch(x, d: int) -> np.ndarray:
+    """x as a float (N, d) batch, the one check of every batch of points.
+
+    Points are real: a complex x raises TypeError, not a cast to its real part.
+    """
     x = np.asarray(x).astype(float, casting="same_kind", copy=False)
-    if x.ndim != 2 or x.shape[1] != basis.n:
-        raise ValueError(f"expected shape (N, {basis.n}), got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"expected shape (N, {d}), got {x.shape}")
     return x
 
 
@@ -245,7 +248,7 @@ def monomial_matrix(points, basis: MonomialBasis) -> np.ndarray:
     in basis order.  The constant monomial evaluates to 1 everywhere,
     including at x = 0.
     """
-    return _multiply_out(_points(points, basis), basis._value_plan)
+    return _multiply_out(real_batch(points, basis.n), basis._value_plan)
 
 
 def basis_jacobian(points, basis: MonomialBasis) -> np.ndarray:
@@ -254,7 +257,7 @@ def basis_jacobian(points, basis: MonomialBasis) -> np.ndarray:
     Entry (p, j, i) is d(x^a_j)/dx_i = a_ji * x^(a_j - e_i) at point p,
     with the usual convention that the derivative is zero when a_ji = 0.
     """
-    x = _points(points, basis)
+    x = real_batch(points, basis.n)
     jac = _multiply_out(x, basis._jacobian_plan).reshape(len(x), basis.n, len(basis))
     return np.swapaxes(jac, 1, 2)
 

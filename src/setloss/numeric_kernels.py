@@ -140,9 +140,11 @@ def complex_schur(m) -> ComplexSchurDecomposition:
     into the (real, imaginary) ascending order with LAPACK's ``ztrexc``:
     position by position, the remaining eigenvalue with the smallest
     (real, imaginary) key is moved up to it by unitary swaps of adjacent
-    diagonal entries (Bai and Demmel, LAA 1993).  Raises NumericalFailureError when the backend does
-    not converge or reports a failed move, or when the reordered factors
-    lose the decomposition invariants.
+    diagonal entries (Bai and Demmel, LAA 1993).  A swap exchanges two
+    diagonal entries exactly, so the order is the stable sort of the
+    first diagonal, computed once.  Raises NumericalFailureError when the
+    backend does not converge or reports a failed move, or when the
+    reordered factors lose the decomposition invariants.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -154,14 +156,16 @@ def complex_schur(m) -> ComplexSchurDecomposition:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare backend failure
         raise NumericalFailureError(f"Schur iteration failed: {exc}") from exc
     k = p.shape[0]
-    for i in range(k - 1):
-        d = np.diag(p)[i:]
-        # lexsort is stable: ties keep their current order
-        j = i + int(np.lexsort((d.imag, d.real))[0])
+    d = np.diag(p)
+    # current[i] is the first-diagonal position of the entry now at i
+    current = list(range(k))
+    for i, entry in enumerate(np.lexsort((d.imag, d.real)).tolist()):
+        j = current.index(entry, i)
         if j != i:
             p, q, info = ztrexc(p, q, j + 1, i + 1, overwrite_a=1, overwrite_q=1)
             if info != 0:
                 raise NumericalFailureError(f"Schur reordering failed (ztrexc info {info})")
+            current.insert(i, current.pop(j))
 
     scale = np.linalg.norm(np.asarray(m, dtype=complex))
     unitary_defect = np.linalg.norm(q.conj().T @ q - np.eye(k))

@@ -1,6 +1,8 @@
 """Shared oracles and generators for the test suite."""
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.lapack import ztrexc
 from scipy.optimize import linear_sum_assignment
 
 
@@ -221,6 +223,24 @@ def reference_sort_order(points):
     im = np.round(points.imag / 1e-9) * 1e-9
     keys = [(float(re[i].sum()), *(-re[i]), *(-im[i])) for i in range(points.shape[0])]
     return np.array(sorted(range(points.shape[0]), key=lambda i: keys[i]), dtype=np.int64)
+
+
+def reference_complex_schur(m):
+    """complex_schur's factors (p, q), reordered one position at a time.
+
+    At each position the diagonal from there on is sorted afresh by
+    (real, imaginary) part with the stable ``lexsort``, and its first
+    entry is moved up with ``ztrexc``: the loop ``complex_schur`` must
+    reproduce bit for bit.
+    """
+    p, q = scipy.linalg.schur(np.asarray(m, dtype=complex), output="complex")
+    for i in range(p.shape[0] - 1):
+        d = np.diag(p)[i:]
+        j = i + int(np.lexsort((d.imag, d.real))[0])
+        if j != i:
+            p, q, info = ztrexc(p, q, j + 1, i + 1, overwrite_a=1, overwrite_q=1)
+            assert info == 0
+    return p, q
 
 
 # -- broadcast reference formulas ----------------------------------------------

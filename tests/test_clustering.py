@@ -1,10 +1,13 @@
+import inspect
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import setloss.clustering as clustering
 from setloss.clustering import (
     ClusterAssignment,
     GmmSpec,
@@ -51,6 +54,33 @@ def rosenbrock(x):
     return value, grad
 
 
+def descend_at_most(iterations, fun, starts, **kwargs):
+    """``minimize_from`` with MAX_DESCENT_ITERATIONS set to ``iterations`` for one call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "MAX_DESCENT_ITERATIONS", iterations)
+        return minimize_from(fun, starts, **kwargs)
+
+
+def test_descent_schedule_is_fixed():
+    # as the fit's, the descent's tolerance and iteration cap are fixed
+    # parts of the method; the step cap and the settle threshold are what
+    # assign_labels works out from each input
+    assert (clustering.DESCENT_GRADIENT_TOL, clustering.MAX_DESCENT_ITERATIONS) == (1e-8, 500)
+    assert list(inspect.signature(minimize_from).parameters) == [
+        "fun",
+        "starts",
+        "max_step",
+        "settle_below",
+    ]
+    assert list(inspect.signature(random_gmm_spec).parameters) == [
+        "n",
+        "k",
+        "seed",
+        "separation",
+        "diagonal",
+    ]
+
+
 def test_minimize_from_quadratic():
     result = minimize_from(Quadratic([1.0, -2.0, 0.5]).value_and_grad, np.zeros((1, 3)))
     assert result.converged[0]
@@ -66,15 +96,17 @@ def test_minimize_from_accepts_plain_callable():
     np.testing.assert_allclose(result.x, 0, atol=1e-7)
 
 
-def test_minimize_from_respects_iteration_cap():
+def test_minimize_from_respects_iteration_cap(monkeypatch):
+    monkeypatch.setattr(clustering, "MAX_DESCENT_ITERATIONS", 1)
     loss = simplex_loss(np.ones(4))
-    result = minimize_from(loss.value_and_grad, np.full((1, 4), 0.7), max_iterations=1)
+    result = minimize_from(loss.value_and_grad, np.full((1, 4), 0.7))
     assert not result.converged[0]
     assert result.iterations[0] == 1
 
 
-def test_minimize_from_descends_rosenbrock_valley():
-    result = minimize_from(rosenbrock, np.array([[-1.2, 1.0]]), max_iterations=2000)
+def test_minimize_from_descends_rosenbrock_valley(monkeypatch):
+    monkeypatch.setattr(clustering, "MAX_DESCENT_ITERATIONS", 2000)
+    result = minimize_from(rosenbrock, np.array([[-1.2, 1.0]]))
     assert result.converged[0]
     np.testing.assert_allclose(result.x, [[1.0, 1.0]], atol=1e-5)
 
@@ -120,12 +152,10 @@ def test_batched_descent_matches_single_starts(family, seed, max_step):
     # batch of that one row to the same bits
     loss, starts = random_family_loss(family, seed)
     for cap in (np.inf, max_step):
-        batch = minimize_from(loss.value_and_grad, starts, max_iterations=200, max_step=cap)
+        batch = descend_at_most(200, loss.value_and_grad, starts, max_step=cap)
         assert batch.x.shape == starts.shape
         for i in range(len(starts)):
-            single = minimize_from(
-                loss.value_and_grad, starts[i : i + 1], max_iterations=200, max_step=cap
-            )
+            single = descend_at_most(200, loss.value_and_grad, starts[i : i + 1], max_step=cap)
             assert batch.iterations[i] == single.iterations[0]
             assert batch.converged[i] == single.converged[0]
             np.testing.assert_array_equal(batch.x[i : i + 1], single.x)
@@ -136,7 +166,7 @@ def test_capped_descent_never_steps_further_than_max_step():
     def iterates(cap, count):
         # cutting a descent after i iterations returns its i-th accepted iterate
         return [start[0]] + [
-            minimize_from(rosenbrock, start, max_iterations=i, max_step=cap).x[0]
+            descend_at_most(i, rosenbrock, start, max_step=cap).x[0]
             for i in range(1, count + 1)
         ]
 
@@ -150,7 +180,7 @@ def test_capped_descent_never_steps_further_than_max_step():
         seen.extend(x.copy())
         return rosenbrock(x)
 
-    result = minimize_from(recording, start, max_iterations=2000, max_step=cap)
+    result = descend_at_most(2000, recording, start, max_step=cap)
     assert result.converged[0]
     np.testing.assert_allclose(result.x, [[1.0, 1.0]], atol=1e-5)
     capped = iterates(cap, result.iterations[0])
@@ -181,7 +211,8 @@ def test_capped_descent_crosses_flat_concave_stretches():
     assert result.iterations.max() <= 15
 
 
-def test_batched_descent_with_mixed_outcomes():
+def test_batched_descent_with_mixed_outcomes(monkeypatch):
+    monkeypatch.setattr(clustering, "MAX_DESCENT_ITERATIONS", 1)
     inner = simplex_loss(np.array([1.0, 2.0]))
 
     def loss(x):
@@ -197,14 +228,14 @@ def test_batched_descent_with_mixed_outcomes():
             [-1.5, 2.5],
         ]
     )
-    res = minimize_from(loss, starts, max_iterations=1)
+    res = minimize_from(loss, starts)
     np.testing.assert_array_equal(res.iterations, [0, 1, 1, 1])
     np.testing.assert_array_equal(res.converged, [True, False, False, False])
     np.testing.assert_array_equal(res.x[0], starts[0])
     np.testing.assert_array_equal(res.x[2], starts[2])
     assert res.grad_norm[2] == pytest.approx(np.linalg.norm(inner.value_and_grad(starts[2:3])[1]))
     # the stalled row changes nothing for the others
-    rest = minimize_from(loss, starts[[0, 1, 3]], max_iterations=1)
+    rest = minimize_from(loss, starts[[0, 1, 3]])
     for name in ("x", "iterations", "converged", "grad_norm"):
         np.testing.assert_array_equal(getattr(res, name)[[0, 1, 3]], getattr(rest, name))
     assert not np.allclose(res.x[[1, 3]], starts[[1, 3]])
@@ -216,6 +247,11 @@ def test_minimize_from_rejects_bad_start_shape():
     for starts in (np.zeros((2, 2, 1)), np.zeros(2)):
         with pytest.raises(ValueError, match=r"expected starts of shape \(N, d\)"):
             minimize_from(fun, starts)
+    # starts are real: a complex start is refused, its imaginary part not dropped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError):
+            minimize_from(fun, np.array([[0.5 + 1j, 0.2]]))
 
 
 def test_assign_labels_descends_in_one_batch(monkeypatch):
@@ -248,14 +284,14 @@ def test_minimize_from_settles_rows_below_the_threshold():
     steps = int(settled.iterations[0])
     assert settled.converged[0] and 0 < steps < full.iterations[0]
     # it stops at the first iterate of the full descent below the threshold
-    at = minimize_from(rosenbrock, start, max_iterations=steps)
-    before = minimize_from(rosenbrock, start, max_iterations=steps - 1)
+    at = descend_at_most(steps, rosenbrock, start)
+    before = descend_at_most(steps - 1, rosenbrock, start)
     np.testing.assert_array_equal(settled.x, at.x)
     np.testing.assert_array_equal(settled.grad_norm, at.grad_norm)
     assert rosenbrock(at.x)[0][0] < 1e-3 <= rosenbrock(before.x)[0][0]
     # an iterate below the threshold at the iteration cap counts as settled
     assert not at.converged[0]
-    capped = minimize_from(rosenbrock, start, max_iterations=steps, settle_below=1e-3)
+    capped = descend_at_most(steps, rosenbrock, start, settle_below=1e-3)
     assert capped.converged[0]
     np.testing.assert_array_equal(capped.x, at.x)
     # batched rows settle on their own, from the start when it is low enough

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -487,6 +488,12 @@ def test_loss_methods_refuse_a_single_point_vector():
         with pytest.raises(ValueError, match=r"expected shape \(N, \d+\)"):
             method(point)
         method(point[None, :])
+        # points are real: a complex batch is refused, its imaginary parts
+        # not dropped with a ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError):
+                method(point[None, :] + 1j)
     assert not hasattr(generating, "value") and not hasattr(affine, "value")
     with pytest.raises(ValueError, match=r"expected starts of shape \(N, d\)"):
         minimize_from(affine.value_and_grad, x)

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from setloss.clustering import recover_point_set
@@ -22,6 +23,8 @@ from setloss.numeric_kernels import (
     require_full_rank,
     solve_linear,
 )
+
+from helpers import reference_complex_schur
 
 
 def gauss_solve(a, b):
@@ -169,6 +172,24 @@ def test_schur_diagonal_sorted_by_real_then_imaginary():
         np.testing.assert_array_equal(np.tril(dec.p, -1), 0)
         np.testing.assert_allclose(dec.q @ dec.p @ dec.q.conj().T, m, atol=1e-12 * n)
         assert eigenvalue_mismatch(dec.eigenvalues, np.linalg.eigvals(m)) < 1e-10 * n
+
+
+def test_schur_order_is_the_position_by_position_loop_bit_for_bit():
+    # complex_schur sorts the first diagonal once; moving each entry up
+    # after sorting what is left, position by position, gives the same
+    # factors, exact ties included
+    rng = np.random.default_rng(41)
+    rotation = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    ties = np.triu(rng.standard_normal((5, 5)), 1) + np.diag([1.0, 0.0, 1.0, 2.0, 1.0])
+    mats = [rng.standard_normal((k, k)) for k in rng.integers(2, 36, size=40)]
+    mats += [rotation @ np.diag([2.0, 1.0, 1.0, 0.0]) @ rotation.T, ties, np.diag([3.0, 1.0, 1.0])]
+    for m in mats:
+        dec = complex_schur(m)
+        p, q = reference_complex_schur(m)
+        assert dec.p.tobytes() == p.tobytes()
+        assert dec.q.tobytes() == q.tobytes()
+    first = np.diag(scipy.linalg.schur(ties.astype(complex), output="complex")[0])
+    assert len(set(first.tolist())) < len(first)
 
 
 def test_schur_multiplication_matrix_spectrum():
