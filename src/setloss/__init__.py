@@ -51,7 +51,6 @@ from .monomial_basis import (
     MonomialBasis,
     border_monomials,
     grlex_key,
-    monomial_lift,
     monomial_matrix,
     standard_monomials,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "gmm_sample",
     "grlex_key",
     "minimize_from",
-    "monomial_lift",
     "monomial_matrix",
     "multiplication_matrices",
     "random_gmm_spec",

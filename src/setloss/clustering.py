@@ -44,9 +44,6 @@ MAX_ALIGNMENT_SIZE = 8
 # assign_labels caps each descent step at this fraction of the smallest
 # gap between recovered points, so that no single step crosses that gap
 STEP_CAP_FRACTION = 0.1
-# assign_labels lowers its settle radius by this much, in simplex
-# coordinates (vertices 1 apart), to cover rounding
-SETTLE_MARGIN = 0.01
 # the descent's fixed schedule: its gradient tolerance and iteration cap
 DESCENT_GRADIENT_TOL = 1e-8
 MAX_DESCENT_ITERATIONS = 500
@@ -59,6 +56,11 @@ class MinimizeResult(NamedTuple):
     iterations: np.ndarray
     converged: np.ndarray
     grad_norm: np.ndarray
+
+
+def _real(values) -> np.ndarray:
+    # values as a float array, cast as real_batch casts: complex raises TypeError
+    return np.asarray(values).astype(float, casting="same_kind", copy=False)
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -109,7 +111,7 @@ def minimize_from(fun, starts, max_step: float = np.inf, settle_below: float = -
 
     def evaluate(pts):
         values, grads = fun(pts)
-        return np.asarray(values, dtype=float), np.asarray(grads, dtype=float)
+        return _real(values), _real(grads)
 
     count, dim = x.shape
     out_x = x.copy()
@@ -298,43 +300,9 @@ def assign_labels(loss, recovered: PointSet, samples: SampleSet) -> ClusterAssig
     its quasi-Newton step is too short (see ``minimize_from``).
 
     With a ``TransformedLoss`` and k > 1, a row stops as soon as its label
-    is settled, with the label the full descent would give it.  Write
-    z = z(x) for the simplex coordinates, V = {0, e_1, ..., e_(k-1)} for
-    the vertices, f for the simplicial loss and h(r) = r^2 (1 - r)^2.
-
-    * f(z) >= h(min(dist(z, V), 1/2)) for every z.  Near the origin, with
-      r = |z| <= 1/2, f >= sum z_i^2 (z_i - 1)^2 >= (1 - r)^2 r^2.  Near
-      e_i, with r = |z - e_i| <= 1/2, f >= z_i^2 ((z_i - 1)^2 +
-      sum_(j != i) z_j^2) = z_i^2 r^2 >= (1 - r)^2 r^2.  When
-      dist(z, V) >= 1/2, let z_i^2 be the largest square: if z_i^2 >= 1/4
-      then f >= z_i^2 |z - e_i|^2 >= 1/16, and otherwise every |z_j| < 1/2
-      and f > |z|^2 / 4 >= 1/16.
-    * So f(z) < h(r), with r <= 1/2, puts z within r of one vertex v.  The
-      descent accepts no step that raises the loss, so every later
-      iterate lies within r of some vertex too.  It stays near the same
-      one if no step of at most ``max_step`` joins two such regions.
-      Affine map: z is affine in x and vertices are at least 1 apart, so
-      r = (1 - |P|_2 max_step) / 2 suffices, P = ``to_simplex``.  Lifted
-      map: the lift holds every x_i, so x - p_v = D_lin (z - v), where p_v
-      is the point of vertex v and D_lin the degree-1 rows of
-      ``diff_mat``; a region then lies in the ball of radius |D_lin|_2 r
-      about p_v, and r = (g_min - max_step) / (2 |D_lin|_2) suffices,
-      g_min the smallest gap between the loss's points.
-    * Every vertex other than v is more than 1 - r > r away, so the label
-      of the iterate where the loss first falls below h(r) is the label of
-      the final iterate, whatever stops the full descent.
-
-    The radius is capped at 1/2 and then lowered by SETTLE_MARGIN (0.01)
-    for rounding; a radius that is not positive settles no row.  Rounding
-    enters in three places.  Step lengths and the norms above are off by
-    a few units in the last place, which moves r by about 1e-15.  The
-    computed coordinates are off by about d = eps |P|_2 |lift(x)|, so the
-    labels, read with a separation of 1 - 2r, do not move.  The computed
-    loss differs from f at the exact coordinates by about d, while the
-    margin lowers the threshold by h(r) - h(r - 0.01) > 4.9e-5 (the least
-    is at r = 1/2); that covers any d below 1e-5, that is |P|_2 |lift(x)|
-    below about 1e10.  On the mixtures of ``setbench``'s gmm_cluster it
-    is at most about 500, at the samples and at the final iterates.
+    is settled, with the label the full descent would give it: once its
+    loss falls below ``TransformedLoss.settle_threshold`` of the step cap,
+    which proves that no later step changes its nearest vertex.
 
     A settled row is flagged converged, its minimizer is the iterate
     where it stopped, and it counts fewer iterations than a full descent
@@ -342,48 +310,25 @@ def assign_labels(loss, recovered: PointSet, samples: SampleSet) -> ClusterAssig
     """
     if samples.n != recovered.n:
         raise ValueError(f"dimension mismatch: samples in R^{samples.n}, set in R^{recovered.n}")
-    k = recovered.k
     max_step = np.inf
     settle_below = -np.inf
-    if k > 1:
-        max_step = STEP_CAP_FRACTION * _min_gap(recovered.points)
+    if recovered.k > 1:
+        max_step = STEP_CAP_FRACTION * recovered.min_gap()
         if isinstance(loss, TransformedLoss):
-            settle_below = _settle_threshold(loss, max_step)
+            settle_below = loss.settle_threshold(max_step)
     res = minimize_from(
         loss.value_and_grad, samples.samples, max_step=max_step, settle_below=settle_below
     )
-    if isinstance(loss, TransformedLoss) and k > 1:
-        coords = loss.simplex_coords(res.x)
-        targets = np.vstack([np.eye(k - 1), np.zeros(k - 1)])
+    if isinstance(loss, TransformedLoss):
+        labels = _nearest(loss.simplex_coords(res.x), loss.simplex_vertices)
     else:
-        coords = res.x
-        targets = recovered.points
+        labels = _nearest(res.x, recovered.points)
     return ClusterAssignment(
-        labels=_nearest(coords, targets),
+        labels=labels,
         converged=res.converged,
         iterations=res.iterations,
         minimizers=res.x,
     )
-
-
-def _min_gap(pts) -> float:
-    pts = np.asarray(pts)
-    gaps = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    return float(gaps[np.triu_indices(len(pts), 1)].min())
-
-
-def _settle_threshold(loss: TransformedLoss, max_step: float) -> float:
-    # h(r) for the settle radius r of assign_labels, -inf when r <= 0
-    if loss.lift_basis is None:
-        radius = 0.5 * (1.0 - np.linalg.norm(loss.to_simplex, 2) * max_step)
-    else:
-        linear = loss.lift_basis.powers[1:].sum(axis=1) == 1
-        spread = np.linalg.norm(loss.diff_mat[linear], 2)
-        radius = (_min_gap(loss.points.points) - max_step) / (2.0 * spread)
-    radius = min(radius, 0.5) - SETTLE_MARGIN
-    if not radius > 0.0:
-        return -np.inf
-    return (radius * (1.0 - radius)) ** 2
 
 
 def _nearest(coords: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -427,7 +372,7 @@ def clustering_accuracy(
     alignment.
     """
     truth = np.asarray(truth, dtype=np.int64)
-    means = np.asarray(true_means, dtype=float)
+    means = _real(true_means)
     k = recovered.k
     if k > MAX_ALIGNMENT_SIZE:
         raise NotImplementedError(
@@ -595,9 +540,7 @@ class GmmSpec:
     covariances: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        mu = np.array(self.means, dtype=float)
-        cov = np.array(self.covariances, dtype=float)
+        w, mu, cov = (_real(v).copy() for v in (self.weights, self.means, self.covariances))
         if w.ndim != 1 or mu.ndim != 2 or w.shape[0] != mu.shape[0]:
             raise ValueError("need one weight per mean")
         k, n = mu.shape

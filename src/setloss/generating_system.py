@@ -103,6 +103,11 @@ class PointSet:
     def n(self) -> int:
         return self.points.shape[1]
 
+    def min_gap(self) -> float:
+        """The smallest Euclidean distance between two of the points; needs k > 1."""
+        gaps = np.linalg.norm(self.points[:, None, :] - self.points[None, :, :], axis=2)
+        return float(gaps[np.triu_indices(self.k, 1)].min())
+
 
 @dataclass(frozen=True)
 class GeneratingMatrix:

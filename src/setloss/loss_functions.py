@@ -33,7 +33,6 @@ from .generating_system import (
 from .monomial_basis import (
     MonomialBasis,
     basis_jacobian,
-    monomial_lift,
     monomial_matrix,
     real_batch,
     standard_monomials,
@@ -51,6 +50,10 @@ __all__ = [
     "TransformedLoss",
     "build_transformed_loss",
 ]
+
+# TransformedLoss.settle_threshold lowers its settle radius by this much,
+# in simplex coordinates (vertices 1 apart), to cover rounding
+SETTLE_MARGIN = 0.01
 
 
 def _simplicial_value_and_grad(z):
@@ -276,11 +279,17 @@ class TransformedLoss:
         per row of x (N, n).
         """
         x = real_batch(x, self.n)
-        return x if self.lift_basis is None else monomial_lift(x, self.lift_basis)
+        # the constructor checked that the basis starts with the constant 1
+        return x if self.lift_basis is None else monomial_matrix(x, self.lift_basis)[:, 1:]
 
     def simplex_coords(self, x) -> np.ndarray:
         """Simplex coordinates (N, k-1) of the rows of x (N, n)."""
         return _matvec(self.to_simplex, self.lift(x) - self.anchor_lift)
+
+    @property
+    def simplex_vertices(self) -> np.ndarray:
+        """Each point's vertex, (k, k-1): e_(i+1) for point i, the origin for the anchor."""
+        return np.vstack([np.eye(self.simplex_dim), np.zeros(self.simplex_dim)])
 
     # -- evaluation ------------------------------------------------------
 
@@ -290,7 +299,7 @@ class TransformedLoss:
         if self.lift_basis is None:
             value, grad = self._simplex_value_and_grad(x)
         else:
-            value, w = self._simplex_value_and_grad(monomial_lift(x, self.lift_basis))
+            value, w = self._simplex_value_and_grad(monomial_matrix(x, self.lift_basis)[:, 1:])
             jac = basis_jacobian(x, self.lift_basis)[:, 1:, :]
             grad = row_sum(np.swapaxes(w[:, :, None] * jac, 1, 2))
         # C order, as the gradient's consumers (the descent's matmul) expect
@@ -324,6 +333,60 @@ class TransformedLoss:
             return np.eye(self.n)
         # to_simplex has rank k - 1, so vh's rows after the first k - 1 span its null space
         return np.linalg.svd(self.to_simplex)[2][self.simplex_dim :].T
+
+    def settle_threshold(self, max_step: float) -> float:
+        """h(r) for the settle radius r of steps up to ``max_step``; -inf if r <= 0.
+
+        A descent whose loss never rises ends nearest the vertex of its
+        first iterate below h(r).  Needs k > 1.  Write z = z(x) for the
+        simplex coordinates, V = {0, e_1, ..., e_(k-1)} for the vertices,
+        f for the simplicial loss and h(r) = r^2 (1 - r)^2.
+
+        * f(z) >= h(min(dist(z, V), 1/2)) for every z.  Near the origin,
+          with r = |z| <= 1/2, f >= sum z_i^2 (z_i - 1)^2 >= (1 - r)^2 r^2.
+          Near e_i, with r = |z - e_i| <= 1/2, f >= z_i^2 ((z_i - 1)^2 +
+          sum_(j != i) z_j^2) = z_i^2 r^2 >= (1 - r)^2 r^2.  When
+          dist(z, V) >= 1/2, let z_i^2 be the largest square: if
+          z_i^2 >= 1/4 then f >= z_i^2 |z - e_i|^2 >= 1/16, and otherwise
+          every |z_j| < 1/2 and f > |z|^2 / 4 >= 1/16.
+        * So f(z) < h(r), with r <= 1/2, puts z within r of one vertex v.
+          Every later iterate lies within r of some vertex too, as the loss
+          does not rise.  It stays near the same one if no step of at most
+          ``max_step`` joins two such regions.  Affine map: z is affine in
+          x and vertices are at least 1 apart, so r = (1 - |P|_2 max_step)
+          / 2 suffices, P = ``to_simplex``.  Lifted map: the lift holds
+          every x_i, so x - p_v = D_lin (z - v), where p_v is the point of
+          vertex v and D_lin the degree-1 rows of ``diff_mat``; a region
+          then lies in the ball of radius |D_lin|_2 r about p_v, and
+          r = (g_min - max_step) / (2 |D_lin|_2) suffices, g_min the
+          smallest gap between the loss's points.
+        * Every vertex other than v is more than 1 - r > r away, so the
+          vertex nearest the iterate where the loss first falls below h(r)
+          is the vertex nearest the final iterate, whatever stops the
+          descent.
+
+        The radius is capped at 1/2 and then lowered by SETTLE_MARGIN (0.01)
+        for rounding.  Rounding enters in three places.  Step lengths and
+        the norms above are off by a few units in the last place, which
+        moves r by about 1e-15.  The computed coordinates are off by about
+        d = eps |P|_2 |lift(x)|, so the nearest vertex, read with a
+        separation of 1 - 2r, does not move.  The computed loss differs
+        from f at the exact coordinates by about d, while the margin
+        lowers the threshold by h(r) - h(r - 0.01) > 4.9e-5 (the least is
+        at r = 1/2); that covers any d below 1e-5, that is |P|_2 |lift(x)|
+        below about 1e10.  On the mixtures of ``setbench``'s gmm_cluster
+        it is at most about 500, at the samples and at the final iterates.
+        """
+        if self.lift_basis is None:
+            radius = 0.5 * (1.0 - np.linalg.norm(self.to_simplex, 2) * max_step)
+        else:
+            linear = self.lift_basis.powers[1:].sum(axis=1) == 1
+            spread = np.linalg.norm(self.diff_mat[linear], 2)
+            radius = (self.points.min_gap() - max_step) / (2.0 * spread)
+        radius = min(radius, 0.5) - SETTLE_MARGIN
+        if not radius > 0.0:
+            return -np.inf
+        return (radius * (1.0 - radius)) ** 2
 
     # -- serialization and rendering --------------------------------------
 

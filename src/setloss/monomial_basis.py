@@ -21,8 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidStateError
-
 __all__ = [
     "MonomialBasis",
     "grlex_key",
@@ -30,7 +28,6 @@ __all__ = [
     "border_monomials",
     "monomial_matrix",
     "basis_jacobian",
-    "monomial_lift",
 ]
 
 
@@ -261,14 +258,3 @@ def basis_jacobian(points, basis: MonomialBasis) -> np.ndarray:
     jac = _multiply_out(x, basis._jacobian_plan).reshape(len(x), basis.n, len(basis))
     return np.swapaxes(jac, 1, 2)
 
-
-def monomial_lift(points, basis: MonomialBasis) -> np.ndarray:
-    """Evaluate every non-constant member of a basis headed by 1, per row of (N, n).
-
-    The basis must start with the constant monomial; each returned row
-    drops that leading 1, giving a polynomial embedding of x into
-    dimension m - 1.
-    """
-    if len(basis) == 0 or any(basis[0]):
-        raise InvalidStateError("basis must start with the constant monomial")
-    return monomial_matrix(points, basis)[:, 1:]

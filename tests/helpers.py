@@ -366,6 +366,26 @@ def reference_assign_labels(loss, recovered, samples):
     )
 
 
+def reference_settle_threshold(loss, max_step):
+    """TransformedLoss.settle_threshold read off the loss's matrices.
+
+    h(r) = (r (1 - r))^2 for the settle radius r, capped at 1/2 and lowered
+    by a margin of 0.01; -inf when r <= 0.
+    """
+    if loss.lift_basis is None:
+        radius = 0.5 * (1.0 - np.linalg.norm(loss.to_simplex, 2) * max_step)
+    else:
+        pts = loss.points.points
+        gaps = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        linear = loss.lift_basis.powers[1:].sum(axis=1) == 1
+        spread = np.linalg.norm(loss.diff_mat[linear], 2)
+        radius = (float(gaps[np.triu_indices(len(pts), 1)].min()) - max_step) / (2.0 * spread)
+    radius = min(radius, 0.5) - 0.01
+    if not radius > 0.0:
+        return -np.inf
+    return (radius * (1.0 - radius)) ** 2
+
+
 def reference_bounded_noise_sample(points, eps, counts, seed=0, model="truncated-normal"):
     """``bounded_noise_sample`` accepting one candidate row at a time.
 

@@ -254,6 +254,19 @@ def test_minimize_from_rejects_bad_start_shape():
             minimize_from(fun, np.array([[0.5 + 1j, 0.2]]))
 
 
+def test_minimize_from_refuses_complex_values_and_gradients():
+    # what fun returns is real too: a complex value or gradient raises
+    # TypeError rather than losing its imaginary part with a warning
+    def complex_fun(x):
+        value, grad = Quadratic([1.0, -2.0]).value_and_grad(x)
+        return value + 0j, grad + 1j
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError):
+            minimize_from(complex_fun, np.zeros((1, 2)))
+
+
 def test_assign_labels_descends_in_one_batch(monkeypatch):
     rng = np.random.default_rng(19)
     pts = PointSet(random_points(rng, 3, 2, min_gap=1.2))
@@ -516,6 +529,16 @@ def test_accuracy_rejects_non_finite_means():
         clustering_accuracy(assignment, np.array([0, 2, 2]), pts, means)
 
 
+def test_accuracy_refuses_complex_means():
+    pts = PointSet(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]))
+    samples = SampleSet(pts.points.copy())
+    assignment = assign_labels(build_transformed_loss(pts), pts, samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError):
+            clustering_accuracy(assignment, np.array([0, 1, 2]), pts, pts.points + 1j)
+
+
 def test_recover_point_set_end_to_end():
     rng = np.random.default_rng(8)
     pts = random_points(rng, 4, 2, min_gap=1.0)
@@ -631,6 +654,21 @@ def test_gmm_spec_validation():
             means=np.zeros((2, 2)),
             covariances=np.array([np.eye(2), -np.eye(2)]),
         )
+
+
+def test_gmm_spec_refuses_complex_entries():
+    # each field is cast as real_batch casts points: complex raises TypeError
+    fields = {
+        "weights": np.array([1.0]),
+        "means": np.array([[0.0, 2.0]]),
+        "covariances": np.eye(2)[None],
+    }
+    for name in fields:
+        bad = {**fields, name: fields[name] + 1j}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError):
+                GmmSpec(**bad)
 
 
 def test_gmm_sample_statistics():

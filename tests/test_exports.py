@@ -36,3 +36,15 @@ def test_only_numeric_kernels_imports_scipy():
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.add(path.stem)
     assert importers == {"numeric_kernels"}
+
+
+def test_only_loss_functions_reads_the_transformed_map():
+    # the map's matrices are TransformedLoss's own: other modules ask the
+    # loss (simplex_coords, simplex_vertices, settle_threshold) instead
+    private = {"to_simplex", "diff_mat", "anchor_lift", "lift_basis"}
+    readers = set()
+    for path in Path(setloss.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                readers.add(path.stem)
+    assert readers == {"loss_functions"}

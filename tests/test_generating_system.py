@@ -21,7 +21,6 @@ from setloss.monomial_basis import (
     MonomialBasis,
     basis_jacobian,
     border_monomials,
-    monomial_lift,
     monomial_matrix,
     standard_monomials,
 )
@@ -208,7 +207,6 @@ def test_batched_evaluators_refuse_a_single_point():
     evaluators = (
         lambda x: monomial_matrix(x, gm.basis),
         lambda x: basis_jacobian(x, gm.basis),
-        lambda x: monomial_lift(x, gm.basis),
         lambda x: evaluate_generators(gm, x),
         lambda x: generators_jacobian(gm, x),
     )

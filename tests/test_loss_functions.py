@@ -26,6 +26,7 @@ from helpers import (
     fd_gradient,
     random_points,
     reference_describe,
+    reference_settle_threshold,
     reference_simplicial,
     reference_transformed_value_and_grad,
     simplex_loss,
@@ -184,7 +185,25 @@ def test_transformed_losses_vanish_on_their_sets():
         np.testing.assert_allclose(loss.value_and_grad(pts)[0], 0.0, rtol=0, atol=1e-12)
         # point i goes to vertex e_(i+1), the last point to the origin
         expected = np.vstack([np.eye(len(pts) - 1), np.zeros(len(pts) - 1)])
-        np.testing.assert_allclose(loss.simplex_coords(pts), expected, atol=1e-10)
+        np.testing.assert_array_equal(loss.simplex_vertices, expected)
+        np.testing.assert_allclose(loss.simplex_coords(pts), loss.simplex_vertices, atol=1e-10)
+
+
+def test_settle_threshold_matches_the_reference():
+    # bit for bit, on a square affine map, an affine map with k < n + 1 and
+    # a lifted map, up to a step long enough to settle nothing
+    rng = np.random.default_rng(11)
+    losses = [
+        build_transformed_loss(PointSet(random_points(rng, 3, 2, min_gap=1.0))),
+        build_transformed_loss(PointSet(CASE1_SET)),
+        build_transformed_loss(PointSet(CASE2_SET)),
+    ]
+    assert [loss.kind for loss in losses] == ["affine", "affine", "lifted"]
+    for loss in losses:
+        steps = [f * loss.points.min_gap() for f in (0.0, 0.01, 0.1, 0.5, 1.0)]
+        thresholds = [loss.settle_threshold(step) for step in steps]
+        assert thresholds == [reference_settle_threshold(loss, step) for step in steps]
+        assert thresholds[0] > 0.0 and thresholds[-1] == -np.inf
 
 
 def test_dispatch_by_cardinality():

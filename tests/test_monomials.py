@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from setloss.errors import InvalidStateError
 from setloss.monomial_basis import (
     MonomialBasis,
     basis_jacobian,
     border_monomials,
     grlex_key,
-    monomial_lift,
     monomial_matrix,
     standard_monomials,
 )
@@ -201,23 +199,10 @@ def test_batched_jacobian_and_lift_stack_per_row_results():
         rows = pts[:, None, :]
         np.testing.assert_array_equal(jac, [basis_jacobian(p, basis)[0] for p in rows])
         np.testing.assert_array_equal(
-            monomial_lift(pts, basis), [monomial_lift(p, basis)[0] for p in rows]
+            monomial_matrix(pts, basis)[:, 1:], [monomial_matrix(p, basis)[0, 1:] for p in rows]
         )
     with pytest.raises(ValueError):
         basis_jacobian(np.zeros((2, 2, 2)), standard_monomials(2, 3))
-
-
-def test_monomial_lift_drops_constant():
-    basis = standard_monomials(2, 4)
-    x = np.array([[2.0, -1.0]])
-    lift = monomial_lift(x, basis)
-    np.testing.assert_allclose(lift, [[2.0, -1.0, 4.0]])
-
-
-def test_monomial_lift_requires_leading_constant():
-    shifted = MonomialBasis(2, ((1, 0), (0, 1)))
-    with pytest.raises(InvalidStateError):
-        monomial_lift(np.ones((1, 2)), shifted)
 
 
 def test_json_roundtrip():
