@@ -78,7 +78,8 @@ def minimize_from(fun, starts, max_step: float = np.inf, settle_below: float = -
     step and iterates until its gradient norm drops to
     DESCENT_GRADIENT_TOL, its line search stalls, or it has taken
     MAX_DESCENT_ITERATIONS steps; the last iterate is returned either
-    way, with ``converged`` telling the cases apart.
+    way, with ``converged`` telling the cases apart.  A step too short to
+    move the iterate is no decrease, so the line search stalls there.
 
     ``max_step`` caps the length of every step: a longer search direction
     is shortened to it before the line search.  A shorter full step that
@@ -115,8 +116,8 @@ def minimize_from(fun, starts, max_step: float = np.inf, settle_below: float = -
 
     count, dim = x.shape
     out_x = x.copy()
-    iterations = np.full(count, MAX_DESCENT_ITERATIONS, dtype=np.int64)
-    converged = np.zeros(count, dtype=bool)
+    iterations = np.empty(count, dtype=np.int64)
+    converged = np.empty(count, dtype=bool)
     grad_norm = np.empty(count)
     eye = np.eye(dim)
     # Each row's inverse Hessian h starts as the identity, and every BFGS
@@ -132,29 +133,29 @@ def minimize_from(fun, starts, max_step: float = np.inf, settle_below: float = -
     unpack = packed.reshape(-1)
     eye_packed = eye[upper_a, upper_b]
 
-    def finish(picked, done_iterations, ok, norms):
-        # picked indexes the state arrays; ok is a bool or per picked row
-        out = rows[picked]
-        out_x[out] = x.take(picked, axis=0)
-        iterations[out] = done_iterations
-        converged[out] = ok
-        grad_norm[out] = norms[picked]
-
     # The state arrays hold only the rows still descending, and rows maps
     # them back.  Rows are picked by index with take, several times
-    # cheaper on these small arrays than a boolean or fancy index, and a
-    # finished row leaves the state the iteration it finishes.
+    # cheaper on these small arrays than a boolean or fancy index.  Every
+    # row leaves the state at the top of an iteration, written out once.
     rows = np.arange(count)
     f, g = evaluate(x)
     hp = np.repeat(eye_packed[:, None], count, axis=1)
-    for it in range(MAX_DESCENT_ITERATIONS):
+    stalled = None
+    for it in range(MAX_DESCENT_ITERATIONS + 1):
         gnorm = _norms(g)
-        done = (gnorm <= DESCENT_GRADIENT_TOL) | (f < settle_below)
-        picked = done.nonzero()[0]
+        ok = (gnorm <= DESCENT_GRADIENT_TOL) | (f < settle_below)
+        leave = ok if stalled is None else ok | stalled
+        if it == MAX_DESCENT_ITERATIONS:
+            leave = np.ones_like(ok)
+        picked = leave.nonzero()[0]
         if picked.size:
-            finish(picked, it, True, gnorm)
-            keep = (~done).nonzero()[0]
-            rows, f, gnorm, hp = rows[keep], f[keep], gnorm[keep], hp.take(keep, axis=1)
+            out = rows[picked]
+            out_x[out] = x.take(picked, axis=0)
+            iterations[out] = it
+            converged[out] = ok[picked]
+            grad_norm[out] = gnorm[picked]
+            keep = (~leave).nonzero()[0]
+            rows, f, hp = rows[keep], f[keep], hp.take(keep, axis=1)
             x, g = x.take(keep, axis=0), g.take(keep, axis=0)
         if rows.size == 0:
             break
@@ -202,24 +203,24 @@ def minimize_from(fun, starts, max_step: float = np.inf, settle_below: float = -
             if pending.size == 0:
                 break
             t *= 0.5
-            cand = x.take(pending, axis=0) + t * d.take(pending, axis=0)
+            xp = x.take(pending, axis=0)
+            cand = xp + t * d.take(pending, axis=0)
             fc, gc = evaluate(cand)
-            ok = fc <= f[pending] + 1e-4 * t * slope[pending]
+            # a step that rounds away to nothing is no decrease
+            ok = (fc <= f[pending] + 1e-4 * t * slope[pending]) & (cand != xp).any(axis=1)
             picked = ok.nonzero()[0]
             took = pending[picked]
             x_new[took], f_new[took], g_new[took] = (
                 cand.take(picked, axis=0), fc[picked], gc.take(picked, axis=0)
             )
             pending = pending[~ok]
+        stalled = None
         if pending.size:
-            # line search stalled; no usable decrease left
-            finish(pending, it + 1, False, gnorm)
+            # line search stalled: keep the iterate, leave at the next top
+            x_new[pending] = x.take(pending, axis=0)
+            f_new[pending], g_new[pending] = f[pending], g.take(pending, axis=0)
             stalled = np.zeros(rows.size, dtype=bool)
             stalled[pending] = True
-            keep = (~stalled).nonzero()[0]
-            rows, f, f_new, hp = rows[keep], f[keep], f_new[keep], hp.take(keep, axis=1)
-            x, g, h = x.take(keep, axis=0), g.take(keep, axis=0), h.take(keep, axis=0)
-            x_new, g_new = x_new.take(keep, axis=0), g_new.take(keep, axis=0)
         s = x_new - x
         y = g_new - g
         sy = row_sum(s * y)
@@ -243,14 +244,6 @@ def minimize_from(fun, starts, max_step: float = np.inf, settle_below: float = -
         if not full:
             hp[:, sel] = hpu
         x, f, g = x_new, f_new, g_new
-    else:
-        gnorm = _norms(g)
-        finish(
-            np.arange(rows.size),
-            MAX_DESCENT_ITERATIONS,
-            (gnorm <= DESCENT_GRADIENT_TOL) | (f < settle_below),
-            gnorm,
-        )
     return MinimizeResult(out_x, iterations, converged, grad_norm)
 
 

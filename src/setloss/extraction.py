@@ -70,7 +70,7 @@ class ZeroSet:
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=complex)
-        res = np.array(self.residuals, dtype=float)
+        res = np.asarray(self.residuals).astype(float, casting="same_kind")
         if pts.ndim != 2 or res.shape != (pts.shape[0],):
             raise ValueError("points and residuals shapes are inconsistent")
         pts.flags.writeable = False

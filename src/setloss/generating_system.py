@@ -122,7 +122,8 @@ class GeneratingMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        ent = np.array(self.entries, dtype=float)
+        # a copy, cast as real_batch casts: complex entries raise TypeError
+        ent = np.asarray(self.entries).astype(float, casting="same_kind")
         if ent.shape != (len(self.basis), len(self.border)):
             raise ValueError(
                 f"entries must have shape ({len(self.basis)}, {len(self.border)}), got {ent.shape}"

@@ -55,6 +55,8 @@ class MonomialBasis:
         if self.n < 1:
             raise ValueError(f"dimension must be positive, got {self.n}")
         arr = np.array(self.powers, dtype=np.int64)
+        if not np.array_equal(arr, self.powers):
+            raise ValueError("exponents must be integers")
         if arr.shape == (0,):
             arr = arr.reshape(0, self.n)
         if arr.ndim != 2 or arr.shape[1] != self.n:

@@ -54,6 +54,23 @@ def rosenbrock(x):
     return value, grad
 
 
+class UphillBeyondTen:
+    """The simplex loss of (1, 2) with its gradient's sign flipped beyond x1 = 10.
+
+    There the gradient leaves no descent direction, so a row started
+    there stalls in its first line search.  ``calls`` counts evaluations.
+    """
+
+    def __init__(self):
+        self.inner = simplex_loss(np.array([1.0, 2.0]))
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        value, grad = self.inner.value_and_grad(x)
+        return value, np.where(x[:, :1] > 10.0, -grad, grad)
+
+
 def descend_at_most(iterations, fun, starts, **kwargs):
     """``minimize_from`` with MAX_DESCENT_ITERATIONS set to ``iterations`` for one call."""
     with pytest.MonkeyPatch.context() as mp:
@@ -211,15 +228,8 @@ def test_capped_descent_crosses_flat_concave_stretches():
     assert result.iterations.max() <= 15
 
 
-def test_batched_descent_with_mixed_outcomes(monkeypatch):
-    monkeypatch.setattr(clustering, "MAX_DESCENT_ITERATIONS", 1)
-    inner = simplex_loss(np.array([1.0, 2.0]))
-
-    def loss(x):
-        # the wrong-sign gradient beyond x1 = 10 leaves no descent direction
-        value, grad = inner.value_and_grad(x)
-        return value, np.where(x[:, :1] > 10.0, -grad, grad)
-
+def test_batched_descent_with_mixed_outcomes():
+    loss = UphillBeyondTen()
     starts = np.array(
         [
             [0.0, 2.0],  # on a vertex
@@ -228,17 +238,47 @@ def test_batched_descent_with_mixed_outcomes(monkeypatch):
             [-1.5, 2.5],
         ]
     )
-    res = minimize_from(loss, starts)
+    res = descend_at_most(1, loss, starts)
     np.testing.assert_array_equal(res.iterations, [0, 1, 1, 1])
     np.testing.assert_array_equal(res.converged, [True, False, False, False])
     np.testing.assert_array_equal(res.x[0], starts[0])
     np.testing.assert_array_equal(res.x[2], starts[2])
-    assert res.grad_norm[2] == pytest.approx(np.linalg.norm(inner.value_and_grad(starts[2:3])[1]))
+    assert res.grad_norm[2] == pytest.approx(np.linalg.norm(loss.inner.value_and_grad(starts[2:3])[1]))
     # the stalled row changes nothing for the others
-    rest = minimize_from(loss, starts[[0, 1, 3]])
+    rest = descend_at_most(1, loss, starts[[0, 1, 3]])
     for name in ("x", "iterations", "converged", "grad_norm"):
         np.testing.assert_array_equal(getattr(res, name)[[0, 1, 3]], getattr(rest, name))
     assert not np.allclose(res.x[[1, 3]], starts[[1, 3]])
+    # at the default cap the stalled row leaves after its one step while
+    # the others descend on, and they end as they do without it
+    full = minimize_from(loss, starts)
+    np.testing.assert_array_equal(full.iterations, [0, 7, 1, 14])
+    np.testing.assert_array_equal(full.converged, [True, True, False, True])
+    np.testing.assert_array_equal(full.x[2], starts[2])
+    assert full.grad_norm[2] == res.grad_norm[2]
+    rest = minimize_from(loss, starts[[0, 1, 3]])
+    for name in ("x", "iterations", "converged", "grad_norm"):
+        np.testing.assert_array_equal(getattr(full, name)[[0, 1, 3]], getattr(rest, name))
+
+
+def test_a_backtracked_step_that_does_not_move_is_a_stall():
+    # Halving a capped step reaches steps that round away to nothing, and
+    # the loss there equals the loss at the iterate, which f plus a tiny
+    # negative Armijo term rounds back to.  Such a step is no decrease: the
+    # row stalls in its first line search, as it does uncapped, rather
+    # than standing still up to the iteration cap.
+    start = np.array([[12.0, 1.0]])
+    loss = UphillBeyondTen()
+    free = minimize_from(loss, start)
+    assert loss.calls == 61
+    loss.calls = 0
+    capped = minimize_from(loss, start, max_step=0.1)
+    assert capped.iterations[0] == free.iterations[0] == 1
+    assert loss.calls <= 61
+    for got, want in zip(capped, free, strict=True):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(capped.x, start)
+    assert not capped.converged[0]
 
 
 def test_minimize_from_rejects_bad_start_shape():

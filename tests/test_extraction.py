@@ -410,6 +410,18 @@ def test_zero_set_json_roundtrip():
     assert again.approximate == zs.approximate
 
 
+def test_zero_set_refuses_complex_residuals():
+    # residuals are real: a complex one raises TypeError, its imaginary
+    # part not dropped with a warning; real ones are copied before freezing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError):
+            ZeroSet(np.zeros((2, 2)), np.array([1 + 1j, 0]), False, 0.0)
+    residuals = np.array([1.0, 0.0])
+    zs = ZeroSet(np.zeros((2, 2)), residuals, False, 0.0)
+    assert residuals.flags.writeable and not zs.residuals.flags.writeable
+
+
 def test_single_point_extraction():
     gm = solve_generating_matrix(PointSet(np.array([[2.5, -1.5]])))
     zs = extract_zero_set(gm)

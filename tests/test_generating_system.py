@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import sympy
@@ -451,6 +453,21 @@ def test_json_refuses_a_b1_that_is_not_the_border_of_b0(case):
         b1, g = [b1[1], b1[0], *b1[2:]], g[:, [1, 0, 2, 3]]
     with pytest.raises(ValueError, match="b1 must list the border of b0"):
         GeneratingMatrix.from_json({**payload, "b1": b1, "g": g.reshape(-1).tolist()})
+
+
+def test_generating_matrix_refuses_complex_entries():
+    # complex entries raise TypeError rather than losing their imaginary
+    # parts with a warning; real ones are copied, so freezing the matrix
+    # leaves the caller's array writeable
+    gm = solve_generating_matrix(PointSet(SET_A))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError):
+            GeneratingMatrix(gm.basis, gm.entries + 1j)
+    entries = gm.entries.copy()
+    again = GeneratingMatrix(gm.basis, entries)
+    assert entries.flags.writeable and not again.entries.flags.writeable
+    np.testing.assert_array_equal(again.entries, gm.entries)
 
 
 def test_json_roundtrip():

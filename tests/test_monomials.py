@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from setloss.generating_system import GeneratingMatrix, PointSet, solve_generating_matrix
 from setloss.monomial_basis import (
     MonomialBasis,
     basis_jacobian,
@@ -110,6 +111,20 @@ def test_basis_rejects_negative_and_wrong_width():
         with pytest.raises(ValueError):
             MonomialBasis(2, members)
     assert len(MonomialBasis(2, ())) == 0
+    # a fractional exponent is refused, not truncated to the integer below it
+    for members in (((1.5, 0), (0, 1)), np.array([[0.0, 0.0], [0.5, 0.0]])):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            MonomialBasis(2, members)
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        MonomialBasis.from_json({"n": 2, "members": [[0, 0], [0.5, 0]]})
+    assert MonomialBasis(2, ((0.0, 0.0), (1.0, 0.0))) == MonomialBasis(2, ((0, 0), (1, 0)))
+    # a build file whose b0 has 1.5 in place of a 1 is not read as the standard basis
+    payload = solve_generating_matrix(
+        PointSet(np.array([[2.0, -1.0], [-1.0, 3.0], [-2.0, -2.0], [0.5, 0.25]]))
+    ).to_json()
+    payload["b0"][1] = [1.5, 0]
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        GeneratingMatrix.from_json(payload)
 
 
 def test_border_of_simplex_basis():
