@@ -266,7 +266,8 @@ class ClusterAssignment:
 
     def __post_init__(self):
         for name in ("labels", "converged", "iterations", "minimizers"):
-            arr = np.asarray(getattr(self, name))
+            # a copy: freezing it leaves the caller's array writable
+            arr = np.array(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -361,8 +362,8 @@ def clustering_accuracy(
 
     Recovered points are aligned to the true means by the permutation
     minimizing the summed squared distances (exhaustive search, so the
-    set size is capped at 8), and labels are compared through that
-    alignment.
+    set size is capped at 8; of equal sums, the first permutation in
+    lexicographic order), and labels are compared through that alignment.
     """
     truth = np.asarray(truth, dtype=np.int64)
     means = _real(true_means)
@@ -380,14 +381,14 @@ def clustering_accuracy(
     if not np.all(np.isfinite(means)):
         raise ValueError("true means must be finite")
     pts = recovered.points
-    best_perm = None
-    best_cost = np.inf
-    for perm in itertools.permutations(range(k)):
-        cost = sum(float(np.sum((pts[i] - means[perm[i]]) ** 2)) for i in range(k))
-        if cost < best_cost:
-            best_cost = cost
-            best_perm = perm
-    mapped = np.asarray(best_perm)[assignment.labels]
+    # cost[i, j] is the squared distance from recovered point i to mean j
+    cost = ((pts[:, None] - means[None]) ** 2).sum(axis=2)
+    perms = np.array(list(itertools.permutations(range(k))))
+    picked = cost[np.arange(k), perms]
+    # each permutation's total summed left to right, as a Python sum over
+    # its points, so that equal totals tie to the bit; argmin keeps the first
+    totals = sum(picked.T)
+    mapped = perms[np.argmin(totals)][assignment.labels]
     return float(np.mean(mapped == truth))
 
 
@@ -493,10 +494,12 @@ def bounded_noise_sample(
     if model not in ("truncated-normal", "uniform"):
         raise ValueError(f"unknown noise model {model!r}")
     k, n = points.k, points.n
-    radii = np.broadcast_to(np.asarray(eps, dtype=float), (k,)).copy()
+    radii = np.broadcast_to(_real(eps), (k,)).copy()
     if np.any(radii <= 0):
         raise ValueError("noise radii must be positive")
     sizes = np.asarray(counts, dtype=np.int64)
+    if not np.array_equal(sizes, counts):
+        raise ValueError("sample counts must be integers")
     if sizes.shape == ():
         sizes = np.full(k, int(sizes))
     if sizes.shape != (k,) or np.any(sizes < 1):

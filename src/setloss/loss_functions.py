@@ -216,29 +216,25 @@ class TransformedLoss:
     """
 
     def __init__(self, points: PointSet, lift_basis: MonomialBasis | None = None):
-        if lift_basis is not None and len(lift_basis) != points.k:
-            raise ValueError(
-                f"a lift basis for {points.k} points needs {points.k} members, "
-                f"got {len(lift_basis)}"
-            )
-        if lift_basis is not None and any(lift_basis[0]):
-            # the lift drops the first member as the constant monomial
-            raise ValueError("a lift basis must start with the constant monomial")
-        if lift_basis is not None and (
-            np.count_nonzero(lift_basis.powers.sum(axis=1) == 1) < points.n
-        ):
-            # the rows are distinct, so this counts the x_i present; without
-            # all of them the lift is not injective and the loss vanishes
-            # off the point set
-            raise ValueError("a lift basis must hold every degree-1 monomial")
+        if lift_basis is not None:
+            if len(lift_basis) != points.k:
+                raise ValueError(
+                    f"a lift basis for {points.k} points needs {points.k} members, "
+                    f"got {len(lift_basis)}"
+                )
+            if any(lift_basis[0]):
+                # the lift drops the first member as the constant monomial
+                raise ValueError("a lift basis must start with the constant monomial")
+            if np.count_nonzero(lift_basis.powers.sum(axis=1) == 1) < points.n:
+                # the rows are distinct, so this counts the x_i present; without
+                # all of them the lift is not injective and the loss vanishes
+                # off the point set
+                raise ValueError("a lift basis must hold every degree-1 monomial")
         self.points = points
         self.lift_basis = lift_basis
         # overflowing lifts are refused below, not warned about first
         with np.errstate(over="ignore", invalid="ignore"):
-            if lift_basis is None:
-                lifts = points.points
-            else:
-                lifts = monomial_matrix(points.points, lift_basis)[:, 1:]
+            lifts = self.lift(points.points)
             self.anchor_lift = lifts[-1]
             self.diff_mat = (lifts[:-1] - self.anchor_lift).T
         require_finite(
@@ -296,12 +292,10 @@ class TransformedLoss:
     def value_and_grad(self, x):
         """Values (N,) and gradients (N, n) at the rows of x (N, n)."""
         x = real_batch(x, self.n)
-        if self.lift_basis is None:
-            value, grad = self._simplex_value_and_grad(x)
-        else:
-            value, w = self._simplex_value_and_grad(monomial_matrix(x, self.lift_basis)[:, 1:])
+        value, grad = self.lift_value_and_grad(self.lift(x))
+        if self.lift_basis is not None:
             jac = basis_jacobian(x, self.lift_basis)[:, 1:, :]
-            grad = row_sum(np.swapaxes(w[:, :, None] * jac, 1, 2))
+            grad = row_sum(np.swapaxes(grad[:, :, None] * jac, 1, 2))
         # C order, as the gradient's consumers (the descent's matmul) expect
         return value, np.ascontiguousarray(grad)
 
@@ -312,12 +306,8 @@ class TransformedLoss:
         gradient is taken in zeta.  For the identity lift this is
         ``value_and_grad``.
         """
-        return self._simplex_value_and_grad(real_batch(zeta, self.anchor_lift.size))
-
-    def _simplex_value_and_grad(self, zeta):
-        # zeta is (N, d), already checked
-        z = _matvec(self.to_simplex, zeta - self.anchor_lift)
-        value, gz = _simplicial_value_and_grad(z)
+        zeta = real_batch(zeta, self.anchor_lift.size)
+        value, gz = _simplicial_value_and_grad(_matvec(self.to_simplex, zeta - self.anchor_lift))
         return value, _matvec(self.to_simplex.T, gz)
 
     def null_directions(self) -> np.ndarray:

@@ -137,6 +137,9 @@ def standard_monomials(n: int, k: int) -> MonomialBasis:
     its border and every structure derived from it, for the whole
     process.
     """
+    if not (float(n).is_integer() and float(k).is_integer()):
+        raise ValueError(f"n and k must be integers, got n={n}, k={k}")
+    n, k = int(n), int(k)
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     out: list[tuple[int, ...]] = []

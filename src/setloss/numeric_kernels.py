@@ -80,7 +80,8 @@ def pseudo_inverse(u) -> np.ndarray:
     deficiency (relative singular-value gap below 1e-10) raises
     DegenerateConfigurationError.
     """
-    u = np.asarray(u, dtype=float)
+    # cast as real_batch casts: a complex matrix raises TypeError
+    u = np.asarray(u).astype(float, casting="same_kind", copy=False)
     if u.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {u.shape}")
     rows, m = u.shape
@@ -193,7 +194,8 @@ def min_eigenvalue_sym(a) -> float:
     1e-12 * max(1, |a|_max); anything else raises ValueError rather than
     being silently symmetrized.
     """
-    a = np.asarray(a, dtype=float)
+    # cast as real_batch casts: a complex matrix raises TypeError
+    a = np.asarray(a).astype(float, casting="same_kind", copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)

@@ -1,5 +1,7 @@
 """Shared oracles and generators for the test suite."""
 
+import itertools
+
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import ztrexc
@@ -444,3 +446,21 @@ def reference_penalty_jacobian(model, g, rho):
     data = -np.kron(np.eye(model.m), model.a) / np.sqrt(model.size)
     comm = np.sqrt(rho) * model.commutator_jacobian(model.shifts.matrices(g))
     return np.vstack([data, comm])
+
+
+def reference_alignment(points, means):
+    """The permutation that ``clustering_accuracy`` aligns by, one at a time.
+
+    Each permutation's cost is its summed squared distances, in a Python
+    sum over the points; the first of the least costs, in
+    ``itertools.permutations`` order, wins.
+    """
+    k = len(points)
+    best_perm = None
+    best_cost = np.inf
+    for perm in itertools.permutations(range(k)):
+        cost = sum(float(np.sum((points[i] - means[perm[i]]) ** 2)) for i in range(k))
+        if cost < best_cost:
+            best_cost = cost
+            best_perm = perm
+    return best_perm

@@ -32,6 +32,7 @@ from setloss.loss_functions import (
 from helpers import (
     match_as_multisets,
     random_points,
+    reference_alignment,
     reference_assign_labels,
     reference_bounded_noise_sample,
     simplex_loss,
@@ -544,6 +545,47 @@ def test_accuracy_is_permutation_invariant():
     )
 
 
+def test_accuracy_aligns_as_the_permutation_loop_does():
+    # labels 0..k-1 with the loop's permutation as truth score 1 exactly when
+    # clustering_accuracy picks that permutation; grid points and repeated
+    # means give totals that tie to the bit
+    rng = np.random.default_rng(11)
+    for case in range(150):
+        # the loop takes about 0.1 s at k = 7, so only a few cases go there
+        k = 7 if case % 25 == 0 else int(rng.integers(1, 7))
+        n = int(rng.integers(1, 4))
+        pts = random_points(rng, k, n, min_gap=0.1)
+        if case % 3 == 0:
+            means = rng.integers(-1, 2, (k, n)).astype(float)
+        elif case % 3 == 1:
+            means = pts[rng.integers(0, k, k)] + rng.integers(-1, 2, (k, n))
+        else:
+            means = rng.standard_normal((k, n))
+        perm = reference_alignment(pts, means)
+        assignment = ClusterAssignment(
+            labels=np.arange(k),
+            converged=np.ones(k, dtype=bool),
+            iterations=np.zeros(k, dtype=np.int64),
+            minimizers=pts,
+        )
+        assert clustering_accuracy(assignment, np.array(perm), PointSet(pts), means) == 1.0
+
+
+def test_cluster_assignment_copies_its_arrays():
+    # freezing the assignment leaves the caller's arrays writeable
+    fields = {
+        "labels": np.array([0, 1, 1]),
+        "converged": np.ones(3, dtype=bool),
+        "iterations": np.array([2, 0, 5]),
+        "minimizers": np.zeros((3, 2)),
+    }
+    assignment = ClusterAssignment(**fields)
+    for name, arr in fields.items():
+        assert arr.flags.writeable
+        assert not getattr(assignment, name).flags.writeable
+        np.testing.assert_array_equal(getattr(assignment, name), arr)
+
+
 def test_accuracy_rejects_oversized_alignment():
     rng = np.random.default_rng(7)
     means = random_points(rng, 9, 2, min_gap=1.0)
@@ -673,6 +715,18 @@ def test_bounded_noise_validation():
         bounded_noise_sample(pts, 0.1, 0)
     with pytest.raises(ValueError):
         bounded_noise_sample(pts, 0.1, 5, model="cauchy")
+    # counts are whole numbers, not truncated to one
+    three = PointSet(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]))
+    for counts in (5.7, [2.5, 3.9, 1.2]):
+        with pytest.raises(ValueError, match="integers"):
+            bounded_noise_sample(three, 0.1, counts)
+    assert bounded_noise_sample(three, 0.1, 4.0)[0].size == 12
+    assert bounded_noise_sample(three, 0.1, np.array([2.0, 3.0, 1.0]))[0].size == 6
+    # a complex radius raises TypeError, not a cast to its real part
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError):
+            bounded_noise_sample(pts, 0.1 + 0.1j, 5)
 
 
 def test_gmm_spec_validation():

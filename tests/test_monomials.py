@@ -82,6 +82,19 @@ def test_standard_monomials_always_divisor_closed():
                         assert tuple(lowered) in members
 
 
+def test_standard_monomials_refuse_non_integer_sizes():
+    # a fractional k used to round up to a whole degree level, and a
+    # fractional n never reached the one-variable case
+    for n, k in ((2, 2.5), (2, 3.7), (2.5, 3), (2, float("nan"))):
+        with pytest.raises(ValueError, match="integers"):
+            standard_monomials(n, k)
+    # integral floats and numpy integers name the same cached basis
+    basis = standard_monomials(2, 4)
+    assert standard_monomials(2, 4.0) is basis
+    assert standard_monomials(np.int64(2), np.int64(4)) is basis
+    assert type(standard_monomials(3.0, 5).n) is int
+
+
 def test_basis_rejects_duplicates_and_keeps_order():
     with pytest.raises(ValueError):
         MonomialBasis(2, ((0, 0), (0, 0)))

@@ -95,6 +95,14 @@ def test_pseudo_inverse_tall_matrix():
         np.testing.assert_allclose(dag @ u @ dag, dag, atol=1e-10)
 
 
+def test_pseudo_inverse_refuses_complex_input():
+    # TypeError rather than the real part with a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError):
+            pseudo_inverse(np.eye(3, 2) + 1j)
+
+
 def test_pseudo_inverse_zero_columns():
     dag = pseudo_inverse(np.zeros((3, 0)))
     assert dag.shape == (0, 3)
@@ -218,3 +226,11 @@ def test_min_eigenvalue_sym():
 def test_min_eigenvalue_sym_rejects_asymmetric():
     with pytest.raises(ValueError):
         min_eigenvalue_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_min_eigenvalue_sym_refuses_complex_input():
+    # TypeError rather than the real part with a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError):
+            min_eigenvalue_sym(np.array([[1.0, 1j], [-1j, 1.0]]))
