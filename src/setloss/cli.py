@@ -12,7 +12,8 @@ a numerical failure, or zeros refused as not real (by recovery or by
 ``cluster --sstar``), 3 best-effort output produced after an iteration cap
 (``fit --complex`` also when the zeros it wrote are not real, with no
 loss, and ``bench --scenario gmm`` when a trial failed numerically at the
-extract stage, a refused recovery among them).  For
+extract stage, a refused recovery among them, or had its recovered points
+refused as degenerate at the loss stage).  For
 codes 2 and 3 stderr is one line, a machine-readable JSON object that
 names every reason for the code; its ``warnings`` list holds the text of
 each Python warning raised while the command ran.  With codes 0 and 1
@@ -493,11 +494,12 @@ def cmd_bench(args) -> list[dict]:
             samples, truth = gmm_sample(spec, args.samples, seed=_derived_seed(seed, 1))
             try:
                 result = recover_point_set(samples, args.k, FitOptions(seed=seed))
-            except NumericalFailureError as exc:
-                if getattr(exc, "stage", None) != "extract":
+            except (NumericalFailureError, DegenerateConfigurationError) as exc:
+                refused_at = "extract" if isinstance(exc, NumericalFailureError) else "loss"
+                if getattr(exc, "stage", None) != refused_at:
                     raise
-                # extraction failed or refused the zeros: no labels, scored
-                # as a failed trial
+                # extraction failed or refused the zeros, or the loss refused
+                # the recovered points: no labels, scored as a failed trial
                 acc, nearest_acc, converged = 0.0, 0.0, False
             else:
                 assignment = assign_labels(result.loss, result.recovered, samples)

@@ -120,18 +120,6 @@ def minimize_from(fun, starts, max_step: float = np.inf, settle_below: float = -
     converged = np.empty(count, dtype=bool)
     grad_norm = np.empty(count)
     eye = np.eye(dim)
-    # Each row's inverse Hessian h starts as the identity, and every BFGS
-    # update adds terms that are symmetric to the last bit (s_a s_b is
-    # s_b s_a, and hy_a s_b + s_a hy_b is the same sum in the other
-    # order), so h stays exactly symmetric.  The state keeps its upper
-    # triangle, one entry per row of hp, (T, N): updating it runs numpy's
-    # loops over the N rows rather than over d entries at a time.  The
-    # full (N, d, d) h is unpacked for the matmuls.
-    upper_a, upper_b = np.triu_indices(dim)
-    packed = np.empty((dim, dim), dtype=np.intp)
-    packed[upper_a, upper_b] = packed[upper_b, upper_a] = np.arange(len(upper_a))
-    unpack = packed.reshape(-1)
-    eye_packed = eye[upper_a, upper_b]
 
     # The state arrays hold only the rows still descending, and rows maps
     # them back.  Rows are picked by index with take, several times
@@ -139,7 +127,8 @@ def minimize_from(fun, starts, max_step: float = np.inf, settle_below: float = -
     # row leaves the state at the top of an iteration, written out once.
     rows = np.arange(count)
     f, g = evaluate(x)
-    hp = np.repeat(eye_packed[:, None], count, axis=1)
+    # each row's inverse Hessian, (N, d, d), starts as the identity
+    h = np.repeat(eye[None], count, axis=0)
     stalled = None
     for it in range(MAX_DESCENT_ITERATIONS + 1):
         gnorm = _norms(g)
@@ -155,11 +144,10 @@ def minimize_from(fun, starts, max_step: float = np.inf, settle_below: float = -
             converged[out] = ok[picked]
             grad_norm[out] = gnorm[picked]
             keep = (~leave).nonzero()[0]
-            rows, f, hp = rows[keep], f[keep], hp.take(keep, axis=1)
+            rows, f, h = rows[keep], f[keep], h.take(keep, axis=0)
             x, g = x.take(keep, axis=0), g.take(keep, axis=0)
         if rows.size == 0:
             break
-        h = np.ascontiguousarray(hp[unpack].T).reshape(-1, dim, dim)
         d = -(h @ g[:, :, None])[:, :, 0]
         slope = row_sum(d * g)
         restart = (slope >= 0.0).nonzero()[0]
@@ -167,7 +155,6 @@ def minimize_from(fun, starts, max_step: float = np.inf, settle_below: float = -
             # curvature model went bad; restart from steepest descent
             gr = g.take(restart, axis=0)
             h[restart] = eye
-            hp[:, restart] = eye_packed[:, None]
             d[restart] = -gr
             slope[restart] = -row_sum(gr * gr)
         length = _norms(d)
@@ -225,24 +212,19 @@ def minimize_from(fun, starts, max_step: float = np.inf, settle_below: float = -
         y = g_new - g
         sy = row_sum(s * y)
         update = sy > 1e-12 * _norms(s) * _norms(y)
-        # BFGS update where the curvature pair is usable, in place on hp
-        # when every row has one:
+        # BFGS update where the curvature pair is usable:
         # h += (sy + y.hy) / sy^2 s s^T - (hy s^T + s hy^T) / sy
-        full = bool(update.all())
-        if not full:
-            sel = update.nonzero()[0]
-            s, y, sy = s.take(sel, axis=0), y.take(sel, axis=0), sy[sel]
-            h, hpu = h.take(sel, axis=0), hp.take(sel, axis=1)
-        else:
-            hpu = hp
-        hy = (h @ y[:, :, None])[:, :, 0]
-        s_a, s_b = s.T[upper_a], s.T[upper_b]
-        hpu += ((sy + row_sum(y * hy)) / sy**2) * (s_a * s_b)
-        cross = hy.T[upper_a] * s_b + s_a * hy.T[upper_b]
-        cross /= sy
-        hpu -= cross
-        if not full:
-            hp[:, sel] = hpu
+        # h stays exactly symmetric: s_a s_b is s_b s_a, and hy_a s_b + s_a hy_b
+        # is hy_b s_a + s_b hy_a added in the other order
+        sel = update.nonzero()[0]
+        s, y, sy = s.take(sel, axis=0), y.take(sel, axis=0), sy[sel]
+        hu = h.take(sel, axis=0)
+        hy = (hu @ y[:, :, None])[:, :, 0]
+        hu += ((sy + row_sum(y * hy)) / sy**2)[:, None, None] * (s[:, :, None] * s[:, None, :])
+        cross = hy[:, :, None] * s[:, None, :] + s[:, :, None] * hy[:, None, :]
+        cross /= sy[:, None, None]
+        hu -= cross
+        h[sel] = hu
         x, f, g = x_new, f_new, g_new
     return MinimizeResult(out_x, iterations, converged, grad_norm)
 

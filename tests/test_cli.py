@@ -653,7 +653,10 @@ def test_fit_names_every_exit_three_reason_in_one_object(tmp_path, capsys, monke
 
     monkeypatch.setattr(cli, "recover_point_set", unconverged)
     argv = ["fit", "--input", str(inp), "--k", "4", "--complex"]
-    assert main([*argv, "--output", str(tmp_path / "fit.json")]) == 3
+    with warnings.catch_warnings():
+        # recorded into the diagnostic even where RuntimeWarning is an error
+        warnings.simplefilter("always", RuntimeWarning)
+        assert main([*argv, "--output", str(tmp_path / "fit.json")]) == 3
     err = one_json_line(capsys.readouterr().err)
     assert err["error"] == "non-convergence" and "penalty rounds" in err["message"]
     [also] = err["also"]
@@ -796,6 +799,29 @@ def test_bench_gmm_scores_extract_failures_as_failed(tmp_path, capsys, monkeypat
     assert min(float(rows[1][1]), float(rows[3][1])) >= 0.8
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["min_accuracy"] == 0.0
+
+
+def test_bench_gmm_scores_loss_refusals_as_failed(tmp_path, capsys):
+    # seven points on a line: in trials 0 and 1 the recovered points are
+    # too close to dependent for the lifted loss, which refuses them at the
+    # loss stage; the run goes on and trial 2 recovers
+    out_dir = tmp_path / "gmm"
+    args = ["bench", "--scenario", "gmm", "--n", "1", "--k", "7", "--seeds", "3"]
+    assert main([*args, "--out-dir", str(out_dir)]) == 3
+    assert one_json_line(capsys.readouterr().err)["error"] == "non-convergence"
+    rows = [row.split(",") for row in (out_dir / "results.csv").read_text().strip().splitlines()]
+    assert rows[1:3] == [["0", "0.0", "0"], ["1", "0.0", "0"]]
+    assert len(rows) == 4 and float(rows[3][1]) >= 0.9
+
+
+def test_bench_gmm_stops_on_a_fit_refusal(tmp_path, capsys):
+    # fewer samples than components: the fit refuses them, and no trial is scored
+    out_dir = tmp_path / "gmm"
+    args = ["bench", "--scenario", "gmm", "--k", "4", "--samples", "3", "--seeds", "2"]
+    assert main([*args, "--out-dir", str(out_dir)]) == 2
+    err = one_json_line(capsys.readouterr().err)
+    assert err["error"] == "degenerate-configuration" and err["stage"] == "fit"
+    assert not out_dir.exists()
 
 
 def test_bench_gmm_stops_on_other_numerical_failures(tmp_path, capsys, monkeypatch):

@@ -180,6 +180,29 @@ def test_batched_descent_matches_single_starts(family, seed, max_step):
             assert batch.grad_norm[i] == single.grad_norm[0]
 
 
+def huber(x):
+    # 0.5 x^2 within 1 of the origin and |x| - 0.5 beyond it, in each coordinate
+    inside = np.abs(x) <= 1.0
+    return np.where(inside, 0.5 * x * x, np.abs(x) - 0.5).sum(axis=1), np.where(inside, x, np.sign(x))
+
+
+def test_batched_descent_updates_some_rows_and_skips_others():
+    # In the first iteration row 0 steps along a linear stretch, where the
+    # gradient does not change, so it has no usable curvature pair and keeps
+    # its inverse Hessian; row 2 steps into the quadratic part and updates.
+    starts = np.array([[6.0, -4.5, 3.0], [0.4, -0.3, 0.2], [0.9, 5.0, -0.7]])
+    first = descend_at_most(1, huber, starts).x
+    np.testing.assert_array_equal(huber(first[:1])[1], huber(starts[:1])[1])
+    assert np.dot(first[2] - starts[2], huber(first[2:])[1][0] - huber(starts[2:])[1][0]) > 0
+    batch = minimize_from(huber, starts)
+    np.testing.assert_array_equal(batch.iterations, [12, 1, 10])
+    assert batch.converged.all()
+    for i in range(len(starts)):
+        single = minimize_from(huber, starts[i : i + 1])
+        for got, want in zip(single, batch, strict=True):
+            np.testing.assert_array_equal(got, want[i : i + 1])
+
+
 def test_capped_descent_never_steps_further_than_max_step():
     def iterates(cap, count):
         # cutting a descent after i iterations returns its i-th accepted iterate
