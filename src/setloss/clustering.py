@@ -22,7 +22,7 @@ from .fitting import FitOptions, FitResult, SampleSet, fit_generating_matrix
 from .generating_system import PointSet, solve_generating_matrix
 from .loss_functions import GeneratingLoss, TransformedLoss, build_transformed_loss
 from .monomial_basis import real_batch, standard_monomials
-from .numeric_kernels import row_sum
+from .numeric_kernels import integer_array, real_array, row_sum
 
 __all__ = [
     "MinimizeResult",
@@ -56,11 +56,6 @@ class MinimizeResult(NamedTuple):
     iterations: np.ndarray
     converged: np.ndarray
     grad_norm: np.ndarray
-
-
-def _real(values) -> np.ndarray:
-    # values as a float array, cast as real_batch casts: complex raises TypeError
-    return np.asarray(values).astype(float, casting="same_kind", copy=False)
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -112,7 +107,7 @@ def minimize_from(fun, starts, max_step: float = np.inf, settle_below: float = -
 
     def evaluate(pts):
         values, grads = fun(pts)
-        return _real(values), _real(grads)
+        return real_array(values), real_array(grads)
 
     count, dim = x.shape
     out_x = x.copy()
@@ -347,8 +342,8 @@ def clustering_accuracy(
     set size is capped at 8; of equal sums, the first permutation in
     lexicographic order), and labels are compared through that alignment.
     """
-    truth = np.asarray(truth, dtype=np.int64)
-    means = _real(true_means)
+    truth = integer_array(truth, "truth labels")
+    means = real_array(true_means)
     k = recovered.k
     if k > MAX_ALIGNMENT_SIZE:
         raise NotImplementedError(
@@ -476,12 +471,10 @@ def bounded_noise_sample(
     if model not in ("truncated-normal", "uniform"):
         raise ValueError(f"unknown noise model {model!r}")
     k, n = points.k, points.n
-    radii = np.broadcast_to(_real(eps), (k,)).copy()
+    radii = np.broadcast_to(real_array(eps), (k,)).copy()
     if np.any(radii <= 0):
         raise ValueError("noise radii must be positive")
-    sizes = np.asarray(counts, dtype=np.int64)
-    if not np.array_equal(sizes, counts):
-        raise ValueError("sample counts must be integers")
+    sizes = integer_array(counts, "sample counts")
     if sizes.shape == ():
         sizes = np.full(k, int(sizes))
     if sizes.shape != (k,) or np.any(sizes < 1):
@@ -518,7 +511,7 @@ class GmmSpec:
     covariances: np.ndarray
 
     def __post_init__(self):
-        w, mu, cov = (_real(v).copy() for v in (self.weights, self.means, self.covariances))
+        w, mu, cov = (real_array(v).copy() for v in (self.weights, self.means, self.covariances))
         if w.ndim != 1 or mu.ndim != 2 or w.shape[0] != mu.shape[0]:
             raise ValueError("need one weight per mean")
         k, n = mu.shape

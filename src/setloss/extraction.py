@@ -25,7 +25,7 @@ from .generating_system import (
     commutator_residual,
     multiplication_matrices,
 )
-from .numeric_kernels import complex_schur
+from .numeric_kernels import complex_schur, real_array
 
 __all__ = [
     "ZeroSet",
@@ -70,7 +70,7 @@ class ZeroSet:
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=complex)
-        res = np.asarray(self.residuals).astype(float, casting="same_kind")
+        res = real_array(np.array(self.residuals))
         if pts.ndim != 2 or res.shape != (pts.shape[0],):
             raise ValueError("points and residuals shapes are inconsistent")
         pts.flags.writeable = False

@@ -30,7 +30,7 @@ from .monomial_basis import (
     monomial_matrix,
     standard_monomials,
 )
-from .numeric_kernels import require_finite, require_full_rank, solve_linear
+from .numeric_kernels import real_array, require_finite, require_full_rank, solve_linear
 
 __all__ = [
     "PointSet",
@@ -60,13 +60,10 @@ def coincident_pairs(points: np.ndarray) -> np.ndarray:
 def _real_rows(values, name: str) -> np.ndarray:
     """``values`` as a new read-only finite float (rows, n) array, rows and n >= 1.
 
-    Anything else raises ValueError, complex entries too: a cast to float
-    would silently drop their imaginary parts.
+    The entries pass ``real_array``; any other shape, or a NaN or
+    infinite entry, raises ValueError.
     """
-    arr = np.array(values)
-    if np.iscomplexobj(arr):
-        raise ValueError(f"{name} must be real, got complex entries")
-    arr = arr.astype(float, copy=False)
+    arr = real_array(np.array(values))
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d array of {name}, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -122,8 +119,7 @@ class GeneratingMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        # a copy, cast as real_batch casts: complex entries raise TypeError
-        ent = np.asarray(self.entries).astype(float, casting="same_kind")
+        ent = real_array(np.array(self.entries))
         if ent.shape != (len(self.basis), len(self.border)):
             raise ValueError(
                 f"entries must have shape ({len(self.basis)}, {len(self.border)}), got {ent.shape}"

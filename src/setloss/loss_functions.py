@@ -291,7 +291,6 @@ class TransformedLoss:
 
     def value_and_grad(self, x):
         """Values (N,) and gradients (N, n) at the rows of x (N, n)."""
-        x = real_batch(x, self.n)
         value, grad = self.lift_value_and_grad(self.lift(x))
         if self.lift_basis is not None:
             jac = basis_jacobian(x, self.lift_basis)[:, 1:, :]

@@ -21,6 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .numeric_kernels import integer_array, real_array
+
 __all__ = [
     "MonomialBasis",
     "grlex_key",
@@ -54,9 +56,7 @@ class MonomialBasis:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"dimension must be positive, got {self.n}")
-        arr = np.array(self.powers, dtype=np.int64)
-        if not np.array_equal(arr, self.powers):
-            raise ValueError("exponents must be integers")
+        arr = integer_array(self.powers, "exponents")
         if arr.shape == (0,):
             arr = arr.reshape(0, self.n)
         if arr.ndim != 2 or arr.shape[1] != self.n:
@@ -137,9 +137,7 @@ def standard_monomials(n: int, k: int) -> MonomialBasis:
     its border and every structure derived from it, for the whole
     process.
     """
-    if not (float(n).is_integer() and float(k).is_integer()):
-        raise ValueError(f"n and k must be integers, got n={n}, k={k}")
-    n, k = int(n), int(k)
+    n, k = integer_array((n, k), f"n={n} and k={k}").tolist()
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     out: list[tuple[int, ...]] = []
@@ -235,9 +233,10 @@ def _multiply_out(x: np.ndarray, plan: _ProductPlan) -> np.ndarray:
 def real_batch(x, d: int) -> np.ndarray:
     """x as a float (N, d) batch, the one check of every batch of points.
 
-    Points are real: a complex x raises TypeError, not a cast to its real part.
+    Points are real: x passes ``real_array``, so a complex x raises
+    TypeError, not a cast to its real part.
     """
-    x = np.asarray(x).astype(float, casting="same_kind", copy=False)
+    x = real_array(x)
     if x.ndim != 2 or x.shape[1] != d:
         raise ValueError(f"expected shape (N, {d}), got {x.shape}")
     return x

@@ -1,9 +1,10 @@
-"""Dense linear-algebra kernels.
+"""Dense linear-algebra kernels, and the package's two rules for input arrays.
 
 Thin wrappers around LAPACK-backed routines, with the conditioning checks
 and deterministic orderings the rest of the package relies on, and the
 row sums that the losses and the descent share.  Inputs are small dense
-matrices; nothing here is tuned for scale.
+matrices; nothing here is tuned for scale.  Reals pass ``real_array``,
+whole numbers ``integer_array``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,20 @@ SINGULARITY_RTOL = 1e-10
 # reduction takes several microseconds.  From width 8 numpy sums pairwise,
 # and the reduction is kept.
 UNROLLED_WIDTH = 8
+
+
+def real_array(values) -> np.ndarray:
+    """``values`` as floats; complex, string and object input raises TypeError."""
+    return np.asarray(values).astype(float, casting="same_kind", copy=False)
+
+
+def integer_array(values, name: str) -> np.ndarray:
+    """A new int64 ``real_array(values)``; entries int64 cannot hold raise ValueError."""
+    arr = real_array(values)
+    # a fractional entry fails the first test; NaN, inf and magnitudes from 2**63 the second
+    if not ((np.round(arr) == arr) & (np.abs(arr) < 2.0**63)).all():
+        raise ValueError(f"{name} must be integers")
+    return arr.astype(np.int64)
 
 
 def row_sum(v: np.ndarray) -> np.ndarray:
@@ -80,8 +95,7 @@ def pseudo_inverse(u) -> np.ndarray:
     deficiency (relative singular-value gap below 1e-10) raises
     DegenerateConfigurationError.
     """
-    # cast as real_batch casts: a complex matrix raises TypeError
-    u = np.asarray(u).astype(float, casting="same_kind", copy=False)
+    u = real_array(u)
     if u.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {u.shape}")
     rows, m = u.shape
@@ -194,8 +208,7 @@ def min_eigenvalue_sym(a) -> float:
     1e-12 * max(1, |a|_max); anything else raises ValueError rather than
     being silently symmetrized.
     """
-    # cast as real_batch casts: a complex matrix raises TypeError
-    a = np.asarray(a).astype(float, casting="same_kind", copy=False)
+    a = real_array(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)

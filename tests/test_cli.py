@@ -421,23 +421,39 @@ def test_cluster_checks_truth_before_fitting(tmp_path, capsys, monkeypatch, rela
         (["fit", "--k", "3", "--config", "{list_file}"], "unrecognized arguments: --config"),
         (["cluster", "--sstar", "{list_file}", "--seed", "7"], "unrecognized arguments: --seed 7"),
         (["build", "--threads", "2"], "unrecognized arguments: --threads 2"),
+        (["build", "--input", "{empty}"], "empty.csv contains no data rows"),
+        (["build", "--input", "{header_only}"], "header_only.csv contains only a header"),
+        (
+            ["cluster", "--k", "2", "--truth-column", "--input", "{one_column}"],
+            "a truth column needs at least two columns",
+        ),
+        (
+            ["cluster", "--k", "2", "--truth-column", "--input", "{fractional_truth}"],
+            "trailing column is not an integer truth column",
+        ),
     ],
 )
 def test_refusals_exit_one_with_one_error_line(tmp_path, capsys, sample_csv, argv, message):
     # each refusal ends in one "error:" line, exit 1 and no output file
     files = {
-        "set_in_r3": {"points": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]},
-        "list_file": [[0.0, 0.0], [1.0, 1.0]],
-        "ragged": {"s_star": [[0.0, 0.0], [1.0]]},
+        "set_in_r3.json": json.dumps({"points": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]}),
+        "list_file.json": json.dumps([[0.0, 0.0], [1.0, 1.0]]),
+        "ragged.json": json.dumps({"s_star": [[0.0, 0.0], [1.0]]}),
+        "empty.csv": "",
+        "header_only.csv": "x1,x2\n",
+        "one_column.csv": "1.0\n2.0\n3.0\n",
+        "fractional_truth.csv": "0.0,0.0,0\n1.0,1.0,1\n2.0,0.0,0.5\n",
     }
-    for name, payload in files.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
-    argv = [arg.format(**{name: tmp_path / f"{name}.json" for name in files}) for arg in argv]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(**{name.split(".")[0]: tmp_path / name for name in files}) for arg in argv]
     out = tmp_path / "out"
     if argv[0] == "bench":
         argv += ["--out-dir", str(out)]
     else:
-        argv += ["--input", str(sample_csv[0]), "--output", str(out)]
+        if "--input" not in argv:
+            argv += ["--input", str(sample_csv[0])]
+        argv += ["--output", str(out)]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
@@ -739,6 +755,19 @@ def test_bench_rerun_is_byte_identical(tmp_path, capsys):
             capsys.readouterr()
         for name in ("results.csv", "summary.json", *point_files):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_bench_seed_is_the_base_of_every_draw(tmp_path, capsys):
+    # a valid --seed reaches the trials: seed 7 draws other samples than
+    # the default 0, and --seed 0 is that default
+    results = {}
+    for seed in (None, "0", "7"):
+        out_dir = tmp_path / str(seed)
+        argv = ["bench", "--scenario", "example62", "--seeds", "1", "--out-dir", str(out_dir)]
+        assert main(argv + (["--seed", seed] if seed else [])) == 0
+        results[seed] = (out_dir / "results.csv").read_bytes()
+    capsys.readouterr()
+    assert results[None] == results["0"] != results["7"]
 
 
 def test_bench_gmm_summary(tmp_path, capsys):

@@ -518,6 +518,8 @@ def test_nearest_point_assignment_rejects_dimension_mismatch():
     pts = PointSet(np.array([[0.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(ValueError):
         nearest_point_assignment(pts, SampleSet(np.zeros((3, 3))))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        assign_labels(build_transformed_loss(pts), pts, SampleSet(np.zeros((3, 3))))
 
 
 def test_assign_labels_on_exact_clusters():
@@ -634,6 +636,23 @@ def test_accuracy_rejects_non_finite_means():
         clustering_accuracy(assignment, np.array([0, 2, 2]), pts, means)
 
 
+def test_accuracy_refuses_truth_and_means_that_do_not_fit():
+    pts = PointSet(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]))
+    samples = SampleSet(pts.points.copy())
+    assignment = assign_labels(build_transformed_loss(pts), pts, samples)
+    # fractional labels are refused, not truncated to [0, 1, 1]
+    cases = [
+        ([0.5, 1.7, 1.2], pts.points, "truth labels must be integers"),
+        ([0, 1, 2], pts.points[:2], "expected 3 true means"),
+        ([0, 1], pts.points, "one truth label per sample"),
+        ([0, 1, 3], pts.points, "must index the true means"),
+        ([-1, 1, 2], pts.points, "must index the true means"),
+    ]
+    for truth, means, message in cases:
+        with pytest.raises(ValueError, match=message):
+            clustering_accuracy(assignment, truth, pts, means)
+
+
 def test_accuracy_refuses_complex_means():
     pts = PointSet(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]))
     samples = SampleSet(pts.points.copy())
@@ -642,6 +661,9 @@ def test_accuracy_refuses_complex_means():
         warnings.simplefilter("error")
         with pytest.raises(TypeError):
             clustering_accuracy(assignment, np.array([0, 1, 2]), pts, pts.points + 1j)
+        # and complex truth labels
+        with pytest.raises(TypeError):
+            clustering_accuracy(assignment, np.array([0, 1, 2]) + 0j, pts, pts.points)
 
 
 def test_recover_point_set_end_to_end():
@@ -685,6 +707,8 @@ def test_recover_generating_loss_kind():
     assert isinstance(result.loss, GeneratingLoss)
     value, _ = result.loss.value_and_grad(result.recovered.points[:1])
     assert value[0] == pytest.approx(0.0, abs=1e-6)
+    with pytest.raises(ValueError, match="unknown loss kind 'product'"):
+        recover_point_set(samples, 3, loss_kind="product")
 
 
 def test_bounded_noise_counts_and_containment():
@@ -745,11 +769,13 @@ def test_bounded_noise_validation():
             bounded_noise_sample(three, 0.1, counts)
     assert bounded_noise_sample(three, 0.1, 4.0)[0].size == 12
     assert bounded_noise_sample(three, 0.1, np.array([2.0, 3.0, 1.0]))[0].size == 6
-    # a complex radius raises TypeError, not a cast to its real part
+    # a complex radius or count raises TypeError, not a cast to its real part
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(TypeError):
             bounded_noise_sample(pts, 0.1 + 0.1j, 5)
+        with pytest.raises(TypeError):
+            bounded_noise_sample(PointSet(np.eye(2)), 0.1, np.array([3 + 0j, 2]))
 
 
 def test_gmm_spec_validation():
@@ -771,6 +797,16 @@ def test_gmm_spec_validation():
             means=np.zeros((2, 2)),
             covariances=np.array([np.eye(2), -np.eye(2)]),
         )
+    with pytest.raises(ValueError, match="one weight per mean"):
+        GmmSpec(np.full(3, 1 / 3), np.zeros((2, 2)), np.array([np.eye(2), np.eye(2)]))
+    with pytest.raises(ValueError, match="covariances of shape"):
+        GmmSpec(np.array([0.5, 0.5]), np.zeros((2, 2)), np.eye(2))
+    skew = np.array([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]])
+    with pytest.raises(ValueError, match="covariance 1 is not symmetric"):
+        GmmSpec(np.array([0.5, 0.5]), np.zeros((2, 2)), skew)
+    for size in (0, -3):
+        with pytest.raises(ValueError, match="positive sample count"):
+            gmm_sample(good, size)
 
 
 def test_gmm_spec_refuses_complex_entries():

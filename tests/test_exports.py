@@ -38,6 +38,17 @@ def test_only_numeric_kernels_imports_scipy():
     assert importers == {"numeric_kernels"}
 
 
+def test_only_numeric_kernels_casts_input_arrays():
+    # real_array and integer_array are the rules every input array passes;
+    # no other module writes out a cast or a complex check of its own
+    casters = set()
+    for path in Path(setloss.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        if "same_kind" in text or "iscomplexobj" in text:
+            casters.add(path.stem)
+    assert casters == {"numeric_kernels"}
+
+
 def test_only_loss_functions_reads_the_transformed_map():
     # the map's matrices are TransformedLoss's own: other modules ask the
     # loss (simplex_coords, simplex_vertices, settle_threshold) instead

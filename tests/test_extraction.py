@@ -398,6 +398,8 @@ def test_set_distance_directionality():
     # every b point is near an a point, but not vice versa
     assert set_distance(a, b) == 0.0
     assert set_distance(b, a) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        set_distance(a, PointSet(np.zeros((1, 3))))
 
 
 def test_zero_set_json_roundtrip():
@@ -420,6 +422,10 @@ def test_zero_set_refuses_complex_residuals():
     residuals = np.array([1.0, 0.0])
     zs = ZeroSet(np.zeros((2, 2)), residuals, False, 0.0)
     assert residuals.flags.writeable and not zs.residuals.flags.writeable
+    # one residual per point of a (k, n) array, or ValueError
+    for points, res in ((np.zeros((3, 2)), residuals), (np.zeros(2), residuals)):
+        with pytest.raises(ValueError, match="shapes are inconsistent"):
+            ZeroSet(points, res, False, 0.0)
 
 
 def test_single_point_extraction():

@@ -102,14 +102,17 @@ def test_point_set_names_first_coincident_pair():
 
 @pytest.mark.parametrize("make", [PointSet, SampleSet])
 def test_point_and_sample_sets_refuse_complex_entries(make):
-    # a cast to float would keep the real parts and drop the rest
-    with pytest.raises(ValueError, match="must be real, got complex entries"):
-        make(np.array([[1.0 + 2.0j, 0.0], [2.0, 1.0]]))
-    # even when every imaginary part is zero
-    with pytest.raises(ValueError, match="must be real"):
-        make(np.array([[1.0, 0.0], [2.0, 1.0]], dtype=complex))
-    with pytest.raises(ValueError, match="must be real"):
-        make([[1.0 + 0j, 0.0], [2.0, 1.0]])
+    # the entries pass real_array: a cast to float would keep the real
+    # parts and drop the rest, even when every imaginary part is zero
+    for values in (
+        np.array([[1.0 + 2.0j, 0.0], [2.0, 1.0]]),
+        np.array([[1.0, 0.0], [2.0, 1.0]], dtype=complex),
+        [[1.0 + 0j, 0.0], [2.0, 1.0]],
+        # and text is not parsed as numbers
+        [["1.5", "2"], ["0", "1"]],
+    ):
+        with pytest.raises(TypeError, match="same_kind"):
+            make(values)
 
 
 def test_point_set_takes_no_labels():
@@ -468,6 +471,15 @@ def test_generating_matrix_refuses_complex_entries():
     again = GeneratingMatrix(gm.basis, entries)
     assert entries.flags.writeable and not again.entries.flags.writeable
     np.testing.assert_array_equal(again.entries, gm.entries)
+    # real entries of the wrong shape, or not finite, raise ValueError
+    with pytest.raises(ValueError, match="entries must have shape"):
+        GeneratingMatrix(gm.basis, gm.entries.T)
+    entries[0, 0] = np.nan
+    with pytest.raises(ValueError, match="entries must be finite"):
+        GeneratingMatrix(gm.basis, entries)
+    # and so does a file whose k is not the size of its b0
+    with pytest.raises(ValueError, match="declared k=4 but basis has 2 members"):
+        GeneratingMatrix.from_json({**gm.to_json(), "k": 4})
 
 
 def test_json_roundtrip():

@@ -260,6 +260,11 @@ def test_null_directions_leave_loss_unchanged():
             y = null @ rng.standard_normal(null.shape[1])
             (base, moved), _ = loss.value_and_grad(np.vstack([x, x + y]))
             assert abs(moved - base) <= 1e-10 * (1 + abs(base))
+    # the monomial lift is injective, and one point's loss ignores every direction
+    lifted = build_transformed_loss(PointSet(CASE2_SET))
+    assert lifted.kind == "lifted" and lifted.null_directions().shape == (2, 0)
+    single = build_transformed_loss(PointSet(np.array([[1.5, -0.5, 2.0]])))
+    np.testing.assert_array_equal(single.null_directions(), np.eye(3))
 
 
 def test_single_point_loss_is_flat():

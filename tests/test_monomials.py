@@ -131,6 +131,11 @@ def test_basis_rejects_negative_and_wrong_width():
     with pytest.raises(ValueError, match="exponents must be integers"):
         MonomialBasis.from_json({"n": 2, "members": [[0, 0], [0.5, 0]]})
     assert MonomialBasis(2, ((0.0, 0.0), (1.0, 0.0))) == MonomialBasis(2, ((0, 0), (1, 0)))
+    # a complex exponent is refused, not cast to its real part
+    with pytest.raises(TypeError):
+        MonomialBasis(2, np.array([[0, 0], [1 + 0j, 0]]))
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        MonomialBasis(0, ())
     # a build file whose b0 has 1.5 in place of a 1 is not read as the standard basis
     payload = solve_generating_matrix(
         PointSet(np.array([[2.0, -1.0], [-1.0, 3.0], [-2.0, -2.0], [0.5, 0.25]]))

@@ -101,6 +101,11 @@ def test_pseudo_inverse_refuses_complex_input():
         warnings.simplefilter("error")
         with pytest.raises(TypeError):
             pseudo_inverse(np.eye(3, 2) + 1j)
+    # and a matrix of the wrong shape raises ValueError
+    with pytest.raises(ValueError, match="expected a matrix"):
+        pseudo_inverse(np.ones(3))
+    with pytest.raises(ValueError, match="at least as many rows as columns"):
+        pseudo_inverse(np.ones((2, 3)))
 
 
 def test_pseudo_inverse_zero_columns():
@@ -119,6 +124,11 @@ def test_rank_and_finiteness_checks_refuse_nan_and_inf():
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(DegenerateConfigurationError, match="overflow"):
             require_finite(np.array([[1.0, bad]]), "overflow")
+        with pytest.raises(ValueError, match="entries must be finite"):
+            complex_schur(np.array([[1.0, bad], [0.0, 1.0]]))
+    for shape in ((3,), (2, 3)):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            complex_schur(np.ones(shape))
 
 
 BIG_POINTS = np.array([[1e200, 0.0], [0.0, 1e200], [-1e200, 0.0], [3e200, 1e200]])
@@ -226,6 +236,9 @@ def test_min_eigenvalue_sym():
 def test_min_eigenvalue_sym_rejects_asymmetric():
     with pytest.raises(ValueError):
         min_eigenvalue_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for shape in ((3,), (2, 3)):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            min_eigenvalue_sym(np.ones(shape))
 
 
 def test_min_eigenvalue_sym_refuses_complex_input():
