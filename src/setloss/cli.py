@@ -7,17 +7,15 @@ Four commands cover the library surface:
 * ``cluster``  label samples by loss descent
 * ``bench``    rerun the bundled benchmark scenarios
 
-Exit codes: 0 success, 1 usage or parse failure, 2 degenerate input,
-a numerical failure, or zeros refused as not real (by recovery or by
-``cluster --sstar``), 3 best-effort output produced after an iteration cap
-(``fit --complex`` also when the zeros it wrote are not real, with no
-loss, and ``bench --scenario gmm`` when a trial failed numerically at the
-extract stage, a refused recovery among them, or had its recovered points
-refused as degenerate at the loss stage).  For
-codes 2 and 3 stderr is one line, a machine-readable JSON object that
-names every reason for the code; its ``warnings`` list holds the text of
-each Python warning raised while the command ran.  With codes 0 and 1
-such warnings print as Python prints them.
+Exit codes: 0 success; 1 usage or parse failure; 2 degenerate input, a
+numerical failure, or zeros refused as not real; 3 output written as best
+effort, exactly when the result carries a concern (``RecoveryResult.concerns``):
+"non-convergence" at stage "fit", or from ``fit --complex`` "numerical-failure"
+at stage "extract" with ``max_imag``.  ``bench`` exits 3 when a trial carries
+a concern or had its recovery refused at the extract or loss stage.  For
+codes 2 and 3 stderr is one JSON line: the first reason, any others under
+``also``, and the text of each Python warning raised meanwhile under
+``warnings``; with codes 0 and 1 such warnings print as Python prints them.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ import numpy as np
 
 from .clustering import (
     MAX_ALIGNMENT_SIZE,
+    Concern,
     assign_labels,
     bounded_noise_sample,
     clustering_accuracy,
@@ -60,6 +59,7 @@ from .generating_system import (
     solve_generating_matrix,
 )
 from .loss_functions import GeneratingLoss, build_transformed_loss
+from .numeric_kernels import real_array
 
 __all__ = ["main", "console_main"]
 
@@ -100,12 +100,13 @@ def _derived_seed(base: int, *path: int) -> int:
     return int(np.random.SeedSequence(entropy=(int(base), *path)).generate_state(1)[0])
 
 
-def _diagnostic(kind: str, exc: Exception, **extra) -> dict:
-    payload = {"error": kind, "message": str(exc)}
-    stage = getattr(exc, "stage", None)
+def _diagnostic(kind: str, reason, **extra) -> dict:
+    """The stderr object of a Concern, or of the error that ended a command."""
+    payload = {"error": kind, "message": str(getattr(reason, "message", reason))}
+    stage = getattr(reason, "stage", None)
     if stage is not None:
         payload["stage"] = stage
-    condition = getattr(exc, "condition", None)
+    condition = getattr(reason, "condition", None)
     if condition is not None:
         # strict JSON has no Infinity; the message still prints "inf"
         payload["condition"] = condition if math.isfinite(condition) else None
@@ -250,23 +251,22 @@ def _build_text(points: PointSet, gm, loss) -> str:
     )
 
 
-# Each command returns the reasons, as diagnostics, why the output it wrote
-# is only best effort: none for exit 0, one or more for exit 3.
+# Each command returns the concerns of what it wrote: none for exit 0, some for 3.
 
 
-def cmd_build(args) -> list[dict]:
+def cmd_build(args) -> tuple[Concern, ...]:
     coords, _ = _parse_points(args.input)
     points = _checked(PointSet, coords)
     gm = solve_generating_matrix(points)
     loss = build_transformed_loss(points)
     _write_text(_build_text(points, gm, loss), args.output)
-    return []
+    return ()
 
 
 # -- fit -------------------------------------------------------------------
 
 
-def cmd_fit(args) -> list[dict]:
+def cmd_fit(args) -> tuple[Concern, ...]:
     coords, _ = _parse_points(args.input)
     samples = _checked(SampleSet, coords)
     result = recover_point_set(
@@ -287,23 +287,7 @@ def cmd_fit(args) -> list[dict]:
         "loss": None if result.loss is None else result.loss.to_json(),
     }
     _write_json(payload, args.output)
-    reasons = []
-    if not result.fit.converged:
-        exc = NumericalFailureError(
-            f"commutator norm {result.fit.commutator_norm:.3e} above target "
-            f"after {result.fit.rounds} penalty rounds; best effort written"
-        )
-        reasons.append(_diagnostic("non-convergence", exc))
-    if not result.zero_set.is_real:
-        # only --complex gets here: recovery refuses such zeros otherwise
-        max_imag = result.zero_set.max_imaginary()
-        exc = NumericalFailureError(
-            f"extracted zeros are not real: imaginary parts up to {max_imag:.3e}; "
-            "complex zeros written"
-        )
-        exc.stage = "extract"
-        reasons.append(_diagnostic("numerical-failure", exc, max_imag=max_imag))
-    return reasons
+    return result.concerns
 
 
 # -- cluster ---------------------------------------------------------------
@@ -337,7 +321,7 @@ def _read_sstar(path: str, n: int) -> PointSet:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     rows = payload.get("s_star", payload.get("points")) if isinstance(payload, dict) else None
     try:
-        pts = np.array(rows, dtype=float)
+        pts = real_array(rows)
     except (TypeError, ValueError):  # ragged or not numbers
         pts = np.empty(0)
     if pts.ndim == 3 and pts.shape[2] == 2:  # complex [re, im] pairs; keep the real parts
@@ -357,11 +341,11 @@ def _read_sstar(path: str, n: int) -> PointSet:
     return _checked(PointSet, pts)
 
 
-def cmd_cluster(args) -> list[dict]:
+def cmd_cluster(args) -> tuple[Concern, ...]:
     coords, truth = _parse_points(args.input, args.truth_column)
     samples = _checked(SampleSet, coords)
 
-    fit_converged = True
+    concerns = ()
     if args.sstar is not None:
         recovered = _read_sstar(args.sstar, samples.n)
         _check_truth(truth, recovered.k)
@@ -375,9 +359,7 @@ def cmd_cluster(args) -> list[dict]:
         result = recover_point_set(
             samples, args.k, loss_kind="generating" if args.loss == "fg" else "transformed"
         )
-        recovered = result.recovered
-        loss = result.loss
-        fit_converged = result.fit.converged
+        recovered, loss, concerns = result.recovered, result.loss, result.concerns
 
     assignment = assign_labels(loss, recovered, samples)
     header = ["label", "converged", "iterations"] + [f"x{i + 1}" for i in range(samples.n)]
@@ -408,10 +390,7 @@ def cmd_cluster(args) -> list[dict]:
             nearest_point_assignment(recovered, samples), truth, recovered, means
         )
     print(json.dumps(summary))
-    if not fit_converged:
-        exc = NumericalFailureError("fit hit its round budget; labels are best effort")
-        return [_diagnostic("non-convergence", exc)]
-    return []
+    return concerns
 
 
 # -- bench -----------------------------------------------------------------
@@ -422,10 +401,10 @@ def _bench_trials(args, radii, counts, path: tuple):
 
     Returns one [trial, set_distance, max_loss, converged] row per trial,
     the median set distance, the median largest loss on the reference set,
-    whether every fit converged and the layered points of trial 0.
+    whether any trial carries a concern and the layered points of trial 0.
     """
     reference = PointSet(BENCH_SET)
-    rows, dists, losses, all_converged = [], [], [], True
+    rows, dists, losses, best_effort = [], [], [], False
     for trial in range(args.seeds):
         seed = _derived_seed(args.seed, *path, trial)
         samples, _ = bounded_noise_sample(reference, radii, counts, seed, args.noise_model)
@@ -434,22 +413,21 @@ def _bench_trials(args, radii, counts, path: tuple):
         recovered = result.recovered
         dist = set_distance(recovered, reference)
         max_loss = float(result.loss.value_and_grad(BENCH_SET)[0].max())
-        all_converged &= result.fit.converged
+        best_effort |= bool(result.concerns)
         rows.append([trial, dist, max_loss, int(result.fit.converged)])
         dists.append(dist)
         losses.append(max_loss)
         if trial == 0:
             layers = {"T": samples.samples, "S": BENCH_SET, "Sstar": recovered.points}
-    return rows, float(np.median(dists)), float(np.median(losses)), all_converged, layers
+    return rows, float(np.median(dists)), float(np.median(losses)), best_effort, layers
 
 
-def cmd_bench(args) -> list[dict]:
+def cmd_bench(args) -> tuple[Concern, ...]:
     if args.scenario == "gmm" and args.k > MAX_ALIGNMENT_SIZE:
         raise _UsageError(
             f"bench --scenario gmm scores at most {MAX_ALIGNMENT_SIZE} components, got --k {args.k}"
         )
-    all_converged = True
-    rows = []
+    best_effort, rows = False, []
     # layered points by file name; like every output, written after the last trial
     points = {}
     scores = ["set_distance", "max_loss", "converged"]
@@ -458,10 +436,10 @@ def cmd_bench(args) -> list[dict]:
         medians = {}
         counts = np.full(len(BENCH_SET), args.ni)
         for ei, eps in enumerate(BENCH_EPS_GRID):
-            trials, dist, loss, converged, layers = _bench_trials(args, eps, counts, (ei,))
+            trials, dist, loss, concerned, layers = _bench_trials(args, eps, counts, (ei,))
             points[f"points_eps{eps}.csv"] = layers
             rows += [[eps, *row] for row in trials]
-            all_converged &= converged
+            best_effort |= concerned
             medians[str(eps)] = {"set_distance": dist, "max_loss": loss}
         header = ["eps", "seed", *scores]
         summary = {
@@ -473,7 +451,7 @@ def cmd_bench(args) -> list[dict]:
         }
 
     elif args.scenario == "example62":
-        rows, dist, loss, all_converged, layers = _bench_trials(
+        rows, dist, loss, best_effort, layers = _bench_trials(
             args, UNEVEN_RADII, UNEVEN_COUNTS, ()
         )
         points["points.csv"] = layers
@@ -501,13 +479,14 @@ def cmd_bench(args) -> list[dict]:
                 # extraction failed or refused the zeros, or the loss refused
                 # the recovered points: no labels, scored as a failed trial
                 acc, nearest_acc, converged = 0.0, 0.0, False
+                best_effort = True
             else:
                 assignment = assign_labels(result.loss, result.recovered, samples)
                 acc = clustering_accuracy(assignment, truth, result.recovered, spec.means)
                 nearest = nearest_point_assignment(result.recovered, samples)
                 nearest_acc = clustering_accuracy(nearest, truth, result.recovered, spec.means)
                 converged = result.fit.converged
-            all_converged &= converged
+                best_effort |= bool(result.concerns)
             rows.append([trial, acc, int(converged)])
             accs.append(acc)
             nearest_accs.append(nearest_acc)
@@ -536,12 +515,8 @@ def cmd_bench(args) -> list[dict]:
     except OSError as exc:
         raise _UsageError(f"cannot write {out_dir}: {exc}") from exc
     print(json.dumps(summary))
-    if not all_converged:
-        exc = NumericalFailureError(
-            "some bench fits hit their round budget or had their recovery refused"
-        )
-        return [_diagnostic("non-convergence", exc)]
-    return []
+    message = "some bench fits hit their round budget or had their recovery refused"
+    return (Concern("non-convergence", None, message, {}),) if best_effort else ()
 
 
 # -- wiring ------------------------------------------------------------------
@@ -630,11 +605,12 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             try:
-                reasons = args.func(args)
-                code = 3 if reasons else 0
-                if reasons:
-                    # one object: the first reason, naming any others in "also"
-                    diagnostic = {**reasons[0], "also": reasons[1:]} if reasons[1:] else reasons[0]
+                concerns = args.func(args)
+                code = 3 if concerns else 0
+                if concerns:
+                    # one object: the first concern, naming any others in "also"
+                    first, *also = (_diagnostic(c.kind, c, **c.numbers) for c in concerns)
+                    diagnostic = {**first, "also": also} if also else first
             except _UsageError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 code = 1

@@ -27,6 +27,7 @@ from .numeric_kernels import integer_array, real_array, row_sum
 __all__ = [
     "MinimizeResult",
     "ClusterAssignment",
+    "Concern",
     "RecoveryResult",
     "GmmSpec",
     "minimize_from",
@@ -369,6 +370,15 @@ def clustering_accuracy(
     return float(np.mean(mapped == truth))
 
 
+class Concern(NamedTuple):
+    """Why a result is best effort: kind, stage (None for an aggregate), message, figures."""
+
+    kind: str
+    stage: str | None
+    message: str
+    numbers: dict
+
+
 @dataclass(frozen=True)
 class RecoveryResult:
     """Everything the recovery pipeline produced, stage by stage.
@@ -386,11 +396,27 @@ class RecoveryResult:
     def k(self) -> int:
         return self.zero_set.k
 
+    @property
+    def concerns(self) -> tuple[Concern, ...]:
+        """Why the answer is best effort, derived from ``fit`` and ``zero_set`` on each read.
 
-def _tag_stage(exc: Exception, stage: str) -> Exception:
-    if not hasattr(exc, "stage"):
-        exc.stage = stage
-    return exc
+        "non-convergence" at stage "fit" when the commutator norm is above
+        target after the fit's rounds; "numerical-failure" at stage "extract",
+        with ``max_imag``, for zeros that are not real (``want_real=False`` only).
+        ``FitResult.warnings`` and ``ZeroSet.approximate`` are not concerns yet.
+        """
+        fit, zeros = self.fit, self.zero_set
+        found = []
+        if not fit.converged:
+            norm, rounds = fit.commutator_norm, fit.rounds
+            message = f"commutator norm {norm:.3e} above target after {rounds} penalty rounds"
+            found.append(Concern("non-convergence", "fit", message + "; best effort written", {}))
+        if not zeros.is_real:
+            imag = zeros.max_imaginary()
+            message = f"extracted zeros are not real: imaginary parts up to {imag:.3e}"
+            message += "; complex zeros written"
+            found.append(Concern("numerical-failure", "extract", message, {"max_imag": imag}))
+        return tuple(found)
 
 
 def recover_point_set(
@@ -415,38 +441,36 @@ def recover_point_set(
     imaginary part, and without it the result carries them alone, with
     no recovered set and no loss.  Errors propagate from the failing
     stage, tagged with a ``stage`` attribute ("fit", "extract", or
-    "loss").
+    "loss").  A returned result is best effort exactly when its
+    ``concerns`` are not empty (see ``RecoveryResult.concerns``); fit
+    warnings and an approximate zero set are not concerns yet.
     """
     if loss_kind not in ("transformed", "generating"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     opts = opts or FitOptions()
-
+    stage = "fit"
     try:
         fit = fit_generating_matrix(samples, standard_monomials(samples.n, k))
-    except Exception as exc:
-        raise _tag_stage(exc, "fit")
-
-    try:
+        stage = "extract"
         zeros = extract_zero_set(fit.g_star, seed=opts.seed)
-        if want_real and not zeros.is_real:
-            raise NumericalFailureError(
-                "extracted zeros are not real: imaginary parts up to "
-                f"{zeros.max_imaginary():.3e}"
-            )
-    except Exception as exc:
-        raise _tag_stage(exc, "extract")
-    if not zeros.is_real:
-        return RecoveryResult(fit=fit, zero_set=zeros, recovered=None, loss=None)
-
-    try:
+        if not zeros.is_real:
+            if want_real:
+                raise NumericalFailureError(
+                    "extracted zeros are not real: imaginary parts up to "
+                    f"{zeros.max_imaginary():.3e}"
+                )
+            return RecoveryResult(fit=fit, zero_set=zeros, recovered=None, loss=None)
+        stage = "loss"
         recovered = real_projection(zeros)
         if loss_kind == "transformed":
             loss = build_transformed_loss(recovered)
         else:
             loss = GeneratingLoss(solve_generating_matrix(recovered))
     except Exception as exc:
-        raise _tag_stage(exc, "loss")
-
+        # tagged with the stage it arose in, unless it names its own
+        if not hasattr(exc, "stage"):
+            exc.stage = stage
+        raise
     return RecoveryResult(fit=fit, zero_set=zeros, recovered=recovered, loss=loss)
 
 

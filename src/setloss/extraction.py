@@ -106,13 +106,11 @@ class ZeroSet:
 
     @classmethod
     def from_json(cls, payload: dict) -> "ZeroSet":
-        pts = np.array(
-            [[complex(re, im) for re, im in row] for row in payload["points"]],
-            dtype=complex,
-        ).reshape(int(payload["k"]), int(payload["n"]))
+        # each [re, im] pair, as two float64s in a row, is one complex128
+        pairs = real_array(payload["points"]).reshape(int(payload["k"]), int(payload["n"]), 2)
         return cls(
-            points=pts,
-            residuals=np.array(payload["residuals"], dtype=float),
+            points=pairs.view(complex)[..., 0],
+            residuals=payload["residuals"],
             approximate=bool(payload["approximate"]),
             commutator_norm=float(payload["commutator_norm"]),
         )

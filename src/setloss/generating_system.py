@@ -176,7 +176,7 @@ class GeneratingMatrix:
         border = border_monomials(basis)
         if not np.array_equal(payload["b1"], border.powers):
             raise ValueError("b1 must list the border of b0 in graded lexicographic order")
-        entries = np.array(payload["g"], dtype=float).reshape(k, len(border))
+        entries = real_array(payload["g"]).reshape(k, len(border))
         return cls(basis=basis, entries=entries)
 
 

@@ -402,7 +402,7 @@ class TransformedLoss:
         """Rebuild the loss from its points; the stored kind must match."""
         basis = payload.get("lift_basis")
         loss = cls(
-            PointSet(np.array(payload["points"], dtype=float)),
+            PointSet(payload["points"]),
             None if basis is None else MonomialBasis.from_json(basis),
         )
         if payload["kind"] != loss.kind:

@@ -13,8 +13,9 @@ import setloss
 import setloss.cli as cli
 import setloss.fitting as fitting
 from setloss.cli import main
-from setloss.clustering import bounded_noise_sample, gmm_sample, random_gmm_spec
+from setloss.clustering import bounded_noise_sample, gmm_sample, random_gmm_spec, recover_point_set
 from setloss.errors import NumericalFailureError
+from setloss.fitting import SampleSet
 from setloss.generating_system import GeneratingMatrix, PointSet, solve_generating_matrix
 from setloss.loss_functions import TransformedLoss, build_transformed_loss
 
@@ -431,6 +432,9 @@ def test_cluster_checks_truth_before_fitting(tmp_path, capsys, monkeypatch, rela
             ["cluster", "--k", "2", "--truth-column", "--input", "{fractional_truth}"],
             "trailing column is not an integer truth column",
         ),
+        # coordinates are JSON numbers: text that spells one is no point set
+        (["cluster", "--sstar", "{text_points}"], "carries no point set in R^2"),
+        (["cluster", "--sstar", "{one_text_cell}"], "carries no point set in R^2"),
     ],
 )
 def test_refusals_exit_one_with_one_error_line(tmp_path, capsys, sample_csv, argv, message):
@@ -439,6 +443,8 @@ def test_refusals_exit_one_with_one_error_line(tmp_path, capsys, sample_csv, arg
         "set_in_r3.json": json.dumps({"points": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]}),
         "list_file.json": json.dumps([[0.0, 0.0], [1.0, 1.0]]),
         "ragged.json": json.dumps({"s_star": [[0.0, 0.0], [1.0]]}),
+        "text_points.json": json.dumps({"points": [["1", "1"], ["3", "2"], ["1.5", "2.5"]]}),
+        "one_text_cell.json": json.dumps({"s_star": [[1.0, 1.0], [3.0, "2"], [1.5, 2.5]]}),
         "empty.csv": "",
         "header_only.csv": "x1,x2\n",
         "one_column.csv": "1.0\n2.0\n3.0\n",
@@ -932,10 +938,37 @@ def test_cluster_best_effort_exit_three(tmp_path, capsys, monkeypatch, mixture_c
     assert main(["cluster", "--input", str(mixture_csv), "--k", "3", "--output", str(out)]) == 3
     captured = capsys.readouterr()
     err = one_json_line(captured.err)
-    assert err["error"] == "non-convergence" and "round budget" in err["message"]
+    # the fit's own concern, as fit writes it
+    assert err["error"] == "non-convergence" and err["stage"] == "fit"
+    assert "penalty rounds; best effort written" in err["message"]
     # the labels and the summary are still written
     assert len(out.read_text().splitlines()) == 301
     assert json.loads(captured.out)["k"] == 3
+
+
+@pytest.mark.parametrize("command", ["fit", "cluster", "bench"])
+def test_a_fit_out_of_rounds_is_one_exit_three_object(
+    tmp_path, capsys, monkeypatch, mixture_csv, command
+):
+    # five penalty rounds leave these fits above target but extractable:
+    # fit and cluster write the recovery's own concern, bench its aggregate
+    monkeypatch.setattr(fitting, "MAX_ROUNDS", 5)
+    out = str(tmp_path / "out")
+    argv = {
+        "fit": ["fit", "--input", str(mixture_csv), "--k", "3", "--output", out],
+        "cluster": ["cluster", "--input", str(mixture_csv), "--k", "3", "--output", out],
+        "bench": ["bench", "--scenario", "example62", "--seeds", "1", "--out-dir", out],
+    }[command]
+    assert main(argv) == 3
+    err = one_json_line(capsys.readouterr().err)
+    assert err["error"] == "non-convergence" and err["warnings"] == []
+    if command == "bench":
+        assert set(err) == {"error", "message", "warnings"}
+        return
+    assert set(err) == {"error", "message", "stage", "warnings"}
+    [concern] = recover_point_set(SampleSet(np.loadtxt(mixture_csv, delimiter=",")), 3).concerns
+    assert (err["stage"], err["message"]) == (concern.stage, concern.message)
+    assert concern.stage == "fit" and "after 5 penalty rounds" in concern.message
 
 
 @pytest.mark.parametrize("command", ["fit", "cluster"])

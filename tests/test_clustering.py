@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 import warnings
@@ -672,6 +673,8 @@ def test_recover_point_set_end_to_end():
     samples, _ = bounded_noise_sample(PointSet(pts), 0.05, 40, seed=9)
     result = recover_point_set(samples, 4, FitOptions(seed=1))
     assert result.fit.converged
+    # converged to real zeros: not best effort
+    assert result.concerns == ()
     assert result.k == 4
     assert match_as_multisets(result.recovered.points.real, pts) < 0.05
     assert result.loss.kind in ("affine", "lifted")
@@ -687,6 +690,26 @@ def test_recovery_reports_non_real_zeros_without_a_loss(seed):
     assert not result.zero_set.is_real
     assert result.recovered is None and result.loss is None
     assert result.k == 4
+
+
+def test_recovery_concerns_say_when_the_answer_is_best_effort():
+    # the seed-207 conjugate pair: one concern, at the extract stage
+    samples, _ = gmm_sample(random_gmm_spec(2, 4, seed=207), 300, seed=257)
+    result = recover_point_set(samples, 4, want_real=False)
+    assert result.fit.converged
+    [concern] = result.concerns
+    assert (concern.kind, concern.stage) == ("numerical-failure", "extract")
+    assert 0.8 < concern.numbers["max_imag"] < 0.9
+    assert concern.numbers["max_imag"] == result.zero_set.max_imaginary()
+    # derived on each read: a fit replaced by an unconverged one comes first
+    unconverged = dataclasses.replace(result.fit, converged=False)
+    first, second = dataclasses.replace(result, fit=unconverged).concerns
+    assert (first.kind, first.stage, first.numbers) == ("non-convergence", "fit", {})
+    assert first.message == (
+        f"commutator norm {result.fit.commutator_norm:.3e} above target after "
+        f"{result.fit.rounds} penalty rounds; best effort written"
+    )
+    assert second == concern
 
 
 def test_recover_tags_failure_stage():

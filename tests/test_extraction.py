@@ -412,6 +412,24 @@ def test_zero_set_json_roundtrip():
     assert again.approximate == zs.approximate
 
 
+def test_zero_set_json_takes_numbers_only():
+    # the [re, im] pairs read back to the bit, signed zeros included;
+    # residuals or pairs given as text are refused, not parsed
+    gm = solve_generating_matrix(PointSet(np.array([[-1.0, 0.0], [2.0, -3.0], [0.5, 1.0]])))
+    payload = extract_zero_set(gm).to_json()
+    payload["points"][0][1] = [-0.0, -0.0]
+    again = ZeroSet.from_json(payload)
+    assert again.to_json() == payload
+    assert np.signbit(again.points[0, 1].real) and np.signbit(again.points[0, 1].imag)
+    texts = {
+        "residuals": [str(r) for r in payload["residuals"]],
+        "points": [[[str(re), im] for re, im in row] for row in payload["points"]],
+    }
+    for key, text in texts.items():
+        with pytest.raises(TypeError):
+            ZeroSet.from_json({**payload, key: text})
+
+
 def test_zero_set_refuses_complex_residuals():
     # residuals are real: a complex one raises TypeError, its imaginary
     # part not dropped with a warning; real ones are copied before freezing

@@ -480,6 +480,11 @@ def test_generating_matrix_refuses_complex_entries():
     # and so does a file whose k is not the size of its b0
     with pytest.raises(ValueError, match="declared k=4 but basis has 2 members"):
         GeneratingMatrix.from_json({**gm.to_json(), "k": 4})
+    # a file's "g" holds numbers: text that spells them raises TypeError
+    payload = gm.to_json()
+    for g in ([repr(v) for v in payload["g"]], [*payload["g"][:-1], "1.5"]):
+        with pytest.raises(TypeError):
+            GeneratingMatrix.from_json({**payload, "g": g})
 
 
 def test_json_roundtrip():

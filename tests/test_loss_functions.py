@@ -283,6 +283,10 @@ def test_json_roundtrip_both_kinds():
         np.testing.assert_allclose(
             again.value_and_grad(x)[0], loss.value_and_grad(x)[0], rtol=1e-12, atol=0
         )
+        # the points are numbers: text that spells them raises TypeError
+        text = [[repr(v) for v in row] for row in loss.to_json()["points"]]
+        with pytest.raises(TypeError):
+            TransformedLoss.from_json({**loss.to_json(), "points": text})
 
 
 def test_json_from_earlier_releases_loads_bit_equal():
