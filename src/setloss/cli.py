@@ -7,12 +7,14 @@ Four commands cover the library surface:
 * ``cluster``  label samples by loss descent
 * ``bench``    rerun the bundled benchmark scenarios
 
-Exit codes: 0 success; 1 usage or parse failure; 2 degenerate input, a
-numerical failure, or zeros refused as not real; 3 output written as best
+Exit codes: 0 success; 1 usage or parse failure; 2 an error of
+``setloss.errors`` (degenerate input, a numerical failure such as zeros
+refused as not real, or an invalid state), raised where its condition was
+found and written as its own ``kind``; 3 output written as best
 effort, exactly when the result carries a concern (``RecoveryResult.concerns``):
 "non-convergence" at stage "fit", or from ``fit --complex`` "numerical-failure"
 at stage "extract" with ``max_imag``.  ``bench`` exits 3 when a trial carries
-a concern or had its recovery refused at the extract or loss stage.  For
+a concern or had its recovery refused after the fit stage.  For
 codes 2 and 3 stderr is one JSON line: the first reason, any others under
 ``also``, and the text of each Python warning raised meanwhile under
 ``warnings``; with codes 0 and 1 such warnings print as Python prints them.
@@ -45,12 +47,8 @@ from .clustering import (
     random_gmm_spec,
     recover_point_set,
 )
-from .errors import (
-    DegenerateConfigurationError,
-    InvalidStateError,
-    NumericalFailureError,
-)
-from .extraction import set_distance, zeros_are_real
+from .errors import DegenerateConfigurationError, InvalidStateError, NumericalFailureError
+from .extraction import real_projection, set_distance
 from .fitting import FitOptions, SampleSet
 from .generating_system import (
     PointSet,
@@ -100,9 +98,9 @@ def _derived_seed(base: int, *path: int) -> int:
     return int(np.random.SeedSequence(entropy=(int(base), *path)).generate_state(1)[0])
 
 
-def _diagnostic(kind: str, reason, **extra) -> dict:
+def _diagnostic(reason, **extra) -> dict:
     """The stderr object of a Concern, or of the error that ended a command."""
-    payload = {"error": kind, "message": str(getattr(reason, "message", reason))}
+    payload = {"error": reason.kind, "message": str(getattr(reason, "message", reason))}
     stage = getattr(reason, "stage", None)
     if stage is not None:
         payload["stage"] = stage
@@ -168,14 +166,6 @@ def _parse_points(path: str, truth: bool | None = False):
     if not integral:
         raise _UsageError(f"{path}: trailing column is not an integer truth column")
     return arr[:, :-1], last.astype(np.int64)
-
-
-def _checked(cls, values):
-    """``cls(values)``, raising its refusal of the input as a degenerate configuration."""
-    try:
-        return cls(values)
-    except ValueError as exc:
-        raise DegenerateConfigurationError(str(exc)) from exc
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -256,7 +246,7 @@ def _build_text(points: PointSet, gm, loss) -> str:
 
 def cmd_build(args) -> tuple[Concern, ...]:
     coords, _ = _parse_points(args.input)
-    points = _checked(PointSet, coords)
+    points = PointSet(coords)
     gm = solve_generating_matrix(points)
     loss = build_transformed_loss(points)
     _write_text(_build_text(points, gm, loss), args.output)
@@ -268,7 +258,7 @@ def cmd_build(args) -> tuple[Concern, ...]:
 
 def cmd_fit(args) -> tuple[Concern, ...]:
     coords, _ = _parse_points(args.input)
-    samples = _checked(SampleSet, coords)
+    samples = SampleSet(coords)
     result = recover_point_set(
         samples,
         args.k,
@@ -324,26 +314,16 @@ def _read_sstar(path: str, n: int) -> PointSet:
         pts = real_array(rows)
     except (TypeError, ValueError):  # ragged or not numbers
         pts = np.empty(0)
-    if pts.ndim == 3 and pts.shape[2] == 2:  # complex [re, im] pairs; keep the real parts
-        zeros = pts[:, :, 0] + 1j * pts[:, :, 1]
-        if not zeros_are_real(zeros):
-            # same refusal as recovery: the real parts of a conjugate
-            # pair nearly coincide and give no loss worth descending
-            exc = NumericalFailureError(
-                f"{path} holds zeros that are not real: imaginary parts "
-                f"up to {np.max(np.abs(zeros.imag)):.3e}"
-            )
-            exc.stage = "extract"
-            raise exc
-        pts = zeros.real
+    if pts.ndim == 3 and pts.shape[2] == 2:  # complex [re, im] pairs, refused unless real
+        pts = real_projection(pts[:, :, 0] + 1j * pts[:, :, 1]).points
     if pts.ndim != 2 or pts.shape[1] != n:
         raise _UsageError(f"{path} carries no point set in R^{n}, where the samples lie")
-    return _checked(PointSet, pts)
+    return PointSet(pts)
 
 
 def cmd_cluster(args) -> tuple[Concern, ...]:
     coords, truth = _parse_points(args.input, args.truth_column)
-    samples = _checked(SampleSet, coords)
+    samples = SampleSet(coords)
 
     concerns = ()
     if args.sstar is not None:
@@ -473,8 +453,7 @@ def cmd_bench(args) -> tuple[Concern, ...]:
             try:
                 result = recover_point_set(samples, args.k, FitOptions(seed=seed))
             except (NumericalFailureError, DegenerateConfigurationError) as exc:
-                refused_at = "extract" if isinstance(exc, NumericalFailureError) else "loss"
-                if getattr(exc, "stage", None) != refused_at:
+                if exc.stage == "fit":
                     raise
                 # extraction failed or refused the zeros, or the loss refused
                 # the recovered points: no labels, scored as a failed trial
@@ -609,17 +588,13 @@ def main(argv=None) -> int:
                 code = 3 if concerns else 0
                 if concerns:
                     # one object: the first concern, naming any others in "also"
-                    first, *also = (_diagnostic(c.kind, c, **c.numbers) for c in concerns)
+                    first, *also = (_diagnostic(c, **c.numbers) for c in concerns)
                     diagnostic = {**first, "also": also} if also else first
             except _UsageError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 code = 1
-            except DegenerateConfigurationError as exc:
-                diagnostic = _diagnostic("degenerate-configuration", exc)
-            except InvalidStateError as exc:
-                diagnostic = _diagnostic("invalid-state", exc)
-            except NumericalFailureError as exc:
-                diagnostic = _diagnostic("numerical-failure", exc)
+            except (DegenerateConfigurationError, InvalidStateError, NumericalFailureError) as exc:
+                diagnostic = _diagnostic(exc)
     finally:
         # stderr of codes 2 and 3 is the one diagnostic, which carries the warnings
         if diagnostic is None:

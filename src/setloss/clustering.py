@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalFailureError
 from .extraction import ZeroSet, extract_zero_set, real_projection
 from .fitting import FitOptions, FitResult, SampleSet, fit_generating_matrix
 from .generating_system import PointSet, solve_generating_matrix
@@ -434,11 +433,11 @@ def recover_point_set(
     selects the loss built on the recovered set: "transformed" (default)
     composes the simplicial loss with the appropriate coordinate change,
     "generating" interpolates a fresh generating system through the
-    recovered points and squares it.  The recovered set is the real
-    projection of the extracted zeros, which ``zero_set`` keeps complex.
-    Zeros that are not real (``ZeroSet.is_real``) are no point set: with
-    ``want_real`` they raise NumericalFailureError naming the largest
-    imaginary part, and without it the result carries them alone, with
+    recovered points and squares it.  The recovered set is
+    ``real_projection`` of the zeros, which ``zero_set`` keeps complex, so
+    zeros that are not real raise its NumericalFailureError and coincident
+    ones its DegenerateConfigurationError, at the "extract" stage; without
+    ``want_real`` the result carries zeros that are not real alone, with
     no recovered set and no loss.  Errors propagate from the failing
     stage, tagged with a ``stage`` attribute ("fit", "extract", or
     "loss").  A returned result is best effort exactly when its
@@ -453,15 +452,10 @@ def recover_point_set(
         fit = fit_generating_matrix(samples, standard_monomials(samples.n, k))
         stage = "extract"
         zeros = extract_zero_set(fit.g_star, seed=opts.seed)
-        if not zeros.is_real:
-            if want_real:
-                raise NumericalFailureError(
-                    "extracted zeros are not real: imaginary parts up to "
-                    f"{zeros.max_imaginary():.3e}"
-                )
+        if not (want_real or zeros.is_real):
             return RecoveryResult(fit=fit, zero_set=zeros, recovered=None, loss=None)
+        recovered = real_projection(zeros.points)
         stage = "loss"
-        recovered = real_projection(zeros)
         if loss_kind == "transformed":
             loss = build_transformed_loss(recovered)
         else:

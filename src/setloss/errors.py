@@ -1,10 +1,20 @@
 """Error types shared across the package.
 
 Plain ``ValueError`` is raised for malformed arguments (wrong shapes,
-out-of-range parameters).  The classes below cover the remaining failure
-modes: inputs that are structurally fine but numerically unusable,
-computations that fail to converge, and objects used outside their
-contract.
+out-of-range parameters), and ``TypeError`` for input that is not real
+numbers.  The classes below cover the remaining failure modes, each
+raised once, where the condition is found, and each naming the ``kind``
+the command line writes for it:
+
+* ``DegenerateConfigurationError``: coincident points and non-finite
+  points or samples (``PointSet``, ``SampleSet``), rank-deficient
+  interpolation or sample moments, and monomials that overflow.
+* ``NumericalFailureError``: zeros that are not real
+  (``extraction.real_projection``, the only place that refuses them),
+  clustered eigenvalues on every draw, and a Schur factorization that
+  fails or loses accuracy.
+* ``InvalidStateError``: multiplication matrices that do not commute,
+  refused by ``extraction.extract_zero_set``.
 """
 
 
@@ -15,6 +25,8 @@ class DegenerateConfigurationError(ValueError):
     available (``float("inf")`` for exactly singular input).
     """
 
+    kind = "degenerate-configuration"
+
     def __init__(self, message: str, condition: float | None = None):
         if condition is not None:
             message = f"{message} (condition estimate {condition:.3e})"
@@ -23,8 +35,12 @@ class DegenerateConfigurationError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """An iterative kernel failed to converge or lost all accuracy."""
+    """A computation failed to converge, lost all accuracy, or gave zeros that are not real."""
+
+    kind = "numerical-failure"
 
 
 class InvalidStateError(RuntimeError):
     """An object does not satisfy the precondition of the requested call."""
+
+    kind = "invalid-state"

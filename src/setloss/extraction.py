@@ -9,7 +9,8 @@ triangularize all M_i simultaneously because the family commutes, so the
 i-th diagonal entries assemble the coordinates of one zero each.
 
 The zeros are the only complex numbers in the package: ``ZeroSet`` holds
-them, and ``real_projection`` hands real ones on as a ``PointSet``.
+them, and ``real_projection`` hands real ones on as a ``PointSet`` and
+refuses any others.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError, InvalidStateError, NumericalFailureError
+from .errors import InvalidStateError, NumericalFailureError
 from .generating_system import (
     GeneratingMatrix,
     PointSet,
     commutator_residual,
     multiplication_matrices,
 )
-from .numeric_kernels import complex_schur, real_array
+from .numeric_kernels import complex_schur, integer_array, real_array
 
 __all__ = [
     "ZeroSet",
@@ -44,7 +45,7 @@ COMMUTATOR_SOFT_LIMIT = 1e-8
 MIN_GAP_FACTOR = 1e-8
 MAX_COMBINATION_DRAWS = 10
 # zeros with imaginary parts above this, relative to 1 + the largest real
-# part, are not real: real projection and recovery refuse them
+# part, are not real: real_projection refuses them
 IMAG_DROP_TOL = 1e-6
 
 
@@ -106,13 +107,16 @@ class ZeroSet:
 
     @classmethod
     def from_json(cls, payload: dict) -> "ZeroSet":
+        k, n = (int(integer_array(payload[key], key)) for key in ("k", "n"))
+        if not isinstance(payload["approximate"], bool):
+            raise TypeError(f"approximate must be a boolean, got {payload['approximate']!r}")
         # each [re, im] pair, as two float64s in a row, is one complex128
-        pairs = real_array(payload["points"]).reshape(int(payload["k"]), int(payload["n"]), 2)
+        pairs = real_array(payload["points"]).reshape(k, n, 2)
         return cls(
             points=pairs.view(complex)[..., 0],
             residuals=payload["residuals"],
-            approximate=bool(payload["approximate"]),
-            commutator_norm=float(payload["commutator_norm"]),
+            approximate=payload["approximate"],
+            commutator_norm=float(real_array(payload["commutator_norm"])),
         )
 
 
@@ -198,21 +202,22 @@ def extract_zero_set(gm: GeneratingMatrix, seed: int = 0) -> ZeroSet:
     )
 
 
-def real_projection(zeros: ZeroSet) -> PointSet:
-    """The real parts of zeros that are ``is_real``, as a checked ``PointSet``.
+def real_projection(points: np.ndarray) -> PointSet:
+    """The real parts of (k, n) zeros that are real (``zeros_are_real``), as a ``PointSet``.
 
-    Zeros that are not real raise InvalidStateError naming the largest
-    imaginary part: a conjugate pair is no point of a real set.  Real
-    zeros that coincide raise DegenerateConfigurationError.
+    The package's one refusal of zeros that are not real, as a conjugate
+    pair is no point of a real set: NumericalFailureError naming the
+    largest imaginary part, with ``stage`` "extract".  Real zeros that
+    coincide raise ``PointSet``'s DegenerateConfigurationError.
     """
-    if not zeros.is_real:
-        raise InvalidStateError(
-            f"zeros are not real: imaginary parts up to {zeros.max_imaginary():.3e}"
+    if not zeros_are_real(points):
+        exc = NumericalFailureError(
+            "extracted zeros are not real: imaginary parts up to "
+            f"{np.max(np.abs(points.imag)):.3e}"
         )
-    try:
-        return PointSet(zeros.points.real)
-    except ValueError as exc:
-        raise DegenerateConfigurationError(str(exc)) from exc
+        exc.stage = "extract"
+        raise exc
+    return PointSet(points.real)
 
 
 def set_distance(recovered: PointSet, reference: PointSet) -> float:

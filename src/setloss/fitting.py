@@ -79,7 +79,7 @@ FEASIBILITY_FACTOR = 1e-8
 
 @dataclass(frozen=True)
 class SampleSet:
-    """A cloud of N real sample vectors in R^n; duplicates are allowed."""
+    """A cloud of N real sample vectors in R^n; duplicates are allowed, non-finite entries not."""
 
     samples: np.ndarray
 

@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import DegenerateConfigurationError
 from .monomial_basis import (
     MonomialBasis,
     basis_jacobian,
@@ -30,7 +31,13 @@ from .monomial_basis import (
     monomial_matrix,
     standard_monomials,
 )
-from .numeric_kernels import real_array, require_finite, require_full_rank, solve_linear
+from .numeric_kernels import (
+    integer_array,
+    real_array,
+    require_finite,
+    require_full_rank,
+    solve_linear,
+)
 
 __all__ = [
     "PointSet",
@@ -60,16 +67,15 @@ def coincident_pairs(points: np.ndarray) -> np.ndarray:
 def _real_rows(values, name: str) -> np.ndarray:
     """``values`` as a new read-only finite float (rows, n) array, rows and n >= 1.
 
-    The entries pass ``real_array``; any other shape, or a NaN or
-    infinite entry, raises ValueError.
+    The entries pass ``real_array``; any other shape raises ValueError,
+    and a NaN or infinite entry DegenerateConfigurationError.
     """
     arr = real_array(np.array(values))
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d array of {name}, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"need at least one row of {name} and one coordinate, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
+    require_finite(arr, f"{name} must be finite")
     arr.flags.writeable = False
     return arr
 
@@ -79,7 +85,8 @@ class PointSet:
     """An ordered set of k real points in n dimensions.
 
     Points are stored as the rows of a read-only float (k, n) array.
-    Construction rejects duplicate rows.
+    Construction refuses non-finite entries and duplicate rows with
+    DegenerateConfigurationError.
     """
 
     points: np.ndarray
@@ -89,7 +96,7 @@ class PointSet:
         pairs = coincident_pairs(pts)
         if len(pairs):
             i, j = pairs[0]
-            raise ValueError(f"points {i} and {j} coincide")
+            raise DegenerateConfigurationError(f"points {i} and {j} coincide")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -162,9 +169,9 @@ class GeneratingMatrix:
         rendering structures already built for it.  Any other basis gets
         an object of its own.  ``b1`` must be the border of the basis, row
         for row, as ``to_json`` writes it; anything else raises ValueError.
+        ``n`` and ``k`` pass ``integer_array``, so text raises TypeError.
         """
-        n = int(payload["n"])
-        k = int(payload["k"])
+        n, k = (int(integer_array(payload[key], key)) for key in ("n", "k"))
         b0 = payload["b0"]
         standard = n >= 1 and k >= 1 and len(b0) == k
         if standard and np.array_equal(b0, standard_monomials(n, k).powers):

@@ -113,7 +113,7 @@ class MonomialBasis:
 
     @classmethod
     def from_json(cls, payload: dict) -> "MonomialBasis":
-        return cls(n=int(payload["n"]), powers=payload["members"])
+        return cls(n=int(integer_array(payload["n"], "n")), powers=payload["members"])
 
 
 def _degree_level(n: int, d: int):

@@ -14,7 +14,7 @@ import setloss.cli as cli
 import setloss.fitting as fitting
 from setloss.cli import main
 from setloss.clustering import bounded_noise_sample, gmm_sample, random_gmm_spec, recover_point_set
-from setloss.errors import NumericalFailureError
+from setloss.errors import DegenerateConfigurationError, InvalidStateError, NumericalFailureError
 from setloss.fitting import SampleSet
 from setloss.generating_system import GeneratingMatrix, PointSet, solve_generating_matrix
 from setloss.loss_functions import TransformedLoss, build_transformed_loss
@@ -873,6 +873,75 @@ def test_bench_gmm_stops_on_other_numerical_failures(tmp_path, capsys, monkeypat
     assert err["error"] == "numerical-failure" and err["stage"] == "fit"
     # every file is written after the last trial, so nothing is left behind
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "error, stage",
+    [(DegenerateConfigurationError, "extract"), (NumericalFailureError, "loss")],
+)
+def test_bench_gmm_scores_every_refusal_after_the_fit(tmp_path, capsys, monkeypatch, error, stage):
+    # coincident real zeros are refused at the extract stage, and a loss
+    # may fail numerically: past the fit, either refusal scores 0
+    recover = cli.recover_point_set
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            exc = error("refused after the fit")
+            exc.stage = stage
+            raise exc
+        return recover(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "recover_point_set", fail_second)
+    out_dir = tmp_path / "gmm"
+    args = ["bench", "--scenario", "gmm", "--seeds", "2", "--samples", "200"]
+    assert main([*args, "--out-dir", str(out_dir)]) == 3
+    assert one_json_line(capsys.readouterr().err)["error"] == "non-convergence"
+    rows = (out_dir / "results.csv").read_text().strip().splitlines()
+    assert rows[2] == "1,0.0,0"
+
+
+@pytest.mark.parametrize(
+    "error", [DegenerateConfigurationError, InvalidStateError, NumericalFailureError]
+)
+def test_each_package_error_names_its_own_kind(tmp_path, capsys, monkeypatch, sample_csv, error):
+    # main writes the kind the error names, whatever raised it
+    assert error.kind == {
+        DegenerateConfigurationError: "degenerate-configuration",
+        InvalidStateError: "invalid-state",
+        NumericalFailureError: "numerical-failure",
+    }[error]
+
+    def refuse(*args, **kwargs):
+        raise error("refused where it was found")
+
+    monkeypatch.setattr(cli, "recover_point_set", refuse)
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--input", str(sample_csv[0]), "--k", "6", "--output", str(out)]) == 2
+    err = one_json_line(capsys.readouterr().err)
+    assert err == {"error": error.kind, "message": "refused where it was found", "warnings": []}
+    assert not out.exists()
+
+
+def test_cluster_sstar_refuses_unusable_points_exit_two(tmp_path, capsys, sample_csv):
+    # PointSet's own refusal reaches the diagnostic, real or as [re, im] pairs
+    inp = str(sample_csv[0])
+    for rows, message in (
+        ([[1.0, 1.0], [3.0, 2.0], [1.0, 1.0]], "points 0 and 2 coincide"),
+        (
+            [[[1.0, 0.0], [1.0, 0.0]], [[3.0, 0.0], [2.0, 0.0]], [[1.0, 0.0], [1.0, 1e-9]]],
+            "points 0 and 2 coincide",
+        ),
+        ([[1.0, 1.0], [3.0, 2.0], [float("nan"), 1.0]], "points must be finite"),
+    ):
+        sstar, out = tmp_path / "sstar.json", tmp_path / "labels.csv"
+        sstar.write_text(json.dumps({"s_star": rows}))
+        assert main(["cluster", "--input", inp, "--sstar", str(sstar), "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = one_json_line(captured.err)
+        assert err == {"error": "degenerate-configuration", "message": message, "warnings": []}
+        assert captured.out == "" and not out.exists()
 
 
 def test_build_and_describe_leave_sympy_unimported(tmp_path):

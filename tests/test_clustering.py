@@ -115,6 +115,31 @@ def test_minimize_from_accepts_plain_callable():
     np.testing.assert_allclose(result.x, 0, atol=1e-7)
 
 
+def test_an_uphill_direction_restarts_from_steepest_descent():
+    # the first step, from h = I, is s = -g0 = (1, -1), and the curvature
+    # pair y = g1 - g0 has s.y = 20: above the update's guard of 1e-12 |s| |y|
+    # (about 0.02) but a billionth of |s| |y|, so the rounded update leaves
+    # an inverse Hessian under which -h g1 points uphill.  The row drops
+    # that model and steps along -g1
+    g0, g1 = np.array([[-1.0, 1.0]]), np.array([[1e10 + 9.0, 1e10 - 9.0]])
+    scripted = [(1.0, g0), (0.0, g1)]
+    calls = []
+
+    def fun(x):
+        calls.append(x.copy())
+        value, grad = scripted[len(calls) - 1] if len(calls) <= 2 else (-1e300, 0.0 * x)
+        return np.array([value]), grad.copy()
+
+    result = minimize_from(fun, np.zeros((1, 2)))
+    x0, x1, x2 = calls
+    s, y = (x1 - x0)[0], (g1 - g0)[0]
+    assert np.array_equal(s, -g0[0])
+    scale = np.linalg.norm(s) * np.linalg.norm(y)
+    assert 1e-12 * scale < s @ y <= 1e-9 * scale
+    np.testing.assert_array_equal(x2 - x1, -g1)
+    assert result.converged[0] and result.iterations[0] == 2
+
+
 def test_minimize_from_respects_iteration_cap(monkeypatch):
     monkeypatch.setattr(clustering, "MAX_DESCENT_ITERATIONS", 1)
     loss = simplex_loss(np.ones(4))

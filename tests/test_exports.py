@@ -59,3 +59,31 @@ def test_only_loss_functions_reads_the_transformed_map():
             if isinstance(node, ast.Attribute) and node.attr in private:
                 readers.add(path.stem)
     assert readers == {"loss_functions"}
+
+
+def test_each_refusal_is_raised_where_it_is_found():
+    # no except clause turns the package's own refusals (ValueError and its
+    # subclasses) into a package error on their way out, and one function
+    # refuses zeros that are not real; a LAPACK failure is wrapped where
+    # the kernel calls it
+    package_errors = {"DegenerateConfigurationError", "NumericalFailureError", "InvalidStateError"}
+
+    def raised(node):
+        return [
+            call
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) in package_errors
+        ]
+
+    converters, non_real = set(), set()
+    for path in Path(setloss.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = {getattr(n, "id", None) for n in ast.walk(node.type)}
+                if caught & (package_errors | {"ValueError"}) and raised(node):
+                    converters.add(path.stem)
+            if isinstance(node, ast.FunctionDef):
+                if any("not real" in ast.unparse(call) for call in raised(node)):
+                    non_real.add(f"{path.stem}.{node.name}")
+    assert converters == set()
+    assert non_real == {"extraction.real_projection"}

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import setloss.clustering as clustering
 from setloss.clustering import gmm_sample, random_gmm_spec, recover_point_set
 from setloss.errors import DegenerateConfigurationError, InvalidStateError, NumericalFailureError
 from setloss.extraction import (
@@ -14,7 +15,7 @@ from setloss.extraction import (
     real_projection,
     set_distance,
 )
-from setloss.fitting import FitOptions, fit_generating_matrix
+from setloss.fitting import FitOptions, SampleSet, fit_generating_matrix
 from setloss.generating_system import (
     GeneratingMatrix,
     PointSet,
@@ -153,7 +154,7 @@ def test_real_projection_of_real_zeros():
     rng = np.random.default_rng(2)
     pts = random_points(rng, 5, 2)
     zs = extract_zero_set(solve_generating_matrix(PointSet(pts)))
-    projected = real_projection(zs)
+    projected = real_projection(zs.points)
     assert projected.points.dtype == np.float64
     assert match_as_multisets(projected.points, pts) <= 1e-8
 
@@ -164,8 +165,12 @@ def test_real_projection_refuses_a_conjugate_pair():
     zs = extract_zero_set(conjugate_pair_system())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InvalidStateError, match=r"imaginary parts up to 2\.000e\+00"):
-            real_projection(zs)
+        with pytest.raises(
+            NumericalFailureError,
+            match=r"^extracted zeros are not real: imaginary parts up to 2\.000e\+00$",
+        ) as info:
+            real_projection(zs.points)
+    assert info.value.stage == "extract"
 
 
 def test_real_projection_refuses_coincident_real_zeros():
@@ -173,7 +178,7 @@ def test_real_projection_refuses_coincident_real_zeros():
     zs = extract_zero_set(GeneratingMatrix(standard_monomials(1, 2), np.zeros((2, 1))))
     assert zs.is_real
     with pytest.raises(DegenerateConfigurationError, match="points 0 and 1 coincide"):
-        real_projection(zs)
+        real_projection(zs.points)
 
 
 def test_real_projection_is_silent_on_real_zeros():
@@ -182,7 +187,7 @@ def test_real_projection_is_silent_on_real_zeros():
     assert zs.is_real
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        real_projection(zs)
+        real_projection(zs.points)
 
 
 def test_real_projection_refuses_dropped_imaginary_parts():
@@ -194,11 +199,24 @@ def test_real_projection_refuses_dropped_imaginary_parts():
     assert fit.converged
     zeros = extract_zero_set(fit.g_star, seed=7)
     assert not zeros.is_real
-    with pytest.raises(InvalidStateError, match=r"imaginary parts up to 8\.\d+e-01"):
-        real_projection(zeros)
-    # recovery refuses the same zeros instead of building a loss on them
-    with pytest.raises(NumericalFailureError, match=r"imaginary parts up to 8\.\d+e-01") as info:
+    with pytest.raises(NumericalFailureError, match=r"imaginary parts up to 8\.\d+e-01") as own:
+        real_projection(zeros.points)
+    # recovery refuses the same zeros, by the same raise, instead of
+    # building a loss on them
+    with pytest.raises(NumericalFailureError) as info:
         recover_point_set(samples, 4, FitOptions(seed=7))
+    assert str(info.value) == str(own.value)
+    assert info.value.stage == own.value.stage == "extract"
+
+
+def test_recovery_refuses_coincident_real_zeros_at_the_extract_stage(monkeypatch):
+    # real zeros that coincide are no point set: real_projection's
+    # PointSet refuses them, inside recovery's extract stage
+    double = extract_zero_set(GeneratingMatrix(standard_monomials(1, 2), np.zeros((2, 1))))
+    monkeypatch.setattr(clustering, "extract_zero_set", lambda gm, seed: double)
+    samples = SampleSet(np.array([[-1.0], [-0.9], [1.0], [1.1]]))
+    with pytest.raises(DegenerateConfigurationError, match="points 0 and 1 coincide") as info:
+        recover_point_set(samples, 2)
     assert info.value.stage == "extract"
 
 
@@ -428,6 +446,24 @@ def test_zero_set_json_takes_numbers_only():
     for key, text in texts.items():
         with pytest.raises(TypeError):
             ZeroSet.from_json({**payload, key: text})
+
+
+def test_json_scalar_fields_take_numbers_only():
+    # n and k pass integer_array, commutator_norm real_array, and
+    # approximate must be a JSON boolean: text is refused, not parsed
+    gm = solve_generating_matrix(PointSet(np.array([[-1.0, 0.0], [2.0, -3.0], [0.5, 1.0]])))
+    matrix, zeros, basis = gm.to_json(), extract_zero_set(gm).to_json(), gm.basis.to_json()
+    readers = ((GeneratingMatrix, matrix), (ZeroSet, zeros), (MonomialBasis, basis))
+    for reader, payload in readers:
+        assert reader.from_json(payload).to_json() == payload
+        for key in ("n", "k") if "k" in payload else ("n",):
+            with pytest.raises(TypeError):
+                reader.from_json({**payload, key: str(payload[key])})
+            with pytest.raises(ValueError, match=f"{key} must be integers"):
+                reader.from_json({**payload, key: payload[key] + 0.5})
+    for key, value in (("commutator_norm", "1e-3"), ("approximate", "no"), ("approximate", 0)):
+        with pytest.raises(TypeError):
+            ZeroSet.from_json({**zeros, key: value})
 
 
 def test_zero_set_refuses_complex_residuals():

@@ -470,3 +470,69 @@ def test_accepted_steps_reuse_their_trial_evaluation(monkeypatch):
     # once per trial step and at most once per round (a round whose last
     # trial was rejected evaluates its final g again), plus the start
     assert counts["matrices"] <= trials + result.rounds + 1
+
+
+def stop_samples():
+    rng = np.random.default_rng(15)
+    return noisy_samples(rng, random_points(rng, 5, 2, min_gap=0.8), 0.05, 40)
+
+
+def test_a_flat_gradient_stops_every_round_before_a_step(monkeypatch):
+    samples = stop_samples()
+    monkeypatch.setattr(fitting, "MAX_ROUNDS", 0)
+    start = fit_generating_matrix(samples, standard_monomials(2, 5)).g_star.entries
+    monkeypatch.setattr(fitting, "MAX_ROUNDS", 3)
+    monkeypatch.setattr(fitting, "GRADIENT_TOL", np.inf)
+    result = fit_generating_matrix(samples, standard_monomials(2, 5))
+    assert [r.stop for r in result.history] == ["gradient"] * 3
+    assert [r.iterations for r in result.history] == [0, 0, 0] and result.iterations == 0
+    assert all(r.mu_final == r.mu_start for r in result.history)
+    # no round moved g, so the fit ends where it started, out of rounds
+    np.testing.assert_array_equal(result.g_star.entries, start)
+    assert not result.converged
+
+
+def test_a_failed_solve_doubles_the_damping_and_counts_as_an_iteration(monkeypatch):
+    samples = stop_samples()
+    plain = fit_generating_matrix(samples, standard_monomials(2, 5))
+    solve = np.linalg.solve
+    systems = []
+
+    def fail_first(a, b):
+        systems.append((a.copy(), b.copy()))
+        if len(systems) == 1:
+            raise np.linalg.LinAlgError("singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", fail_first)
+    result = fit_generating_matrix(samples, standard_monomials(2, 5))
+    # one solve per iteration, the failed one included
+    assert len(systems) == result.iterations
+    assert result.history[0].iterations >= 2
+    assert result.history[0].mu_start == plain.history[0].mu_start
+    # the retry solves the same system at twice the damping
+    (first, rhs), (second, rhs_again) = systems[:2]
+    np.testing.assert_array_equal(rhs, rhs_again)
+    np.testing.assert_allclose(np.diag(second) - np.diag(first), result.history[0].mu_start)
+    off = ~np.eye(len(first), dtype=bool)
+    np.testing.assert_array_equal(first[off], second[off])
+    assert result.converged
+    assert all(r.stop in ("step", "decrease") for r in result.history)
+
+
+def test_rejected_steps_stop_a_round_once_the_damping_overflows(monkeypatch):
+    samples = stop_samples()
+    monkeypatch.setattr(fitting, "MAX_ROUNDS", 2)
+    # heavier damping shortens the step, so no step is too short to take
+    monkeypatch.setattr(fitting, "STEP_TOL", 0.0)
+    monkeypatch.setattr(PenaltyModel, "penalized_value", lambda self, g, rho: np.inf)
+    result = fit_generating_matrix(samples, standard_monomials(2, 5))
+    assert [r.stop for r in result.history] == ["mu overflow"] * 2
+    for r in result.history:
+        # every step is rejected: the damping doubles, then doubles twice, ...
+        # and the round stops at the first damping above 1e32
+        m = r.iterations
+        assert m >= 1 and r.mu_final == r.mu_start * 2.0 ** (m * (m + 1) // 2)
+        assert r.mu_final > 1e32 >= r.mu_final / 2.0**m
+    assert result.iterations == sum(r.iterations for r in result.history)
+    assert not result.converged

@@ -115,6 +115,24 @@ def test_point_and_sample_sets_refuse_complex_entries(make):
             make(values)
 
 
+@pytest.mark.parametrize("make", [PointSet, SampleSet])
+def test_unusable_values_are_degenerate_configurations(make):
+    # the refusal the CLI reports is raised here, not converted on the way
+    # out; a malformed shape stays a plain ValueError
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DegenerateConfigurationError, match="must be finite"):
+            make(np.array([[1.0, 2.0], [bad, 0.0]]))
+    with pytest.raises(ValueError) as info:
+        make(np.array([1.0, 2.0]))
+    assert not isinstance(info.value, DegenerateConfigurationError)
+    coincident = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
+    if make is PointSet:
+        with pytest.raises(DegenerateConfigurationError, match="points 0 and 2 coincide"):
+            make(coincident)
+    else:
+        assert make(coincident).size == 3
+
+
 def test_point_set_takes_no_labels():
     # a point set is its rows; labels belong to samples, not to the set
     with pytest.raises(TypeError):

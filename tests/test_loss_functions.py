@@ -440,6 +440,18 @@ def test_lift_basis_must_start_with_the_constant_monomial():
         TransformedLoss.from_json({**CASE2_PAYLOAD, "lift_basis": basis.to_json()})
 
 
+def test_lift_basis_must_have_one_member_per_point():
+    points = PointSet(np.array([[2.0, 3.0], [-1.0, -2.0], [1.0, -3.0], [0.0, 1.0]]))
+    payload = build_transformed_loss(points).to_json()
+    for members in ([[0, 0], [1, 0], [0, 1]], [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1]]):
+        basis = MonomialBasis(2, members)
+        message = f"a lift basis for 4 points needs 4 members, got {len(members)}"
+        with pytest.raises(ValueError, match=message):
+            TransformedLoss(points, basis)
+        with pytest.raises(ValueError, match=message):
+            TransformedLoss.from_json({**payload, "lift_basis": basis.to_json()})
+
+
 def test_lift_basis_must_hold_every_degree_one_monomial():
     # without y the lift (x, xy, x^2) is constant on the line x = 0, so the
     # loss vanished at (0, 1), (0, -5) and (0, 40), while null_directions
