@@ -26,7 +26,7 @@ from .generating_system import (
     commutator_residual,
     multiplication_matrices,
 )
-from .numeric_kernels import complex_schur, integer_array, real_array
+from .numeric_kernels import complex_schur, integer_array, real_array, require_finite
 
 __all__ = [
     "ZeroSet",
@@ -172,11 +172,11 @@ def extract_zero_set(gm: GeneratingMatrix, seed: int = 0) -> ZeroSet:
     for _ in range(MAX_COMBINATION_DRAWS):
         xi = rng.standard_normal(n)
         xi /= np.linalg.norm(xi)
-        schur = complex_schur((xi[:, None, None] * mats).sum(axis=0))
+        p, q = complex_schur((xi[:, None, None] * mats).sum(axis=0))
         # every |e_i - e_j|: the diagonal's zeros leave the max alone, and
         # |a - b| == |b - a| exactly, so with the diagonal set to inf the
         # min is the min over i < j too
-        eigs = schur.eigenvalues
+        eigs = np.diag(p)
         gaps = np.abs(eigs[:, None] - eigs)
         widest = gaps.max()
         np.fill_diagonal(gaps, np.inf)
@@ -188,7 +188,6 @@ def extract_zero_set(gm: GeneratingMatrix, seed: int = 0) -> ZeroSet:
             "the zero structure cannot be separated"
         )
 
-    q = schur.q
     reduced = q.conj().T @ mats @ q
     points = np.diagonal(reduced, axis1=1, axis2=2).T
     residuals = np.sqrt(np.sum(np.abs(np.tril(reduced, -1)) ** 2, axis=(0, 1)))
@@ -205,11 +204,15 @@ def extract_zero_set(gm: GeneratingMatrix, seed: int = 0) -> ZeroSet:
 def real_projection(points: np.ndarray) -> PointSet:
     """The real parts of (k, n) zeros that are real (``zeros_are_real``), as a ``PointSet``.
 
-    The package's one refusal of zeros that are not real, as a conjugate
-    pair is no point of a real set: NumericalFailureError naming the
-    largest imaginary part, with ``stage`` "extract".  Real zeros that
-    coincide raise ``PointSet``'s DegenerateConfigurationError.
+    A zero with a NaN or infinite part is no point, and the realness test
+    cannot judge it: it raises DegenerateConfigurationError, "points must
+    be finite", as ``PointSet`` does.  Finite zeros that are not real get
+    the package's one refusal of them, as a conjugate pair is no point of
+    a real set: NumericalFailureError naming the largest imaginary part,
+    with ``stage`` "extract".  Real zeros that coincide raise
+    ``PointSet``'s DegenerateConfigurationError.
     """
+    require_finite(points, "points must be finite")
     if not zeros_are_real(points):
         exc = NumericalFailureError(
             "extracted zeros are not real: imaginary parts up to "

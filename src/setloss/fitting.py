@@ -30,16 +30,20 @@ feasible once |c| <= FEASIBILITY_FACTOR * (1 + |G|_F).
 
 The data block of the Jacobian is constant, so the normal equations are
 assembled from its precomputed Gram blocks; only the small commutator
-block is rebuilt per iteration, and an accepted step reuses the
-multiplication matrices, commutators and theta of its trial evaluation.
-A round that ends on its decrease test builds no normal equations at its
-last g: the next round builds them there for its own rho.
+block is rebuilt per iteration.  Each g is evaluated once, by
+``PenaltyModel.evaluate``, and its record (g, multiplication matrices,
+commutators, theta) is passed along: an accepted trial's record serves
+the next Gram build, and the fit reads theta_init, each round's
+commutator norm and the objective off the records.  A round that ends on
+its decrease test builds no normal equations at its last g: the next
+round builds them there for its own rho.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +64,7 @@ __all__ = [
     "FitOptions",
     "FitResult",
     "PenaltyRound",
+    "PenaltyEvaluation",
     "PenaltyModel",
     "fit_generating_matrix",
 ]
@@ -201,13 +206,23 @@ def _commutator_jacobian_steps(basis: MonomialBasis):
     )
 
 
+class PenaltyEvaluation(NamedTuple):
+    """One g with its multiplication matrices, flat commutators and theta; none depends on rho."""
+
+    g: np.ndarray
+    mats: np.ndarray
+    cvec: np.ndarray
+    theta: float
+
+
 class PenaltyModel:
     """Normal equations of the penalized fitting problem.
 
     Parameters are the generating-matrix entries, flattened column by
     column (one border monomial at a time).  Residuals are the per-sample
     generator values scaled by 1/sqrt(N), followed by every commutator
-    entry scaled by sqrt(rho).  The solver reads J^T J and J^T r from
+    entry scaled by sqrt(rho).  ``evaluate`` computes the pieces at one g;
+    the solver reads J^T J and J^T r off that record with
     ``gram_and_gradient``, which never forms the data block of J.
 
     ``basis`` is the quotient basis of the fitted system, a
@@ -241,7 +256,6 @@ class PenaltyModel:
         self.atb = (self.a.T @ self.b) / samples.size
         # Gram block of the data residuals, constant in g
         self.data_gram = np.kron(np.eye(self.m), self.ata)
-        self._memo = None
 
     # -- assembly ---------------------------------------------------------
 
@@ -273,39 +287,25 @@ class PenaltyModel:
         r = self.b - self.a @ g
         return float((r * r).sum()) / self.size
 
-    def _at(self, g: np.ndarray):
-        """(multiplication matrices, flat commutators, theta) at g.
-
-        One entry is kept, keyed on the dtype, shape and bytes of g, so an
-        accepted step reads what its trial computed and a g that differs in
-        any bit never reads stale pieces.  None of them depends on rho.
-        """
-        key = (g.dtype.str, g.shape, g.tobytes())
-        if self._memo is not None and self._memo[0] == key:
-            return self._memo[1:]
+    def evaluate(self, g: np.ndarray) -> PenaltyEvaluation:
         mats = self.shifts.matrices(g)
-        cvec = commutators(mats).reshape(-1)
-        theta = self.theta(g)
-        self._memo = (key, mats, cvec, theta)
-        return mats, cvec, theta
+        return PenaltyEvaluation(g, mats, commutators(mats).reshape(-1), self.theta(g))
 
-    # -- normal-equation pieces used by the solver -------------------------
+    # -- normal-equation pieces used by the solver, read off a record ------
 
-    def gram_and_gradient(self, g: np.ndarray, rho: float):
-        """(J^T J, J^T r, phi) without materializing the data block."""
-        mats, cvec, theta = self._at(g)
-        jc = self.commutator_jacobian(mats)
+    def gram_and_gradient(self, ev: PenaltyEvaluation, rho: float):
+        """(J^T J, J^T r, phi) at ``ev.g`` without materializing the data block."""
+        jc = self.commutator_jacobian(ev.mats)
         jtj = self.data_gram + rho * (jc.T @ jc)
-        jtr = (self.ata @ g - self.atb).T.reshape(-1) + rho * (jc.T @ cvec)
-        phi = theta + rho * float(cvec @ cvec)
+        jtr = (self.ata @ ev.g - self.atb).T.reshape(-1) + rho * (jc.T @ ev.cvec)
+        phi = ev.theta + rho * float(ev.cvec @ ev.cvec)
         return jtj, jtr, phi
 
-    def penalized_value(self, g: np.ndarray, rho: float) -> float:
-        _, cvec, theta = self._at(g)
-        return theta + rho * float(cvec @ cvec)
+    def penalized_value(self, ev: PenaltyEvaluation, rho: float) -> float:
+        return ev.theta + rho * float(ev.cvec @ ev.cvec)
 
-    def commutator_norm(self, g: np.ndarray) -> float:
-        return float(np.linalg.norm(self._at(g)[1]))
+    def commutator_norm(self, ev: PenaltyEvaluation) -> float:
+        return float(np.linalg.norm(ev.cvec))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -314,16 +314,19 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _lm_round(model: PenaltyModel, g: np.ndarray, rho: float, tol: float, mu_cap: float):
-    """One Levenberg-Marquardt descent on the rho-penalized residuals.
+def _lm_round(
+    model: PenaltyModel, current: PenaltyEvaluation, rho: float, tol: float, mu_cap: float
+):
+    """One Levenberg-Marquardt descent on the rho-penalized residuals from ``current``.
 
     The damping starts at min(1e-3 max diag(J^T J), mu_cap), and the loop
     stops once an accepted step lowers phi by at most tol * (|phi| + tol).
-    Returns the final g, the iterations, the starting and final damping
-    and the stop reason.
+    Each trial g is evaluated once; an accepted trial's record becomes
+    ``current``.  Returns the last accepted record, the iterations, the
+    starting and final damping and the stop reason.
     """
     k, m = model.k, model.m
-    jtj, jtr, phi = model.gram_and_gradient(g, rho)
+    jtj, jtr, phi = model.gram_and_gradient(current, rho)
     mu = min(1e-3 * float(np.max(np.diag(jtj))), mu_cap)
     mu_start = mu
     nu = 2.0
@@ -331,7 +334,7 @@ def _lm_round(model: PenaltyModel, g: np.ndarray, rho: float, tol: float, mu_cap
     stop = "budget"
     # these change only with g, not on a rejected step
     flat_gradient = float(np.abs(jtr).max()) <= GRADIENT_TOL
-    step_floor = STEP_TOL * (_norm(g) + STEP_TOL)
+    step_floor = STEP_TOL * (_norm(current.g) + STEP_TOL)
     for _ in range(MAX_INNER_ITERATIONS):
         if flat_gradient:
             stop = "gradient"
@@ -348,8 +351,8 @@ def _lm_round(model: PenaltyModel, g: np.ndarray, rho: float, tol: float, mu_cap
         if _norm(delta) <= step_floor:
             stop = "step"
             break
-        g_new = g + delta.reshape(m, k).T
-        phi_new = model.penalized_value(g_new, rho)
+        trial = model.evaluate(current.g + delta.reshape(m, k).T)
+        phi_new = model.penalized_value(trial, rho)
         predicted = -(2.0 * float(jtr @ delta) + float(delta @ (jtj @ delta)))
         actual = phi - phi_new
         if predicted <= 0.0 or actual <= 0.0:
@@ -360,7 +363,7 @@ def _lm_round(model: PenaltyModel, g: np.ndarray, rho: float, tol: float, mu_cap
                 break
             continue
         gain = actual / predicted
-        g = g_new
+        current = trial
         phi = phi_new
         mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
         nu = 2.0
@@ -368,10 +371,10 @@ def _lm_round(model: PenaltyModel, g: np.ndarray, rho: float, tol: float, mu_cap
             stop = "decrease"
             break
         # the round goes on, so it needs the normal equations at the new g
-        jtj, jtr, _ = model.gram_and_gradient(g, rho)
+        jtj, jtr, _ = model.gram_and_gradient(current, rho)
         flat_gradient = float(np.abs(jtr).max()) <= GRADIENT_TOL
-        step_floor = STEP_TOL * (_norm(g) + STEP_TOL)
-    return g, iterations, mu_start, mu, stop
+        step_floor = STEP_TOL * (_norm(current.g) + STEP_TOL)
+    return current, iterations, mu_start, mu, stop
 
 
 def fit_generating_matrix(samples: SampleSet, basis: MonomialBasis) -> FitResult:
@@ -407,26 +410,27 @@ def fit_generating_matrix(samples: SampleSet, basis: MonomialBasis) -> FitResult
         warnings.append(
             f"moment matrix is barely positive (min eigenvalue {h_min_eig:.3e})"
         )
-    theta_init = model.theta(g)
+    current = model.evaluate(g)
+    theta_init = current.theta
 
     def target_of(g):
         return FEASIBILITY_FACTOR * (1.0 + float(np.linalg.norm(g)))
 
     rho = RHO0
-    com, target = model.commutator_norm(g), target_of(g)
+    com, target = model.commutator_norm(current), target_of(g)
     # the commutator block of J^T J grows with rho, and so may the damping
     mu_cap = float("inf")
     history: list[PenaltyRound] = []
     while len(history) < MAX_ROUNDS and com > target:
         tol = min(max(DECREASE_TOL * com / target, DECREASE_TOL), DECREASE_TOL**0.5)
-        g, iterations, mu_start, mu, stop = _lm_round(model, g, rho, tol, mu_cap)
-        com, target = model.commutator_norm(g), target_of(g)
+        current, iterations, mu_start, mu, stop = _lm_round(model, current, rho, tol, mu_cap)
+        com, target = model.commutator_norm(current), target_of(current.g)
         history.append(PenaltyRound(rho, tol, mu_start, mu, iterations, com, stop))
         mu_cap = mu * RHO_GROWTH
         rho *= RHO_GROWTH
     return FitResult(
-        g_star=GeneratingMatrix(model.b0, np.ascontiguousarray(g)),
-        objective=model.theta(g),
+        g_star=GeneratingMatrix(model.b0, np.ascontiguousarray(current.g)),
+        objective=current.theta,
         commutator_norm=com,
         h_min_eig=h_min_eig,
         iterations=sum(r.iterations for r in history),

@@ -169,7 +169,8 @@ class GeneratingMatrix:
         rendering structures already built for it.  Any other basis gets
         an object of its own.  ``b1`` must be the border of the basis, row
         for row, as ``to_json`` writes it; anything else raises ValueError.
-        ``n`` and ``k`` pass ``integer_array``, so text raises TypeError.
+        ``n`` and ``k`` pass ``integer_array``, so text or a boolean raises
+        TypeError.
         """
         n, k = (int(integer_array(payload[key], key)) for key in ("n", "k"))
         b0 = payload["b0"]

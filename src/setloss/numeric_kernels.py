@@ -9,8 +9,6 @@ whole numbers ``integer_array``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import ztrexc
@@ -18,7 +16,6 @@ from scipy.linalg.lapack import ztrexc
 from .errors import DegenerateConfigurationError, NumericalFailureError
 
 __all__ = [
-    "ComplexSchurDecomposition",
     "solve_linear",
     "pseudo_inverse",
     "require_full_rank",
@@ -41,8 +38,11 @@ UNROLLED_WIDTH = 8
 
 
 def real_array(values) -> np.ndarray:
-    """``values`` as floats; complex, string and object input raises TypeError."""
-    return np.asarray(values).astype(float, casting="same_kind", copy=False)
+    """``values`` as floats; boolean, complex, string and object input raises TypeError."""
+    arr = np.asarray(values)
+    if arr.dtype == bool:
+        raise TypeError("expected real numbers, got booleans")
+    return arr.astype(float, casting="same_kind", copy=False)
 
 
 def integer_array(values, name: str) -> np.ndarray:
@@ -132,28 +132,14 @@ def require_finite(a: np.ndarray, message: str) -> None:
         raise DegenerateConfigurationError(message)
 
 
-@dataclass(frozen=True)
-class ComplexSchurDecomposition:
-    """Unitary q and upper-triangular p with q^H m q = p.
+def complex_schur(m) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted complex Schur form (p, q) of a square matrix, as ``scipy.linalg.schur``.
 
-    Diagonal entries of p are the eigenvalues of the source matrix, sorted
-    by real part and then by imaginary part, both ascending.
-    """
-
-    q: np.ndarray
-    p: np.ndarray
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.diag(self.p)
-
-
-def complex_schur(m) -> ComplexSchurDecomposition:
-    """Sorted complex Schur decomposition of a square matrix.
-
-    Delegates the factorization to LAPACK and then reorders the diagonal
-    into the (real, imaginary) ascending order with LAPACK's ``ztrexc``:
-    position by position, the remaining eigenvalue with the smallest
+    The read-only factors are an upper-triangular p and a unitary q with
+    q^H m q = p; the diagonal of p holds the eigenvalues of m.  Delegates
+    the factorization to LAPACK and then reorders the diagonal into the
+    (real, imaginary) ascending order with LAPACK's ``ztrexc``: position
+    by position, the remaining eigenvalue with the smallest
     (real, imaginary) key is moved up to it by unitary swaps of adjacent
     diagonal entries (Bai and Demmel, LAA 1993).  A swap exchanges two
     diagonal entries exactly, so the order is the stable sort of the
@@ -198,7 +184,7 @@ def complex_schur(m) -> ComplexSchurDecomposition:
         )
     q.flags.writeable = False
     p.flags.writeable = False
-    return ComplexSchurDecomposition(q=q, p=p)
+    return p, q
 
 
 def min_eigenvalue_sym(a) -> float:

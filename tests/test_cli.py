@@ -934,6 +934,10 @@ def test_cluster_sstar_refuses_unusable_points_exit_two(tmp_path, capsys, sample
             "points 0 and 2 coincide",
         ),
         ([[1.0, 1.0], [3.0, 2.0], [float("nan"), 1.0]], "points must be finite"),
+        (
+            [[[1.0, 0.0], [1.0, 0.0]], [[3.0, 0.0], [2.0, 0.0]], [[float("nan"), 0.0], [1.0, 0.0]]],
+            "points must be finite",
+        ),
     ):
         sstar, out = tmp_path / "sstar.json", tmp_path / "labels.csv"
         sstar.write_text(json.dumps({"s_star": rows}))

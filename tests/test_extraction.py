@@ -173,6 +173,15 @@ def test_real_projection_refuses_a_conjugate_pair():
     assert info.value.stage == "extract"
 
 
+def test_real_projection_refuses_non_finite_zeros_as_non_finite():
+    # a NaN real part would make the realness test compare with NaN and
+    # call the zeros not real; they are refused as what they are
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        pts = np.array([[1.0, 2.0], [bad, 0.5]], dtype=complex)
+        with pytest.raises(DegenerateConfigurationError, match="^points must be finite$"):
+            real_projection(pts)
+
+
 def test_real_projection_refuses_coincident_real_zeros():
     # x^2 = 0: the double zero passes the gap test and comes back twice
     zs = extract_zero_set(GeneratingMatrix(standard_monomials(1, 2), np.zeros((2, 1))))
@@ -450,18 +459,25 @@ def test_zero_set_json_takes_numbers_only():
 
 def test_json_scalar_fields_take_numbers_only():
     # n and k pass integer_array, commutator_norm real_array, and
-    # approximate must be a JSON boolean: text is refused, not parsed
+    # approximate must be a JSON boolean: text is refused, not parsed, and
+    # a boolean is no number
     gm = solve_generating_matrix(PointSet(np.array([[-1.0, 0.0], [2.0, -3.0], [0.5, 1.0]])))
     matrix, zeros, basis = gm.to_json(), extract_zero_set(gm).to_json(), gm.basis.to_json()
     readers = ((GeneratingMatrix, matrix), (ZeroSet, zeros), (MonomialBasis, basis))
     for reader, payload in readers:
         assert reader.from_json(payload).to_json() == payload
         for key in ("n", "k") if "k" in payload else ("n",):
-            with pytest.raises(TypeError):
-                reader.from_json({**payload, key: str(payload[key])})
+            for value in (str(payload[key]), True):
+                with pytest.raises(TypeError):
+                    reader.from_json({**payload, key: value})
             with pytest.raises(ValueError, match=f"{key} must be integers"):
                 reader.from_json({**payload, key: payload[key] + 0.5})
-    for key, value in (("commutator_norm", "1e-3"), ("approximate", "no"), ("approximate", 0)):
+    for key, value in (
+        ("commutator_norm", "1e-3"),
+        ("commutator_norm", True),
+        ("approximate", "no"),
+        ("approximate", 0),
+    ):
         with pytest.raises(TypeError):
             ZeroSet.from_json({**zeros, key: value})
 

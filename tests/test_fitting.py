@@ -160,7 +160,7 @@ def test_penalty_gram_matches_dense_jacobian():
         g = rng.standard_normal((model.k, model.m))
         jac = reference_penalty_jacobian(model, g, rho)
         res = reference_penalty_residuals(model, g, rho)
-        gram, grad, value = model.gram_and_gradient(g, rho)
+        gram, grad, value = model.gram_and_gradient(model.evaluate(g), rho)
         np.testing.assert_allclose(gram, jac.T @ jac, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(grad, jac.T @ res, rtol=1e-10, atol=1e-12)
         assert value == pytest.approx(float(res @ res), rel=1e-12)
@@ -228,7 +228,7 @@ def test_single_variable_fit_has_no_commutators():
     mats = model.shifts.matrices(g)
     assert commutators(mats).size == 0
     assert model.commutator_jacobian(mats).shape == (0, model.k * model.m)
-    gram, _, _ = model.gram_and_gradient(g, 5.0)
+    gram, _, _ = model.gram_and_gradient(model.evaluate(g), 5.0)
     np.testing.assert_array_equal(gram, np.kron(np.eye(model.m), model.ata))
     result = fit_generating_matrix(samples, standard_monomials(samples.n, 4))
     assert result.converged
@@ -282,18 +282,18 @@ def test_fit_builds_no_gram_matrix_a_round_does_not_use():
     gram = PenaltyModel.gram_and_gradient
     penalized = PenaltyModel.penalized_value
 
-    def counting_gram(self, g, rho):
-        out = gram(self, g, rho)
-        builds.append(g.copy())
+    def counting_gram(self, ev, rho):
+        out = gram(self, ev, rho)
+        builds.append(ev.g.copy())
         state["phi"] = out[2]
         return out
 
-    def counting_penalized(self, g, rho):
-        value = penalized(self, g, rho)
+    def counting_penalized(self, trial, rho):
+        value = penalized(self, trial, rho)
         # the damped step's predicted decrease is always positive, so a
         # trial is accepted exactly when it lowers phi
         if value < state["phi"]:
-            accepted.append(g.copy())
+            accepted.append(trial.g.copy())
             state["phi"] = value
         return value
 
@@ -435,7 +435,8 @@ def test_history_records_warm_started_inexact_rounds(monkeypatch):
         # the fit cut after i rounds ends where round i + 1 starts
         monkeypatch.setattr(fitting, "MAX_ROUNDS", i)
         g = fit_generating_matrix(samples, standard_monomials(samples.n, 5)).g_star.entries
-        fresh = 1e-3 * float(np.max(np.diag(model.gram_and_gradient(g, history[i].rho)[0])))
+        gram = model.gram_and_gradient(model.evaluate(g), history[i].rho)[0]
+        fresh = 1e-3 * float(np.max(np.diag(gram)))
         assert history[i].mu_start <= fresh
         assert history[i].mu_start == min(fresh, history[i - 1].mu_final * fitting.RHO_GROWTH)
         carried += history[i].mu_start < fresh
@@ -467,9 +468,23 @@ def test_accepted_steps_reuse_their_trial_evaluation(monkeypatch):
     ended = sum(r.stop == "decrease" for r in result.history)
     accepted = counts["gram_and_gradient"] - result.rounds + ended
     assert result.converged and accepted > result.rounds + 1
-    # once per trial step and at most once per round (a round whose last
-    # trial was rejected evaluates its final g again), plus the start
+    # once per trial step, plus the start: test_a_fit_evaluates_each_g_once
+    # counts them exactly
     assert counts["matrices"] <= trials + result.rounds + 1
+
+
+def test_a_fit_evaluates_each_g_once(monkeypatch):
+    # the start and every trial are evaluated once, and their records are
+    # passed along: theta_init, the round ends and the objective compute
+    # nothing again, whether the last trial of a round was accepted or not
+    thetas = counting_calls(monkeypatch, PenaltyModel, "theta")
+    mats = counting_calls(monkeypatch, gs.ShiftTable, "matrices")
+    trials = counting_calls(monkeypatch, PenaltyModel, "penalized_value")
+    rng = np.random.default_rng(16)
+    samples = noisy_samples(rng, random_points(rng, 5, 2, min_gap=0.8), 0.05, 40)
+    result = fit_generating_matrix(samples, standard_monomials(samples.n, 5))
+    assert result.converged and len(trials) > result.rounds
+    assert len(thetas) == len(mats) == len(trials) + 1
 
 
 def stop_samples():
@@ -525,7 +540,7 @@ def test_rejected_steps_stop_a_round_once_the_damping_overflows(monkeypatch):
     monkeypatch.setattr(fitting, "MAX_ROUNDS", 2)
     # heavier damping shortens the step, so no step is too short to take
     monkeypatch.setattr(fitting, "STEP_TOL", 0.0)
-    monkeypatch.setattr(PenaltyModel, "penalized_value", lambda self, g, rho: np.inf)
+    monkeypatch.setattr(PenaltyModel, "penalized_value", lambda self, trial, rho: np.inf)
     result = fit_generating_matrix(samples, standard_monomials(2, 5))
     assert [r.stop for r in result.history] == ["mu overflow"] * 2
     for r in result.history:

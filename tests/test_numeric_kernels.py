@@ -17,8 +17,10 @@ from setloss.loss_functions import TransformedLoss
 from setloss.monomial_basis import standard_monomials
 from setloss.numeric_kernels import (
     complex_schur,
+    integer_array,
     min_eigenvalue_sym,
     pseudo_inverse,
+    real_array,
     require_finite,
     require_full_rank,
     solve_linear,
@@ -113,6 +115,17 @@ def test_pseudo_inverse_zero_columns():
     assert dag.shape == (0, 3)
 
 
+def test_input_rules_refuse_booleans():
+    # a JSON true is no number: it is refused like text, not read as 1
+    assert real_array([1, 2.5]).tolist() == [1.0, 2.5]
+    assert integer_array(4.0, "n").dtype == np.int64
+    for values in (True, [True, False], np.ones((2, 2), dtype=bool)):
+        with pytest.raises(TypeError, match="booleans"):
+            real_array(values)
+        with pytest.raises(TypeError, match="booleans"):
+            integer_array(values, "n")
+
+
 def test_rank_and_finiteness_checks_refuse_nan_and_inf():
     require_full_rank(np.array([2.0, 1.0]), "unused")
     require_finite(np.ones((2, 2)), "unused")
@@ -161,20 +174,21 @@ def test_schur_eigenvalues_match_char_poly():
     for _ in range(20):
         n = int(rng.integers(2, 7))
         m = rng.standard_normal((n, n))
-        dec = complex_schur(m)
+        p, _ = complex_schur(m)
         ref = char_poly_eigenvalues(m)
-        assert eigenvalue_mismatch(dec.eigenvalues, ref) < 1e-7
+        assert eigenvalue_mismatch(np.diag(p), ref) < 1e-7
 
 
 def test_schur_factors_are_consistent():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((6, 6))
-    dec = complex_schur(m)
+    p, q = complex_schur(m)
     np.testing.assert_allclose(
-        dec.q @ dec.q.conj().T, np.eye(6), atol=1e-12
+        q @ q.conj().T, np.eye(6), atol=1e-12
     )
-    np.testing.assert_allclose(np.tril(dec.p, -1), 0, atol=1e-10)
-    np.testing.assert_allclose(dec.q @ dec.p @ dec.q.conj().T, m, atol=1e-10)
+    np.testing.assert_allclose(np.tril(p, -1), 0, atol=1e-10)
+    np.testing.assert_allclose(q @ p @ q.conj().T, m, atol=1e-10)
+    assert not p.flags.writeable and not q.flags.writeable
 
 
 def test_schur_diagonal_sorted_by_real_then_imaginary():
@@ -182,14 +196,14 @@ def test_schur_diagonal_sorted_by_real_then_imaginary():
     sizes = [int(n) for n in rng.integers(2, 8, size=20)] + [12, 20, 28, 35]
     for n in sizes:
         m = rng.standard_normal((n, n))
-        dec = complex_schur(m)
-        keys = [(v.real, v.imag) for v in dec.eigenvalues]
+        p, q = complex_schur(m)
+        keys = [(v.real, v.imag) for v in np.diag(p)]
         assert keys == sorted(keys)
         # the reordered factors are still a Schur form of m
-        np.testing.assert_allclose(dec.q.conj().T @ dec.q, np.eye(n), atol=1e-12)
-        np.testing.assert_array_equal(np.tril(dec.p, -1), 0)
-        np.testing.assert_allclose(dec.q @ dec.p @ dec.q.conj().T, m, atol=1e-12 * n)
-        assert eigenvalue_mismatch(dec.eigenvalues, np.linalg.eigvals(m)) < 1e-10 * n
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(n), atol=1e-12)
+        np.testing.assert_array_equal(np.tril(p, -1), 0)
+        np.testing.assert_allclose(q @ p @ q.conj().T, m, atol=1e-12 * n)
+        assert eigenvalue_mismatch(np.diag(p), np.linalg.eigvals(m)) < 1e-10 * n
 
 
 def test_schur_order_is_the_position_by_position_loop_bit_for_bit():
@@ -202,10 +216,10 @@ def test_schur_order_is_the_position_by_position_loop_bit_for_bit():
     mats = [rng.standard_normal((k, k)) for k in rng.integers(2, 36, size=40)]
     mats += [rotation @ np.diag([2.0, 1.0, 1.0, 0.0]) @ rotation.T, ties, np.diag([3.0, 1.0, 1.0])]
     for m in mats:
-        dec = complex_schur(m)
-        p, q = reference_complex_schur(m)
-        assert dec.p.tobytes() == p.tobytes()
-        assert dec.q.tobytes() == q.tobytes()
+        p, q = complex_schur(m)
+        ref_p, ref_q = reference_complex_schur(m)
+        assert p.tobytes() == ref_p.tobytes()
+        assert q.tobytes() == ref_q.tobytes()
     first = np.diag(scipy.linalg.schur(ties.astype(complex), output="complex")[0])
     assert len(set(first.tolist())) < len(first)
 
@@ -215,11 +229,11 @@ def test_schur_multiplication_matrix_spectrum():
     pts = PointSet(np.array([[2.0, 1.0], [-1.0, 0.5], [-2.0, 3.0]]))
     gm = solve_generating_matrix(pts)
     m1 = multiplication_matrices(gm)[0]
-    dec = complex_schur(m1)
+    p, _ = complex_schur(m1)
     np.testing.assert_allclose(
-        np.sort(dec.eigenvalues.real), [-2.0, -1.0, 2.0], atol=1e-10
+        np.sort(np.diag(p).real), [-2.0, -1.0, 2.0], atol=1e-10
     )
-    np.testing.assert_allclose(dec.eigenvalues.imag, 0, atol=1e-10)
+    np.testing.assert_allclose(np.diag(p).imag, 0, atol=1e-10)
 
 
 def test_min_eigenvalue_sym():
