@@ -41,6 +41,7 @@ from .clustering import (
     Concern,
     assign_labels,
     bounded_noise_sample,
+    build_loss,
     clustering_accuracy,
     gmm_sample,
     nearest_point_assignment,
@@ -56,7 +57,7 @@ from .generating_system import (
     generator_terms,
     solve_generating_matrix,
 )
-from .loss_functions import GeneratingLoss, build_transformed_loss
+from .loss_functions import build_transformed_loss
 from .numeric_kernels import real_array
 
 __all__ = ["main", "console_main"]
@@ -324,21 +325,17 @@ def _read_sstar(path: str, n: int) -> PointSet:
 def cmd_cluster(args) -> tuple[Concern, ...]:
     coords, truth = _parse_points(args.input, args.truth_column)
     samples = SampleSet(coords)
+    loss_kind = "generating" if args.loss == "fg" else "transformed"
 
     concerns = ()
     if args.sstar is not None:
         recovered = _read_sstar(args.sstar, samples.n)
         _check_truth(truth, recovered.k)
-        if args.loss == "fg":
-            loss = GeneratingLoss(solve_generating_matrix(recovered))
-        else:
-            loss = build_transformed_loss(recovered)
+        loss = build_loss(recovered, loss_kind)
     else:
         # --k fixes the set size, so a bad truth column costs no fit
         _check_truth(truth, args.k)
-        result = recover_point_set(
-            samples, args.k, loss_kind="generating" if args.loss == "fg" else "transformed"
-        )
+        result = recover_point_set(samples, args.k, loss_kind=loss_kind)
         recovered, loss, concerns = result.recovered, result.loss, result.concerns
 
     assignment = assign_labels(loss, recovered, samples)

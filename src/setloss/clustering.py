@@ -33,6 +33,7 @@ __all__ = [
     "assign_labels",
     "nearest_point_assignment",
     "clustering_accuracy",
+    "build_loss",
     "recover_point_set",
     "bounded_noise_sample",
     "gmm_sample",
@@ -418,6 +419,15 @@ class RecoveryResult:
         return tuple(found)
 
 
+def build_loss(points: PointSet, loss_kind: str = "transformed"):
+    """``build_transformed_loss``, or for "generating" the interpolated system's squared norm."""
+    if loss_kind == "generating":
+        return GeneratingLoss(solve_generating_matrix(points))
+    if loss_kind != "transformed":
+        raise ValueError(f"unknown loss kind {loss_kind!r}")
+    return build_transformed_loss(points)
+
+
 def recover_point_set(
     samples: SampleSet,
     k: int,
@@ -429,16 +439,13 @@ def recover_point_set(
 
     The fit runs on ``standard_monomials(samples.n, k)``, built inside the
     "fit" stage, so a k that gives no basis fails there.  ``opts.seed``
-    seeds the extraction draws; the fit takes no options.  ``loss_kind``
-    selects the loss built on the recovered set: "transformed" (default)
-    composes the simplicial loss with the appropriate coordinate change,
-    "generating" interpolates a fresh generating system through the
-    recovered points and squares it.  The recovered set is
-    ``real_projection`` of the zeros, which ``zero_set`` keeps complex, so
-    zeros that are not real raise its NumericalFailureError and coincident
-    ones its DegenerateConfigurationError, at the "extract" stage; without
-    ``want_real`` the result carries zeros that are not real alone, with
-    no recovered set and no loss.  Errors propagate from the failing
+    seeds the extraction draws; the fit takes no options.  The recovered
+    set is ``real_projection`` of the zeros, which ``zero_set`` keeps
+    complex, so zeros that are not real raise its NumericalFailureError
+    and coincident ones its DegenerateConfigurationError, at the "extract"
+    stage; without ``want_real`` the result carries zeros that are not
+    real alone, with no recovered set and no loss.  The loss is
+    ``build_loss`` of kind ``loss_kind``.  Errors propagate from the failing
     stage, tagged with a ``stage`` attribute ("fit", "extract", or
     "loss").  A returned result is best effort exactly when its
     ``concerns`` are not empty (see ``RecoveryResult.concerns``); fit
@@ -456,10 +463,7 @@ def recover_point_set(
             return RecoveryResult(fit=fit, zero_set=zeros, recovered=None, loss=None)
         recovered = real_projection(zeros.points)
         stage = "loss"
-        if loss_kind == "transformed":
-            loss = build_transformed_loss(recovered)
-        else:
-            loss = GeneratingLoss(solve_generating_matrix(recovered))
+        loss = build_loss(recovered, loss_kind)
     except Exception as exc:
         # tagged with the stage it arose in, unless it names its own
         if not hasattr(exc, "stage"):

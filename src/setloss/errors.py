@@ -2,16 +2,17 @@
 
 Plain ``ValueError`` is raised for malformed arguments (wrong shapes,
 out-of-range parameters), and ``TypeError`` for input that is not real
-numbers, such as text or booleans (a JSON ``true`` is not read as 1).
-The classes below cover the remaining failure modes, each raised once,
-where the condition is found, and each naming the ``kind`` the command
-line writes for it:
+numbers, such as text or booleans (a JSON ``true`` is not read as 1,
+inside an array either).  The classes below cover the remaining failure
+modes, each raised once, where the condition is found, and each naming
+the ``kind`` the command line writes for it:
 
 * ``DegenerateConfigurationError``: coincident points and non-finite
   points or samples (``PointSet``, ``SampleSet``, and
   ``extraction.real_projection`` for zeros with a NaN or infinite part,
   before it judges realness), rank-deficient interpolation or sample
-  moments, and monomials that overflow.
+  moments, point differences a ``TransformedLoss`` finds numerically
+  dependent (one message for both kinds), and monomials that overflow.
 * ``NumericalFailureError``: finite zeros that are not real
   (``extraction.real_projection``, the only place that refuses them),
   clustered eigenvalues on every draw, and a Schur factorization that

@@ -71,7 +71,7 @@ class ZeroSet:
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=complex)
-        res = real_array(np.array(self.residuals))
+        res = np.array(real_array(self.residuals))
         if pts.ndim != 2 or res.shape != (pts.shape[0],):
             raise ValueError("points and residuals shapes are inconsistent")
         pts.flags.writeable = False

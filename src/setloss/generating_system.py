@@ -70,7 +70,7 @@ def _real_rows(values, name: str) -> np.ndarray:
     The entries pass ``real_array``; any other shape raises ValueError,
     and a NaN or infinite entry DegenerateConfigurationError.
     """
-    arr = real_array(np.array(values))
+    arr = np.array(real_array(values))
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d array of {name}, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -126,7 +126,7 @@ class GeneratingMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        ent = real_array(np.array(self.entries))
+        ent = np.array(real_array(self.entries))
         if ent.shape != (len(self.basis), len(self.border)):
             raise ValueError(
                 f"entries must have shape ({len(self.basis)}, {len(self.border)}), got {ent.shape}"
@@ -169,11 +169,11 @@ class GeneratingMatrix:
         rendering structures already built for it.  Any other basis gets
         an object of its own.  ``b1`` must be the border of the basis, row
         for row, as ``to_json`` writes it; anything else raises ValueError.
-        ``n`` and ``k`` pass ``integer_array``, so text or a boolean raises
-        TypeError.
+        Every field passes ``integer_array`` or ``real_array``, so text or
+        a boolean anywhere in them raises TypeError.
         """
         n, k = (int(integer_array(payload[key], key)) for key in ("n", "k"))
-        b0 = payload["b0"]
+        b0 = integer_array(payload["b0"], "exponents")
         standard = n >= 1 and k >= 1 and len(b0) == k
         if standard and np.array_equal(b0, standard_monomials(n, k).powers):
             basis = standard_monomials(n, k)
@@ -182,7 +182,7 @@ class GeneratingMatrix:
         if len(basis) != k:
             raise ValueError(f"declared k={k} but basis has {len(basis)} members")
         border = border_monomials(basis)
-        if not np.array_equal(payload["b1"], border.powers):
+        if not np.array_equal(real_array(payload["b1"]), border.powers):
             raise ValueError("b1 must list the border of b0 in graded lexicographic order")
         entries = real_array(payload["g"]).reshape(k, len(border))
         return cls(basis=basis, entries=entries)

@@ -37,13 +37,7 @@ from .monomial_basis import (
     real_batch,
     standard_monomials,
 )
-from .numeric_kernels import (
-    UNROLLED_WIDTH,
-    pseudo_inverse,
-    require_finite,
-    require_full_rank,
-    row_sum,
-)
+from .numeric_kernels import UNROLLED_WIDTH, pseudo_inverse, require_finite, row_sum
 
 __all__ = [
     "GeneratingLoss",
@@ -208,11 +202,12 @@ class TransformedLoss:
     The map is z = P (lift(x) - lift(u_k)), where the lift is the
     identity when ``lift_basis`` is None and the monomial lift through
     its non-constant members otherwise (the basis must start with 1 and
-    hold every x_i, which makes the lift injective), and P inverts the
-    matrix of lifted differences lift(u_i) - lift(u_k).  The last point of the set
-    is the anchor mapped to the origin of the simplex; point i (1-based)
-    maps to the i-th unit vertex.  Use ``simplex_coords`` to read off
-    which vertex a given x sits near.
+    hold every x_i, which makes the lift injective), and P is the
+    ``pseudo_inverse`` of the matrix of lifted differences lift(u_i) -
+    lift(u_k), square for the monomial lift.  The last point of the set is
+    the anchor mapped to the origin of the simplex; point i (1-based) maps
+    to the i-th unit vertex.  Use ``simplex_coords`` to read off which
+    vertex a given x sits near.
     """
 
     def __init__(self, points: PointSet, lift_basis: MonomialBasis | None = None):
@@ -240,14 +235,9 @@ class TransformedLoss:
         require_finite(
             self.diff_mat, "lifted point differences overflow: coordinates too large"
         )
-        if lift_basis is None:
-            self.to_simplex = pseudo_inverse(self.diff_mat)
-        else:
-            require_full_rank(
-                np.linalg.svd(self.diff_mat, compute_uv=False),
-                "lifted point differences are numerically dependent",
-            )
-            self.to_simplex = np.linalg.inv(self.diff_mat)
+        self.to_simplex = pseudo_inverse(
+            self.diff_mat, "point differences are numerically dependent"
+        )
 
     @property
     def kind(self) -> str:

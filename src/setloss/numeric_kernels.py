@@ -9,6 +9,8 @@ whole numbers ``integer_array``.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import ztrexc
@@ -40,7 +42,11 @@ UNROLLED_WIDTH = 8
 def real_array(values) -> np.ndarray:
     """``values`` as floats; boolean, complex, string and object input raises TypeError."""
     arr = np.asarray(values)
-    if arr.dtype == bool:
+    # numpy reads [2.0, True] as [2.0, 1.0]: a list, nested arr.ndim deep, is scanned for bools
+    entries = [values]
+    for _ in range(0 if isinstance(values, np.ndarray) else arr.ndim):
+        entries = chain.from_iterable(entries)
+    if arr.dtype == bool or not {bool, np.bool_}.isdisjoint(map(type, entries)):
         raise TypeError("expected real numbers, got booleans")
     return arr.astype(float, casting="same_kind", copy=False)
 
@@ -87,13 +93,13 @@ def solve_linear(a, b) -> np.ndarray:
     return x
 
 
-def pseudo_inverse(u) -> np.ndarray:
+def pseudo_inverse(u, message: str) -> np.ndarray:
     """Moore-Penrose inverse of a tall full-column-rank matrix.
 
-    ``u`` has shape (r, m) with m <= r.  Uses the SVD, so the result
-    matches (u^T u)^(-1) u^T without forming the normal equations.  Rank
-    deficiency (relative singular-value gap below 1e-10) raises
-    DegenerateConfigurationError.
+    ``u`` has shape (r, m) with m <= r; a square u gives its inverse.
+    Uses the SVD, so the result matches (u^T u)^(-1) u^T without forming
+    the normal equations.  Rank deficiency raises
+    DegenerateConfigurationError(message) through ``require_full_rank``.
     """
     u = real_array(u)
     if u.ndim != 2:
@@ -104,7 +110,7 @@ def pseudo_inverse(u) -> np.ndarray:
     if m == 0:
         return np.zeros((0, rows))
     w, s, vt = np.linalg.svd(u, full_matrices=False)
-    require_full_rank(s, "matrix is rank deficient")
+    require_full_rank(s, message)
     return (vt.T / s) @ w.T
 
 

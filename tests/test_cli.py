@@ -11,6 +11,7 @@ import pytest
 
 import setloss
 import setloss.cli as cli
+import setloss.clustering as clustering
 import setloss.fitting as fitting
 from setloss.cli import main
 from setloss.clustering import bounded_noise_sample, gmm_sample, random_gmm_spec, recover_point_set
@@ -435,6 +436,8 @@ def test_cluster_checks_truth_before_fitting(tmp_path, capsys, monkeypatch, rela
         # coordinates are JSON numbers: text that spells one is no point set
         (["cluster", "--sstar", "{text_points}"], "carries no point set in R^2"),
         (["cluster", "--sstar", "{one_text_cell}"], "carries no point set in R^2"),
+        # and a JSON true is no coordinate, though numpy would read it as 1
+        (["cluster", "--sstar", "{one_bool_cell}"], "carries no point set in R^2"),
     ],
 )
 def test_refusals_exit_one_with_one_error_line(tmp_path, capsys, sample_csv, argv, message):
@@ -445,6 +448,7 @@ def test_refusals_exit_one_with_one_error_line(tmp_path, capsys, sample_csv, arg
         "ragged.json": json.dumps({"s_star": [[0.0, 0.0], [1.0]]}),
         "text_points.json": json.dumps({"points": [["1", "1"], ["3", "2"], ["1.5", "2.5"]]}),
         "one_text_cell.json": json.dumps({"s_star": [[1.0, 1.0], [3.0, "2"], [1.5, 2.5]]}),
+        "one_bool_cell.json": json.dumps({"s_star": [[1.0, 1.0], [3.0, True], [1.5, 2.5]]}),
         "empty.csv": "",
         "header_only.csv": "x1,x2\n",
         "one_column.csv": "1.0\n2.0\n3.0\n",
@@ -946,6 +950,42 @@ def test_cluster_sstar_refuses_unusable_points_exit_two(tmp_path, capsys, sample
         err = one_json_line(captured.err)
         assert err == {"error": "degenerate-configuration", "message": message, "warnings": []}
         assert captured.out == "" and not out.exists()
+
+
+def test_cluster_sstar_refuses_dependent_points_with_one_message(tmp_path, capsys, sample_csv):
+    # three collinear points (affine loss) and four on y = x^2 (lifted
+    # loss) are refused alike: exit 2, one JSON line and no labels
+    inp = str(sample_csv[0])
+    for rows in (
+        [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],
+        [[0.0, 0.0], [1.0, 1.0], [2.0, 4.0], [-1.0, 1.0]],
+    ):
+        sstar, out = tmp_path / "sstar.json", tmp_path / "labels.csv"
+        sstar.write_text(json.dumps({"points": rows}))
+        assert main(["cluster", "--input", inp, "--sstar", str(sstar), "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = one_json_line(captured.err)
+        assert err["error"] == "degenerate-configuration" and err["warnings"] == []
+        message = "point differences are numerically dependent (condition estimate "
+        assert err["message"].startswith(message)
+        assert captured.out == "" and not out.exists()
+
+
+def test_cluster_sstar_loss_is_built_by_clustering(tmp_path, capsys, monkeypatch, sample_csv):
+    # clustering.build_loss chooses the loss of a given set, for recovery
+    # and for cluster --sstar alike, through clustering's own bindings
+    calls = []
+    for name in ("build_transformed_loss", "solve_generating_matrix"):
+        func = getattr(clustering, name)
+        monkeypatch.setattr(
+            clustering, name, lambda pts, name=name, func=func: calls.append(name) or func(pts)
+        )
+    sstar = tmp_path / "sstar.json"
+    sstar.write_text(json.dumps({"points": BENCH_SET[:3].tolist()}))
+    for loss in ("transformed", "fg"):
+        argv = ["cluster", "--input", str(sample_csv[0]), "--sstar", str(sstar), "--loss", loss]
+        assert main([*argv, "--output", str(tmp_path / f"labels_{loss}.csv")]) == 0
+    assert calls == ["build_transformed_loss", "solve_generating_matrix"]
 
 
 def test_build_and_describe_leave_sympy_unimported(tmp_path):

@@ -457,6 +457,18 @@ def test_zero_set_json_takes_numbers_only():
             ZeroSet.from_json({**payload, key: text})
 
 
+def test_zero_set_json_refuses_booleans_inside_arrays():
+    # numpy reads [2.0, True] as [2.0, 1.0]; the points and residuals refuse it
+    gm = solve_generating_matrix(PointSet(np.array([[-1.0, 0.0], [2.0, -3.0], [0.5, 1.0]])))
+    payload = extract_zero_set(gm).to_json()
+    points = [[pair[:] for pair in row] for row in payload["points"]]
+    points[0][0][1] = False
+    residuals = [*payload["residuals"][:-1], True]
+    for bad in ({"points": points}, {"residuals": residuals}):
+        with pytest.raises(TypeError, match="booleans"):
+            ZeroSet.from_json({**payload, **bad})
+
+
 def test_json_scalar_fields_take_numbers_only():
     # n and k pass integer_array, commutator_norm real_array, and
     # approximate must be a JSON boolean: text is refused, not parsed, and

@@ -511,3 +511,17 @@ def test_json_roundtrip():
     assert again.basis == gm.basis
     assert again.border == gm.border
     np.testing.assert_allclose(again.entries, gm.entries, atol=0)
+
+
+def test_json_and_point_sets_refuse_booleans_inside_arrays():
+    # numpy reads [2.0, True] as [2.0, 1.0]; the readers refuse it instead
+    payload = solve_generating_matrix(PointSet(SET_A)).to_json()
+    assert payload["b0"][1] == [1, 0, 0] and payload["b1"][0] == [0, 1, 0]
+    g = [*payload["g"][:-1], True]
+    b0 = [payload["b0"][0], [True, 0, 0]]
+    b1 = [[0, True, 0], *payload["b1"][1:]]
+    for bad in ({"g": g}, {"b0": b0}, {"b1": b1}):
+        with pytest.raises(TypeError, match="booleans"):
+            GeneratingMatrix.from_json({**payload, **bad})
+    with pytest.raises(TypeError, match="booleans"):
+        PointSet([[0.0, 2.0], [True, 2.0]])

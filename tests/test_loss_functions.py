@@ -19,7 +19,7 @@ from setloss.loss_functions import (
     build_transformed_loss,
 )
 
-from setloss.monomial_basis import MonomialBasis
+from setloss.monomial_basis import MonomialBasis, standard_monomials
 from setloss.numeric_kernels import UNROLLED_WIDTH, row_sum
 
 from helpers import (
@@ -287,6 +287,34 @@ def test_json_roundtrip_both_kinds():
         text = [[repr(v) for v in row] for row in loss.to_json()["points"]]
         with pytest.raises(TypeError):
             TransformedLoss.from_json({**loss.to_json(), "points": text})
+
+
+def test_both_kinds_refuse_dependent_differences_with_one_message():
+    # three collinear points for the affine map, four on y = x^2 for the
+    # lifted one (its lift holds x, y and x^2): one refusal, one wording
+    sets = (
+        ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], None),
+        ([[0.0, 0.0], [1.0, 1.0], [2.0, 4.0], [-1.0, 1.0]], standard_monomials(2, 4)),
+    )
+    for rows, basis in sets:
+        with pytest.raises(DegenerateConfigurationError) as info:
+            TransformedLoss(PointSet(rows), basis)
+        message = "point differences are numerically dependent (condition estimate "
+        assert str(info.value).startswith(message)
+        assert info.value.condition > 1e10
+        with pytest.raises(DegenerateConfigurationError, match="^point differences are"):
+            build_transformed_loss(PointSet(rows))
+
+
+def test_json_refuses_booleans_inside_points_and_lift_basis():
+    # a JSON true is no coordinate and no exponent, inside an array too
+    payload = build_transformed_loss(PointSet(CASE2_SET)).to_json()
+    points = [row[:] for row in payload["points"]]
+    points[1][0] = True
+    members = [[True if e == 1 else e for e in row] for row in payload["lift_basis"]["members"]]
+    for bad in ({"points": points}, {"lift_basis": {**payload["lift_basis"], "members": members}}):
+        with pytest.raises(TypeError, match="booleans"):
+            TransformedLoss.from_json({**payload, **bad})
 
 
 def test_json_from_earlier_releases_loads_bit_equal():

@@ -159,6 +159,13 @@ def test_border_of_simplex_basis():
     ]
 
 
+def test_json_members_refuse_booleans():
+    # numpy reads [[0, 0], [True, 0]] as integers; a JSON true is no exponent
+    with pytest.raises(TypeError, match="booleans"):
+        MonomialBasis.from_json({"n": 2, "members": [[0, 0], [True, 0]]})
+    assert len(MonomialBasis.from_json({"n": 2, "members": [[0, 0], [1, 0]]})) == 2
+
+
 def test_border_disjoint_sorted_and_covering():
     rng = np.random.default_rng(1)
     for _ in range(25):

@@ -89,7 +89,7 @@ def test_pseudo_inverse_tall_matrix():
         rows = int(rng.integers(2, 8))
         cols = int(rng.integers(1, rows + 1))
         u = rng.standard_normal((rows, cols))
-        dag = pseudo_inverse(u)
+        dag = pseudo_inverse(u, "unused")
         assert dag.shape == (cols, rows)
         np.testing.assert_allclose(dag @ u, np.eye(cols), atol=1e-10)
         # Moore-Penrose identities
@@ -102,16 +102,16 @@ def test_pseudo_inverse_refuses_complex_input():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(TypeError):
-            pseudo_inverse(np.eye(3, 2) + 1j)
+            pseudo_inverse(np.eye(3, 2) + 1j, "unused")
     # and a matrix of the wrong shape raises ValueError
     with pytest.raises(ValueError, match="expected a matrix"):
-        pseudo_inverse(np.ones(3))
+        pseudo_inverse(np.ones(3), "unused")
     with pytest.raises(ValueError, match="at least as many rows as columns"):
-        pseudo_inverse(np.ones((2, 3)))
+        pseudo_inverse(np.ones((2, 3)), "unused")
 
 
 def test_pseudo_inverse_zero_columns():
-    dag = pseudo_inverse(np.zeros((3, 0)))
+    dag = pseudo_inverse(np.zeros((3, 0)), "unused")
     assert dag.shape == (0, 3)
 
 
@@ -124,6 +124,16 @@ def test_input_rules_refuse_booleans():
             real_array(values)
         with pytest.raises(TypeError, match="booleans"):
             integer_array(values, "n")
+
+
+def test_input_rules_refuse_booleans_inside_lists():
+    # numpy reads [2.0, True] as [2.0, 1.0]; a list is scanned for bools
+    for values in ([2.0, True], [[1.0, 2.0], [np.True_, 0.5]], [np.zeros(2), np.ones(2, bool)]):
+        with pytest.raises(TypeError, match="booleans"):
+            real_array(values)
+        with pytest.raises(TypeError, match="booleans"):
+            integer_array(values, "n")
+    assert real_array([[1, 2.5], (0, -1.0)]).tolist() == [[1.0, 2.5], [0.0, -1.0]]
 
 
 def test_rank_and_finiteness_checks_refuse_nan_and_inf():
