@@ -14,7 +14,7 @@ found and written as its own ``kind``; 3 output written as best
 effort, exactly when the result carries a concern (``RecoveryResult.concerns``):
 "non-convergence" at stage "fit", or from ``fit --complex`` "numerical-failure"
 at stage "extract" with ``max_imag``.  ``bench`` exits 3 when a trial carries
-a concern or had its recovery refused after the fit stage.  For
+a concern or any package error refused its recovery past the fit stage.  For
 codes 2 and 3 stderr is one JSON line: the first reason, any others under
 ``also``, and the text of each Python warning raised meanwhile under
 ``warnings``; with codes 0 and 1 such warnings print as Python prints them.
@@ -58,7 +58,7 @@ from .generating_system import (
     solve_generating_matrix,
 )
 from .loss_functions import build_transformed_loss
-from .numeric_kernels import real_array
+from .numeric_kernels import integer_array, real_array
 
 __all__ = ["main", "console_main"]
 
@@ -69,6 +69,7 @@ BENCH_SET = np.array(
 UNEVEN_RADII = np.array([0.4, 0.2, 0.6, 0.2, 0.32, 0.4])
 UNEVEN_COUNTS = np.array([50, 25, 100, 30, 40, 70])
 BENCH_EPS_GRID = (0.05, 0.1, 0.5)
+_PACKAGE_ERRORS = (DegenerateConfigurationError, InvalidStateError, NumericalFailureError)
 
 
 class _UsageError(Exception):
@@ -138,7 +139,7 @@ def _is_number(cell: str) -> bool:
 def _parse_points(path: str, truth: bool | None = False):
     """Parse a CSV of points; optionally split a trailing integer truth column.
 
-    ``truth`` is None (a trailing column of non-negative integers is
+    ``truth`` is None (a trailing column of non-negative int64 integers is
     truth), True (require one) or False (every column is a coordinate).
     The first row is a header only when none of its cells is a number.
     """
@@ -158,15 +159,18 @@ def _parse_points(path: str, truth: bool | None = False):
     arr = np.array(data, dtype=float)
     if truth is False:
         return arr, None
-    last = arr[:, -1]
-    integral = width >= 2 and bool(np.all(last == np.round(last)) and np.all(last >= 0))
+    try:
+        labels = integer_array(arr[:, -1], "truth labels")
+    except ValueError:
+        labels = None
+    integral = width >= 2 and labels is not None and bool((labels >= 0).all())
     if truth is None and not integral:
         return arr, None
     if width < 2:
         raise _UsageError(f"{path}: a truth column needs at least two columns")
     if not integral:
         raise _UsageError(f"{path}: trailing column is not an integer truth column")
-    return arr[:, :-1], last.astype(np.int64)
+    return arr[:, :-1], labels
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -315,11 +319,19 @@ def _read_sstar(path: str, n: int) -> PointSet:
         pts = real_array(rows)
     except (TypeError, ValueError):  # ragged or not numbers
         pts = np.empty(0)
+    points = None
     if pts.ndim == 3 and pts.shape[2] == 2:  # complex [re, im] pairs, refused unless real
-        pts = real_projection(pts[:, :, 0] + 1j * pts[:, :, 1]).points
+        points = real_projection(pts[:, :, 0] + 1j * pts[:, :, 1])
+        pts = points.points
     if pts.ndim != 2 or pts.shape[1] != n:
         raise _UsageError(f"{path} carries no point set in R^{n}, where the samples lie")
-    return PointSet(pts)
+    return PointSet(pts) if points is None else points
+
+
+def _accuracies(assignment, recovered, samples, truth, means) -> tuple[float, float]:
+    """Accuracies of ``assignment`` and of nearest-point labels, aligned to ``means``."""
+    nearest = nearest_point_assignment(recovered, samples)
+    return tuple(clustering_accuracy(a, truth, recovered, means) for a in (assignment, nearest))
 
 
 def cmd_cluster(args) -> tuple[Concern, ...]:
@@ -359,13 +371,9 @@ def cmd_cluster(args) -> tuple[Concern, ...]:
         "s_star": recovered.points.tolist(),
     }
     if truth is not None:
-        means = np.array(
-            [samples.samples[truth == i].mean(axis=0) for i in range(recovered.k)]
-        )
-        summary["accuracy"] = clustering_accuracy(assignment, truth, recovered, means)
-        summary["nearest_point_accuracy"] = clustering_accuracy(
-            nearest_point_assignment(recovered, samples), truth, recovered, means
-        )
+        means = np.array([samples.samples[truth == i].mean(axis=0) for i in range(recovered.k)])
+        acc, nearest_acc = _accuracies(assignment, recovered, samples, truth, means)
+        summary.update(accuracy=acc, nearest_point_accuracy=nearest_acc)
     print(json.dumps(summary))
     return concerns
 
@@ -373,30 +381,46 @@ def cmd_cluster(args) -> tuple[Concern, ...]:
 # -- bench -----------------------------------------------------------------
 
 
-def _bench_trials(args, radii, counts, path: tuple):
+def _bench_trials(args, radii, counts, *path: int):
     """Sample, recover and score ``args.seeds`` trials of one noise setting.
 
     Returns one [trial, set_distance, max_loss, converged] row per trial,
-    the median set distance, the median largest loss on the reference set,
     whether any trial carries a concern and the layered points of trial 0.
     """
     reference = PointSet(BENCH_SET)
-    rows, dists, losses, best_effort = [], [], [], False
+    rows, best_effort = [], False
     for trial in range(args.seeds):
         seed = _derived_seed(args.seed, *path, trial)
         samples, _ = bounded_noise_sample(reference, radii, counts, seed, args.noise_model)
-        opts = FitOptions(seed=seed)
-        result = recover_point_set(samples, reference.k, opts, loss_kind="generating")
-        recovered = result.recovered
-        dist = set_distance(recovered, reference)
+        result = recover_point_set(samples, reference.k, FitOptions(seed), loss_kind="generating")
+        dist = set_distance(result.recovered, reference)
         max_loss = float(result.loss.value_and_grad(BENCH_SET)[0].max())
-        best_effort |= bool(result.concerns)
         rows.append([trial, dist, max_loss, int(result.fit.converged)])
-        dists.append(dist)
-        losses.append(max_loss)
+        best_effort |= bool(result.concerns)
         if trial == 0:
-            layers = {"T": samples.samples, "S": BENCH_SET, "Sstar": recovered.points}
-    return rows, float(np.median(dists)), float(np.median(losses)), best_effort, layers
+            layers = {"T": samples.samples, "S": BENCH_SET, "Sstar": result.recovered.points}
+    return rows, best_effort, layers
+
+
+def _gmm_trial(args, trial: int) -> tuple[list, bool]:
+    """[trial, accuracy, converged, nearest_point_accuracy] of one mixture, and its best effort."""
+    seed = _derived_seed(args.seed, trial)
+    spec = random_gmm_spec(args.n, args.k, seed=seed, diagonal=args.diagonal)
+    samples, truth = gmm_sample(spec, args.samples, seed=_derived_seed(seed, 1))
+    try:
+        result = recover_point_set(samples, args.k, FitOptions(seed))
+    except _PACKAGE_ERRORS as exc:
+        if exc.stage == "fit":
+            raise
+        # extraction failed or refused the zeros, or the loss refused the points
+        return [trial, 0.0, 0, 0.0], True
+    assignment = assign_labels(result.loss, result.recovered, samples)
+    acc, nearest_acc = _accuracies(assignment, result.recovered, samples, truth, spec.means)
+    return [trial, acc, int(result.fit.converged), nearest_acc], bool(result.concerns)
+
+
+def _median(rows, column: int) -> float:
+    return float(np.median([row[column] for row in rows]))
 
 
 def cmd_bench(args) -> tuple[Concern, ...]:
@@ -404,21 +428,19 @@ def cmd_bench(args) -> tuple[Concern, ...]:
         raise _UsageError(
             f"bench --scenario gmm scores at most {MAX_ALIGNMENT_SIZE} components, got --k {args.k}"
         )
-    best_effort, rows = False, []
     # layered points by file name; like every output, written after the last trial
     points = {}
-    scores = ["set_distance", "max_loss", "converged"]
 
     if args.scenario == "table1":
-        medians = {}
+        rows, medians, best_effort = [], {}, False
         counts = np.full(len(BENCH_SET), args.ni)
         for ei, eps in enumerate(BENCH_EPS_GRID):
-            trials, dist, loss, concerned, layers = _bench_trials(args, eps, counts, (ei,))
-            points[f"points_eps{eps}.csv"] = layers
+            trials, flagged, points[f"points_eps{eps}.csv"] = _bench_trials(args, eps, counts, ei)
             rows += [[eps, *row] for row in trials]
-            best_effort |= concerned
+            best_effort |= flagged
+            dist, loss = _median(trials, 1), _median(trials, 2)
             medians[str(eps)] = {"set_distance": dist, "max_loss": loss}
-        header = ["eps", "seed", *scores]
+        header = ["eps", "seed", "set_distance", "max_loss", "converged"]
         summary = {
             "scenario": "table1",
             "ni": args.ni,
@@ -428,44 +450,21 @@ def cmd_bench(args) -> tuple[Concern, ...]:
         }
 
     elif args.scenario == "example62":
-        rows, dist, loss, best_effort, layers = _bench_trials(
-            args, UNEVEN_RADII, UNEVEN_COUNTS, ()
-        )
-        points["points.csv"] = layers
-        header = ["seed", *scores]
+        rows, best_effort, points["points.csv"] = _bench_trials(args, UNEVEN_RADII, UNEVEN_COUNTS)
+        header = ["seed", "set_distance", "max_loss", "converged"]
         summary = {
             "scenario": "example62",
             "seeds": args.seeds,
             "noise_model": args.noise_model,
-            "median_set_distance": dist,
-            "median_max_loss": loss,
+            "median_set_distance": _median(rows, 1),
+            "median_max_loss": _median(rows, 2),
         }
 
     else:  # gmm
-        accs, nearest_accs = [], []
-        for trial in range(args.seeds):
-            seed = _derived_seed(args.seed, trial)
-            spec = random_gmm_spec(args.n, args.k, seed=seed, diagonal=args.diagonal)
-            samples, truth = gmm_sample(spec, args.samples, seed=_derived_seed(seed, 1))
-            try:
-                result = recover_point_set(samples, args.k, FitOptions(seed=seed))
-            except (NumericalFailureError, DegenerateConfigurationError) as exc:
-                if exc.stage == "fit":
-                    raise
-                # extraction failed or refused the zeros, or the loss refused
-                # the recovered points: no labels, scored as a failed trial
-                acc, nearest_acc, converged = 0.0, 0.0, False
-                best_effort = True
-            else:
-                assignment = assign_labels(result.loss, result.recovered, samples)
-                acc = clustering_accuracy(assignment, truth, result.recovered, spec.means)
-                nearest = nearest_point_assignment(result.recovered, samples)
-                nearest_acc = clustering_accuracy(nearest, truth, result.recovered, spec.means)
-                converged = result.fit.converged
-                best_effort |= bool(result.concerns)
-            rows.append([trial, acc, int(converged)])
-            accs.append(acc)
-            nearest_accs.append(nearest_acc)
+        trials, flagged = zip(*(_gmm_trial(args, trial) for trial in range(args.seeds)))
+        best_effort = any(flagged)
+        # the nearest-point accuracy is a summary figure alone
+        rows = [row[:3] for row in trials]
         header = ["seed", "accuracy", "converged"]
         summary = {
             "scenario": "gmm",
@@ -474,10 +473,10 @@ def cmd_bench(args) -> tuple[Concern, ...]:
             "samples": args.samples,
             "diagonal": args.diagonal,
             "seeds": args.seeds,
-            "median_accuracy": float(np.median(accs)),
-            "min_accuracy": float(np.min(accs)),
-            "max_accuracy": float(np.max(accs)),
-            "median_nearest_point_accuracy": float(np.median(nearest_accs)),
+            "median_accuracy": _median(trials, 1),
+            "min_accuracy": min(row[1] for row in trials),
+            "max_accuracy": max(row[1] for row in trials),
+            "median_nearest_point_accuracy": _median(trials, 3),
         }
 
     out_dir = Path(args.out_dir)
@@ -590,7 +589,7 @@ def main(argv=None) -> int:
             except _UsageError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 code = 1
-            except (DegenerateConfigurationError, InvalidStateError, NumericalFailureError) as exc:
+            except _PACKAGE_ERRORS as exc:
                 diagnostic = _diagnostic(exc)
     finally:
         # stderr of codes 2 and 3 is the one diagnostic, which carries the warnings

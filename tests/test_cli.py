@@ -400,6 +400,10 @@ def test_cluster_checks_truth_before_fitting(tmp_path, capsys, monkeypatch, rela
     assert captured.out == ""
 
 
+# a whole-number last column with a cell int64 cannot hold
+INFINITE_TRUTH = "0.1,0.2,0\n0.3,0.1,inf\n2.0,2.1,1\n2.2,1.9,1\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -438,6 +442,15 @@ def test_cluster_checks_truth_before_fitting(tmp_path, capsys, monkeypatch, rela
         (["cluster", "--sstar", "{one_text_cell}"], "carries no point set in R^2"),
         # and a JSON true is no coordinate, though numpy would read it as 1
         (["cluster", "--sstar", "{one_bool_cell}"], "carries no point set in R^2"),
+        # whole numbers that int64 cannot hold are no labels either
+        (
+            ["cluster", "--k", "2", "--truth-column", "--input", "{infinite_truth}"],
+            "trailing column is not an integer truth column",
+        ),
+        (
+            ["cluster", "--k", "2", "--truth-column", "--input", "{huge_truth}"],
+            "trailing column is not an integer truth column",
+        ),
     ],
 )
 def test_refusals_exit_one_with_one_error_line(tmp_path, capsys, sample_csv, argv, message):
@@ -453,6 +466,8 @@ def test_refusals_exit_one_with_one_error_line(tmp_path, capsys, sample_csv, arg
         "header_only.csv": "x1,x2\n",
         "one_column.csv": "1.0\n2.0\n3.0\n",
         "fractional_truth.csv": "0.0,0.0,0\n1.0,1.0,1\n2.0,0.0,0.5\n",
+        "infinite_truth.csv": INFINITE_TRUTH,
+        "huge_truth.csv": INFINITE_TRUTH.replace("inf", "1e19"),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -469,6 +484,20 @@ def test_refusals_exit_one_with_one_error_line(tmp_path, capsys, sample_csv, arg
     assert "Traceback" not in captured.err
     assert captured.err.splitlines() == [captured.err.strip()]
     assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_a_column_with_an_infinite_cell_is_read_as_coordinates(tmp_path, capsys):
+    # without --truth-column such a column is no truth column, so its inf
+    # is a coordinate and the samples are refused before any labels
+    inp, out = tmp_path / "infinite_truth.csv", tmp_path / "labels.csv"
+    inp.write_text(INFINITE_TRUTH)
+    assert main(["cluster", "--input", str(inp), "--k", "2", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    err = one_json_line(captured.err)
+    assert err["error"] == "degenerate-configuration" and err["warnings"] == []
+    assert "samples must be finite" in err["message"]
     assert captured.out == "" and not out.exists()
 
 
@@ -881,11 +910,16 @@ def test_bench_gmm_stops_on_other_numerical_failures(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize(
     "error, stage",
-    [(DegenerateConfigurationError, "extract"), (NumericalFailureError, "loss")],
+    [
+        (DegenerateConfigurationError, "extract"),
+        (InvalidStateError, "extract"),
+        (NumericalFailureError, "loss"),
+    ],
 )
 def test_bench_gmm_scores_every_refusal_after_the_fit(tmp_path, capsys, monkeypatch, error, stage):
-    # coincident real zeros are refused at the extract stage, and a loss
-    # may fail numerically: past the fit, either refusal scores 0
+    # coincident real zeros are refused at the extract stage, so are
+    # multiplication matrices that do not commute, and a loss may fail
+    # numerically: past the fit, each of the three refusals scores 0
     recover = cli.recover_point_set
     calls = []
 
@@ -935,6 +969,11 @@ def test_cluster_sstar_refuses_unusable_points_exit_two(tmp_path, capsys, sample
         ([[1.0, 1.0], [3.0, 2.0], [1.0, 1.0]], "points 0 and 2 coincide"),
         (
             [[[1.0, 0.0], [1.0, 0.0]], [[3.0, 0.0], [2.0, 0.0]], [[1.0, 0.0], [1.0, 1e-9]]],
+            "points 0 and 2 coincide",
+        ),
+        # pairs are projected before their dimension is checked: R^3 here, not R^2
+        (
+            [[[1.0, 0.0]] * 3, [[3.0, 0.0], [2.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]] * 3],
             "points 0 and 2 coincide",
         ),
         ([[1.0, 1.0], [3.0, 2.0], [float("nan"), 1.0]], "points must be finite"),
