@@ -136,12 +136,12 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _parse_points(path: str, truth: bool | None = False):
-    """Parse a CSV of points; optionally split a trailing integer truth column.
+def _parse_points(path: str, truth: bool = False):
+    """Parse a CSV of points; with ``truth``, split off the last column as labels.
 
-    ``truth`` is None (a trailing column of non-negative int64 integers is
-    truth), True (require one) or False (every column is a coordinate).
-    The first row is a header only when none of its cells is a number.
+    Every column is a coordinate unless ``truth`` is set; then the last one
+    must hold non-negative whole numbers that int64 holds.  The first row
+    is a header only when none of its cells is a number.
     """
     rows = _read_csv_rows(path)
     start = 0 if any(map(_is_number, rows[0][1])) else 1
@@ -157,18 +157,15 @@ def _parse_points(path: str, truth: bool | None = False):
         except ValueError as exc:
             raise _UsageError(f"{path}:{line}: {exc}") from None
     arr = np.array(data, dtype=float)
-    if truth is False:
+    if not truth:
         return arr, None
+    if width < 2:
+        raise _UsageError(f"{path}: a truth column needs at least two columns")
     try:
         labels = integer_array(arr[:, -1], "truth labels")
     except ValueError:
         labels = None
-    integral = width >= 2 and labels is not None and bool((labels >= 0).all())
-    if truth is None and not integral:
-        return arr, None
-    if width < 2:
-        raise _UsageError(f"{path}: a truth column needs at least two columns")
-    if not integral:
+    if labels is None or (labels < 0).any():
         raise _UsageError(f"{path}: trailing column is not an integer truth column")
     return arr[:, :-1], labels
 
@@ -298,7 +295,7 @@ def _check_truth(truth, k: int) -> None:
     if k > MAX_ALIGNMENT_SIZE:
         raise _UsageError(
             f"a truth column can be scored against at most {MAX_ALIGNMENT_SIZE} points, "
-            f"got k = {k}; pass --no-truth-column to cluster without scoring"
+            f"got k = {k}; drop --truth-column to cluster without scoring"
         )
     if truth.max() >= k:
         raise _UsageError("truth labels exceed the recovered set size")
@@ -526,7 +523,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("cluster", help="label samples by loss descent")
-    p.add_argument("--input", required=True, help="CSV of samples, optional truth column")
+    p.add_argument("--input", required=True, help="CSV of samples, one per row")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--k", type=_count, help="recover this many points from the samples")
     source.add_argument("--sstar", help="JSON with a previously recovered set")
@@ -534,16 +531,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--loss", choices=["transformed", "fg"], default="transformed")
     p.add_argument(
         "--truth-column",
-        dest="truth_column",
         action="store_true",
-        default=None,
-        help="force the last column to be ground-truth labels",
-    )
-    p.add_argument(
-        "--no-truth-column",
-        dest="truth_column",
-        action="store_false",
-        help="treat every column as a coordinate",
+        help="read the last column as ground-truth labels and score against them",
     )
     p.set_defaults(func=cmd_cluster)
 

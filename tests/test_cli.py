@@ -324,6 +324,7 @@ def test_fit_and_cluster_roundtrip(tmp_path, capsys, sample_csv):
             "cluster",
             "--input",
             str(truth_path),
+            "--truth-column",
             "--sstar",
             str(fit_out),
             "--output",
@@ -340,23 +341,29 @@ def test_fit_and_cluster_roundtrip(tmp_path, capsys, sample_csv):
     assert len(lines) == 301
 
 
-def test_cluster_ignores_truth_when_told(tmp_path, capsys, sample_csv):
+def test_cluster_reads_every_column_as_a_coordinate_unless_told(tmp_path, capsys, sample_csv):
     _, truth_path = sample_csv
-    # treating the truth column as a coordinate makes the samples 3d
-    code = main(
-        [
-            "cluster",
-            "--input",
-            str(truth_path),
-            "--no-truth-column",
-            "--k",
-            "6",
-        ]
-    )
+    # without --truth-column a column of labels is a coordinate: the samples are 3d
+    code = main(["cluster", "--input", str(truth_path), "--k", "6"])
     assert code in (0, 2, 3)
     if code == 0:
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["n"] == 3
+    capsys.readouterr()
+    # 2-D samples whose second coordinate is a whole-number row, as %.6f:
+    # no guess takes the rows for labels, whether they run to 2 or to 6
+    rng = np.random.default_rng(0)
+    x = np.repeat([0.0, 5.0, 10.0], 30) + rng.normal(0, 0.3, 90)
+    for top in (2, 6):
+        inp, out = tmp_path / f"rows{top}.csv", tmp_path / f"labels{top}.csv"
+        rows = np.column_stack([x, rng.integers(0, top + 1, 90)])
+        np.savetxt(inp, rows, fmt="%.6f", delimiter=",")
+        assert main(["cluster", "--input", str(inp), "--k", "3", "--output", str(out)]) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert summary["n"] == 2 and "accuracy" not in summary
+        assert "Traceback" not in captured.err
+        assert out.read_text().splitlines()[0] == "label,converged,iterations,x1,x2"
 
 
 def test_cluster_needs_k_or_sstar(tmp_path, capsys, sample_csv):
@@ -372,7 +379,7 @@ def test_cluster_names_a_truth_label_with_no_samples(tmp_path, capsys):
     truth = np.where(truth == 1, 2, truth)
     path = tmp_path / "skips_one.csv"
     write_points(path, samples.samples, truth=truth)
-    assert main(["cluster", "--input", str(path), "--k", "3"]) == 1
+    assert main(["cluster", "--input", str(path), "--k", "3", "--truth-column"]) == 1
     captured = capsys.readouterr()
     assert "truth label 1 has no samples" in captured.err
     assert "Traceback" not in captured.err
@@ -394,7 +401,7 @@ def test_cluster_checks_truth_before_fitting(tmp_path, capsys, monkeypatch, rela
         raise AssertionError("recover_point_set ran before the truth check")
 
     monkeypatch.setattr(cli, "recover_point_set", no_fit)
-    assert main(["cluster", "--input", str(path), "--k", "3"]) == 1
+    assert main(["cluster", "--input", str(path), "--k", "3", "--truth-column"]) == 1
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
@@ -451,6 +458,8 @@ INFINITE_TRUTH = "0.1,0.2,0\n0.3,0.1,inf\n2.0,2.1,1\n2.2,1.9,1\n"
             ["cluster", "--k", "2", "--truth-column", "--input", "{huge_truth}"],
             "trailing column is not an integer truth column",
         ),
+        # every column is a coordinate unless --truth-column says otherwise
+        (["cluster", "--k", "2", "--no-truth-column"], "unrecognized arguments: --no-truth-column"),
     ],
 )
 def test_refusals_exit_one_with_one_error_line(tmp_path, capsys, sample_csv, argv, message):
@@ -488,8 +497,8 @@ def test_refusals_exit_one_with_one_error_line(tmp_path, capsys, sample_csv, arg
 
 
 def test_a_column_with_an_infinite_cell_is_read_as_coordinates(tmp_path, capsys):
-    # without --truth-column such a column is no truth column, so its inf
-    # is a coordinate and the samples are refused before any labels
+    # without --truth-column every column is a coordinate, so the inf is
+    # one and the samples are refused before any labels
     inp, out = tmp_path / "infinite_truth.csv", tmp_path / "labels.csv"
     inp.write_text(INFINITE_TRUTH)
     assert main(["cluster", "--input", str(inp), "--k", "2", "--output", str(out)]) == 2
@@ -517,15 +526,16 @@ def test_cluster_refuses_a_truth_column_beyond_the_alignment_cap(tmp_path, capsy
 
     monkeypatch.setattr(cli, "recover_point_set", no_fit)
     for source in (["--sstar", str(sstar)], ["--k", "9"]):
-        assert main(["cluster", "--input", str(samples), *source, "--output", str(out)]) == 1
+        argv = ["cluster", "--input", str(samples), *source, "--truth-column", "--output", str(out)]
+        assert main(argv) == 1
         captured = capsys.readouterr()
-        assert "--no-truth-column" in captured.err and "Traceback" not in captured.err
+        assert "drop --truth-column" in captured.err and "Traceback" not in captured.err
         assert captured.out == "" and not out.exists()
-    # told there is no truth column, the same file clusters in three columns
-    args = ["--sstar", str(sstar), "--no-truth-column"]
+    # without the flag the same file clusters in three columns
     points3 = np.column_stack([points, np.arange(9.0)])
     sstar.write_text(json.dumps({"points": points3.tolist()}))
-    assert main(["cluster", "--input", str(samples), *args, "--output", str(out)]) == 0
+    argv = ["cluster", "--input", str(samples), "--sstar", str(sstar), "--output", str(out)]
+    assert main(argv) == 0
     assert len(out.read_text().splitlines()) == 10
 
 
@@ -552,7 +562,7 @@ def test_parser_is_reused_without_leaking_arguments(capsys, monkeypatch, sample_
     for argv in (
         [*fit, "--complex", "--loss", "fg"],
         fit,
-        [*cluster, "--no-truth-column", "--loss", "fg"],
+        [*cluster, "--truth-column", "--loss", "fg"],
         cluster,
         [*cluster, "--truth-column"],
     ):
@@ -561,8 +571,8 @@ def test_parser_is_reused_without_leaking_arguments(capsys, monkeypatch, sample_
     assert seen == [
         False, (6, False, "generating"),
         False, (6, True, "transformed"),
-        False, (6, True, "generating"),
-        None, (6, True, "transformed"),
+        True, (6, True, "generating"),
+        False, (6, True, "transformed"),
         True, (6, True, "transformed"),
     ]
 
@@ -632,7 +642,7 @@ def test_overflowing_monomials_exit_two_with_one_json_line(tmp_path, capsys, com
     elif command == "cluster --sstar":
         (tmp_path / "bigs.json").write_text(json.dumps({"points": BIG_POINTS.tolist()}))
         write_points(tmp_path / "few.csv", np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 1.0]]))
-        argv = ["cluster", "--input", str(tmp_path / "few.csv"), "--no-truth-column"]
+        argv = ["cluster", "--input", str(tmp_path / "few.csv")]
         argv += ["--sstar", str(tmp_path / "bigs.json")]
     else:
         rng = np.random.default_rng(5)
